@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,12 +57,19 @@ ALL_POLICIES = tuple(PolicyKind)
 
 @dataclass(frozen=True)
 class Case:
-    """One instance of a workload and the analyses it gets."""
+    """One instance of a workload and the analyses it gets.
+
+    A pool member also carries what the pool recorded: the vertices its
+    analyses create together, and whether each `me` analysis is known to
+    be schedulable.
+    """
 
     name: str
     instance: object
     policies: tuple[PolicyKind, ...]
     modes: tuple[str, ...]
+    vertices: int | None = None
+    schedulable: bool = False
 
 
 def wide_spec(seed: int) -> GenSpec:
@@ -135,17 +143,25 @@ def verify_instance(rng: random.Random, max_scenarios: int = VERIFY_MAX_SCENARIO
             return instance
 
 
+def reeligible_arcs(graph) -> int:
+    """Arcs that share their (source, job) pair with another arc."""
+    pairs = Counter((arc.src, arc.job_pos) for arc in graph.arcs.values())
+    return sum(n for n in pairs.values() if n > 1)
+
+
 def _pool_case(workload: str, entry: dict) -> Case:
     edf, fp, cw, cp = PolicyKind.EDF, PolicyKind.FP_EDF, PolicyKind.CW, PolicyKind.CP
-    seed = entry["seed"]
+    seed, vertices = entry["seed"], entry["vertices"]
     if workload == "wide":
-        return Case(f"wide-s{seed}", sg_generator.generate_instance(wide_spec(seed)), (edf,), ("me",))
+        return Case(f"wide-s{seed}", sg_generator.generate_instance(wide_spec(seed)), (edf,),
+                    ("me",), vertices, schedulable=True)
     if workload == "deep":
-        return Case(f"deep-s{seed}", deep_instance(seed), (edf, fp), ("me",))
+        return Case(f"deep-s{seed}", deep_instance(seed), (edf, fp), ("me",), vertices,
+                    schedulable=True)
     if workload == "idle":
         u = entry["u"]
         return Case(f"idle-u{u}-s{seed}", sg_generator.generate_instance(idle_spec(u, seed)),
-                    (cw, cp), ("me", "se"))
+                    (cw, cp), ("me", "se"), vertices)
     raise ValueError(f"unknown workload {workload!r}")
 
 
@@ -195,8 +211,13 @@ def cases(workload: str, seed: int, pool: dict) -> list[Case]:
         return _verify_cases(seed)
     count, member_band, band = ROUND_SHAPE[workload]
     entries = [e for e in pool[workload] if member_band[0] <= e["vertices"] <= member_band[1]]
+    # Build every member of the band, not only the drawn ones: the cost of
+    # building one instance varies up to tenfold between members (the
+    # generator retries its draws), so the set-up does the same work at
+    # every seed.
+    built = {id(entry): _pool_case(workload, entry) for entry in entries}
     chosen = fill(entries, count, band, random.Random(seed))
-    return [_pool_case(workload, entry) for entry in chosen]
+    return [built[id(entry)] for entry in chosen]
 
 
 def _verify_cases(seed: int) -> list[Case]:

@@ -2,10 +2,11 @@
 
 Run from the repository root (it takes about an hour on one core):
 
-    python3 perfbench/pool.py [--wide-seeds 700] [--deep-seeds 100] [--idle-seeds 180]
+    python3 perfbench/pool.py
 
-A member is kept when its analyses run to completion within a vertex cap
-and the workload's own condition holds:
+The candidates are seeds 0-699 of `wide`, 0-99 of `deep` and 0-179 (for
+each u) of `idle`. A member is kept when its analyses run to completion
+within a vertex cap and the workload's own condition holds:
 
 * wide: `GenSpec(30, 0.3, 0.8, 0.8, periods=(50,100,200))` under `edf`
   (`me`) is schedulable with 5,000 to 70,000 vertices created;
@@ -23,10 +24,8 @@ pool stays valid as long as the analysis builds the same graphs.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -35,6 +34,11 @@ import schedgraph.graph as sg_graph  # noqa: E402
 from schedgraph import ME, SE, AnalysisStuck, PolicyKind, generate, generate_instance  # noqa: E402
 
 import families  # noqa: E402
+
+
+WIDE_SEEDS = 700
+DEEP_SEEDS = 100
+IDLE_SEEDS = 180
 
 
 class _Capped(Exception):
@@ -55,12 +59,6 @@ def _capped_generate(instance, kind, mode, cap):
         return generate(instance, kind, mode)
     finally:
         sg_graph.expand = expand
-
-
-def reeligible_arcs(graph) -> int:
-    """Arcs that share their (source, job) pair with another arc."""
-    pairs = Counter((arc.src, arc.job_pos) for arc in graph.arcs.values())
-    return sum(n for n in pairs.values() if n > 1)
 
 
 def wide_pool(seeds: int) -> list[dict]:
@@ -108,7 +106,7 @@ def idle_pool(seeds: int) -> list[dict]:
                             continue
                         total += graph.vertices_created
                         if mode == ME:
-                            reeligible += reeligible_arcs(graph)
+                            reeligible += families.reeligible_arcs(graph)
                             complete = complete or result.schedulable
             except (_Capped, AnalysisStuck):
                 continue
@@ -118,21 +116,15 @@ def idle_pool(seeds: int) -> list[dict]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--wide-seeds", type=int, default=700)
-    parser.add_argument("--deep-seeds", type=int, default=100)
-    parser.add_argument("--idle-seeds", type=int, default=180)
-    parser.add_argument("--out", default=str(families.POOL_FILE))
-    args = parser.parse_args()
     pool = {
-        "deep": deep_pool(args.deep_seeds),
-        "idle": idle_pool(args.idle_seeds),
-        "wide": wide_pool(args.wide_seeds),
+        "deep": deep_pool(DEEP_SEEDS),
+        "idle": idle_pool(IDLE_SEEDS),
+        "wide": wide_pool(WIDE_SEEDS),
     }
     lines = ",\n".join(
         f'"{name}": [\n' + ",\n".join(json.dumps(e) for e in entries) + "\n]"
         for name, entries in pool.items())
-    Path(args.out).write_text("{\n" + lines + "\n}\n", encoding="utf-8")
+    families.POOL_FILE.write_text("{\n" + lines + "\n}\n", encoding="utf-8")
     for name, entries in pool.items():
         print(f"{name}: {len(entries)} members, "
               f"{sum(e['vertices'] for e in entries)} vertices", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload wide --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload wide --seed 0 --seconds 25 --trace 0
 
 One run builds the workload's instances (set-up, timed several times),
 then plays whole rounds until the next round would end past `--seconds`.
@@ -47,7 +47,7 @@ from schedgraph import AnalysisStuck, PolicyKind, parse_instance  # noqa: E402
 import checks  # noqa: E402
 import families  # noqa: E402
 import tracing  # noqa: E402
-from meter import Meter  # noqa: E402
+from meter import Meter, startup_scaled  # noqa: E402
 
 WORKLOADS = ("wide", "deep", "idle", "verify")
 SETUP_REPEATS = 9
@@ -69,6 +69,7 @@ class Round:
     analysis: dict = field(default_factory=dict)
     oracle: dict = field(default_factory=dict)
     cli: dict = field(default_factory=dict)
+    cli_bare: dict = field(default_factory=dict)  # bare interpreter run before each CLI subprocess
     vertices: int = 0
     attempted: int = 0
     failed: int = 0
@@ -133,10 +134,11 @@ def run_round(work: Workload, traced: bool) -> Round:
         stats.shape = dict.fromkeys(("arcs", "survivors", "widest", "levels", "reeligible"), 0)
     start = time.perf_counter()
     for case in work.cases:
+        created = 0
         for kind in case.policies:
             report = traces = None
             _next_op(work)
-            t0 = work.meter.start()
+            t0 = time.perf_counter()
             if work.name == "verify":
                 report = sg_oracle.enumerate_scenarios(case.instance, kind, ORACLE_CAP, exhaustive=True)
                 stats.scenarios += report.scenarios_checked
@@ -146,7 +148,12 @@ def run_round(work: Workload, traced: bool) -> Round:
                 stats.scenarios += len(traces)
             stats.oracle[(case.name, kind)] = work.meter.stop(t0)
             for mode in case.modes:
-                analyse(work, stats, case, kind, mode, report, traces)
+                problems, vertices = analyse(work, stats, case, kind, mode, report, traces)
+                created += vertices
+                last = (kind, mode) == (case.policies[-1], case.modes[-1])
+                if last and case.vertices is not None and created != case.vertices:
+                    problems.append(f"{created} vertices created, the pool recorded {case.vertices}")
+                _fail(work, stats, f"{case.name} {kind.value} {mode}", problems)
     for repeat in range(CLI_REPEATS):
         for path, policy, mode, result in work.bundled:
             run_cli(work, stats, (repeat, path, policy, mode), result, traced)
@@ -154,20 +161,19 @@ def run_round(work: Workload, traced: bool) -> Round:
     return stats
 
 
-def analyse(work, stats, case, kind, mode, report, traces) -> None:
-    where = f"{case.name} {kind.value} {mode}"
+def analyse(work, stats, case, kind, mode, report, traces) -> tuple[list[str], int]:
+    """One analysis and its checks: the problems found and the vertices created."""
     _next_op(work)
     stats.attempted += 1
     graph = result = None
-    t0 = work.meter.start()
+    t0 = time.perf_counter()
     try:
         graph, result = sg_graph.generate(case.instance, kind, mode)
     except AnalysisStuck:
         pass
     except Exception as exc:  # any other exception is a failed operation
         stats.analysis[(case.name, kind, mode)] = work.meter.stop(t0)
-        _fail(work, stats, where, [f"raised {exc!r}"])
-        return
+        return [f"raised {exc!r}"], 0
     stats.analysis[(case.name, kind, mode)] = work.meter.stop(t0)
     if result is None:
         signature = ("stuck", 0, 0)
@@ -179,6 +185,8 @@ def analyse(work, stats, case, kind, mode, report, traces) -> None:
             add_shape(stats.shape, graph, result)
         del graph
         problems = checks.check_verdict(case.instance, result)
+        if case.schedulable and mode == "me" and not result.schedulable:
+            problems.append("not schedulable, but the pool member is")
         if report is not None:
             problems += checks.check_oracle(result, mode, report)
             if "result" not in work.sample and mode == "me" and result.schedulable:
@@ -191,7 +199,7 @@ def analyse(work, stats, case, kind, mode, report, traces) -> None:
     key = (case.name, kind, mode)
     if work.signatures.setdefault(key, signature) != signature:
         problems.append(f"repeat gave {signature}, first run {work.signatures[key]}")
-    _fail(work, stats, where, problems)
+    return problems, signature[1]
 
 
 def add_shape(shape: dict, graph, result) -> None:
@@ -199,10 +207,7 @@ def add_shape(shape: dict, graph, result) -> None:
     shape["survivors"] += len(graph.vertices)
     shape["widest"] = max(shape["widest"], max(n for n, _ in result.levels))
     shape["levels"] += len(result.levels)
-    pairs: dict = {}
-    for arc in graph.arcs.values():
-        pairs[(arc.src, arc.job_pos)] = pairs.get((arc.src, arc.job_pos), 0) + 1
-    shape["reeligible"] += sum(k for k in pairs.values() if k > 1)
+    shape["reeligible"] += families.reeligible_arcs(graph)
 
 
 def run_cli(work, stats, key, result, in_process: bool) -> None:
@@ -210,15 +215,19 @@ def run_cli(work, stats, key, result, in_process: bool) -> None:
     argv = ["analyze", str(path), "--policy", policy, "--mode", mode, "--format", "json"]
     _next_op(work)
     stats.attempted += 1
-    t0 = work.meter.start()
+    if not in_process:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "pass"], cwd=ROOT, env=env, check=True, timeout=60)
+        stats.cli_bare[key] = work.meter.stop(t0)
+    t0 = time.perf_counter()
     if in_process:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = sg_cli.main(argv)
         stdout = out.getvalue()
     else:
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "schedgraph.cli", *argv], cwd=ROOT,
                               env=env, capture_output=True, text=True, timeout=60)
         code, stdout = proc.returncode, proc.stdout
@@ -264,8 +273,8 @@ def end_to_end(setup_spans: list, rounds: list[Round], meter: Meter) -> dict:
         "analysis_s": (analysis_s, "s"),
         "vertices_per_s": (rounds[0].vertices / analysis_s, "1/s"),
         "verify_s": (sum(per_op(rounds, "oracle", meter).values()), "s"),
-        "cli_ms": (statistics.median(meter.scaled(span) for r in rounds for span in r.cli.values())
-                   * 1000.0, "ms"),
+        "cli_ms": (statistics.median(startup_scaled(span, r.cli_bare[key])
+                                     for r in rounds for key, span in r.cli.items()) * 1000.0, "ms"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
     }
 
@@ -276,7 +285,7 @@ def import_spans(meter: Meter, repeats: int = 5) -> dict:
     spans: dict = {"pass": [], "import schedgraph.cli": []}
     for _ in range(repeats):
         for code, out in spans.items():
-            t0 = meter.start()
+            t0 = time.perf_counter()
             subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, check=True)
             out.append(meter.stop(t0))
     return spans
@@ -343,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="schedgraph benchmark")
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -351,9 +360,11 @@ def main(argv: list[str] | None = None) -> int:
     meter = Meter()
     setup_spans = []
     for _ in range(SETUP_REPEATS):
-        t0 = meter.start()
+        meter.sample()  # each set-up is scaled by the kernel samples right around it
+        t0 = time.perf_counter()
         cases, scenarios = setup(args.workload, args.seed, pool)
         setup_spans.append(meter.stop(t0))
+    meter.sample()
     work = Workload(args.workload, cases, scenarios, bundled_references(), meter)
 
     if args.trace:
