@@ -8,10 +8,9 @@ checks against an exhaustive brute-force simulator on small instances.
 from .generator import GenSpec, GenerationError, RatioReport, generate_instance, measure_ratios
 from .graph import (ME, SE, AnalysisResult, AnalysisStuck, Arc, DeadlineMiss,
                     EligibilityContext, ScheduleGraph, Vertex, applicable_jobs,
-                    certainly_eligible, eligibility_ranges, expand,
-                    expansion_windows, exploration_bound, export_dot, generate,
-                    make_context, merge_phase, next_nodes, possibly_eligible,
-                    to_ranges)
+                    certainly_eligible, expand, expansion_windows, export_dot,
+                    generate, make_context, merge_phase, next_nodes,
+                    possibly_eligible)
 from .model import (ExecutionScenario, InstanceError, Job, ProblemInstance, Task,
                     expand_jobs, hyperperiod, instance_to_json, make_instance,
                     parse_instance, parse_scenario, utilization, validate_scenario,

@@ -10,14 +10,12 @@ may change.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .generator import DEFAULT_PERIODS, GenerationError, GenSpec, generate_instance
 from .graph import ME, MODES, AnalysisStuck, export_dot, generate
@@ -249,14 +247,18 @@ def _bench_one(item: tuple[GenSpec, str, str]) -> dict:
         "jobs": len(instance.jobs),
         "policy": policy,
         "mode": mode,
-        "vertices": len(graph.vertices),
-        "arcs": len(graph.arcs),
+        "vertices": graph.vertices_created,
+        "arcs": graph.arcs_created,
         "wall_ms": f"{statistics.median(timings):.3f}",
         "verdict": "schedulable" if result.schedulable else "non-schedulable",
     }
 
 
 def cmd_bench(args) -> int:
+    # Imported here: loading multiprocessing would slow every other subcommand.
+    import csv
+    from concurrent.futures import ProcessPoolExecutor
+
     with open(args.spec, "r", encoding="utf-8") as handle:
         rows = _parse_bench_spec(handle.read())
     items = _bench_items(rows)

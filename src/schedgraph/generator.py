@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ProblemInstance, Task, make_instance
+from .model import ProblemInstance, Task, make_instance, utilization
 
 DEFAULT_PERIODS = (5, 10, 20, 40)
 UTILIZATION_TOLERANCE = 0.01
@@ -135,5 +135,4 @@ def measure_ratios(instance: ProblemInstance) -> RatioReport:
         variation = (Fraction(task.c_max - task.c_min, task.c_max - 1)
                      if task.c_max > 1 else Fraction(0))
         per_task[task.id] = (jitter, variation)
-    total = sum((Fraction(t.c_max, t.period) for t in instance.tasks), Fraction(0))
-    return RatioReport(per_task, total)
+    return RatioReport(per_task, utilization(instance.tasks))

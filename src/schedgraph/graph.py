@@ -16,26 +16,32 @@ could be the next job started:
   (r_min <= t < r_max), respects the budget, and outranks the certainly
   eligible job (vacuously when there is none).
 
-Probing runs over [eft, bound] where bound is the first time at or after
-lft with a certainly eligible job: by then the processor has certainly
-started something, so later times cannot begin the next dispatch. Each
-job's eligible times form maximal integer ranges; each range becomes one
-new vertex. Under a work conserving policy a job gets at most one range;
-under an idling policy the budget check can cut a range and re-open it
-later, so one vertex may carry several arcs with the same job label.
+One sweep serves both generation modes. It probes eft and every boundary
+time above it (a release bound, or the instant a job stops respecting the
+budget); eligibility is constant from one probe to the next. At each probe
+the certainly eligible job is computed once and reused to filter the
+possibly eligible jobs. Each job's eligible times form maximal integer
+ranges; each range becomes one new vertex. The sweep stops at the first
+probe that has a certainly eligible job and whose constant segment reaches
+lft: by max(probe, lft) the processor has certainly started something, so
+later times cannot begin the next dispatch, and every open range closes
+there. Under a work conserving policy a job gets at most one range; under
+an idling policy the budget check can cut a range and re-open it later, so
+one vertex may carry several arcs with the same job label.
 
-Two generation modes are supported. The default, multiple eligibility
-("me"), expands every range. Single eligibility ("se") reproduces the
-older behaviour of letting each job become eligible at most once per
-vertex: a job's eligibility, once ended, is consumed, and probing continues
-until a non-consumed certainly eligible job exists at or after lft.
+The two generation modes differ only in what the sweep forgets. The
+default, multiple eligibility ("me"), expands every range. Single
+eligibility ("se") reproduces the older behaviour of letting each job
+become eligible at most once per vertex: a job whose range has ended is
+consumed and no longer counts as eligible, certainly or possibly, at later
+probes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import AbstractSet, Sequence
 
 from .model import InstanceError, Job, ProblemInstance
 from .policy import CriticalContext, PolicyKind, critical_context, pi_higher, pi_key
@@ -121,40 +127,26 @@ class ScheduleGraph:
     def job_of_arc(self, arc: Arc) -> Job:
         return self.instance.jobs[arc.job_pos]
 
-    def finished_keys(self, vertex: Vertex) -> set[tuple[int, int]]:
-        return {job.key for pos, job in enumerate(self.instance.jobs)
-                if vertex.finished >> pos & 1}
-
 
 # --- applicable jobs and eligibility ----------------------------------------
 
-def _as_mask(instance: ProblemInstance, finished) -> int:
-    if isinstance(finished, int):
-        return finished
-    mask = 0
-    for key in finished:
-        mask |= 1 << instance.position(key)
-    return mask
-
-
-def applicable_jobs(instance: ProblemInstance, finished) -> list[Job]:
-    """First unfinished job of each task, given a finished set (mask or keys).
+def applicable_jobs(instance: ProblemInstance, finished: int) -> list[Job]:
+    """First unfinished job of each task, given a finished-set bitmask.
 
     The finished set must be prefix-closed per task; anything else indicates
     a corrupted graph and raises RuntimeError.
     """
-    mask = _as_mask(instance, finished)
     out: list[Job] = []
     for task in instance.tasks:
         run = instance.jobs_by_task[task.id]
         first_unfinished = None
         for offset, job in enumerate(run):
-            if not mask >> instance.position(job.key) & 1:
+            if not finished >> instance.position(job.key) & 1:
                 first_unfinished = offset
                 break
         if first_unfinished is not None:
             for offset in range(first_unfinished + 1, len(run)):
-                if mask >> instance.position(run[offset].key) & 1:
+                if finished >> instance.position(run[offset].key) & 1:
                     raise RuntimeError(
                         f"finished set not prefix-closed: {run[offset].label} finished "
                         f"before {run[first_unfinished].label}"
@@ -176,7 +168,7 @@ class EligibilityContext:
     crit: CriticalContext | None
 
 
-def make_context(instance: ProblemInstance, kind: PolicyKind, finished,
+def make_context(instance: ProblemInstance, kind: PolicyKind, finished: int,
                  eft: int, lft: int) -> EligibilityContext:
     apps = tuple(applicable_jobs(instance, finished))
     return EligibilityContext(instance, kind, eft, lft, apps, critical_context(kind, apps))
@@ -189,10 +181,10 @@ def _viable(ctx: EligibilityContext, job: Job, t: int) -> bool:
 
 
 def certainly_eligible(ctx: EligibilityContext, t: int,
-                       exclude: frozenset[Job] = frozenset()) -> Job | None:
+                       exclude: AbstractSet[Job] = frozenset()) -> Job | None:
     """The unique certainly released, budget-respecting job of top priority at t."""
     candidates = [j for j in ctx.applicable
-                  if j not in exclude and j.r_max <= t and _viable(ctx, j, t)]
+                  if j.r_max <= t and _viable(ctx, j, t) and j not in exclude]
     if not candidates:
         return None
     keys = [pi_key(ctx.kind, j) for j in candidates]
@@ -200,43 +192,17 @@ def certainly_eligible(ctx: EligibilityContext, t: int,
     return candidates[keys.index(min(keys))]
 
 
+def _outranking_possible(ctx: EligibilityContext, t: int, ce: Job | None,
+                         exclude: AbstractSet[Job]) -> list[Job]:
+    return [job for job in ctx.applicable
+            if job.r_min <= t < job.r_max and _viable(ctx, job, t)
+            and job not in exclude and pi_higher(ctx.kind, job, ce)]
+
+
 def possibly_eligible(ctx: EligibilityContext, t: int,
-                      exclude: frozenset[Job] = frozenset()) -> list[Job]:
+                      exclude: AbstractSet[Job] = frozenset()) -> list[Job]:
     """Possibly released, budget-respecting jobs outranking the certain choice at t."""
-    ce = certainly_eligible(ctx, t, exclude)
-    out = []
-    for job in ctx.applicable:
-        if job in exclude or not job.r_min <= t < job.r_max:
-            continue
-        if not _viable(ctx, job, t):
-            continue
-        if ce is not None and not pi_higher(ctx.kind, job, ce):
-            continue
-        out.append(job)
-    return out
-
-
-def _eligible_at(ctx: EligibilityContext, t: int,
-                 exclude: frozenset[Job] = frozenset()) -> list[Job]:
-    ce = certainly_eligible(ctx, t, exclude)
-    head = [] if ce is None else [ce]
-    return head + possibly_eligible(ctx, t, exclude)
-
-
-def exploration_bound(ctx: EligibilityContext) -> int:
-    """Smallest t >= lft at which a certainly eligible job exists.
-
-    A certainly eligible job can only appear when some applicable job
-    becomes certainly released, so it suffices to probe lft and the r_max
-    values above it. If none of them works, no later time can either.
-    """
-    candidates = sorted({ctx.lft} | {j.r_max for j in ctx.applicable if j.r_max > ctx.lft})
-    for t in candidates:
-        if certainly_eligible(ctx, t) is not None:
-            return t
-    raise AnalysisStuck(
-        f"no certainly eligible job exists at or after t={ctx.lft}"
-    )
+    return _outranking_possible(ctx, t, certainly_eligible(ctx, t, exclude), exclude)
 
 
 def _boundary_times(ctx: EligibilityContext) -> set[int]:
@@ -255,116 +221,51 @@ def _boundary_times(ctx: EligibilityContext) -> set[int]:
     return times
 
 
-def to_ranges(times: Iterable[int]) -> list[tuple[int, int]]:
-    """Collapse a set of integers into maximal inclusive ranges."""
-    out: list[tuple[int, int]] = []
-    for t in sorted(set(times)):
-        if out and t == out[-1][1] + 1:
-            out[-1] = (out[-1][0], t)
-        else:
-            out.append((t, t))
-    return out
-
-
-def eligibility_ranges(ctx: EligibilityContext, job: Job,
-                       lo: int | None = None, hi: int | None = None) -> list[tuple[int, int]]:
-    """Maximal ranges of times in [lo, hi] at which `job` is eligible.
-
-    Defaults to the vertex's exploration interval. Eligibility is constant
-    between boundary times, so only segment starts are probed.
-    """
-    if lo is None:
-        lo = ctx.eft
-    if hi is None:
-        hi = exploration_bound(ctx)
-    if hi < lo:
-        return []
-    probes = sorted({lo} | {b for b in _boundary_times(ctx) if lo < b <= hi})
-    ranges: list[tuple[int, int]] = []
-    start: int | None = None
-    for t in probes:
-        eligible = job in _eligible_at(ctx, t)
-        if eligible and start is None:
-            start = t
-        elif not eligible and start is not None:
-            ranges.append((start, t - 1))
-            start = None
-    if start is not None:
-        ranges.append((start, hi))
-    return ranges
-
-
-# --- expansion sweeps ---------------------------------------------------------
+# --- expansion sweep ----------------------------------------------------------
 
 def expansion_windows(ctx: EligibilityContext, mode: str = ME) -> list[tuple[Job, int, int]]:
     """Dispatch windows (job, est, lst) a vertex expands into, in creation order.
 
-    Sweeps boundary times only; between boundaries nothing can change, so the
-    result matches a per-integer-time sweep exactly.
+    Probes eft and every boundary time above it; between two probes nothing
+    can change, so the result matches a per-integer-time sweep exactly. The
+    sweep stops at the first probe with a certain choice whose constant
+    segment reaches lft, and closes every open run at max(probe, lft).
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if not ctx.applicable:
         return []
-    if mode == ME:
-        return _windows_multi(ctx)
-    if mode == SE:
-        return _windows_single(ctx)
-    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-
-
-def _windows_multi(ctx: EligibilityContext) -> list[tuple[Job, int, int]]:
-    eft = ctx.eft
-    bound = exploration_bound(ctx)
-    probes = sorted({eft} | {b for b in _boundary_times(ctx) if eft < b <= bound})
-    probes.append(bound + 1)
+    eft, lft = ctx.eft, ctx.lft
+    probes = sorted({eft} | {b for b in _boundary_times(ctx) if b > eft})
+    consumed: set[Job] = set()  # stays empty in ME mode
     open_runs: dict[Job, int] = {}
     out: list[tuple[Job, int, int]] = []
-    for t in probes:
-        eligible = [] if t > bound else _eligible_at(ctx, t)
+    for i, t in enumerate(probes):
+        ce = certainly_eligible(ctx, t, consumed)
+        eligible = _outranking_possible(ctx, t, ce, consumed)
+        if ce is not None:
+            eligible.insert(0, ce)
         live = set(eligible)
         for job in [j for j in open_runs if j not in live]:
             out.append((job, open_runs.pop(job), t - 1))
+            if mode == SE:
+                # consumed jobs were not eligible at t, so ce stays the same
+                consumed.add(job)
         for job in eligible:
             if job not in open_runs:
                 open_runs[job] = t
-    assert not open_runs
+        if ce is not None and (i + 1 == len(probes) or probes[i + 1] > lft):
+            break
+    else:
+        raise AnalysisStuck(f"no certainly eligible job exists at or after t={lft}")
+    bound = max(t, lft)
+    out.extend((job, est, bound) for job, est in open_runs.items())
     if ctx.kind.work_conserving:
         seen: set[Job] = set()
         for job, est, _ in out:
             assert job not in seen, "work conserving job re-eligibility"
             assert est == max(eft, job.r_min), "work conserving range must start at release"
             seen.add(job)
-    return out
-
-
-def _windows_single(ctx: EligibilityContext) -> list[tuple[Job, int, int]]:
-    # Each job may be eligible at most once: an ended run is consumed. The
-    # sweep keeps going past lft until a non-consumed certainly eligible job
-    # exists, which is when the dispatch has certainly happened.
-    eft, lft = ctx.eft, ctx.lft
-    probes = sorted({eft, lft} | {b for b in _boundary_times(ctx) if b > eft})
-    consumed: set[Job] = set()
-    open_runs: dict[Job, int] = {}
-    out: list[tuple[Job, int, int]] = []
-    bound: int | None = None
-    for t in probes:
-        frozen = frozenset(consumed)
-        eligible = _eligible_at(ctx, t, frozen)
-        live = set(eligible)
-        for job in [j for j in open_runs if j not in live]:
-            out.append((job, open_runs.pop(job), t - 1))
-            consumed.add(job)
-        for job in eligible:
-            if job not in open_runs:
-                open_runs[job] = t
-        if t >= lft and certainly_eligible(ctx, t, frozenset(consumed)) is not None:
-            bound = t
-            break
-    if bound is None:
-        raise AnalysisStuck(
-            f"single-eligibility sweep found no dispatch time at or after t={lft}"
-        )
-    for job, est in open_runs.items():
-        out.append((job, est, bound))
     return out
 
 

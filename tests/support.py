@@ -1,7 +1,8 @@
 """Shared helpers: instance samplers, naive reference sweeps, invariant checks.
 
 The naive sweeps probe every integer time point and serve as the independent
-reference for the boundary-time sweeps inside the engine.
+reference for the boundary-time sweep inside the engine; the me sweep's
+exploration bound is computed here too, apart from the engine's stop rule.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ import random
 from pathlib import Path
 
 from schedgraph import (AnalysisStuck, PolicyKind, Task, certainly_eligible,
-                        exploration_bound, make_instance, possibly_eligible,
-                        scenario_count)
+                        make_instance, possibly_eligible, scenario_count)
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 ANOMALY = INSTANCE_DIR / "anomaly.txt"
@@ -59,10 +59,32 @@ def sample_instance(rng: random.Random, max_scenarios: int = 20000, max_jobs: in
         return instance
 
 
+def mask(instance, keys) -> int:
+    """Finished-set bitmask of the jobs with the given (task, index) keys."""
+    out = 0
+    for key in keys:
+        out |= 1 << instance.position(key)
+    return out
+
+
 def eligible_at(ctx, t, exclude=frozenset()):
     ce = certainly_eligible(ctx, t, exclude)
     head = [] if ce is None else [ce]
     return head + possibly_eligible(ctx, t, exclude)
+
+
+def exploration_bound(ctx) -> int:
+    """Smallest t >= lft at which a certainly eligible job exists.
+
+    A certainly eligible job can only appear when some applicable job
+    becomes certainly released, so it suffices to probe lft and the r_max
+    values above it. If none of them works, no later time can either.
+    """
+    candidates = sorted({ctx.lft} | {j.r_max for j in ctx.applicable if j.r_max > ctx.lft})
+    for t in candidates:
+        if certainly_eligible(ctx, t) is not None:
+            return t
+    raise AnalysisStuck(f"no certainly eligible job exists at or after t={ctx.lft}")
 
 
 def naive_windows_me(ctx):

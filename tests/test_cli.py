@@ -3,10 +3,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import schedgraph
+from schedgraph import ME, GenSpec, PolicyKind, generate, generate_instance
 from schedgraph.cli import compare_verdicts, main
 from support import ANOMALY, EDF_JITTER, PRECAUTIOUS_IDLE
 
@@ -266,6 +272,19 @@ class TestBench:
         assert len(rows) == 8
         assert {row["mode"] for row in rows} == {"me", "se"}
 
+    def test_counts_are_created_not_surviving(self, capsys, tmp_path):
+        # merging folds this instance's 34 created vertices into 25
+        spec = tmp_path / "bench.txt"
+        spec.write_text("bench tasks=4 util=0.3 rj=0.5 rc=0.5 seeds=1\n")
+        code, out = run(capsys, "bench", str(spec))
+        assert code == 0
+        [row] = list(csv.DictReader(io.StringIO(out)))
+        graph, _ = generate(generate_instance(GenSpec(4, 0.3, 0.5, 0.5, (5, 10, 20, 40), 0)),
+                            PolicyKind.EDF, ME)
+        assert graph.vertices_created > len(graph.vertices)
+        assert int(row["vertices"]) == graph.vertices_created
+        assert int(row["arcs"]) == graph.arcs_created
+
     def test_parallel_output_matches_serial(self, capsys, tmp_path):
         spec = tmp_path / "bench.txt"
         spec.write_text("bench tasks=3 util=0.3 rj=0.1 rc=0.1 seeds=4\n")
@@ -279,3 +298,14 @@ class TestBench:
             return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
 
         assert strip_timing(serial) == strip_timing(parallel)
+
+
+class TestImportCost:
+    def test_cli_import_does_not_load_multiprocessing(self):
+        src = str(Path(schedgraph.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = ("import sys, schedgraph.cli; "
+                 "print('concurrent.futures.process' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "False"

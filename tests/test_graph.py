@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schedgraph.graph
 from schedgraph import (ME, SE, AnalysisStuck, PolicyKind, ScheduleGraph, Task,
-                        applicable_jobs, certainly_eligible, eligibility_ranges,
-                        expand, expansion_windows, exploration_bound, export_dot,
-                        generate, make_context, make_instance, merge_phase,
-                        next_nodes, possibly_eligible, to_ranges)
-from support import ALL_POLICIES, check_graph, naive_windows_me, naive_windows_se, sample_instance
+                        applicable_jobs, certainly_eligible, expand,
+                        expansion_windows, export_dot, generate, make_context,
+                        make_instance, merge_phase, next_nodes, possibly_eligible)
+from support import (ALL_POLICIES, check_graph, exploration_bound, mask,
+                     naive_windows_me, naive_windows_se, sample_instance)
 
 
 def intervals(graph, level):
@@ -20,37 +21,37 @@ def intervals(graph, level):
 
 class TestApplicableJobs:
     def test_finishing_a_job_exposes_its_successor(self, jitter3):
-        got = applicable_jobs(jitter3, [(2, 1)])
+        got = applicable_jobs(jitter3, mask(jitter3, [(2, 1)]))
         assert [j.key for j in got] == [(1, 1), (2, 2), (3, 1)]
 
     def test_empty_finished_set_gives_first_jobs(self, anomaly):
-        got = applicable_jobs(anomaly, [])
+        got = applicable_jobs(anomaly, 0)
         assert [j.key for j in got] == [(1, 1), (2, 1), (3, 1)]
 
     def test_all_finished_gives_empty_set(self, jitter3):
-        assert applicable_jobs(jitter3, [j.key for j in jitter3.jobs]) == []
+        assert applicable_jobs(jitter3, mask(jitter3, [j.key for j in jitter3.jobs])) == []
 
     def test_non_prefix_closed_set_is_a_bug(self, jitter3):
         with pytest.raises(RuntimeError, match="prefix-closed"):
-            applicable_jobs(jitter3, [(2, 2)])
+            applicable_jobs(jitter3, mask(jitter3, [(2, 2)]))
 
 
 class TestEligibility:
     def test_certain_choice_at_root(self, jitter3):
-        ctx = make_context(jitter3, PolicyKind.EDF, [], 0, 0)
+        ctx = make_context(jitter3, PolicyKind.EDF, 0, 0, 0)
         assert certainly_eligible(ctx, 0) == jitter3.job((2, 1))
 
     def test_certain_choice_respects_budget(self, idle4):
-        ctx = make_context(idle4, PolicyKind.P_FP_EDF, [(2, 1)], 1, 8)
+        ctx = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]), 1, 8)
         assert certainly_eligible(ctx, 7) == idle4.job((3, 1))
 
     def test_no_certain_choice_before_any_certain_release(self, jitter3):
-        ctx = make_context(jitter3, PolicyKind.EDF, [(1, 1), (2, 1)], 2, 3)
+        ctx = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(1, 1), (2, 1)]), 2, 3)
         # only the jittery job remains unreleased-for-sure before t=3
         assert certainly_eligible(ctx, 2) is None
 
     def test_possible_jobs_must_outrank_certain_choice(self, jitter3):
-        ctx = make_context(jitter3, PolicyKind.EDF, [(2, 1)], 1, 1)
+        ctx = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1)]), 1, 1)
         assert possibly_eligible(ctx, 1) == [jitter3.job((3, 1))]
 
     def test_priority_table_pattern(self):
@@ -60,63 +61,91 @@ class TestEligibility:
                    5: (8, 9), 6: (2, 7)}
         tasks = [Task(p + 1, 40, lo, hi, 1, 1, 30 + p, p) for p, (lo, hi) in windows.items()]
         instance = make_instance(tasks, horizon=40)
-        ctx = make_context(instance, PolicyKind.FP_EDF, [], 5, 5)
+        ctx = make_context(instance, PolicyKind.FP_EDF, 0, 5, 5)
         assert certainly_eligible(ctx, 5).priority == 3
         assert sorted(j.priority for j in possibly_eligible(ctx, 5)) == [0, 2]
 
     def test_nothing_possible_once_everything_certain(self, jitter3):
-        ctx = make_context(jitter3, PolicyKind.EDF, [(2, 1)], 5, 5)
+        ctx = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1)]), 5, 5)
         assert possibly_eligible(ctx, 5) == []
 
 
 class TestExplorationBound:
     def test_bound_stays_at_lft_when_choice_exists(self, jitter3):
-        ctx = make_context(jitter3, PolicyKind.EDF, [(2, 1), (3, 1)], 4, 5)
+        ctx = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1), (3, 1)]), 4, 5)
         assert exploration_bound(ctx) == 5
 
     def test_bound_jumps_to_next_certain_release(self):
         tasks = [Task(1, 20, 10, 10, 1, 1, 20)]
         instance = make_instance([Task(2, 20, 0, 0, 4, 8, 20)] + tasks)
-        ctx = make_context(instance, PolicyKind.EDF, [(2, 1)], 4, 8)
+        ctx = make_context(instance, PolicyKind.EDF, mask(instance, [(2, 1)]), 4, 8)
         assert exploration_bound(ctx) == 10
 
     def test_bound_with_recovered_eligibility(self, idle4):
-        ctx = make_context(idle4, PolicyKind.P_FP_EDF, [(2, 1)], 1, 8)
+        ctx = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]), 1, 8)
         assert exploration_bound(ctx) == 8
 
 
 class TestRanges:
-    def test_integer_set_to_ranges(self):
-        times = {2, 3, 4, 5, 7, 8, 10, 14, 15, 16}
-        assert to_ranges(times) == [(2, 5), (7, 8), (10, 10), (14, 16)]
-
-    def test_single_and_empty(self):
-        assert to_ranges([3]) == [(3, 3)]
-        assert to_ranges([]) == []
-
-    @given(st.sets(st.integers(-50, 50), max_size=40))
-    def test_ranges_partition_inputs(self, times):
-        ranges = to_ranges(times)
-        covered = {t for lo, hi in ranges for t in range(lo, hi + 1)}
-        assert covered == set(times)
-        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-            assert lo > hi + 1
+    @staticmethod
+    def ranges(ctx, job):
+        return [(est, lst) for j, est, lst in expansion_windows(ctx, ME) if j == job]
 
     def test_split_eligibility_of_low_priority_job(self, idle4):
-        ctx = make_context(idle4, PolicyKind.P_FP_EDF, [(2, 1)], 1, 8)
-        assert eligibility_ranges(ctx, idle4.job((3, 1))) == [(1, 2), (7, 8)]
+        ctx = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]), 1, 8)
+        assert self.ranges(ctx, idle4.job((3, 1))) == [(1, 2), (7, 8)]
 
     def test_single_window_of_mid_priority_job(self, idle4):
-        ctx = make_context(idle4, PolicyKind.P_FP_EDF, [(2, 1)], 1, 8)
-        assert eligibility_ranges(ctx, idle4.job((4, 1))) == [(3, 6)]
+        ctx = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]), 1, 8)
+        assert self.ranges(ctx, idle4.job((4, 1))) == [(3, 6)]
 
     def test_work_conserving_range_starts_at_release(self, jitter3):
-        ctx = make_context(jitter3, PolicyKind.EDF, [(2, 1)], 1, 1)
+        ctx = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1)]), 1, 1)
         for job in ctx.applicable:
-            ranges = eligibility_ranges(ctx, job)
+            ranges = self.ranges(ctx, job)
             assert len(ranges) <= 1
             if ranges:
                 assert ranges[0][0] == max(ctx.eft, job.r_min)
+
+
+class TestProbeCount:
+    """The sweep evaluates the certain choice once per probed time."""
+
+    @staticmethod
+    def probed_times(monkeypatch, ctx, mode):
+        calls = []
+        original = schedgraph.graph.certainly_eligible
+
+        def counting(ctx, t, *args):
+            calls.append(t)
+            return original(ctx, t, *args)
+
+        monkeypatch.setattr(schedgraph.graph, "certainly_eligible", counting)
+        try:
+            expansion_windows(ctx, mode)
+        finally:
+            monkeypatch.undo()
+        return calls
+
+    def assert_once_per_probe(self, monkeypatch, ctx, mode):
+        calls = self.probed_times(monkeypatch, ctx, mode)
+        boundaries = {ctx.eft} | schedgraph.graph._boundary_times(ctx)
+        assert calls, "the sweep probed nothing"
+        assert len(calls) == len(set(calls)), f"a time was probed twice: {calls}"
+        assert set(calls) <= boundaries
+
+    @pytest.mark.parametrize("mode", [ME, SE])
+    def test_idle_vertex(self, monkeypatch, idle4, mode):
+        ctx = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]), 1, 8)
+        self.assert_once_per_probe(monkeypatch, ctx, mode)
+
+    @pytest.mark.parametrize("mode", [ME, SE])
+    def test_every_jitter_vertex(self, monkeypatch, jitter3, mode):
+        graph, _ = generate(jitter3, PolicyKind.EDF, mode)
+        for vertex in graph.vertices.values():
+            ctx = make_context(jitter3, PolicyKind.EDF, vertex.finished, vertex.eft, vertex.lft)
+            if ctx.applicable:
+                self.assert_once_per_probe(monkeypatch, ctx, mode)
 
 
 class TestExpand:
@@ -365,3 +394,10 @@ class TestStuckGuard:
     def test_engine_rejects_unknown_mode(self, jitter3):
         with pytest.raises(ValueError, match="unknown mode"):
             generate(jitter3, PolicyKind.EDF, "both")
+
+    def test_sweep_rejects_unknown_mode_without_applicable_jobs(self, jitter3):
+        done = mask(jitter3, [j.key for j in jitter3.jobs])
+        ctx = make_context(jitter3, PolicyKind.EDF, done, 8, 8)
+        assert expansion_windows(ctx, ME) == []
+        with pytest.raises(ValueError, match="unknown mode"):
+            expansion_windows(ctx, "both")
