@@ -259,11 +259,15 @@ def cmd_bench(args) -> int:
     import csv
     from concurrent.futures import ProcessPoolExecutor
 
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     with open(args.spec, "r", encoding="utf-8") as handle:
         rows = _parse_bench_spec(handle.read())
     items = _bench_items(rows)
-    if args.jobs > 1 and items:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts every worker at once, so never ask for more than can run.
+    workers = min(args.jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_bench_one, items))
     else:
         records = [_bench_one(item) for item in items]
@@ -348,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time analyses over generated instance sets")
     p.add_argument("spec", help="bench spec file; see the module docstring")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes (output order stays deterministic)")
+                   help="parallel worker processes, at most one per CPU and item "
+                        "(output order stays deterministic)")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_bench)
 

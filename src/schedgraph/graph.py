@@ -6,6 +6,11 @@ processor becomes free at some time in [eft, lft]"; an arc stands for
 dispatching one more job over a window of start times. Levels are indexed
 by the number of finished jobs; the root is level 0 with interval [0, 0].
 
+A job is named by its position `job.pos` in `instance.jobs`: its bit in a
+vertex's finished set, its arcs' `job_pos`, and what `exclude` sets hold.
+A task's jobs hold consecutive positions, so the applicable job of each
+task, its first unfinished one, is read off one bit field.
+
 Expanding a vertex asks, for every applicable job, at which integer times it
 could be the next job started:
 
@@ -64,7 +69,7 @@ class Vertex:
     id: int
     eft: int
     lft: int
-    finished: int  # bitmask over the instance's job positions
+    finished: int  # bit job.pos is set for every finished job
     level: int
     in_arcs: list[int] = field(default_factory=list)
     out_arcs: list[int] = field(default_factory=list)
@@ -131,28 +136,25 @@ class ScheduleGraph:
 # --- applicable jobs and eligibility ----------------------------------------
 
 def applicable_jobs(instance: ProblemInstance, finished: int) -> list[Job]:
-    """First unfinished job of each task, given a finished-set bitmask.
+    """First unfinished job of each task, in task-id order, given a finished bitmask.
 
     The finished set must be prefix-closed per task; anything else indicates
     a corrupted graph and raises RuntimeError.
     """
     out: list[Job] = []
-    for task in instance.tasks:
-        run = instance.jobs_by_task[task.id]
-        first_unfinished = None
-        for offset, job in enumerate(run):
-            if not finished >> instance.position(job.key) & 1:
-                first_unfinished = offset
-                break
-        if first_unfinished is not None:
-            for offset in range(first_unfinished + 1, len(run)):
-                if finished >> instance.position(run[offset].key) & 1:
-                    raise RuntimeError(
-                        f"finished set not prefix-closed: {run[offset].label} finished "
-                        f"before {run[first_unfinished].label}"
-                    )
-            out.append(run[first_unfinished])
-    out.sort(key=lambda job: job.key)
+    for run in instance.jobs_by_task.values():
+        if not run:
+            continue
+        done = finished >> run[0].pos & (1 << len(run)) - 1
+        if done & (done + 1):  # some job finished above the first unfinished one
+            first = (done ^ (done + 1)).bit_length() - 1
+            after = next(k for k in range(first, len(run)) if done >> k & 1)
+            raise RuntimeError(
+                f"finished set not prefix-closed: {run[after].label} finished "
+                f"before {run[first].label}"
+            )
+        if done.bit_length() < len(run):
+            out.append(run[done.bit_length()])
     return out
 
 
@@ -174,17 +176,13 @@ def make_context(instance: ProblemInstance, kind: PolicyKind, finished: int,
     return EligibilityContext(instance, kind, eft, lft, apps, critical_context(kind, apps))
 
 
-def _viable(ctx: EligibilityContext, job: Job, t: int) -> bool:
-    if ctx.crit is None:
-        return True
-    return t + job.c_max <= ctx.crit.time or job == ctx.crit.job
-
-
 def certainly_eligible(ctx: EligibilityContext, t: int,
-                       exclude: AbstractSet[Job] = frozenset()) -> Job | None:
+                       exclude: AbstractSet[int] = frozenset()) -> Job | None:
     """The unique certainly released, budget-respecting job of top priority at t."""
+    crit = ctx.crit
     candidates = [j for j in ctx.applicable
-                  if j.r_max <= t and _viable(ctx, j, t) and j not in exclude]
+                  if j.r_max <= t and (crit is None or crit.admits(j, t))
+                  and j.pos not in exclude]
     if not candidates:
         return None
     keys = [pi_key(ctx.kind, j) for j in candidates]
@@ -193,14 +191,15 @@ def certainly_eligible(ctx: EligibilityContext, t: int,
 
 
 def _outranking_possible(ctx: EligibilityContext, t: int, ce: Job | None,
-                         exclude: AbstractSet[Job]) -> list[Job]:
+                         exclude: AbstractSet[int]) -> list[Job]:
+    crit = ctx.crit
     return [job for job in ctx.applicable
-            if job.r_min <= t < job.r_max and _viable(ctx, job, t)
-            and job not in exclude and pi_higher(ctx.kind, job, ce)]
+            if job.r_min <= t < job.r_max and (crit is None or crit.admits(job, t))
+            and job.pos not in exclude and pi_higher(ctx.kind, job, ce)]
 
 
 def possibly_eligible(ctx: EligibilityContext, t: int,
-                      exclude: AbstractSet[Job] = frozenset()) -> list[Job]:
+                      exclude: AbstractSet[int] = frozenset()) -> list[Job]:
     """Possibly released, budget-respecting jobs outranking the certain choice at t."""
     return _outranking_possible(ctx, t, certainly_eligible(ctx, t, exclude), exclude)
 
@@ -216,7 +215,7 @@ def _boundary_times(ctx: EligibilityContext) -> set[int]:
     for job in ctx.applicable:
         times.add(job.r_min)
         times.add(job.r_max)
-        if ctx.crit is not None and job != ctx.crit.job:
+        if ctx.crit is not None and job.pos != ctx.crit.job.pos:
             times.add(ctx.crit.time - job.c_max + 1)
     return times
 
@@ -237,35 +236,36 @@ def expansion_windows(ctx: EligibilityContext, mode: str = ME) -> list[tuple[Job
         return []
     eft, lft = ctx.eft, ctx.lft
     probes = sorted({eft} | {b for b in _boundary_times(ctx) if b > eft})
-    consumed: set[Job] = set()  # stays empty in ME mode
-    open_runs: dict[Job, int] = {}
+    jobs = ctx.instance.jobs
+    consumed: set[int] = set()  # positions; stays empty in ME mode
+    open_runs: dict[int, int] = {}  # position -> est
     out: list[tuple[Job, int, int]] = []
     for i, t in enumerate(probes):
         ce = certainly_eligible(ctx, t, consumed)
         eligible = _outranking_possible(ctx, t, ce, consumed)
         if ce is not None:
             eligible.insert(0, ce)
-        live = set(eligible)
-        for job in [j for j in open_runs if j not in live]:
-            out.append((job, open_runs.pop(job), t - 1))
+        live = {job.pos for job in eligible}
+        for pos in [p for p in open_runs if p not in live]:
+            out.append((jobs[pos], open_runs.pop(pos), t - 1))
             if mode == SE:
                 # consumed jobs were not eligible at t, so ce stays the same
-                consumed.add(job)
+                consumed.add(pos)
         for job in eligible:
-            if job not in open_runs:
-                open_runs[job] = t
+            if job.pos not in open_runs:
+                open_runs[job.pos] = t
         if ce is not None and (i + 1 == len(probes) or probes[i + 1] > lft):
             break
     else:
         raise AnalysisStuck(f"no certainly eligible job exists at or after t={lft}")
     bound = max(t, lft)
-    out.extend((job, est, bound) for job, est in open_runs.items())
+    out.extend((jobs[pos], est, bound) for pos, est in open_runs.items())
     if ctx.kind.work_conserving:
-        seen: set[Job] = set()
+        seen: set[int] = set()
         for job, est, _ in out:
-            assert job not in seen, "work conserving job re-eligibility"
+            assert job.pos not in seen, "work conserving job re-eligibility"
             assert est == max(eft, job.r_min), "work conserving range must start at release"
-            seen.add(job)
+            seen.add(job.pos)
     return out
 
 
@@ -275,12 +275,11 @@ def expand(graph: ScheduleGraph, vertex: Vertex, job: Job, est: int, lst: int) -
     """Create the successor vertex for dispatching `job` over [est, lst]."""
     if est > lst:
         raise ValueError(f"empty dispatch window [{est}, {lst}]")
-    pos = graph.instance.position(job.key)
-    assert not vertex.finished >> pos & 1, "job already finished in source vertex"
+    assert not vertex.finished >> job.pos & 1, "job already finished in source vertex"
     successor = graph.add_vertex(
-        est + job.c_min, lst + job.c_max, vertex.finished | 1 << pos, vertex.level + 1
+        est + job.c_min, lst + job.c_max, vertex.finished | 1 << job.pos, vertex.level + 1
     )
-    arc = graph.add_arc(vertex.id, successor.id, pos, est, lst)
+    arc = graph.add_arc(vertex.id, successor.id, job.pos, est, lst)
     return successor, arc
 
 
@@ -384,13 +383,9 @@ class AnalysisResult:
         return data
 
 
-def _context_for(graph: ScheduleGraph, vertex: Vertex) -> EligibilityContext:
-    return make_context(graph.instance, graph.kind, vertex.finished, vertex.eft, vertex.lft)
-
-
 def next_nodes(graph: ScheduleGraph, vertex: Vertex) -> list[Vertex]:
     """Expand one vertex into its successor vertices (one per dispatch window)."""
-    ctx = _context_for(graph, vertex)
+    ctx = make_context(graph.instance, graph.kind, vertex.finished, vertex.eft, vertex.lft)
     try:
         windows = expansion_windows(ctx, graph.mode)
     except AnalysisStuck as exc:
@@ -454,18 +449,18 @@ def _finish_bounds(graph: ScheduleGraph) -> dict[tuple[int, int], tuple[int, int
     # Per-job finish bounds come from the arcs' dispatch windows, which are
     # exactly the destination intervals at creation time; merged intervals
     # would smear other jobs' contributions in.
-    bounds: dict[tuple[int, int], tuple[int, int]] = {}
+    bounds: dict[int, tuple[int, int]] = {}  # by job position
     for arc_id in sorted(graph.arcs):
         arc = graph.arcs[arc_id]
         job = graph.job_of_arc(arc)
         lo = arc.est + job.c_min
         hi = arc.lst + job.c_max
-        if job.key in bounds:
-            old_lo, old_hi = bounds[job.key]
-            bounds[job.key] = (min(old_lo, lo), max(old_hi, hi))
+        if job.pos in bounds:
+            old_lo, old_hi = bounds[job.pos]
+            bounds[job.pos] = (min(old_lo, lo), max(old_hi, hi))
         else:
-            bounds[job.key] = (lo, hi)
-    return bounds
+            bounds[job.pos] = (lo, hi)
+    return {graph.instance.jobs[pos].key: bound for pos, bound in bounds.items()}
 
 
 # --- DOT export ----------------------------------------------------------------

@@ -16,6 +16,12 @@ from typing import Iterable
 
 U64_MAX = 2**64 - 1
 
+# Each job is one level of the schedule graph and one bit of every vertex's
+# finished set, so the analysis cost grows steeply with the job count; the
+# largest benchmark workload has 343 jobs. A horizon that expands to more
+# than this many jobs is rejected before any job is built.
+MAX_JOBS = 100_000
+
 
 class InstanceError(ValueError):
     """Malformed instance data or a violated task invariant."""
@@ -55,7 +61,11 @@ class Task:
 
 @dataclass(frozen=True)
 class Job:
-    """One job of a task; all parameters are absolute (shifted by the period)."""
+    """One job of a task; all parameters are absolute (shifted by the period).
+
+    `pos` is the job's index in its instance's job tuple, which is also its
+    bit in a finished-set bitmask.
+    """
 
     task_id: int
     index: int
@@ -65,6 +75,7 @@ class Job:
     c_max: int
     deadline: int
     priority: int
+    pos: int
 
     @property
     def key(self) -> tuple[int, int]:
@@ -83,14 +94,22 @@ def job_count(task: Task, horizon: int) -> int:
 
 
 def expand_jobs(tasks: Iterable[Task], horizon: int) -> tuple[Job, ...]:
-    """Expand tasks into their job lists over [0, horizon), sorted by (task, index)."""
-    tasks = list(tasks)
+    """Expand tasks into their job lists over [0, horizon), in (task, index) order.
+
+    Tasks are walked in id order, so each task's jobs hold consecutive
+    positions.
+    """
+    tasks = sorted(tasks, key=lambda task: task.id)
     if not tasks:
         raise InstanceError("empty instance")
     _check_range("observation interval", horizon, 1)
-    jobs = []
-    for task in tasks:
-        for j in range(1, job_count(task, horizon) + 1):
+    counts = [job_count(task, horizon) for task in tasks]
+    if sum(counts) > MAX_JOBS:
+        raise InstanceError(f"{sum(counts)} jobs over the observation interval exceed "
+                            f"the cap of {MAX_JOBS}")
+    jobs: list[Job] = []
+    for task, count in zip(tasks, counts):
+        for j in range(1, count + 1):
             offset = (j - 1) * task.period
             job = Job(
                 task_id=task.id,
@@ -101,11 +120,11 @@ def expand_jobs(tasks: Iterable[Task], horizon: int) -> tuple[Job, ...]:
                 c_max=task.c_max,
                 deadline=task.deadline + offset,
                 priority=task.priority,
+                pos=len(jobs),
             )
             _check_range(f"{job.label}: r_max", job.r_max, 0)
             _check_range(f"{job.label}: deadline", job.deadline, 1)
             jobs.append(job)
-    jobs.sort(key=lambda job: job.key)
     return tuple(jobs)
 
 
@@ -142,13 +161,11 @@ class ProblemInstance:
 
     @cached_property
     def jobs_by_task(self) -> dict[int, tuple[Job, ...]]:
-        grouped: dict[int, list[Job]] = {task.id: [] for task in self.tasks}
+        """Each task's jobs in index order, keyed by task id in id order."""
+        grouped: dict[int, list[Job]] = {tid: [] for tid in sorted(t.id for t in self.tasks)}
         for job in self.jobs:
             grouped[job.task_id].append(job)
         return {tid: tuple(js) for tid, js in grouped.items()}
-
-    def position(self, key: tuple[int, int]) -> int:
-        return self.job_index[key]
 
     def job(self, key: tuple[int, int]) -> Job:
         return self.jobs[self.job_index[key]]

@@ -48,6 +48,10 @@ class CriticalContext:
     job: Job
     time: int
 
+    def admits(self, job: Job, t: int) -> bool:
+        """Starting `job` at t keeps the critical job safe."""
+        return t + job.c_max <= self.time or job.pos == self.job.pos
+
 
 def pi_key(kind: PolicyKind, job: Job) -> tuple[int, ...]:
     """Sort key of the policy's priority order; lexicographically smaller wins.
@@ -114,7 +118,7 @@ def pick(kind: PolicyKind, t: int, applicable: Iterable[Job],
     released = [j for j in jobs if releases[j.key] <= t]
     ctx = critical_context(kind, jobs)
     if ctx is not None:
-        released = [j for j in released if t + j.c_max <= ctx.time or j == ctx.job]
+        released = [j for j in released if ctx.admits(j, t)]
     if not released:
         return None
     return min(released, key=lambda j: pi_key(kind, j))

@@ -63,7 +63,7 @@ def mask(instance, keys) -> int:
     """Finished-set bitmask of the jobs with the given (task, index) keys."""
     out = 0
     for key in keys:
-        out |= 1 << instance.position(key)
+        out |= 1 << instance.job(key).pos
     return out
 
 
@@ -111,8 +111,8 @@ def naive_windows_se(ctx):
     cap = max([lft] + [j.r_max for j in ctx.applicable])
     if ctx.crit is not None:
         cap = max([cap] + [ctx.crit.time - j.c_max + 1 for j in ctx.applicable
-                           if j != ctx.crit.job])
-    consumed: set = set()
+                           if j.pos != ctx.crit.job.pos])
+    consumed: set = set()  # positions
     open_runs: dict = {}
     out = []
     bound = None
@@ -121,9 +121,9 @@ def naive_windows_se(ctx):
         live = set(eligible)
         for job in [j for j in open_runs if j not in live]:
             out.append((job, open_runs.pop(job), t - 1))
-            consumed.add(job)
+            consumed.add(job.pos)
         for job in eligible:
-            if job not in open_runs and job not in consumed:
+            if job not in open_runs and job.pos not in consumed:
                 open_runs[job] = t
         if t >= lft and certainly_eligible(ctx, t, frozenset(consumed)) is not None:
             bound = t
@@ -137,7 +137,6 @@ def naive_windows_se(ctx):
 
 def check_graph(graph, result=None) -> None:
     """Structural invariants of a generated graph; raises AssertionError."""
-    instance = graph.instance
     merged_levels = len(graph.levels)
     if result is not None and not result.bounds_complete:
         merged_levels -= 1  # the aborting level is recorded pre-merge
@@ -168,7 +167,8 @@ def check_graph(graph, result=None) -> None:
         src = graph.vertices[arc.src]
         dst = graph.vertices[arc.dst]
         job = graph.job_of_arc(arc)
-        pos = instance.position(job.key)
+        pos = arc.job_pos
+        assert job.pos == pos
         assert (arc.src, arc.dst) not in pairs, "multigraph"
         pairs.add((arc.src, arc.dst))
         assert not src.finished >> pos & 1

@@ -89,6 +89,12 @@ class TestAnalyze:
         path.write_text("task 1 T=0 rmin=0 rmax=0 cmin=1 cmax=1 d=1\n")
         assert main(["analyze", str(path)]) == 2
 
+    def test_horizon_over_the_job_cap_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"H {2**64 - 1}\ntask 1 T=1 rmin=0 rmax=0 cmin=1 cmax=1 d=1\n")
+        assert main(["analyze", str(path)]) == 2
+        assert "exceed the cap" in capsys.readouterr().err
+
     def test_text_output_mentions_verdict(self, capsys):
         code, out = run(capsys, "analyze", str(EDF_JITTER))
         assert code == 0
@@ -298,6 +304,59 @@ class TestBench:
             return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
 
         assert strip_timing(serial) == strip_timing(parallel)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace the process pool with one that records its size and maps serially."""
+    import concurrent.futures
+
+    sizes: list[int] = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestBenchWorkers:
+    SPEC = "bench tasks=2 util=0.3 rj=0.1 rc=0.1 seeds=3\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exits_two(self, capsys, tmp_path, recording_pool, jobs):
+        spec = tmp_path / "bench.txt"
+        spec.write_text(self.SPEC)
+        assert main(["bench", str(spec), "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert recording_pool == []
+
+    @pytest.mark.parametrize("cpus, jobs, pools", [
+        (64, "1000000", [3]),   # capped by the three items
+        (2, "1000000", [2]),    # capped by the CPUs
+        (64, "2", [2]),         # as asked
+        (1, "8", []),           # one CPU: serial, no pool
+        (None, "8", []),        # CPU count unknown: serial
+    ])
+    def test_pool_size_is_capped(self, capsys, tmp_path, monkeypatch, recording_pool,
+                                 cpus, jobs, pools):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spec = tmp_path / "bench.txt"
+        spec.write_text(self.SPEC)
+        code, out = run(capsys, "bench", str(spec), "--jobs", jobs)
+        assert code == 0
+        assert recording_pool == pools
+        assert len(list(csv.DictReader(io.StringIO(out)))) == 3
 
 
 class TestImportCost:

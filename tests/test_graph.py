@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schedgraph.graph
-from schedgraph import (ME, SE, AnalysisStuck, PolicyKind, ScheduleGraph, Task,
-                        applicable_jobs, certainly_eligible, expand,
-                        expansion_windows, export_dot, generate, make_context,
-                        make_instance, merge_phase, next_nodes, possibly_eligible)
+from schedgraph import (ME, SE, AnalysisStuck, ExecutionScenario, Job, PolicyKind,
+                        ScheduleGraph, Task, applicable_jobs, certainly_eligible,
+                        expand, expansion_windows, export_dot, generate,
+                        make_context, make_instance, merge_phase, next_nodes,
+                        possibly_eligible, simulate)
 from support import (ALL_POLICIES, check_graph, exploration_bound, mask,
                      naive_windows_me, naive_windows_se, sample_instance)
 
@@ -31,9 +32,33 @@ class TestApplicableJobs:
     def test_all_finished_gives_empty_set(self, jitter3):
         assert applicable_jobs(jitter3, mask(jitter3, [j.key for j in jitter3.jobs])) == []
 
-    def test_non_prefix_closed_set_is_a_bug(self, jitter3):
-        with pytest.raises(RuntimeError, match="prefix-closed"):
+    def test_non_prefix_closed_set_is_a_bug(self, jitter3, anomaly):
+        with pytest.raises(RuntimeError, match="prefix-closed: J2,2 finished before J2,1"):
             applicable_jobs(jitter3, mask(jitter3, [(2, 2)]))
+        with pytest.raises(RuntimeError, match="prefix-closed: J3,4 finished before J3,2"):
+            applicable_jobs(anomaly, mask(anomaly, [(1, 1), (3, 1), (3, 4)]))
+
+
+class TestJobIdentity:
+    """Generation and the online scheduler name a job by its position only."""
+
+    def test_no_job_is_hashed_or_compared_by_value(self, monkeypatch, anomaly, jitter3,
+                                                   idle4):
+        def refuse(*args):
+            raise AssertionError("a Job was hashed or compared by value")
+
+        worst = ExecutionScenario.worst_case(idle4)
+        monkeypatch.setattr(Job, "__hash__", refuse)
+        monkeypatch.setattr(Job, "__eq__", refuse)
+        for instance in (anomaly, jitter3, idle4):
+            for kind in ALL_POLICIES:
+                for mode in (ME, SE):
+                    try:
+                        generate(instance, kind, mode)
+                    except AnalysisStuck:
+                        pass
+        for kind in (PolicyKind.P_FP_EDF, PolicyKind.CP, PolicyKind.CW):
+            simulate(idle4, kind, worst)
 
 
 class TestEligibility:

@@ -11,6 +11,7 @@ from schedgraph import (ExecutionScenario, InstanceError, Task, expand_jobs,
                         hyperperiod, instance_to_json, make_instance,
                         parse_instance, parse_scenario, utilization,
                         validate_scenario, write_instance)
+from schedgraph.model import MAX_JOBS, U64_MAX
 
 tasks_strategy = st.lists(
     st.builds(
@@ -58,14 +59,27 @@ class TestExpandJobs:
         assert len(instance.jobs_by_task[1]) == 0
         assert len(instance.jobs_by_task[2]) == 1
 
+    @pytest.mark.parametrize("tasks, horizon", [
+        ([Task(1, 1, 0, 0, 1, 1, 1)], U64_MAX),
+        # each task alone stays under the cap; together they exceed it
+        ([Task(1, 1, 0, 0, 1, 1, 1), Task(2, 1, 0, 0, 1, 1, 1)], MAX_JOBS // 2 + 1),
+        # coprime periods: a hyperperiod near 2**40 holds about 2**21 jobs
+        ([Task(1, 2**20, 0, 0, 1, 1, 5), Task(2, 2**20 - 1, 0, 0, 1, 1, 5)], None),
+    ])
+    def test_job_cap_is_checked_before_expansion(self, tasks, horizon):
+        with pytest.raises(InstanceError, match=f"exceed the cap of {MAX_JOBS}"):
+            make_instance(tasks, horizon)
+
     @given(tasks=tasks_strategy, horizon=st.integers(1, 60))
     def test_spans_are_period_invariant_and_sorted(self, tasks, horizon):
+        tasks = sorted(tasks, key=lambda task: task.id, reverse=True)
         jobs = expand_jobs(tasks, horizon)
         by_id = {task.id: task for task in tasks}
-        for job in jobs:
+        for i, job in enumerate(jobs):
             task = by_id[job.task_id]
             assert job.r_max - job.r_min == task.r_max - task.r_min
             assert job.c_max - job.c_min == task.c_max - task.c_min
+            assert job.pos == i
         assert list(jobs) == sorted(jobs, key=lambda j: j.key)
         for task in tasks:
             if task.r_min < horizon:

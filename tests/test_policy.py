@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -35,9 +36,7 @@ class TestPiOrder:
     def test_fixed_priority_ties_break_on_task_id(self, idle4):
         # equal priority and deadline only differ in the task id
         a = idle4.job((3, 1))
-        b = type(a)(task_id=5, index=1, r_min=a.r_min, r_max=a.r_max,
-                    c_min=a.c_min, c_max=a.c_max, deadline=a.deadline,
-                    priority=a.priority)
+        b = dataclasses.replace(a, task_id=5)
         assert pi_higher(PolicyKind.FP_EDF, a, b)
 
     def test_null_competitor_always_loses(self, anomaly):
