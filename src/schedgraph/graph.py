@@ -108,7 +108,8 @@ class ScheduleGraph:
         self.levels.append([root.id])
 
     def add_vertex(self, eft: int, lft: int, finished: int, level: int) -> Vertex:
-        assert eft <= lft
+        if eft > lft:
+            raise RuntimeError(f"vertex interval [{eft}, {lft}] is empty")
         vertex = Vertex(self.vertices_created, eft, lft, finished, level)
         self.vertices[vertex.id] = vertex
         self.vertices_created += 1
@@ -186,7 +187,8 @@ def certainly_eligible(ctx: EligibilityContext, t: int,
     if not candidates:
         return None
     keys = [pi_key(ctx.kind, j) for j in candidates]
-    assert len(set(keys)) == len(keys), "priority order is not strict"
+    if len(set(keys)) != len(keys):
+        raise RuntimeError("priority order is not strict")
     return candidates[keys.index(min(keys))]
 
 
@@ -263,8 +265,10 @@ def expansion_windows(ctx: EligibilityContext, mode: str = ME) -> list[tuple[Job
     if ctx.kind.work_conserving:
         seen: set[int] = set()
         for job, est, _ in out:
-            assert job.pos not in seen, "work conserving job re-eligibility"
-            assert est == max(eft, job.r_min), "work conserving range must start at release"
+            if job.pos in seen:
+                raise RuntimeError("work conserving job re-eligibility")
+            if est != max(eft, job.r_min):
+                raise RuntimeError("work conserving range must start at release")
             seen.add(job.pos)
     return out
 
@@ -275,7 +279,8 @@ def expand(graph: ScheduleGraph, vertex: Vertex, job: Job, est: int, lst: int) -
     """Create the successor vertex for dispatching `job` over [est, lst]."""
     if est > lst:
         raise ValueError(f"empty dispatch window [{est}, {lst}]")
-    assert not vertex.finished >> job.pos & 1, "job already finished in source vertex"
+    if vertex.finished >> job.pos & 1:
+        raise RuntimeError("job already finished in source vertex")
     successor = graph.add_vertex(
         est + job.c_min, lst + job.c_max, vertex.finished | 1 << job.pos, vertex.level + 1
     )
@@ -320,14 +325,16 @@ def _merge_group(graph: ScheduleGraph, group: list[int]) -> int:
         if vid == keep_id:
             continue
         vertex = graph.vertices[vid]
-        assert not vertex.out_arcs, "merge phase ran after expansion of the level"
+        if vertex.out_arcs:
+            raise RuntimeError("merge phase ran after expansion of the level")
         keep.eft = min(keep.eft, vertex.eft)
         keep.lft = max(keep.lft, vertex.lft)
         for arc_id in list(vertex.in_arcs):
             arc = graph.arcs[arc_id]
             if arc.src in by_source:
                 kept = graph.arcs[by_source[arc.src]]
-                assert kept.job_pos == arc.job_pos
+                if kept.job_pos != arc.job_pos:
+                    raise RuntimeError("arcs between one pair of vertices dispatch different jobs")
                 kept.est = min(kept.est, arc.est)
                 kept.lst = max(kept.lst, arc.lst)
                 graph.remove_arc(arc_id)

@@ -122,8 +122,11 @@ def expand_jobs(tasks: Iterable[Task], horizon: int) -> tuple[Job, ...]:
                 priority=task.priority,
                 pos=len(jobs),
             )
-            _check_range(f"{job.label}: r_max", job.r_max, 0)
-            _check_range(f"{job.label}: deadline", job.deadline, 1)
+            # the task's own checks bound both from below; only the offset can overflow
+            if job.r_max > U64_MAX:
+                _check_range(f"{job.label}: r_max", job.r_max, 0)
+            if job.deadline > U64_MAX:
+                _check_range(f"{job.label}: deadline", job.deadline, 1)
             jobs.append(job)
     return tuple(jobs)
 
@@ -298,7 +301,7 @@ class ExecutionScenario:
 
 
 def validate_scenario(instance: ProblemInstance, scenario: ExecutionScenario) -> None:
-    """Raise InstanceError unless the scenario covers every job within bounds."""
+    """Raise InstanceError unless the scenario covers exactly the jobs, within bounds."""
     for job in instance.jobs:
         if job.key not in scenario.release or job.key not in scenario.execution:
             raise InstanceError(f"scenario missing job {job.label}")
@@ -308,12 +311,18 @@ def validate_scenario(instance: ProblemInstance, scenario: ExecutionScenario) ->
             raise InstanceError(f"{job.label}: release {r} outside [{job.r_min}, {job.r_max}]")
         if not job.c_min <= c <= job.c_max:
             raise InstanceError(f"{job.label}: execution {c} outside [{job.c_min}, {job.c_max}]")
+    # every job's key is present, so a larger dict holds a key of no job
+    for values in (scenario.release, scenario.execution):
+        if len(values) != len(instance.jobs):
+            unknown = next(key for key in values if key not in instance.job_index)
+            raise InstanceError(f"scenario names unknown job {unknown!r}")
 
 
 def parse_scenario(text: str, instance: ProblemInstance) -> ExecutionScenario:
     """Parse `J <task> <index> r=<int> c=<int>` lines into a validated scenario."""
     release: dict[tuple[int, int], int] = {}
     execution: dict[tuple[int, int], int] = {}
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -323,6 +332,9 @@ def parse_scenario(text: str, instance: ProblemInstance) -> ExecutionScenario:
             if parts[0] != "J" or len(parts) != 5:
                 raise InstanceError("expected 'J <task> <index> r=<int> c=<int>'")
             key = (_parse_int(parts[1], "task"), _parse_int(parts[2], "index"))
+            if key in seen:
+                raise InstanceError(f"duplicate job J{key[0]},{key[1]}")
+            seen.add(key)
             for item in parts[3:]:
                 name, sep, value = item.partition("=")
                 if name == "r" and sep:

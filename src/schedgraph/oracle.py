@@ -2,13 +2,18 @@
 
 The simulator plays one concrete scenario: the scheduler is invoked at time
 zero, at every job completion, and, while idle, at each upcoming release.
-The enumerator walks the full integer grid of release and execution times
+The enumerator covers the full integer grid of release and execution times
 and is the ground-truth check for the graph analysis on small instances.
+It does not play the grid's scenarios one by one: a depth-first search
+over the scheduler's decisions plays each prefix that scenarios share
+once, branching on a job's release only when the scheduler is about to
+look at it and on its execution time only when it is dispatched. Each
+leaf of the search stands for a box of scenarios (a product of per-job
+release and execution intervals) that all take its decisions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .model import ExecutionScenario, Job, ProblemInstance, validate_scenario
@@ -125,49 +130,158 @@ class OracleReport:
 def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
                         max_scenarios: int = DEFAULT_SCENARIO_CAP,
                         exhaustive: bool = False) -> OracleReport:
-    """Simulate every integer scenario, in lexicographic (task, job, r, c) order.
+    """Simulate every integer scenario by a depth-first search over decisions.
+
+    The search asks `pick` once per decision prefix that scenarios share
+    instead of once per scenario. A search state is a time t, each task's
+    applicable job, and for each applicable job the lowest release it can
+    still take (`lo`) and whether its release is resolved to "at most t";
+    the scenarios it stands for are counted in a weight. At each decision
+    time, before `pick` is asked, every applicable job whose release is
+    still open is resolved:
+
+    * lo > t: not released yet, no branch;
+    * r_max <= t: released; the weight takes its r_max - lo + 1 values;
+    * otherwise two branches: released in [lo, t] (weight times t - lo + 1),
+      and not yet released (lo becomes t + 1).
+
+    When `pick` idles, the time steps to the smallest open `lo`: no job is
+    released in between, and a job a policy refuses at t it refuses later
+    too. A dispatched job branches on each execution time; a finish past
+    its deadline ends that branch in a failing leaf. A leaf stands for its
+    weight times the values still open in every dimension it left
+    undecided, and the leaves of a completed search sum to
+    `scenario_count`; a search that does not is a bug and raises
+    RuntimeError.
 
     Raises ScenarioCapExceeded instead of sampling when the grid is larger
-    than `max_scenarios`. Stops at the first failing scenario unless
-    `exhaustive` is set; the first failure is stable across runs because the
-    enumeration order is fixed.
+    than `max_scenarios`. With `exhaustive`, every leaf is visited and the
+    report equals one that simulates each scenario apart: `first_failure`
+    is the lexicographically smallest failing scenario in (task, job, r, c)
+    order, the smallest over the failing leaves of each leaf's per-job
+    minimum. Otherwise the search stops at its first dispatch that misses:
+    `first_failure` is the smallest scenario of that dispatch's failing
+    leaves, which need not be the lexicographically first failure, and
+    `scenarios_checked` counts the scenarios of the leaves visited so far,
+    those failing leaves included; the finish extremes then cover the
+    visited leaves only. The search order is fixed (released before not yet
+    released, longer execution times first), so all of these are stable
+    across runs. A schedulable instance is always searched to the end, with
+    `scenarios_checked == scenarios_total`.
     """
     total = scenario_count(instance)
     if total > max_scenarios:
         raise ScenarioCapExceeded(total, max_scenarios)
-    release: dict[tuple[int, int], int] = {}
-    execution: dict[tuple[int, int], int] = {}
-    targets = []
-    dims = []
-    for job in instance.jobs:
-        targets.append((release, job.key))
-        dims.append(range(job.r_min, job.r_max + 1))
-        targets.append((execution, job.key))
-        dims.append(range(job.c_min, job.c_max + 1))
-    finish_min: dict[tuple[int, int], int] = {}
-    finish_max: dict[tuple[int, int], int] = {}
-    first_failure: ExecutionScenario | None = None
+    runs = [instance.jobs_by_task[task.id] for task in instance.tasks]
+    sizes = [len(run) for run in runs]
+    slot = {task.id: i for i, task in enumerate(instance.tasks)}
+    # open_tail[i][p]: scenarios of the jobs of run i from index p on
+    open_tail = []
+    for run in runs:
+        tail = [1]
+        for job in reversed(run):
+            tail.append(tail[-1] * (job.r_max - job.r_min + 1) * (job.c_max - job.c_min + 1))
+        open_tail.append(tail[::-1])
+    lowest = [v for job in instance.jobs for v in (job.r_min, job.c_min)]
+    finish_min: list[int | None] = [None] * len(instance.jobs)
+    finish_max: list[int | None] = [None] * len(instance.jobs)
+    failure: list[int] | None = None  # flat (r, c) per job of the first failure
     checked = 0
-    for combo in itertools.product(*dims):
-        for (target, key), value in zip(targets, combo):
-            target[key] = value
-        trace = _simulate(instance, kind, release, execution, stop_on_miss=True)
-        checked += 1
-        for job, _, finish in trace.dispatches:
-            key = job.key
-            if key not in finish_min or finish < finish_min[key]:
-                finish_min[key] = finish
-            if key not in finish_max or finish > finish_max[key]:
-                finish_max[key] = finish
-        if trace.misses and first_failure is None:
-            first_failure = ExecutionScenario(dict(release), dict(execution))
-            if not exhaustive:
+    tasks = range(len(runs))
+    # (t, first task to resolve at t, ptr, lo, released, weight, path), where
+    # path links the (pos, lo, c) of every dispatch back to the root
+    stack = [(0, 0, (0,) * len(runs), tuple(run[0].r_min if run else 0 for run in runs),
+              (False,) * len(runs), 1, None)]
+    while stack:
+        t, first, ptr, lo, released, weight, path = stack.pop()
+        lo = list(lo)
+        released = list(released)
+        while True:
+            for i in range(first, len(runs)):
+                if released[i] or ptr[i] == sizes[i] or lo[i] > t:
+                    continue
+                r_max = runs[i][ptr[i]].r_max
+                if r_max <= t:
+                    weight *= r_max - lo[i] + 1
+                else:
+                    stack.append((t, i + 1, ptr, (*lo[:i], t + 1, *lo[i + 1:]),
+                                  tuple(released), weight, path))
+                    weight *= t - lo[i] + 1
+                released[i] = True
+            first = 0
+            # lo stands in for a release: it is <= t exactly when the release is resolved
+            applicable = []
+            releases = {}
+            for i in tasks:
+                if ptr[i] < sizes[i]:
+                    job = runs[i][ptr[i]]
+                    applicable.append(job)
+                    releases[job.key] = lo[i]
+            if not applicable:
+                checked += weight
                 break
+            job = pick(kind, t, applicable, releases)
+            if job is None:
+                upcoming = [lo[i] for i in tasks if ptr[i] < sizes[i] and not released[i]]
+                if not upcoming:
+                    raise RuntimeError("scheduler idles with every applicable job released")
+                t = min(upcoming)
+                continue
+            pos = job.pos
+            if finish_min[pos] is None or t + job.c_min < finish_min[pos]:
+                finish_min[pos] = t + job.c_min
+            if finish_max[pos] is None or t + job.c_max > finish_max[pos]:
+                finish_max[pos] = t + job.c_max
+            i = slot[job.task_id]
+            p = ptr[i]
+            fits = min(job.c_max, job.deadline - t)  # longest execution that meets the deadline
+            if fits < job.c_max:
+                # each longer execution is a failing leaf; they differ only in c
+                missing = job.c_max - max(fits, job.c_min - 1)
+                box = weight * open_tail[i][p + 1]
+                for j in tasks:
+                    if j != i and ptr[j] < sizes[j]:
+                        other = runs[j][ptr[j]]
+                        box *= open_tail[j][ptr[j] + 1] * (other.c_max - other.c_min + 1)
+                        if not released[j]:
+                            box *= other.r_max - lo[j] + 1
+                checked += box * missing
+                # the leaves' smallest scenario: each open dimension at its lowest value
+                scenario = lowest.copy()
+                for j in tasks:
+                    if ptr[j] < sizes[j]:
+                        scenario[2 * runs[j][ptr[j]].pos] = lo[j]
+                scenario[2 * pos + 1] = max(fits + 1, job.c_min)
+                node = path
+                while node is not None:
+                    done, r, c, node = node
+                    scenario[2 * done] = r
+                    scenario[2 * done + 1] = c
+                if failure is None or scenario < failure:
+                    failure = scenario
+                if not exhaustive:
+                    stack.clear()
+                    break
+            if fits >= job.c_min:
+                ptr_next = (*ptr[:i], p + 1, *ptr[i + 1:])
+                lo_next = (*lo[:i], runs[i][p + 1].r_min if p + 1 < sizes[i] else 0, *lo[i + 1:])
+                released_next = (*released[:i], False, *released[i + 1:])
+                for c in range(job.c_min, fits + 1):
+                    stack.append((t + c, 0, ptr_next, lo_next, released_next, weight,
+                                  (pos, lo[i], c, path)))
+            break
+    if (exhaustive or failure is None) and checked != total:
+        raise RuntimeError(f"search covered {checked} of {total} scenarios")
+    jobs = instance.jobs
+    first_failure = None
+    if failure is not None:
+        first_failure = ExecutionScenario({job.key: failure[2 * job.pos] for job in jobs},
+                                          {job.key: failure[2 * job.pos + 1] for job in jobs})
     return OracleReport(
-        schedulable=first_failure is None,
+        schedulable=failure is None,
         scenarios_checked=checked,
         scenarios_total=total,
-        finish_min=finish_min,
-        finish_max=finish_max,
+        finish_min={job.key: finish_min[job.pos] for job in jobs if finish_min[job.pos] is not None},
+        finish_max={job.key: finish_max[job.pos] for job in jobs if finish_max[job.pos] is not None},
         first_failure=first_failure,
     )

@@ -1,17 +1,22 @@
-"""Shared helpers: instance samplers, naive reference sweeps, invariant checks.
+"""Shared helpers: instance samplers, reference implementations, invariant checks.
 
 The naive sweeps probe every integer time point and serve as the independent
 reference for the boundary-time sweep inside the engine; the me sweep's
 exploration bound is computed here too, apart from the engine's stop rule.
+The product oracle simulates every scenario apart and is the reference for
+the engine's prefix-sharing search.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 
-from schedgraph import (AnalysisStuck, PolicyKind, Task, certainly_eligible,
-                        make_instance, possibly_eligible, scenario_count)
+from schedgraph import (AnalysisStuck, ExecutionScenario, OracleReport, PolicyKind,
+                        ScenarioCapExceeded, Task, certainly_eligible, make_instance,
+                        possibly_eligible, scenario_count)
+from schedgraph.oracle import DEFAULT_SCENARIO_CAP, _simulate
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 ANOMALY = INSTANCE_DIR / "anomaly.txt"
@@ -57,6 +62,83 @@ def sample_instance(rng: random.Random, max_scenarios: int = 20000, max_jobs: in
         if scenario_count(instance) > max_scenarios:
             continue
         return instance
+
+
+def sample_crowded_instance(rng: random.Random):
+    """Random instance of 4-6 tasks with priorities 0-3 and hyperperiod <= 40.
+
+    It has at most 40 jobs and 10**4 scenarios. Execution times stay under 1/n of a task's period and under half the
+    shortest period, so that crowded task sets still meet their deadlines
+    often enough to compare finish bounds; non-preemptive blocking and the
+    occasional tight deadline still cause misses.
+    """
+    while True:
+        periods = [rng.choice(PERIOD_CHOICES) for _ in range(rng.randint(4, 6))]
+        n = len(periods)
+        tasks = []
+        for i, period in enumerate(periods):
+            c_max = rng.randint(1, max(1, min(period // n, min(periods) // 2)))
+            c_min = max(1, c_max - rng.choice((0, 0, 1)))
+            r_span = rng.choice((0, 0, 1, 2))
+            r_min = rng.randint(0, max(0, period - r_span - 1))
+            r_max = r_min + r_span
+            if rng.random() < 0.9:
+                deadline = rng.randint(min(period, r_max + c_max), period)
+            else:
+                deadline = rng.randint(c_max, max(c_max, r_max + c_max))
+            tasks.append(Task(i + 1, period, r_min, r_max, c_min, c_max, deadline,
+                              rng.randint(0, 3)))
+        instance = make_instance(tasks)
+        if len(instance.jobs) <= 40 and scenario_count(instance) <= 10**4:
+            return instance
+
+
+def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
+                   exhaustive: bool = False) -> OracleReport:
+    """Simulate every integer scenario apart, in lexicographic (task, job, r, c) order.
+
+    Stops at the first failing scenario unless `exhaustive` is set. In
+    exhaustive mode its report equals `enumerate_scenarios`' in every field.
+    """
+    total = scenario_count(instance)
+    if total > max_scenarios:
+        raise ScenarioCapExceeded(total, max_scenarios)
+    release: dict[tuple[int, int], int] = {}
+    execution: dict[tuple[int, int], int] = {}
+    targets = []
+    dims = []
+    for job in instance.jobs:
+        targets.append((release, job.key))
+        dims.append(range(job.r_min, job.r_max + 1))
+        targets.append((execution, job.key))
+        dims.append(range(job.c_min, job.c_max + 1))
+    finish_min: dict[tuple[int, int], int] = {}
+    finish_max: dict[tuple[int, int], int] = {}
+    first_failure = None
+    checked = 0
+    for combo in itertools.product(*dims):
+        for (target, key), value in zip(targets, combo):
+            target[key] = value
+        trace = _simulate(instance, kind, release, execution, stop_on_miss=True)
+        checked += 1
+        for job, _, finish in trace.dispatches:
+            key = job.key
+            if key not in finish_min or finish < finish_min[key]:
+                finish_min[key] = finish
+            if key not in finish_max or finish > finish_max[key]:
+                finish_max[key] = finish
+        if trace.misses and first_failure is None:
+            first_failure = ExecutionScenario(dict(release), dict(execution))
+            if not exhaustive:
+                break
+    return OracleReport(
+        schedulable=first_failure is None,
+        scenarios_checked=checked,
+        scenarios_total=total,
+        finish_min=finish_min,
+        finish_max=finish_max,
+        first_failure=first_failure,
+    )
 
 
 def mask(instance, keys) -> int:

@@ -137,6 +137,18 @@ class TestSimulate:
         scenario.write_text("J 1 1 r=0 c=7\n")  # release below r_min, jobs missing
         assert main(["simulate", str(ANOMALY), "--scenario", str(scenario)]) == 2
 
+    @pytest.mark.parametrize("extra, message", [
+        ("J 9 9 r=1 c=1\n", "unknown job (9, 9)"),
+        ("J 1 1 r=2 c=7\n", "line 8: duplicate job J1,1"),
+    ])
+    def test_unknown_or_repeated_job_exits_two(self, capsys, tmp_path, extra, message):
+        scenario = tmp_path / "s.txt"
+        scenario.write_text("J 1 1 r=5 c=7\nJ 2 1 r=1 c=4\nJ 2 2 r=11 c=4\n"
+                            "J 3 1 r=0 c=1\nJ 3 2 r=5 c=1\nJ 3 3 r=10 c=1\n"
+                            "J 3 4 r=15 c=1\n" + extra)
+        assert main(["simulate", str(ANOMALY), "--scenario", str(scenario)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestBruteForce:
     def test_report_json(self, capsys):

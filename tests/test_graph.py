@@ -1,19 +1,30 @@
 from __future__ import annotations
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, note, settings
 from hypothesis import strategies as st
 
 import schedgraph.graph
 from schedgraph import (ME, SE, AnalysisStuck, ExecutionScenario, Job, PolicyKind,
                         ScheduleGraph, Task, applicable_jobs, certainly_eligible,
-                        expand, expansion_windows, export_dot, generate,
-                        make_context, make_instance, merge_phase, next_nodes,
-                        possibly_eligible, simulate)
+                        enumerate_scenarios, expand, expansion_windows, export_dot,
+                        generate, make_context, make_instance, merge_phase,
+                        next_nodes, possibly_eligible, scenario_count, simulate,
+                        write_instance)
 from support import (ALL_POLICIES, check_graph, exploration_bound, mask,
-                     naive_windows_me, naive_windows_se, sample_instance)
+                     naive_windows_me, naive_windows_se, sample_crowded_instance,
+                     sample_instance)
+
+CROWDED_DRAWS = 150
+CROWDED_SEED_BASE = 90_000
 
 
 def intervals(graph, level):
@@ -381,6 +392,53 @@ class TestOracleSoundness:
                 assert lo <= finish <= hi
 
 
+@pytest.fixture(scope="module")
+def crowded_instances():
+    return [sample_crowded_instance(random.Random(CROWDED_SEED_BASE + seed))
+            for seed in range(CROWDED_DRAWS)]
+
+
+class TestDifferential:
+    """The me graph against the exhaustive oracle: verdicts and exact bounds."""
+
+    @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
+    def test_crowded_instances_agree(self, crowded_instances, kind):
+        # 4-6 tasks with priorities 0-3; se is never schedulable where me is not
+        schedulable = 0
+        for instance in crowded_instances:
+            _, result = generate(instance, kind, ME)
+            report = enumerate_scenarios(instance, kind)
+            assert result.schedulable == report.schedulable, instance.tasks
+            if result.schedulable:
+                schedulable += 1
+                assert result.bounds == {key: (report.finish_min[key], report.finish_max[key])
+                                         for key in report.finish_min}, instance.tasks
+            _, single = generate(instance, kind, SE)
+            assert not single.schedulable or result.schedulable, instance.tasks
+        assert 0 < schedulable < len(crowded_instances)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tasks=st.lists(st.builds(
+        lambda period, r_min, r_span, c_min, c_span, slack, p: Task(
+            0, period, r_min, r_min + r_span, c_min, c_min + c_span,
+            max(1, r_min + r_span + c_min + c_span + slack), p),
+        period=st.sampled_from((8, 10, 20, 40)), r_min=st.integers(0, 7),
+        r_span=st.integers(0, 2), c_min=st.integers(1, 4), c_span=st.integers(0, 1),
+        slack=st.integers(-3, 6), p=st.integers(0, 3)), min_size=1, max_size=4),
+        kind=st.sampled_from(ALL_POLICIES))
+    def test_disagreement_shrinks_to_an_instance_file(self, tasks, kind):
+        instance = make_instance([dataclasses.replace(task, id=i + 1)
+                                  for i, task in enumerate(tasks)])
+        assume(scenario_count(instance) <= 5000)
+        note(write_instance(instance))  # printed, shrunk, if the comparison fails
+        _, result = generate(instance, kind, ME)
+        report = enumerate_scenarios(instance, kind)
+        assert result.schedulable == report.schedulable
+        if result.schedulable:
+            assert result.bounds == {key: (report.finish_min[key], report.finish_max[key])
+                                     for key in report.finish_min}
+
+
 class TestDotExport:
     def test_jitter_graph_labels_and_counts(self, jitter3):
         graph, result = generate(jitter3, PolicyKind.EDF, ME)
@@ -426,3 +484,66 @@ class TestStuckGuard:
         assert expansion_windows(ctx, ME) == []
         with pytest.raises(ValueError, match="unknown mode"):
             expansion_windows(ctx, "both")
+
+
+# Each case corrupts the engine's state in one way; the check must still fire
+# when assert statements are stripped.
+CORRUPTED_CASES = textwrap.dedent("""
+    import sys
+    from schedgraph import (ME, EligibilityContext, PolicyKind, ScheduleGraph,
+                            certainly_eligible, expand, generate, merge_phase,
+                            parse_instance)
+    assert False, "assert statements must be stripped"
+    instance = parse_instance(open(sys.argv[1]).read())
+    graph = ScheduleGraph(instance, PolicyKind.EDF)
+    root = graph.vertices[graph.root]
+    job = instance.job((2, 1))
+    done, _ = expand(graph, root, job, 0, 0)
+
+    def twice():  # one job twice in the applicable set
+        ctx = EligibilityContext(instance, PolicyKind.EDF, 0, 0, (job, job), None)
+        certainly_eligible(ctx, 5)
+
+    def merged_after_expansion():
+        other, _ = expand(graph, root, job, 0, 0)
+        expand(graph, other, instance.job((1, 1)), 1, 1)
+        merge_phase(graph, [done.id, other.id])
+
+    def eligible_before_release():  # the last case: the engine stays patched
+        import schedgraph.graph as engine
+        engine._outranking_possible = lambda ctx, t, ce, exclude: [
+            j for j in ctx.applicable if j is not ce]
+        generate(instance, PolicyKind.EDF, ME)
+
+    cases = [
+        lambda: graph.add_vertex(3, 2, 0, 1),
+        lambda: expand(graph, done, job, 1, 1),
+        twice,
+        merged_after_expansion,
+        eligible_before_release,
+    ]
+    for case in cases:
+        try:
+            case()
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            print("no error")
+""")
+
+
+def test_invariant_checks_survive_optimize_flag(tmp_path):
+    script = tmp_path / "corrupt.py"
+    script.write_text(CORRUPTED_CASES, encoding="utf-8")
+    src = str(Path(schedgraph.graph.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    instance = Path(__file__).resolve().parent.parent / "instances" / "edf_jitter.txt"
+    out = subprocess.run([sys.executable, "-O", str(script), str(instance)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "vertex interval [3, 2] is empty",
+        "job already finished in source vertex",
+        "priority order is not strict",
+        "merge phase ran after expansion of the level",
+        "work conserving range must start at release",
+    ]

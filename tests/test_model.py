@@ -70,6 +70,16 @@ class TestExpandJobs:
         with pytest.raises(InstanceError, match=f"exceed the cap of {MAX_JOBS}"):
             make_instance(tasks, horizon)
 
+    @pytest.mark.parametrize("r_max, deadline, field", [
+        (2**63, 1, "r_max"),
+        (0, 2**63, "deadline"),
+    ])
+    def test_offset_job_beyond_u64_rejected(self, r_max, deadline, field):
+        # the task itself is in range; its second job's offset pushes one field past it
+        task = Task(1, 2**63, 0, r_max, 1, 1, deadline)
+        with pytest.raises(InstanceError, match=f"J1,2: {field}={2**64} exceeds the unsigned 64-bit range"):
+            expand_jobs([task], 2**63 + 1)
+
     @given(tasks=tasks_strategy, horizon=st.integers(1, 60))
     def test_spans_are_period_invariant_and_sorted(self, tasks, horizon):
         tasks = sorted(tasks, key=lambda task: task.id, reverse=True)
@@ -195,3 +205,22 @@ class TestScenario:
     def test_parse_scenario_bad_line(self, jitter3):
         with pytest.raises(InstanceError, match="line 1"):
             parse_scenario("J 1 1 r=0\n", jitter3)
+
+    @pytest.mark.parametrize("table", ["release", "execution"])
+    def test_unknown_job_rejected(self, anomaly, table):
+        scenario = ExecutionScenario.worst_case(anomaly)
+        getattr(scenario, table)[(9, 9)] = 1
+        with pytest.raises(InstanceError, match=r"unknown job \(9, 9\)"):
+            validate_scenario(anomaly, scenario)
+
+    def test_parse_scenario_duplicate_job_names_its_line(self, jitter3):
+        text = ("J 1 1 r=0 c=2\nJ 2 1 r=0 c=1\n"
+                "J 2 2 r=5 c=1\nJ 3 1 r=2 c=4\nJ 1 1 r=0 c=1\n")
+        with pytest.raises(InstanceError, match="line 5: duplicate job J1,1"):
+            parse_scenario(text, jitter3)
+
+    def test_parse_scenario_unknown_job(self, jitter3):
+        text = ("J 1 1 r=0 c=2\nJ 2 1 r=0 c=1\n"
+                "J 2 2 r=5 c=1\nJ 3 1 r=2 c=4\nJ 9 9 r=1 c=1\n")
+        with pytest.raises(InstanceError, match="unknown job"):
+            parse_scenario(text, jitter3)

@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schedgraph.oracle
 from schedgraph import (ExecutionScenario, InstanceError, PolicyKind,
                         ScenarioCapExceeded, Task, enumerate_scenarios,
                         make_instance, scenario_count, simulate)
-from support import ALL_POLICIES, check_trace, sample_instance
+from support import ALL_POLICIES, check_trace, product_oracle, sample_instance
+
+REFERENCE_DRAWS = 60
+REFERENCE_SEED_BASE = 6000
+REFERENCE_MAX_SCENARIOS = 5000  # the product enumerator pays for every scenario
 
 
 def fig_worst_case(instance):
@@ -145,3 +150,70 @@ class TestEnumerate:
         trace = simulate(idle4, PolicyKind.P_FP_EDF, scenario)
         for job, _, finish in trace.dispatches:
             assert report.finish_min[job.key] <= finish <= report.finish_max[job.key]
+
+
+@pytest.fixture(scope="module")
+def reference_runs():
+    """Search reports in both modes next to the product enumerator's exhaustive one."""
+    runs = []
+    for seed in range(REFERENCE_DRAWS):
+        instance = sample_instance(random.Random(REFERENCE_SEED_BASE + seed),
+                                   max_scenarios=REFERENCE_MAX_SCENARIOS)
+        for kind in ALL_POLICIES:
+            runs.append((instance, kind,
+                         enumerate_scenarios(instance, kind, exhaustive=True),
+                         enumerate_scenarios(instance, kind),
+                         product_oracle(instance, kind, exhaustive=True)))
+    return runs
+
+
+class TestPrefixSearch:
+    def test_exhaustive_report_equals_the_product_enumerator(self, reference_runs):
+        failing = 0
+        for instance, kind, exhaustive, _, reference in reference_runs:
+            assert exhaustive == reference, f"{kind.value} on {instance.tasks}"
+            failing += not reference.schedulable
+        # both verdicts, and so the first-failure order, are exercised
+        assert 0 < failing < len(reference_runs)
+
+    def test_non_exhaustive_verdict_and_first_failure(self, reference_runs):
+        for instance, kind, _, report, reference in reference_runs:
+            assert report.schedulable == reference.schedulable
+            assert report.scenarios_checked <= report.scenarios_total
+            if report.schedulable:
+                assert report == reference
+            else:
+                trace = simulate(instance, kind, report.first_failure, stop_on_miss=True)
+                assert trace.miss is not None
+
+    def test_schedulable_run_checks_every_scenario(self, reference_runs):
+        schedulable = [report for _, _, _, report, _ in reference_runs if report.schedulable]
+        assert schedulable
+        for report in schedulable:
+            assert report.scenarios_checked == report.scenarios_total
+
+    def test_long_single_scenario_instance_needs_no_recursion(self):
+        # 3,000 jobs deep: a recursive search would exceed Python's stack
+        instance = make_instance([Task(1, 2, 0, 0, 1, 1, 2), Task(2, 4, 1, 1, 1, 1, 4)],
+                                 horizon=4000)
+        assert len(instance.jobs) == 3000
+        report = enumerate_scenarios(instance, PolicyKind.EDF, exhaustive=True)
+        assert report.scenarios_checked == report.scenarios_total == 1
+        trace = simulate(instance, PolicyKind.EDF, ExecutionScenario.worst_case(instance),
+                         stop_on_miss=True)
+        assert report.schedulable == (trace.miss is None)
+        finishes = {job.key: finish for job, _, finish in trace.dispatches}
+        assert report.finish_min == report.finish_max == finishes
+
+    def test_cap_refusal_matches_the_product_enumerator(self, anomaly):
+        for oracle in (enumerate_scenarios, product_oracle):
+            with pytest.raises(ScenarioCapExceeded) as caught:
+                oracle(anomaly, PolicyKind.EDF, max_scenarios=107)
+            assert (caught.value.total, caught.value.cap) == (108, 107)
+        assert enumerate_scenarios(anomaly, PolicyKind.EDF, max_scenarios=108,
+                                   exhaustive=True).scenarios_checked == 108
+
+    def test_leaves_that_miss_the_total_are_an_error(self, monkeypatch, idle4):
+        monkeypatch.setattr(schedgraph.oracle, "scenario_count", lambda instance: 9)
+        with pytest.raises(RuntimeError, match="covered 8 of 9 scenarios"):
+            enumerate_scenarios(idle4, PolicyKind.P_FP_EDF)
