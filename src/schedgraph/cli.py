@@ -183,9 +183,13 @@ def cmd_export_dot(args) -> int:
 BENCH_COLUMNS = ("instance", "jobs", "policy", "mode", "vertices", "arcs",
                  "wall_ms", "verdict")
 _BENCH_REPEATS = 3
+_BENCH_DEFAULTS = {"seed0": "0", "periods": ",".join(map(str, DEFAULT_PERIODS)),
+                   "policies": "edf", "modes": ME}
+_BENCH_FIELDS = ("tasks", "util", "rj", "rc", "seeds", *_BENCH_DEFAULTS)
 
 
 def _parse_bench_spec(text: str) -> list[dict]:
+    """Rows of a bench spec; an unknown, repeated or bad field names its line."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -194,15 +198,18 @@ def _parse_bench_spec(text: str) -> list[dict]:
         parts = line.split()
         if parts[0] != "bench":
             raise InstanceError(f"line {lineno}: unknown directive {parts[0]!r}")
-        fields = {"seed0": "0", "periods": ",".join(map(str, DEFAULT_PERIODS)),
-                  "policies": "edf", "modes": ME}
+        fields = {}
         for item in parts[1:]:
             name, sep, value = item.partition("=")
             if not sep:
                 raise InstanceError(f"line {lineno}: malformed field {item!r}")
+            if name not in _BENCH_FIELDS or name in fields:
+                problem = "repeated" if name in fields else "unknown"
+                raise InstanceError(f"line {lineno}: {problem} field {name!r}")
             fields[name] = value
+        fields = {**_BENCH_DEFAULTS, **fields}
         try:
-            rows.append({
+            row = {
                 "tasks": int(fields["tasks"]),
                 "util": float(fields["util"]),
                 "rj": float(fields["rj"]),
@@ -212,9 +219,17 @@ def _parse_bench_spec(text: str) -> list[dict]:
                 "periods": tuple(int(p) for p in fields["periods"].split(",")),
                 "policies": tuple(fields["policies"].split(",")),
                 "modes": tuple(fields["modes"].split(",")),
-            })
+            }
+            # every check that needs no analysis runs here, so it can name the line
+            GenSpec(row["tasks"], row["util"], row["rj"], row["rc"], row["periods"])
+            for policy in row["policies"]:
+                parse_policy(policy)
+            for mode in row["modes"]:
+                if mode not in MODES:
+                    raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
         except (KeyError, ValueError) as exc:
             raise InstanceError(f"line {lineno}: {exc}") from None
+        rows.append(row)
     return rows
 
 

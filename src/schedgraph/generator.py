@@ -112,7 +112,9 @@ def generate_instance(spec: GenSpec) -> ProblemInstance:
                               priority=0))
         instance = make_instance(tasks)
         for task in instance.tasks:
-            assert task.r_max + task.c_max <= task.deadline <= task.period
+            if not task.r_max + task.c_max <= task.deadline <= task.period:
+                raise RuntimeError(f"generated task {task.id} breaks "
+                                   f"r_max + c_max <= deadline <= period")
         return instance
     raise GenerationError(
         f"no feasible instance for {spec} after {_MAX_ATTEMPTS} attempts"

@@ -40,6 +40,11 @@ eligibility ("se") reproduces the older behaviour of letting each job
 become eligible at most once per vertex: a job whose range has ended is
 consumed and no longer counts as eligible, certainly or possibly, at later
 probes.
+
+The result is built with the graph: a successor's interval at creation is
+exactly [est + c_min, lst + c_max] of its dispatch window, so it is folded
+into its job's finish bound and checked against the deadline right there.
+Generation reads only the level it expands; the stored graph is a record.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ class AnalysisStuck(RuntimeError):
         self.vertex = vertex
 
 
-@dataclass
+@dataclass(slots=True)
 class Vertex:
     id: int
     eft: int
@@ -79,7 +84,7 @@ class Vertex:
         return (self.eft, self.lft)
 
 
-@dataclass
+@dataclass(slots=True)
 class Arc:
     id: int
     src: int
@@ -390,84 +395,60 @@ class AnalysisResult:
         return data
 
 
-def next_nodes(graph: ScheduleGraph, vertex: Vertex) -> list[Vertex]:
-    """Expand one vertex into its successor vertices (one per dispatch window)."""
+def next_nodes(graph: ScheduleGraph, vertex: Vertex) -> list[tuple[Vertex, Job]]:
+    """Expand one vertex: each successor (one per dispatch window) and the job it dispatches."""
     ctx = make_context(graph.instance, graph.kind, vertex.finished, vertex.eft, vertex.lft)
     try:
         windows = expansion_windows(ctx, graph.mode)
     except AnalysisStuck as exc:
         raise AnalysisStuck(str(exc), vertex=vertex.id) from None
-    return [expand(graph, vertex, job, est, lst)[0] for job, est, lst in windows]
+    return [(expand(graph, vertex, job, est, lst)[0], job) for job, est, lst in windows]
 
 
 def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
              exhaustive_misses: bool = False) -> tuple[ScheduleGraph, AnalysisResult]:
     """Build the schedule graph level by level and report schedulability.
 
-    Levels alternate expansion and merging. After each expansion every new
-    vertex is checked against its arc label's deadline; the first violation
-    aborts with a witness unless `exhaustive_misses` asks to keep going and
-    collect all of them. Pure function of its arguments: repeated runs build
-    identical graphs.
+    Levels alternate expansion and merging. Each successor's interval is
+    folded into its job's finish bound and checked against its deadline as
+    it is created; a level with a miss is still expanded in full, then the
+    first miss aborts with a witness unless `exhaustive_misses` asks to
+    keep going and collect all of them. Pure function of its arguments:
+    repeated runs build identical graphs.
     """
     if not instance.jobs:
         raise InstanceError("instance has no jobs")
     start = time.perf_counter()
     graph = ScheduleGraph(instance, kind, mode)
     misses: list[DeadlineMiss] = []
-    aborted = False
-    for level in range(1, len(instance.jobs) + 1):
-        new_ids = [v.id for vid in graph.levels[level - 1]
-                   for v in next_nodes(graph, graph.vertices[vid])]
-        for vid in new_ids:
-            vertex = graph.vertices[vid]
-            arc = graph.arcs[vertex.in_arcs[0]]
-            job = graph.job_of_arc(arc)
-            if vertex.lft > job.deadline:
-                misses.append(DeadlineMiss(vid, job, vertex.lft, job.deadline))
-                if not exhaustive_misses:
-                    aborted = True
-                    break
+    bounds: dict[int, tuple[int, int]] = {}  # by job position, in creation order
+    stats = [(1, 0)]  # per level: (vertices, in-arcs), after its merge
+    frontier = graph.levels[0]
+    for _ in instance.jobs:  # one level per job
+        new_ids = []
+        for vid in frontier:
+            for successor, job in next_nodes(graph, graph.vertices[vid]):
+                new_ids.append(successor.id)
+                lo, hi = bounds.get(job.pos, (successor.eft, successor.lft))
+                bounds[job.pos] = (min(lo, successor.eft), max(hi, successor.lft))
+                if successor.lft > job.deadline and (exhaustive_misses or not misses):
+                    misses.append(DeadlineMiss(successor.id, job, successor.lft, job.deadline))
+        aborted = bool(misses) and not exhaustive_misses
+        frontier = new_ids if aborted else merge_phase(graph, new_ids)
+        graph.levels.append(frontier)
+        stats.append((len(frontier), sum(len(graph.vertices[vid].in_arcs) for vid in frontier)))
         if aborted:
-            graph.levels.append(sorted(new_ids))
             break
-        graph.levels.append(merge_phase(graph, new_ids))
-    bounds = _finish_bounds(graph)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    stats = [_level_stats(graph, ids) for ids in graph.levels]
     result = AnalysisResult(
         schedulable=not misses,
         witness=misses[0] if misses else None,
         misses=misses,
-        bounds=bounds,
+        bounds={instance.jobs[pos].key: bound for pos, bound in bounds.items()},
         bounds_complete=not aborted,
         levels=stats,
-        wall_ms=wall_ms,
+        wall_ms=(time.perf_counter() - start) * 1000.0,
     )
     return graph, result
-
-
-def _level_stats(graph: ScheduleGraph, vertex_ids: Sequence[int]) -> tuple[int, int]:
-    arcs = sum(len(graph.vertices[vid].in_arcs) for vid in vertex_ids)
-    return (len(vertex_ids), arcs)
-
-
-def _finish_bounds(graph: ScheduleGraph) -> dict[tuple[int, int], tuple[int, int]]:
-    # Per-job finish bounds come from the arcs' dispatch windows, which are
-    # exactly the destination intervals at creation time; merged intervals
-    # would smear other jobs' contributions in.
-    bounds: dict[int, tuple[int, int]] = {}  # by job position
-    for arc_id in sorted(graph.arcs):
-        arc = graph.arcs[arc_id]
-        job = graph.job_of_arc(arc)
-        lo = arc.est + job.c_min
-        hi = arc.lst + job.c_max
-        if job.pos in bounds:
-            old_lo, old_hi = bounds[job.pos]
-            bounds[job.pos] = (min(old_lo, lo), max(old_hi, hi))
-        else:
-            bounds[job.pos] = (lo, hi)
-    return {graph.instance.jobs[pos].key: bound for pos, bound in bounds.items()}
 
 
 # --- DOT export ----------------------------------------------------------------

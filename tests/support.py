@@ -217,8 +217,41 @@ def naive_windows_se(ctx):
     return out
 
 
+def finish_bounds(graph) -> dict[tuple[int, int], tuple[int, int]]:
+    """Per-job finish bounds read back from the stored arcs' dispatch windows.
+
+    An arc's window folds in every duplicate merged into it, so
+    [est + c_min, lst + c_max] over a job's arcs is its exact finish range.
+    """
+    bounds: dict[int, tuple[int, int]] = {}  # by job position
+    for arc_id in sorted(graph.arcs):
+        arc = graph.arcs[arc_id]
+        job = graph.job_of_arc(arc)
+        lo = arc.est + job.c_min
+        hi = arc.lst + job.c_max
+        if job.pos in bounds:
+            old_lo, old_hi = bounds[job.pos]
+            bounds[job.pos] = (min(old_lo, lo), max(old_hi, hi))
+        else:
+            bounds[job.pos] = (lo, hi)
+    return {graph.instance.jobs[pos].key: bound for pos, bound in bounds.items()}
+
+
+def level_stats(graph) -> list[tuple[int, int]]:
+    """Per stored level: (vertices, in-arcs), recounted from the graph."""
+    return [(len(ids), sum(len(graph.vertices[vid].in_arcs) for vid in ids))
+            for ids in graph.levels]
+
+
 def check_graph(graph, result=None) -> None:
-    """Structural invariants of a generated graph; raises AssertionError."""
+    """Structural invariants of a generated graph; raises AssertionError.
+
+    With the analysis result, its bounds and level stats must equal the
+    ones read back from the stored graph.
+    """
+    if result is not None:
+        assert result.bounds == finish_bounds(graph)
+        assert result.levels == level_stats(graph)
     merged_levels = len(graph.levels)
     if result is not None and not result.bounds_complete:
         merged_levels -= 1  # the aborting level is recorded pre-merge

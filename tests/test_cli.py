@@ -317,6 +317,28 @@ class TestBench:
 
         assert strip_timing(serial) == strip_timing(parallel)
 
+    @pytest.mark.parametrize("fields, message", [
+        ("seeds=1 mode=se polices=cw", "unknown field 'mode'"),
+        ("seeds=1 seeds=2", "repeated field 'seeds'"),
+        ("seeds=1 policies=edf,edff", "unknown policy 'edff'"),
+        ("seeds=1 modes=me,both", "unknown mode 'both'"),
+        ("seeds=1 periods=10,0", "periods must be positive integers"),
+    ], ids=["unknown-field", "repeated-field", "unknown-policy", "unknown-mode",
+            "bad-value"])
+    def test_bad_field_exits_two_before_any_analysis(self, capsys, tmp_path, monkeypatch,
+                                                     fields, message):
+        import schedgraph.cli as cli
+
+        spec = tmp_path / "bench.txt"
+        spec.write_text("# a good line, then a bad one\n"
+                        "bench tasks=3 util=0.3 rj=0.3 rc=0.3 seeds=1\n"
+                        f"bench tasks=3 util=0.3 rj=0.3 rc=0.3 {fields}\n")
+        analysed = []
+        monkeypatch.setattr(cli, "_bench_one", analysed.append)
+        assert main(["bench", str(spec)]) == 2
+        assert f"error: line 3: {message}" in capsys.readouterr().err
+        assert analysed == []
+
 
 @pytest.fixture
 def recording_pool(monkeypatch):

@@ -220,8 +220,7 @@ class TestNextNodes:
     def test_root_expands_to_single_certain_choice(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
         new = next_nodes(graph, graph.vertices[graph.root])
-        assert [(graph.job_of_arc(graph.arcs[v.in_arcs[0]]).label, v.interval)
-                for v in new] == [("J2,1", (1, 1))]
+        assert [(job.label, v.interval) for v, job in new] == [("J2,1", (1, 1))]
 
     def test_vertex_with_certain_switchover_expands_twice(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
@@ -229,15 +228,14 @@ class TestNextNodes:
         v1, _ = expand(graph, root, jitter3.job((2, 1)), 0, 0)
         v3, _ = expand(graph, v1, jitter3.job((3, 1)), 1, 1)
         new = next_nodes(graph, v3)
-        assert [v.interval for v in new] == [(5, 6), (6, 6)]
+        assert [v.interval for v, _ in new] == [(5, 6), (6, 6)]
 
     def test_idling_policy_reopens_eligibility(self, idle4):
         graph = ScheduleGraph(idle4, PolicyKind.P_FP_EDF)
         root = graph.vertices[graph.root]
         v1, _ = expand(graph, root, idle4.job((2, 1)), 0, 0)
         new = next_nodes(graph, v1)
-        labels = [(graph.job_of_arc(graph.arcs[v.in_arcs[0]]).label, v.interval)
-                  for v in new]
+        labels = [(job.label, v.interval) for v, job in new]
         assert labels == [("J3,1", (3, 4)), ("J4,1", (7, 10)), ("J3,1", (9, 10))]
 
 
@@ -311,6 +309,28 @@ class TestGenerate:
         assert result.bounds_complete
         assert len(result.misses) >= 1
         assert set(result.bounds) == {j.key for j in anomaly.jobs}
+
+    def test_aborted_run_keeps_its_whole_level_and_first_miss(self, anomaly):
+        graph, partial = generate(anomaly, PolicyKind.EDF, ME)
+        full_graph, full = generate(anomaly, PolicyKind.EDF, ME, exhaustive_misses=True)
+        check_graph(graph, partial)
+        check_graph(full_graph, full)
+        assert len(partial.misses) == 1 and partial.witness is partial.misses[0]
+        # the witness is the first vertex of the aborting level, in creation
+        # order, whose interval ends past its job's deadline
+        level = graph.levels[-1]
+        late = [vid for vid in level if graph.vertices[vid].lft
+                > graph.job_of_arc(graph.arcs[graph.vertices[vid].in_arcs[0]]).deadline]
+        assert level == [5, 6] and late == [5]
+        assert partial.witness == full.misses[0]
+        assert (partial.witness.vertex, partial.witness.job.key) == (5, (3, 2))
+        # J1,1 reaches v6 after the miss: the level is still expanded in full
+        assert partial.bounds == {(3, 1): (1, 1), (2, 1): (3, 5), (1, 1): (8, 13),
+                                  (3, 2): (6, 12)}
+        assert full.bounds == {**partial.bounds, (3, 3): (11, 14), (2, 2): (13, 18),
+                               (3, 4): (16, 19)}
+        assert not partial.bounds_complete and full.bounds_complete
+        assert partial.levels == full.levels[:4] + [(2, 2)]
 
     def test_generate_is_deterministic(self, idle4):
         g1, r1 = generate(idle4, PolicyKind.P_FP_EDF, ME)
@@ -490,9 +510,9 @@ class TestStuckGuard:
 # when assert statements are stripped.
 CORRUPTED_CASES = textwrap.dedent("""
     import sys
-    from schedgraph import (ME, EligibilityContext, PolicyKind, ScheduleGraph,
-                            certainly_eligible, expand, generate, merge_phase,
-                            parse_instance)
+    from schedgraph import (ME, EligibilityContext, PolicyKind, ScheduleGraph, Task,
+                            certainly_eligible, expand, generate, make_instance,
+                            merge_phase, parse_instance)
     assert False, "assert statements must be stripped"
     instance = parse_instance(open(sys.argv[1]).read())
     graph = ScheduleGraph(instance, PolicyKind.EDF)
@@ -509,6 +529,12 @@ CORRUPTED_CASES = textwrap.dedent("""
         expand(graph, other, instance.job((1, 1)), 1, 1)
         merge_phase(graph, [done.id, other.id])
 
+    def generator_breaks_its_deadline_rule():
+        import schedgraph.generator as generator
+        bad = make_instance([Task(1, 10, 0, 0, 1, 1, 20)])  # deadline past period
+        generator.make_instance = lambda tasks: bad
+        generator.generate_instance(generator.GenSpec(1, 0.1, 0.0, 0.0))
+
     def eligible_before_release():  # the last case: the engine stays patched
         import schedgraph.graph as engine
         engine._outranking_possible = lambda ctx, t, ce, exclude: [
@@ -520,6 +546,7 @@ CORRUPTED_CASES = textwrap.dedent("""
         lambda: expand(graph, done, job, 1, 1),
         twice,
         merged_after_expansion,
+        generator_breaks_its_deadline_rule,
         eligible_before_release,
     ]
     for case in cases:
@@ -545,5 +572,6 @@ def test_invariant_checks_survive_optimize_flag(tmp_path):
         "job already finished in source vertex",
         "priority order is not strict",
         "merge phase ran after expansion of the level",
+        "generated task 1 breaks r_max + c_max <= deadline <= period",
         "work conserving range must start at release",
     ]
