@@ -24,21 +24,6 @@ from .oracle import (DEFAULT_SCENARIO_CAP, ScenarioCapExceeded,
                      enumerate_scenarios, simulate)
 from .policy import POLICY_NAMES, parse_policy
 
-SCENARIO_CAP_ENV = "SAG_MAX_SCENARIOS"
-
-
-def _scenario_cap(args) -> int:
-    if getattr(args, "max_scenarios", None) is not None:
-        return args.max_scenarios
-    env = os.environ.get(SCENARIO_CAP_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InstanceError(f"{SCENARIO_CAP_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_SCENARIO_CAP
-
-
 def _load_instance(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         return parse_instance(handle.read())
@@ -112,7 +97,7 @@ def cmd_simulate(args) -> int:
 def cmd_brute_force(args) -> int:
     instance = _load_instance(args.instance)
     kind = parse_policy(args.policy)
-    report = enumerate_scenarios(instance, kind, max_scenarios=_scenario_cap(args),
+    report = enumerate_scenarios(instance, kind, max_scenarios=args.max_scenarios,
                                  exhaustive=args.exhaustive)
     _emit(args, json.dumps(report.to_json_dict(), indent=2) + "\n")
     return 0 if report.schedulable else 1
@@ -148,7 +133,7 @@ def cmd_compare(args) -> int:
         except AnalysisStuck:
             verdicts[mode] = "stuck"
     try:
-        report = enumerate_scenarios(instance, kind, max_scenarios=_scenario_cap(args))
+        report = enumerate_scenarios(instance, kind, max_scenarios=args.max_scenarios)
         verdicts["oracle"] = "schedulable" if report.schedulable else "non-schedulable"
     except ScenarioCapExceeded as exc:
         verdicts["oracle"] = "skipped"
@@ -222,6 +207,8 @@ def _parse_bench_spec(text: str) -> list[dict]:
             }
             # every check that needs no analysis runs here, so it can name the line
             GenSpec(row["tasks"], row["util"], row["rj"], row["rc"], row["periods"])
+            if row["seeds"] < 1:
+                raise ValueError(f"seeds must be >= 1, got {row['seeds']}")
             for policy in row["policies"]:
                 parse_policy(policy)
             for mode in row["modes"]:
@@ -333,9 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("brute-force", help="exhaustively simulate every scenario")
     p.add_argument("instance")
     _add_shared(p, mode=False, fmt=False)  # the report is always JSON
-    p.add_argument("--max-scenarios", type=int, default=None,
-                   help=f"refuse above this many scenarios (default {DEFAULT_SCENARIO_CAP}, "
-                        f"env {SCENARIO_CAP_ENV})")
+    p.add_argument("--max-scenarios", type=int, default=DEFAULT_SCENARIO_CAP,
+                   help=f"refuse above this many scenarios (default {DEFAULT_SCENARIO_CAP})")
     p.add_argument("--exhaustive", action="store_true",
                    help="keep enumerating past the first failing scenario")
     p.set_defaults(handler=cmd_brute_force)
@@ -355,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare both modes against the oracle")
     p.add_argument("instance")
     _add_shared(p, mode=False)
-    p.add_argument("--max-scenarios", type=int, default=None,
+    p.add_argument("--max-scenarios", type=int, default=DEFAULT_SCENARIO_CAP,
                    help="oracle scenario cap; above it the oracle is skipped")
     p.set_defaults(handler=cmd_compare)
 

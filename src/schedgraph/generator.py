@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ProblemInstance, Task, make_instance, utilization
+from .model import ProblemInstance, Task, make_instance
 
 DEFAULT_PERIODS = (5, 10, 20, 40)
 UTILIZATION_TOLERANCE = 0.01
@@ -119,22 +119,3 @@ def generate_instance(spec: GenSpec) -> ProblemInstance:
     raise GenerationError(
         f"no feasible instance for {spec} after {_MAX_ATTEMPTS} attempts"
     )
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    """Measured jitter/variation ratios per task plus the exact utilization."""
-
-    per_task: dict[int, tuple[Fraction, Fraction]]  # id -> (jitter, variation)
-    utilization: Fraction
-
-
-def measure_ratios(instance: ProblemInstance) -> RatioReport:
-    """Evaluate the ratio definitions on actual task parameters."""
-    per_task = {}
-    for task in instance.tasks:
-        jitter = Fraction(task.r_max - task.r_min, task.r_max) if task.r_max > 0 else Fraction(0)
-        variation = (Fraction(task.c_max - task.c_min, task.c_max - 1)
-                     if task.c_max > 1 else Fraction(0))
-        per_task[task.id] = (jitter, variation)
-    return RatioReport(per_task, utilization(instance.tasks))

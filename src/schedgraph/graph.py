@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Sequence
 
 from .model import InstanceError, Job, ProblemInstance
-from .policy import CriticalContext, PolicyKind, critical_context, pi_higher, pi_key
+from .policy import CriticalContext, PolicyKind, critical_context, pi_key
 
 ME = "me"
 SE = "se"
@@ -132,12 +132,6 @@ class ScheduleGraph:
         arc = self.arcs.pop(arc_id)
         self.vertices[arc.src].out_arcs.remove(arc_id)
 
-    def remove_vertex(self, vertex_id: int) -> None:
-        del self.vertices[vertex_id]
-
-    def job_of_arc(self, arc: Arc) -> Job:
-        return self.instance.jobs[arc.job_pos]
-
 
 # --- applicable jobs and eligibility ----------------------------------------
 
@@ -200,9 +194,10 @@ def certainly_eligible(ctx: EligibilityContext, t: int,
 def _outranking_possible(ctx: EligibilityContext, t: int, ce: Job | None,
                          exclude: AbstractSet[int]) -> list[Job]:
     crit = ctx.crit
+    top = None if ce is None else pi_key(ctx.kind, ce)
     return [job for job in ctx.applicable
             if job.r_min <= t < job.r_max and (crit is None or crit.admits(job, t))
-            and job.pos not in exclude and pi_higher(ctx.kind, job, ce)]
+            and job.pos not in exclude and (top is None or pi_key(ctx.kind, job) < top)]
 
 
 def possibly_eligible(ctx: EligibilityContext, t: int,
@@ -347,7 +342,7 @@ def _merge_group(graph: ScheduleGraph, group: list[int]) -> int:
                 arc.dst = keep_id
                 keep.in_arcs.append(arc_id)
                 by_source[arc.src] = arc_id
-        graph.remove_vertex(vid)
+        del graph.vertices[vid]
     return keep_id
 
 
@@ -466,8 +461,7 @@ def export_dot(graph: ScheduleGraph, result: AnalysisResult | None = None) -> st
         lines.append(f"  v{vid} [{', '.join(attrs)}];")
     for arc_id in sorted(graph.arcs):
         arc = graph.arcs[arc_id]
-        job = graph.job_of_arc(arc)
-        attrs = [f'label="{job.label}"']
+        attrs = [f'label="{graph.instance.jobs[arc.job_pos].label}"']
         if arc.dst == witness_vertex:
             attrs.append("color=red")
         lines.append(f"  v{arc.src} -> v{arc.dst} [{', '.join(attrs)}];")

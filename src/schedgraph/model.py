@@ -7,10 +7,8 @@ so any number of analysis workers may read them concurrently.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
@@ -142,14 +140,6 @@ def hyperperiod(tasks: Iterable[Task]) -> int:
     return h
 
 
-def utilization(tasks: Iterable[Task]) -> Fraction:
-    """Exact total utilization: sum of worst-case execution time over period."""
-    tasks = list(tasks)
-    if not tasks:
-        raise InstanceError("empty instance")
-    return sum((Fraction(t.c_max, t.period) for t in tasks), Fraction(0))
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """An immutable task set together with its job expansion."""
@@ -267,20 +257,6 @@ def write_instance(instance: ProblemInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def instance_to_json(instance: ProblemInstance) -> str:
-    """JSON mirror of the instance file fields, for machine consumption."""
-    data = {
-        "horizon": instance.horizon,
-        "tasks": [
-            {"id": t.id, "period": t.period, "r_min": t.r_min, "r_max": t.r_max,
-             "c_min": t.c_min, "c_max": t.c_max, "deadline": t.deadline,
-             "priority": t.priority}
-            for t in instance.tasks
-        ],
-    }
-    return json.dumps(data, indent=2)
-
-
 # --- execution scenarios ----------------------------------------------------
 
 @dataclass
@@ -289,9 +265,6 @@ class ExecutionScenario:
 
     release: dict[tuple[int, int], int]
     execution: dict[tuple[int, int], int]
-
-    def copy(self) -> "ExecutionScenario":
-        return ExecutionScenario(dict(self.release), dict(self.execution))
 
     @classmethod
     def worst_case(cls, instance: ProblemInstance) -> "ExecutionScenario":
@@ -337,12 +310,12 @@ def parse_scenario(text: str, instance: ProblemInstance) -> ExecutionScenario:
             seen.add(key)
             for item in parts[3:]:
                 name, sep, value = item.partition("=")
-                if name == "r" and sep:
-                    release[key] = _parse_int(value, "r")
-                elif name == "c" and sep:
-                    execution[key] = _parse_int(value, "c")
-                else:
+                if not sep or name not in ("r", "c"):
                     raise InstanceError(f"unknown scenario field {item!r}")
+                values = release if name == "r" else execution
+                if key in values:
+                    raise InstanceError(f"duplicate field {name!r}")
+                values[key] = _parse_int(value, name)
         except InstanceError as exc:
             raise InstanceError(f"line {lineno}: {exc}") from None
     scenario = ExecutionScenario(release, execution)

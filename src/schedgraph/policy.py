@@ -65,13 +65,6 @@ def pi_key(kind: PolicyKind, job: Job) -> tuple[int, ...]:
     return (job.priority, job.deadline, job.task_id)
 
 
-def pi_higher(kind: PolicyKind, a: Job, b: Job | None) -> bool:
-    """True when the policy prefers `a` over `b`, with both certainly available."""
-    if b is None:
-        return True
-    return pi_key(kind, a) < pi_key(kind, b)
-
-
 def critical_context(kind: PolicyKind, applicable: Iterable[Job]) -> CriticalContext | None:
     """Critical job and latest safe start for the idling policies.
 

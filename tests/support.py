@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
-from schedgraph import (AnalysisStuck, ExecutionScenario, OracleReport, PolicyKind,
-                        ScenarioCapExceeded, Task, certainly_eligible, make_instance,
-                        possibly_eligible, scenario_count)
-from schedgraph.oracle import DEFAULT_SCENARIO_CAP, _simulate
+from schedgraph import (AnalysisStuck, ExecutionScenario, InstanceError, PolicyKind,
+                        ScenarioCapExceeded, Task, make_instance, scenario_count)
+from schedgraph.graph import certainly_eligible, possibly_eligible
+from schedgraph.oracle import DEFAULT_SCENARIO_CAP, OracleReport, _simulate
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 ANOMALY = INSTANCE_DIR / "anomaly.txt"
@@ -91,6 +93,33 @@ def sample_crowded_instance(rng: random.Random):
         instance = make_instance(tasks)
         if len(instance.jobs) <= 40 and scenario_count(instance) <= 10**4:
             return instance
+
+
+def utilization(tasks) -> Fraction:
+    """Exact total utilization: sum of worst-case execution time over period."""
+    tasks = list(tasks)
+    if not tasks:
+        raise InstanceError("empty instance")
+    return sum((Fraction(t.c_max, t.period) for t in tasks), Fraction(0))
+
+
+@dataclass(frozen=True)
+class RatioReport:
+    """Measured jitter/variation ratios per task plus the exact utilization."""
+
+    per_task: dict[int, tuple[Fraction, Fraction]]  # id -> (jitter, variation)
+    utilization: Fraction
+
+
+def measure_ratios(instance) -> RatioReport:
+    """Evaluate the generator's ratio definitions on actual task parameters."""
+    per_task = {}
+    for task in instance.tasks:
+        jitter = Fraction(task.r_max - task.r_min, task.r_max) if task.r_max > 0 else Fraction(0)
+        variation = (Fraction(task.c_max - task.c_min, task.c_max - 1)
+                     if task.c_max > 1 else Fraction(0))
+        per_task[task.id] = (jitter, variation)
+    return RatioReport(per_task, utilization(instance.tasks))
 
 
 def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
@@ -226,7 +255,7 @@ def finish_bounds(graph) -> dict[tuple[int, int], tuple[int, int]]:
     bounds: dict[int, tuple[int, int]] = {}  # by job position
     for arc_id in sorted(graph.arcs):
         arc = graph.arcs[arc_id]
-        job = graph.job_of_arc(arc)
+        job = graph.instance.jobs[arc.job_pos]
         lo = arc.est + job.c_min
         hi = arc.lst + job.c_max
         if job.pos in bounds:
@@ -281,7 +310,7 @@ def check_graph(graph, result=None) -> None:
     for arc in graph.arcs.values():
         src = graph.vertices[arc.src]
         dst = graph.vertices[arc.dst]
-        job = graph.job_of_arc(arc)
+        job = graph.instance.jobs[arc.job_pos]
         pos = arc.job_pos
         assert job.pos == pos
         assert (arc.src, arc.dst) not in pairs, "multigraph"

@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 from schedgraph import (ME, SE, ExecutionScenario, GenSpec, PolicyKind,
-                        enumerate_scenarios, expansion_windows, generate,
-                        generate_instance, make_context, pi_higher, simulate)
+                        enumerate_scenarios, generate, generate_instance, simulate)
 from schedgraph.cli import main
+from schedgraph.graph import expansion_windows, make_context
+from schedgraph.policy import pi_key
 from support import (ALL_POLICIES, check_graph, naive_windows_me,
                      naive_windows_se, sample_instance)
 
@@ -78,7 +79,7 @@ def test_criterion_2_eligibility_modes_differ(idle4):
         graph, result = generate(idle4, PolicyKind.P_FP_EDF, ME)
         assert result.schedulable
         v1 = graph.vertices[graph.levels[1][0]]
-        windows = [(graph.job_of_arc(graph.arcs[a]).label,
+        windows = [(graph.instance.jobs[graph.arcs[a].job_pos].label,
                     graph.arcs[a].est, graph.arcs[a].lst)
                    for a in v1.out_arcs]
         assert windows == [("J3,1", 1, 2), ("J4,1", 3, 6), ("J3,1", 7, 8)]
@@ -102,9 +103,8 @@ def test_criterion_3_anomaly_detection(anomaly):
         worst = ExecutionScenario.worst_case(anomaly)
         assert simulate(anomaly, PolicyKind.EDF, worst).miss is None
 
-        tweaked = worst.copy()
-        tweaked.release[(1, 1)] = 2
-        tweaked.execution[(2, 1)] = 2
+        tweaked = ExecutionScenario({**worst.release, (1, 1): 2},
+                                    {**worst.execution, (2, 1): 2})
         trace = simulate(anomaly, PolicyKind.EDF, tweaked)
         job, finish, deadline = trace.miss
         assert (job.key, finish, deadline) == ((3, 2), 11, 10)
@@ -172,7 +172,7 @@ def test_criterion_6_structural_invariants(fuzz_corpus):
                                                  or j == ctx.crit.job)
                         ]
                         top = [a for a in viable
-                               if all(not pi_higher(kind, b, a)
+                               if all(not pi_key(kind, b) < pi_key(kind, a)
                                       for b in viable if b != a)]
                         assert len(top) <= 1
                         probes += 1

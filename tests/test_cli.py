@@ -170,13 +170,6 @@ class TestBruteForce:
         code = main(["brute-force", str(ANOMALY), "--max-scenarios", "10"])
         assert code == 2
 
-    def test_env_cap_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SAG_MAX_SCENARIOS", "10")
-        assert main(["brute-force", str(ANOMALY)]) == 2
-        monkeypatch.setenv("SAG_MAX_SCENARIOS", "1000")
-        capsys.readouterr()
-        assert main(["brute-force", str(ANOMALY)]) == 1
-
 
 class TestGen:
     def test_generated_instance_parses_and_analyzes(self, capsys, tmp_path):
@@ -230,7 +223,7 @@ class TestCompare:
 
     def test_forced_disagreement_fails_the_process(self, capsys, monkeypatch):
         import schedgraph.cli as cli
-        from schedgraph import OracleReport
+        from schedgraph.oracle import OracleReport
 
         def fake_oracle(*args, **kwargs):
             return OracleReport(False, 1, 1, {}, {}, None)
@@ -323,8 +316,10 @@ class TestBench:
         ("seeds=1 policies=edf,edff", "unknown policy 'edff'"),
         ("seeds=1 modes=me,both", "unknown mode 'both'"),
         ("seeds=1 periods=10,0", "periods must be positive integers"),
+        ("seeds=-2", "seeds must be >= 1, got -2"),
+        ("seeds=0", "seeds must be >= 1, got 0"),
     ], ids=["unknown-field", "repeated-field", "unknown-policy", "unknown-mode",
-            "bad-value"])
+            "bad-value", "negative-seeds", "zero-seeds"])
     def test_bad_field_exits_two_before_any_analysis(self, capsys, tmp_path, monkeypatch,
                                                      fields, message):
         import schedgraph.cli as cli

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schedgraph import GenSpec, GenerationError, generate_instance, measure_ratios
+from schedgraph import GenSpec, GenerationError, generate_instance
+from support import measure_ratios
 
 specs = st.builds(
     GenSpec,

@@ -13,12 +13,13 @@ from hypothesis import assume, given, note, settings
 from hypothesis import strategies as st
 
 import schedgraph.graph
-from schedgraph import (ME, SE, AnalysisStuck, ExecutionScenario, Job, PolicyKind,
-                        ScheduleGraph, Task, applicable_jobs, certainly_eligible,
-                        enumerate_scenarios, expand, expansion_windows, export_dot,
-                        generate, make_context, make_instance, merge_phase,
-                        next_nodes, possibly_eligible, scenario_count, simulate,
-                        write_instance)
+from schedgraph import (ME, SE, AnalysisStuck, ExecutionScenario, PolicyKind, Task,
+                        enumerate_scenarios, export_dot, generate, make_instance,
+                        scenario_count, simulate, write_instance)
+from schedgraph.graph import (ScheduleGraph, applicable_jobs, certainly_eligible, expand,
+                              expansion_windows, make_context, merge_phase, next_nodes,
+                              possibly_eligible)
+from schedgraph.model import Job
 from support import (ALL_POLICIES, check_graph, exploration_bound, mask,
                      naive_windows_me, naive_windows_se, sample_crowded_instance,
                      sample_instance)
@@ -320,7 +321,7 @@ class TestGenerate:
         # order, whose interval ends past its job's deadline
         level = graph.levels[-1]
         late = [vid for vid in level if graph.vertices[vid].lft
-                > graph.job_of_arc(graph.arcs[graph.vertices[vid].in_arcs[0]]).deadline]
+                > graph.instance.jobs[graph.arcs[graph.vertices[vid].in_arcs[0]].job_pos].deadline]
         assert level == [5, 6] and late == [5]
         assert partial.witness == full.misses[0]
         assert (partial.witness.vertex, partial.witness.job.key) == (5, (3, 2))
@@ -459,6 +460,59 @@ class TestDifferential:
                                      for key in report.finish_min}
 
 
+def narrow(rng: random.Random, instance, field: str):
+    """The instance with one task's `field` moved strictly inside its range, same H.
+
+    Returns None when no task has room to move that field.
+    """
+    low, high = ("r_min", "r_max") if field[0] == "r" else ("c_min", "c_max")
+    roomy = [task for task in instance.tasks if getattr(task, low) < getattr(task, high)]
+    if not roomy:
+        return None
+    task = rng.choice(roomy)
+    lo, hi = getattr(task, low), getattr(task, high)
+    value = rng.randint(lo + 1, hi) if field == low else rng.randint(lo, hi - 1)
+    tasks = [dataclasses.replace(t, **{field: value}) if t is task else t
+             for t in instance.tasks]
+    return make_instance(tasks, instance.horizon)
+
+
+class TestSustainability:
+    """A schedulable instance stays schedulable when one task's parameters narrow.
+
+    Raising r_min or c_min leaves every policy's scheduler as it was and
+    only removes scenarios. Lowering r_max or c_max is checked under the
+    work conserving policies only: the idling policies read r_max and c_max
+    in their critical budget, so narrowing those changes the scheduler
+    itself, and its bounds may widen.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10_000), crowded=st.booleans(),
+           narrowing=st.one_of(
+               st.tuples(st.sampled_from(("r_min", "c_min")), st.sampled_from(ALL_POLICIES)),
+               st.tuples(st.sampled_from(("r_max", "c_max")),
+                         st.sampled_from([k for k in ALL_POLICIES if k.work_conserving]))))
+    def test_narrowing_keeps_verdict_and_bounds(self, seed, crowded, narrowing):
+        field, kind = narrowing
+        rng = random.Random(seed)
+        while True:  # draw on until a schedulable instance has room to narrow
+            instance = (sample_crowded_instance if crowded else sample_instance)(rng)
+            _, result = generate(instance, kind, ME)
+            narrowed = narrow(rng, instance, field) if result.schedulable else None
+            if narrowed is not None:
+                break
+        note(write_instance(instance))
+        note(write_instance(narrowed))
+        assert [job.key for job in narrowed.jobs] == [job.key for job in instance.jobs]
+        _, after = generate(narrowed, kind, ME)
+        assert after.schedulable
+        assert after.bounds.keys() == result.bounds.keys()
+        for key, (lo, hi) in after.bounds.items():
+            old_lo, old_hi = result.bounds[key]
+            assert old_lo <= lo and hi <= old_hi, key
+
+
 class TestDotExport:
     def test_jitter_graph_labels_and_counts(self, jitter3):
         graph, result = generate(jitter3, PolicyKind.EDF, ME)
@@ -510,9 +564,9 @@ class TestStuckGuard:
 # when assert statements are stripped.
 CORRUPTED_CASES = textwrap.dedent("""
     import sys
-    from schedgraph import (ME, EligibilityContext, PolicyKind, ScheduleGraph, Task,
-                            certainly_eligible, expand, generate, make_instance,
-                            merge_phase, parse_instance)
+    from schedgraph import ME, PolicyKind, Task, generate, make_instance, parse_instance
+    from schedgraph.graph import (EligibilityContext, ScheduleGraph, certainly_eligible,
+                                  expand, merge_phase)
     assert False, "assert statements must be stripped"
     instance = parse_instance(open(sys.argv[1]).read())
     graph = ScheduleGraph(instance, PolicyKind.EDF)

@@ -1,17 +1,15 @@
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schedgraph import (ExecutionScenario, InstanceError, Task, expand_jobs,
-                        hyperperiod, instance_to_json, make_instance,
-                        parse_instance, parse_scenario, utilization,
-                        validate_scenario, write_instance)
-from schedgraph.model import MAX_JOBS, U64_MAX
+from schedgraph import (ExecutionScenario, InstanceError, Task, make_instance,
+                        parse_instance, parse_scenario, write_instance)
+from schedgraph.model import MAX_JOBS, U64_MAX, expand_jobs, hyperperiod, validate_scenario
+from support import utilization
 
 tasks_strategy = st.lists(
     st.builds(
@@ -167,14 +165,6 @@ class TestInstanceIO:
         instance = make_instance(tasks, horizon)
         assert parse_instance(write_instance(instance)) == instance
 
-    def test_json_export_mirrors_fields(self, idle4):
-        data = json.loads(instance_to_json(idle4))
-        assert data["horizon"] == idle4.horizon
-        assert data["tasks"][0] == {
-            "id": 1, "period": 16, "r_min": 10, "r_max": 10,
-            "c_min": 2, "c_max": 2, "deadline": 12, "priority": 0,
-        }
-
 
 class TestScenario:
     def test_worst_case_covers_all_jobs(self, anomaly):
@@ -224,3 +214,9 @@ class TestScenario:
                 "J 2 2 r=5 c=1\nJ 3 1 r=2 c=4\nJ 9 9 r=1 c=1\n")
         with pytest.raises(InstanceError, match="unknown job"):
             parse_scenario(text, jitter3)
+
+    @pytest.mark.parametrize("line, name", [("J 1 1 r=3 r=4", "r"), ("J 1 1 c=2 c=3", "c")])
+    def test_parse_scenario_repeated_field_names_its_line(self, anomaly, line, name):
+        text = "J 2 1 r=0 c=2\n" + line + "\n"
+        with pytest.raises(InstanceError, match=f"line 2: duplicate field '{name}'"):
+            parse_scenario(text, anomaly)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schedgraph import (PolicyKind, critical_context, parse_policy, pi_higher,
-                        pi_key, pick)
+from schedgraph import PolicyKind, parse_policy
+from schedgraph.policy import critical_context, pi_key, pick
 from support import ALL_POLICIES, sample_instance
 
 
@@ -30,19 +30,13 @@ class TestPiOrder:
     def test_edf_prefers_earlier_deadline(self, anomaly):
         early = anomaly.job((2, 1))   # deadline 8
         late = anomaly.job((1, 1))    # deadline 16
-        assert pi_higher(PolicyKind.EDF, early, late)
-        assert not pi_higher(PolicyKind.EDF, late, early)
+        assert pi_key(PolicyKind.EDF, early) < pi_key(PolicyKind.EDF, late)
 
     def test_fixed_priority_ties_break_on_task_id(self, idle4):
         # equal priority and deadline only differ in the task id
         a = idle4.job((3, 1))
         b = dataclasses.replace(a, task_id=5)
-        assert pi_higher(PolicyKind.FP_EDF, a, b)
-
-    def test_null_competitor_always_loses(self, anomaly):
-        job = anomaly.job((3, 1))
-        for kind in ALL_POLICIES:
-            assert pi_higher(kind, job, None)
+        assert pi_key(PolicyKind.FP_EDF, a) < pi_key(PolicyKind.FP_EDF, b)
 
     @given(seed=st.integers(0, 10_000), kind=st.sampled_from(ALL_POLICIES))
     def test_strict_total_order_on_instance_jobs(self, seed, kind):
@@ -51,12 +45,12 @@ class TestPiOrder:
         keys = [pi_key(kind, job) for job in jobs]
         assert len(set(keys)) == len(keys)          # totality
         triple = [jobs[rng.randrange(len(jobs))] for _ in range(3)]
-        a, b, c = triple
-        assert not pi_higher(kind, a, a)            # irreflexive
-        if pi_higher(kind, a, b) and pi_higher(kind, b, c):
-            assert pi_higher(kind, a, c)            # transitive
-        if a != b:
-            assert pi_higher(kind, a, b) != pi_higher(kind, b, a)
+        a, b, c = (pi_key(kind, job) for job in triple)
+        assert not a < a                            # irreflexive
+        if a < b and b < c:
+            assert a < c                            # transitive
+        if triple[0] != triple[1]:
+            assert (a < b) != (b < a)
 
 
 class TestPick:
