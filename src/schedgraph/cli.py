@@ -47,6 +47,8 @@ def _analysis_text(result) -> str:
         )
     lines.append("levels (vertices/arcs): " +
                  " ".join(f"{v}/{a}" for v, a in result.levels))
+    lines.append(f"created before merging: {result.vertices_created} vertices,"
+                 f" {result.arcs_created} arcs")
     if result.bounds_complete:
         lines.append("finish-time bounds:")
         for (task, index), (lo, hi) in sorted(result.bounds.items()):

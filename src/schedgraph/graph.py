@@ -21,18 +21,30 @@ could be the next job started:
   (r_min <= t < r_max), respects the budget, and outranks the certainly
   eligible job (vacuously when there is none).
 
+Priorities are integer ranks: `generate` ranks every job position by the
+policy's `pi_key` once, so outranking is `int <`. The applicable jobs are
+computed from a finished set only at the root. A successor's applicable
+set is derived from its parent's: the dispatched job's slot goes to its
+task's next job, or is dropped when the task is done, in the rank order
+and in the sorted release bounds alike. Each set is built once, with its
+critical context, each job's latest start under the budget and its sorted
+boundary times, and serves every vertex that has it; the sets live in a
+dict keyed by finished set for one level only.
+
 One sweep serves both generation modes. It probes eft and every boundary
 time above it (a release bound, or the instant a job stops respecting the
-budget); eligibility is constant from one probe to the next. At each probe
-the certainly eligible job is computed once and reused to filter the
-possibly eligible jobs. Each job's eligible times form maximal integer
-ranges; each range becomes one new vertex. The sweep stops at the first
-probe that has a certainly eligible job and whose constant segment reaches
-lft: by max(probe, lft) the processor has certainly started something, so
-later times cannot begin the next dispatch, and every open range closes
-there. Under a work conserving policy a job gets at most one range; under
-an idling policy the budget check can cut a range and re-open it later, so
-one vertex may carry several arcs with the same job label.
+budget), a slice of the set's sorted boundaries; eligibility is constant
+from one probe to the next. At each probe the certainly eligible job, the
+first admitted one in rank order, is computed once, and only the jobs
+ranked above it are filtered for possible eligibility. Each job's eligible
+times form maximal integer ranges; each range becomes one new vertex. The
+sweep stops at the first probe that has a certainly eligible job and
+whose constant segment reaches lft: by max(probe, lft) the processor has
+certainly started something, so later times cannot begin the next
+dispatch, and every open range closes there. Under a work conserving
+policy a job gets at most one range; under an idling policy the budget
+check can cut a range and re-open it later, so one vertex may carry
+several arcs with the same job label.
 
 The two generation modes differ only in what the sweep forgets. The
 default, multiple eligibility ("me"), expands every range. Single
@@ -50,7 +62,10 @@ Generation reads only the level it expands; the stored graph is a record.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from math import inf
+from operator import attrgetter, itemgetter
 from typing import AbstractSet, Sequence
 
 from .model import InstanceError, Job, ProblemInstance
@@ -59,6 +74,8 @@ from .policy import CriticalContext, PolicyKind, critical_context, pi_key
 ME = "me"
 SE = "se"
 MODES = (ME, SE)
+_POSITION = attrgetter("pos")
+_JOB = itemgetter(1)  # of a `ranked` entry
 
 
 class AnalysisStuck(RuntimeError):
@@ -133,7 +150,7 @@ class ScheduleGraph:
         self.vertices[arc.src].out_arcs.remove(arc_id)
 
 
-# --- applicable jobs and eligibility ----------------------------------------
+# --- priority ranks and applicable sets ---------------------------------------
 
 def applicable_jobs(instance: ProblemInstance, finished: int) -> list[Job]:
     """First unfinished job of each task, in task-id order, given a finished bitmask.
@@ -158,7 +175,93 @@ def applicable_jobs(instance: ProblemInstance, finished: int) -> list[Job]:
     return out
 
 
-@dataclass(frozen=True)
+def priority_ranks(instance: ProblemInstance, kind: PolicyKind) -> list[int]:
+    """Each job position's rank in the policy's priority order; rank 0 wins.
+
+    Calls `pi_key` once per job. Two equal keys would leave the certainly
+    eligible job undefined and raise RuntimeError.
+    """
+    keys = [pi_key(kind, job) for job in instance.jobs]
+    if len(set(keys)) != len(keys):
+        raise RuntimeError("priority order is not strict")
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return sorted(range(len(order)), key=order.__getitem__)  # the inverse of `order`
+
+
+@dataclass(slots=True)
+class ApplicableSet:
+    """The applicable jobs of one finished set, prepared once for every vertex that has it.
+
+    `ranked` holds (rank, job, latest start the critical budget admits) for
+    every applicable job, in rank order. `releases` is the sorted multiset
+    of the jobs' release bounds; `boundaries` adds the budget boundaries,
+    so it may repeat a time too, and is the same list when there is no
+    critical job. Nothing is changed once built.
+    """
+
+    crit: CriticalContext | None
+    ranked: list[tuple[int, Job, float]]
+    releases: list[int]
+    boundaries: list[int]
+
+
+def prepare(kind: PolicyKind, ranks: Sequence[int], jobs: Sequence[Job]) -> ApplicableSet:
+    """An applicable set built from scratch.
+
+    A job named twice raises RuntimeError: the priority order among the
+    jobs would not be strict.
+    """
+    if len({job.pos for job in jobs}) != len(jobs):
+        raise RuntimeError("priority order is not strict")
+    ranked = sorted((ranks[job.pos], job, inf) for job in jobs)
+    releases = sorted(t for job in jobs for t in (job.r_min, job.r_max))
+    return _with_budget(kind, ranked, releases, budgeted=False)
+
+
+def derive(instance: ProblemInstance, kind: PolicyKind, ranks: Sequence[int],
+           apps: ApplicableSet, job: Job) -> ApplicableSet:
+    """The applicable set once `job` finishes, derived from its parent's.
+
+    The task's next job, if it has one, takes the finished job's place in
+    the rank order and the release bounds.
+    """
+    ranked = apps.ranked.copy()
+    del ranked[bisect_left(ranked, (ranks[job.pos],))]
+    releases = apps.releases.copy()
+    releases.remove(job.r_min)
+    releases.remove(job.r_max)
+    after = job.pos + 1
+    if after < len(instance.jobs) and instance.jobs[after].task_id == job.task_id:
+        follow = instance.jobs[after]
+        insort(ranked, (ranks[after], follow, inf))
+        insort(releases, follow.r_min)
+        insort(releases, follow.r_max)
+    return _with_budget(kind, ranked, releases, apps.crit is not None)
+
+
+def _with_budget(kind: PolicyKind, ranked: list[tuple[int, Job, float]], releases: list[int],
+                 budgeted: bool) -> ApplicableSet:
+    """Add the critical context, the latest admitted starts and the budget boundaries.
+
+    With a critical start budget, a non-critical job stops being admitted
+    the instant t + c_max first exceeds the budget. `budgeted` says that
+    `ranked` still holds a former budget's latest starts.
+    """
+    crit = critical_context(kind, map(_JOB, ranked))
+    if crit is None:
+        if budgeted:
+            ranked = [(rank, job, inf) for rank, job, _ in ranked]
+        return ApplicableSet(None, ranked, releases, releases)
+    ranked = [(rank, job, inf if job.pos == crit.job.pos else crit.time - job.c_max)
+              for rank, job, _ in ranked]
+    boundaries = sorted(releases + [crit.time - job.c_max + 1 for _, job, _ in ranked
+                                    if job.pos != crit.job.pos])
+    return ApplicableSet(crit, ranked, releases, boundaries)
+
+
+# --- eligibility ----------------------------------------------------------------
+
+@dataclass(slots=True)
 class EligibilityContext:
     """Everything needed to probe one vertex's eligibility pointwise."""
 
@@ -166,38 +269,54 @@ class EligibilityContext:
     kind: PolicyKind
     eft: int
     lft: int
-    applicable: tuple[Job, ...]
-    crit: CriticalContext | None
+    apps: ApplicableSet
+
+    @property
+    def applicable(self) -> tuple[Job, ...]:
+        """The applicable jobs in task-id order."""
+        return tuple(sorted((job for _, job, _ in self.apps.ranked), key=_POSITION))
+
+    @property
+    def crit(self) -> CriticalContext | None:
+        return self.apps.crit
+
+    @property
+    def boundaries(self) -> list[int]:
+        return self.apps.boundaries
 
 
 def make_context(instance: ProblemInstance, kind: PolicyKind, finished: int,
                  eft: int, lft: int) -> EligibilityContext:
-    apps = tuple(applicable_jobs(instance, finished))
-    return EligibilityContext(instance, kind, eft, lft, apps, critical_context(kind, apps))
+    """A vertex's context built from scratch, ranks and applicable jobs included."""
+    apps = prepare(kind, priority_ranks(instance, kind), applicable_jobs(instance, finished))
+    return EligibilityContext(instance, kind, eft, lft, apps)
 
 
 def certainly_eligible(ctx: EligibilityContext, t: int,
                        exclude: AbstractSet[int] = frozenset()) -> Job | None:
-    """The unique certainly released, budget-respecting job of top priority at t."""
-    crit = ctx.crit
-    candidates = [j for j in ctx.applicable
-                  if j.r_max <= t and (crit is None or crit.admits(j, t))
-                  and j.pos not in exclude]
-    if not candidates:
-        return None
-    keys = [pi_key(ctx.kind, j) for j in candidates]
-    if len(set(keys)) != len(keys):
-        raise RuntimeError("priority order is not strict")
-    return candidates[keys.index(min(keys))]
+    """The unique certainly released, budget-respecting job of top priority at t.
+
+    That is the first job in rank order that is certainly released,
+    admitted by the budget and not excluded.
+    """
+    for _, job, last in ctx.apps.ranked:
+        if job.r_max <= t <= last and job.pos not in exclude:
+            return job
+    return None
 
 
 def _outranking_possible(ctx: EligibilityContext, t: int, ce: Job | None,
                          exclude: AbstractSet[int]) -> list[Job]:
-    crit = ctx.crit
-    top = None if ce is None else pi_key(ctx.kind, ce)
-    return [job for job in ctx.applicable
-            if job.r_min <= t < job.r_max and (crit is None or crit.admits(job, t))
-            and job.pos not in exclude and (top is None or pi_key(ctx.kind, job) < top)]
+    """The possibly eligible jobs among those ranked above `ce`, in position order."""
+    out = []
+    for _, job, last in ctx.apps.ranked:
+        if job is ce:
+            break
+        if job.r_min <= t < job.r_max and t <= last and job.pos not in exclude:
+            out.append(job)
+    if len(out) > 1:
+        out.sort(key=_POSITION)
+    return out
 
 
 def possibly_eligible(ctx: EligibilityContext, t: int,
@@ -206,59 +325,50 @@ def possibly_eligible(ctx: EligibilityContext, t: int,
     return _outranking_possible(ctx, t, certainly_eligible(ctx, t, exclude), exclude)
 
 
-def _boundary_times(ctx: EligibilityContext) -> set[int]:
-    """Times at which any job's eligibility status can change.
-
-    Release boundaries cover work conserving policies; with a critical start
-    budget, a non-critical job additionally stops being viable the instant
-    t + c_max first exceeds the budget.
-    """
-    times: set[int] = set()
-    for job in ctx.applicable:
-        times.add(job.r_min)
-        times.add(job.r_max)
-        if ctx.crit is not None and job.pos != ctx.crit.job.pos:
-            times.add(ctx.crit.time - job.c_max + 1)
-    return times
-
-
 # --- expansion sweep ----------------------------------------------------------
 
 def expansion_windows(ctx: EligibilityContext, mode: str = ME) -> list[tuple[Job, int, int]]:
     """Dispatch windows (job, est, lst) a vertex expands into, in creation order.
 
-    Probes eft and every boundary time above it; between two probes nothing
-    can change, so the result matches a per-integer-time sweep exactly. The
-    sweep stops at the first probe with a certain choice whose constant
-    segment reaches lft, and closes every open run at max(probe, lft).
+    Probes eft and every distinct boundary time above it; between two
+    probes nothing can change, so the result matches a per-integer-time
+    sweep exactly. The sweep stops at the first probe with a certain choice
+    whose constant segment reaches lft, and closes every open run at
+    max(probe, lft).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if not ctx.applicable:
+    if not ctx.apps.ranked:
         return []
     eft, lft = ctx.eft, ctx.lft
-    probes = sorted({eft} | {b for b in _boundary_times(ctx) if b > eft})
+    boundaries = ctx.apps.boundaries
+    probes = [eft, *boundaries[bisect_right(boundaries, eft):]]
     jobs = ctx.instance.jobs
     consumed: set[int] = set()  # positions; stays empty in ME mode
     open_runs: dict[int, int] = {}  # position -> est
     out: list[tuple[Job, int, int]] = []
-    for i, t in enumerate(probes):
+    t = ce = None
+    for probe in probes:
+        if probe == t:  # boundaries repeat when jobs share a bound
+            continue
+        if ce is not None and probe > lft:  # the last segment reached lft
+            break
+        t = probe
         ce = certainly_eligible(ctx, t, consumed)
         eligible = _outranking_possible(ctx, t, ce, consumed)
         if ce is not None:
             eligible.insert(0, ce)
-        live = {job.pos for job in eligible}
-        for pos in [p for p in open_runs if p not in live]:
-            out.append((jobs[pos], open_runs.pop(pos), t - 1))
-            if mode == SE:
-                # consumed jobs were not eligible at t, so ce stays the same
-                consumed.add(pos)
+        if open_runs:
+            live = {job.pos for job in eligible}
+            for pos in [p for p in open_runs if p not in live]:
+                out.append((jobs[pos], open_runs.pop(pos), t - 1))
+                if mode == SE:
+                    # consumed jobs were not eligible at t, so ce stays the same
+                    consumed.add(pos)
         for job in eligible:
             if job.pos not in open_runs:
                 open_runs[job.pos] = t
-        if ce is not None and (i + 1 == len(probes) or probes[i + 1] > lft):
-            break
-    else:
+    if ce is None:
         raise AnalysisStuck(f"no certainly eligible job exists at or after t={lft}")
     bound = max(t, lft)
     out.extend((jobs[pos], est, bound) for pos, est in open_runs.items())
@@ -364,6 +474,8 @@ class AnalysisResult:
     bounds: dict[tuple[int, int], tuple[int, int]]  # job key -> (finish min, finish max)
     bounds_complete: bool
     levels: list[tuple[int, int]]  # per level: (vertices, in-arcs), post-merge
+    vertices_created: int  # before merging
+    arcs_created: int
     wall_ms: float
 
     def to_json_dict(self) -> dict:
@@ -376,6 +488,8 @@ class AnalysisResult:
             "bounds_complete": self.bounds_complete,
             "stats": {
                 "levels": [{"vertices": v, "arcs": a} for v, a in self.levels],
+                "vertices_created": self.vertices_created,
+                "arcs_created": self.arcs_created,
                 "wall_ms": self.wall_ms,
             },
         }
@@ -390,9 +504,17 @@ class AnalysisResult:
         return data
 
 
-def next_nodes(graph: ScheduleGraph, vertex: Vertex) -> list[tuple[Vertex, Job]]:
-    """Expand one vertex: each successor (one per dispatch window) and the job it dispatches."""
-    ctx = make_context(graph.instance, graph.kind, vertex.finished, vertex.eft, vertex.lft)
+def next_nodes(graph: ScheduleGraph, vertex: Vertex,
+               apps: ApplicableSet | None = None) -> list[tuple[Vertex, Job]]:
+    """Expand one vertex: each successor (one per dispatch window) and the job it dispatches.
+
+    `apps` is the vertex's prepared applicable set; without it the context
+    is built from scratch.
+    """
+    if apps is None:
+        ctx = make_context(graph.instance, graph.kind, vertex.finished, vertex.eft, vertex.lft)
+    else:
+        ctx = EligibilityContext(graph.instance, graph.kind, vertex.eft, vertex.lft, apps)
     try:
         windows = expansion_windows(ctx, graph.mode)
     except AnalysisStuck as exc:
@@ -410,24 +532,42 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
     first miss aborts with a witness unless `exhaustive_misses` asks to
     keep going and collect all of them. Pure function of its arguments:
     repeated runs build identical graphs.
+
+    Only the root's applicable jobs are computed from its finished set. The
+    first successor created with a finished set derives that set's
+    applicable set from its parent's; it is kept, keyed by finished set,
+    for the next level alone, and dropped once the last vertex that has it
+    is expanded.
     """
     if not instance.jobs:
         raise InstanceError("instance has no jobs")
     start = time.perf_counter()
     graph = ScheduleGraph(instance, kind, mode)
+    ranks = priority_ranks(instance, kind)
+    # finished set -> applicable set, for the level being expanded
+    applicable = {0: prepare(kind, ranks, applicable_jobs(instance, 0))}
     misses: list[DeadlineMiss] = []
     bounds: dict[int, tuple[int, int]] = {}  # by job position, in creation order
     stats = [(1, 0)]  # per level: (vertices, in-arcs), after its merge
     frontier = graph.levels[0]
     for _ in instance.jobs:  # one level per job
         new_ids = []
+        derived: dict[int, ApplicableSet] = {}  # the same, for the next level
+        last_user = {graph.vertices[vid].finished: vid for vid in frontier}
         for vid in frontier:
-            for successor, job in next_nodes(graph, graph.vertices[vid]):
+            vertex = graph.vertices[vid]
+            apps = applicable[vertex.finished]
+            if last_user[vertex.finished] == vid:  # free it while the next level grows
+                del applicable[vertex.finished]
+            for successor, job in next_nodes(graph, vertex, apps):
                 new_ids.append(successor.id)
+                if successor.finished not in derived:
+                    derived[successor.finished] = derive(instance, kind, ranks, apps, job)
                 lo, hi = bounds.get(job.pos, (successor.eft, successor.lft))
                 bounds[job.pos] = (min(lo, successor.eft), max(hi, successor.lft))
                 if successor.lft > job.deadline and (exhaustive_misses or not misses):
                     misses.append(DeadlineMiss(successor.id, job, successor.lft, job.deadline))
+        applicable = derived
         aborted = bool(misses) and not exhaustive_misses
         frontier = new_ids if aborted else merge_phase(graph, new_ids)
         graph.levels.append(frontier)
@@ -441,6 +581,8 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
         bounds={instance.jobs[pos].key: bound for pos, bound in bounds.items()},
         bounds_complete=not aborted,
         levels=stats,
+        vertices_created=graph.vertices_created,
+        arcs_created=graph.arcs_created,
         wall_ms=(time.perf_counter() - start) * 1000.0,
     )
     return graph, result

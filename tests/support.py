@@ -3,6 +3,9 @@
 The naive sweeps probe every integer time point and serve as the independent
 reference for the boundary-time sweep inside the engine; the me sweep's
 exploration bound is computed here too, apart from the engine's stop rule.
+They decide eligibility by the pointwise reference functions below, which
+are written from the definition (release bounds, the critical budget and
+the smallest `pi_key`) and share nothing with the engine's rank order.
 The product oracle simulates every scenario apart and is the reference for
 the engine's prefix-sharing search.
 """
@@ -17,8 +20,8 @@ from pathlib import Path
 
 from schedgraph import (AnalysisStuck, ExecutionScenario, InstanceError, PolicyKind,
                         ScenarioCapExceeded, Task, make_instance, scenario_count)
-from schedgraph.graph import certainly_eligible, possibly_eligible
 from schedgraph.oracle import DEFAULT_SCENARIO_CAP, OracleReport, _simulate
+from schedgraph.policy import pi_key
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 ANOMALY = INSTANCE_DIR / "anomaly.txt"
@@ -178,10 +181,30 @@ def mask(instance, keys) -> int:
     return out
 
 
+def _admitted(ctx, job, t, exclude) -> bool:
+    return (ctx.crit is None or ctx.crit.admits(job, t)) and job.pos not in exclude
+
+
+def reference_certainly_eligible(ctx, t, exclude=frozenset()):
+    """The job of smallest `pi_key` among those certainly released (r_max <= t)
+    and admitted by the critical budget at t, or None."""
+    candidates = [j for j in ctx.applicable if j.r_max <= t and _admitted(ctx, j, t, exclude)]
+    return min(candidates, key=lambda j: pi_key(ctx.kind, j), default=None)
+
+
+def reference_possibly_eligible(ctx, t, exclude=frozenset()):
+    """Jobs possibly released at t (r_min <= t < r_max), admitted by the budget
+    and of smaller `pi_key` than the certain choice, in position order."""
+    ce = reference_certainly_eligible(ctx, t, exclude)
+    return [j for j in ctx.applicable
+            if j.r_min <= t < j.r_max and _admitted(ctx, j, t, exclude)
+            and (ce is None or pi_key(ctx.kind, j) < pi_key(ctx.kind, ce))]
+
+
 def eligible_at(ctx, t, exclude=frozenset()):
-    ce = certainly_eligible(ctx, t, exclude)
+    ce = reference_certainly_eligible(ctx, t, exclude)
     head = [] if ce is None else [ce]
-    return head + possibly_eligible(ctx, t, exclude)
+    return head + reference_possibly_eligible(ctx, t, exclude)
 
 
 def exploration_bound(ctx) -> int:
@@ -193,7 +216,7 @@ def exploration_bound(ctx) -> int:
     """
     candidates = sorted({ctx.lft} | {j.r_max for j in ctx.applicable if j.r_max > ctx.lft})
     for t in candidates:
-        if certainly_eligible(ctx, t) is not None:
+        if reference_certainly_eligible(ctx, t) is not None:
             return t
     raise AnalysisStuck(f"no certainly eligible job exists at or after t={ctx.lft}")
 
@@ -236,7 +259,7 @@ def naive_windows_se(ctx):
         for job in eligible:
             if job not in open_runs and job.pos not in consumed:
                 open_runs[job] = t
-        if t >= lft and certainly_eligible(ctx, t, frozenset(consumed)) is not None:
+        if t >= lft and reference_certainly_eligible(ctx, t, frozenset(consumed)) is not None:
             bound = t
             break
     if bound is None:

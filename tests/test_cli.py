@@ -40,7 +40,7 @@ ANALYZE_SCHEMA = {
         },
         "stats": {
             "type": "object",
-            "required": ["levels", "wall_ms"],
+            "required": ["levels", "vertices_created", "arcs_created", "wall_ms"],
             "properties": {
                 "levels": {
                     "type": "array",
@@ -49,6 +49,8 @@ ANALYZE_SCHEMA = {
                         "required": ["vertices", "arcs"],
                     },
                 },
+                "vertices_created": {"type": "integer"},
+                "arcs_created": {"type": "integer"},
                 "wall_ms": {"type": "number"},
             },
         },
@@ -99,6 +101,17 @@ class TestAnalyze:
         code, out = run(capsys, "analyze", str(EDF_JITTER))
         assert code == 0
         assert "schedulable: yes" in out
+
+    def test_stats_count_what_the_analysis_created(self, capsys, jitter3):
+        graph, _ = generate(jitter3, PolicyKind.EDF, ME)
+        _, out = run(capsys, "analyze", str(EDF_JITTER), "--format", "json")
+        stats = json.loads(out)["stats"]
+        assert (stats["vertices_created"], stats["arcs_created"]) == \
+            (graph.vertices_created, graph.arcs_created)
+        assert stats["vertices_created"] == 9 > len(graph.vertices)
+        _, text = run(capsys, "analyze", str(EDF_JITTER))
+        assert (f"created before merging: {graph.vertices_created} vertices,"
+                f" {graph.arcs_created} arcs") in text
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "result.json"

@@ -13,16 +13,18 @@ from hypothesis import assume, given, note, settings
 from hypothesis import strategies as st
 
 import schedgraph.graph
+import schedgraph.policy
 from schedgraph import (ME, SE, AnalysisStuck, ExecutionScenario, PolicyKind, Task,
                         enumerate_scenarios, export_dot, generate, make_instance,
                         scenario_count, simulate, write_instance)
-from schedgraph.graph import (ScheduleGraph, applicable_jobs, certainly_eligible, expand,
-                              expansion_windows, make_context, merge_phase, next_nodes,
-                              possibly_eligible)
+from schedgraph.graph import (EligibilityContext, ScheduleGraph, applicable_jobs,
+                              certainly_eligible, expand, expansion_windows, make_context,
+                              merge_phase, next_nodes, possibly_eligible, priority_ranks)
 from schedgraph.model import Job
+from schedgraph.policy import pi_key
 from support import (ALL_POLICIES, check_graph, exploration_bound, mask,
-                     naive_windows_me, naive_windows_se, sample_crowded_instance,
-                     sample_instance)
+                     naive_windows_me, naive_windows_se, reference_certainly_eligible,
+                     reference_possibly_eligible, sample_crowded_instance, sample_instance)
 
 CROWDED_DRAWS = 150
 CROWDED_SEED_BASE = 90_000
@@ -106,6 +108,11 @@ class TestEligibility:
         ctx = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1)]), 5, 5)
         assert possibly_eligible(ctx, 5) == []
 
+    def test_equal_priority_keys_are_refused_before_generation(self, monkeypatch, jitter3):
+        monkeypatch.setattr(schedgraph.graph, "pi_key", lambda kind, job: (job.priority,))
+        with pytest.raises(RuntimeError, match="priority order is not strict"):
+            generate(jitter3, PolicyKind.EDF, ME)
+
 
 class TestExplorationBound:
     def test_bound_stays_at_lft_when_choice_exists(self, jitter3):
@@ -166,7 +173,7 @@ class TestProbeCount:
 
     def assert_once_per_probe(self, monkeypatch, ctx, mode):
         calls = self.probed_times(monkeypatch, ctx, mode)
-        boundaries = {ctx.eft} | schedgraph.graph._boundary_times(ctx)
+        boundaries = {ctx.eft} | set(ctx.boundaries)
         assert calls, "the sweep probed nothing"
         assert len(calls) == len(set(calls)), f"a time was probed twice: {calls}"
         assert set(calls) <= boundaries
@@ -393,6 +400,91 @@ class TestSweepEquivalence:
             assert fast == naive_windows_se(ctx)
 
 
+class TestIncrementalState:
+    """What generate derives from each parent equals what make_context builds from scratch."""
+
+    @pytest.mark.parametrize("mode", [ME, SE])
+    @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), crowded=st.booleans())
+    def test_derived_state_matches_scratch(self, kind, mode, seed, crowded):
+        instance = (sample_crowded_instance if crowded else sample_instance)(random.Random(seed))
+        ranks = priority_ranks(instance, kind)
+        assert sorted(range(len(instance.jobs)), key=ranks.__getitem__) == \
+            sorted(range(len(instance.jobs)), key=lambda pos: pi_key(kind, instance.jobs[pos]))
+        expanded = []
+        original = schedgraph.graph.next_nodes
+
+        def checking(graph, vertex, apps=None):
+            scratch = make_context(instance, kind, vertex.finished, vertex.eft, vertex.lft)
+            derived = EligibilityContext(instance, kind, vertex.eft, vertex.lft, apps)
+            assert derived.applicable == scratch.applicable
+            assert derived.crit == scratch.crit
+            assert derived.boundaries == scratch.boundaries
+            assert apps.ranked == scratch.apps.ranked
+            expanded.append(vertex.id)
+            return original(graph, vertex, apps)
+
+        schedgraph.graph.next_nodes = checking
+        try:
+            generate(instance, kind, mode)
+        except AnalysisStuck:
+            pass
+        finally:
+            schedgraph.graph.next_nodes = original
+        assert expanded
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), crowded=st.booleans(),
+           kind=st.sampled_from(ALL_POLICIES))
+    def test_rank_order_matches_reference_pointwise(self, seed, crowded, kind):
+        rng = random.Random(seed)
+        instance = (sample_crowded_instance if crowded else sample_instance)(rng)
+        try:
+            graph, _ = generate(instance, kind, ME)
+        except AnalysisStuck:
+            return
+        for vertex in graph.vertices.values():
+            ctx = make_context(instance, kind, vertex.finished, vertex.eft, vertex.lft)
+            for t in range(vertex.eft, max([vertex.lft, *ctx.boundaries]) + 1):
+                exclude = frozenset(j.pos for j in ctx.applicable if rng.random() < 0.2)
+                for skip in (frozenset(), exclude):
+                    assert certainly_eligible(ctx, t, skip) is \
+                        reference_certainly_eligible(ctx, t, skip)
+                    assert possibly_eligible(ctx, t, skip) == \
+                        reference_possibly_eligible(ctx, t, skip)
+
+
+class TestIncrementalCost:
+    """generate computes applicable jobs only at the root and each priority key once.
+
+    A per-vertex rescan of the tasks or of the priority keys makes this fail.
+    """
+
+    @pytest.mark.parametrize("name", ["anomaly", "idle4"])
+    def test_no_per_vertex_rescan(self, monkeypatch, request, name):
+        instance = request.getfixturevalue(name)
+        calls = {"applicable_jobs": 0, "pi_key": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(schedgraph.graph, "applicable_jobs",
+                            counted("applicable_jobs", applicable_jobs))
+        monkeypatch.setattr(schedgraph.graph, "pi_key", counted("pi_key", pi_key))
+        monkeypatch.setattr(schedgraph.policy, "pi_key", counted("pi_key", pi_key))
+        for kind in ALL_POLICIES:
+            for mode in (ME, SE):
+                calls.update(applicable_jobs=0, pi_key=0)
+                graph, _ = generate(instance, kind, mode, exhaustive_misses=True)
+                assert graph.vertices_created > len(instance.jobs)
+                assert calls["applicable_jobs"] <= 1, (kind, mode)
+                assert calls["pi_key"] <= len(instance.jobs), (kind, mode)
+
+
 class TestOracleSoundness:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), kind=st.sampled_from(ALL_POLICIES))
@@ -565,8 +657,7 @@ class TestStuckGuard:
 CORRUPTED_CASES = textwrap.dedent("""
     import sys
     from schedgraph import ME, PolicyKind, Task, generate, make_instance, parse_instance
-    from schedgraph.graph import (EligibilityContext, ScheduleGraph, certainly_eligible,
-                                  expand, merge_phase)
+    from schedgraph.graph import ScheduleGraph, expand, merge_phase, prepare, priority_ranks
     assert False, "assert statements must be stripped"
     instance = parse_instance(open(sys.argv[1]).read())
     graph = ScheduleGraph(instance, PolicyKind.EDF)
@@ -575,8 +666,7 @@ CORRUPTED_CASES = textwrap.dedent("""
     done, _ = expand(graph, root, job, 0, 0)
 
     def twice():  # one job twice in the applicable set
-        ctx = EligibilityContext(instance, PolicyKind.EDF, 0, 0, (job, job), None)
-        certainly_eligible(ctx, 5)
+        prepare(PolicyKind.EDF, priority_ranks(instance, PolicyKind.EDF), (job, job))
 
     def merged_after_expansion():
         other, _ = expand(graph, root, job, 0, 0)
