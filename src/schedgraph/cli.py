@@ -96,7 +96,13 @@ def cmd_simulate(args) -> int:
     return 0 if not trace.misses else 1
 
 
+def _check_cap(args) -> None:
+    if args.max_scenarios < 1:
+        raise ValueError(f"--max-scenarios must be at least 1, got {args.max_scenarios}")
+
+
 def cmd_brute_force(args) -> int:
+    _check_cap(args)
     instance = _load_instance(args.instance)
     kind = parse_policy(args.policy)
     report = enumerate_scenarios(instance, kind, max_scenarios=args.max_scenarios,
@@ -125,6 +131,7 @@ def compare_verdicts(me_verdict: str, oracle_verdict: str) -> bool:
 
 
 def cmd_compare(args) -> int:
+    _check_cap(args)
     instance = _load_instance(args.instance)
     kind = parse_policy(args.policy)
     verdicts: dict[str, str] = {}

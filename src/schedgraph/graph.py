@@ -29,7 +29,11 @@ task's next job, or is dropped when the task is done, in the rank order
 and in the sorted release bounds alike. Each set is built once, with its
 critical context, each job's latest start under the budget and its sorted
 boundary times, and serves every vertex that has it; the sets live in a
-dict keyed by finished set for one level only.
+dict keyed by finished set for one level only. This `ApplicableSet` is
+the only eligibility state: `certainly_eligible(apps, t)` and
+`possibly_eligible(apps, t)` read nothing else, and
+`expansion_windows(apps, eft, lft, mode)` adds the vertex's interval.
+`make_context` builds the same set from scratch for any finished set.
 
 One sweep serves both generation modes. It probes eft and every boundary
 time above it (a release bound, or the instant a job stops respecting the
@@ -190,7 +194,8 @@ def priority_ranks(instance: ProblemInstance, kind: PolicyKind) -> list[int]:
 
 @dataclass(slots=True)
 class ApplicableSet:
-    """The applicable jobs of one finished set, prepared once for every vertex that has it.
+    """The applicable jobs of one finished set under one policy, prepared once
+    for every vertex that has it; all that eligibility at a time t reads.
 
     `ranked` holds (rank, job, latest start the critical budget admits) for
     every applicable job, in rank order. `releases` is the sorted multiset
@@ -199,10 +204,16 @@ class ApplicableSet:
     critical job. Nothing is changed once built.
     """
 
+    kind: PolicyKind
     crit: CriticalContext | None
     ranked: list[tuple[int, Job, float]]
     releases: list[int]
     boundaries: list[int]
+
+    @property
+    def applicable(self) -> list[Job]:
+        """The applicable jobs in position order."""
+        return sorted((job for _, job, _ in self.ranked), key=_POSITION)
 
 
 def prepare(kind: PolicyKind, ranks: Sequence[int], jobs: Sequence[Job]) -> ApplicableSet:
@@ -215,11 +226,16 @@ def prepare(kind: PolicyKind, ranks: Sequence[int], jobs: Sequence[Job]) -> Appl
         raise RuntimeError("priority order is not strict")
     ranked = sorted((ranks[job.pos], job, inf) for job in jobs)
     releases = sorted(t for job in jobs for t in (job.r_min, job.r_max))
-    return _with_budget(kind, ranked, releases, budgeted=False)
+    return _with_budget(kind, ranked, releases)
 
 
-def derive(instance: ProblemInstance, kind: PolicyKind, ranks: Sequence[int],
-           apps: ApplicableSet, job: Job) -> ApplicableSet:
+def make_context(instance: ProblemInstance, kind: PolicyKind, finished: int) -> ApplicableSet:
+    """A finished set's applicable set built from scratch, ranks and applicable jobs included."""
+    return prepare(kind, priority_ranks(instance, kind), applicable_jobs(instance, finished))
+
+
+def derive(instance: ProblemInstance, ranks: Sequence[int], apps: ApplicableSet,
+           job: Job) -> ApplicableSet:
     """The applicable set once `job` finishes, derived from its parent's.
 
     The task's next job, if it has one, takes the finished job's place in
@@ -236,80 +252,48 @@ def derive(instance: ProblemInstance, kind: PolicyKind, ranks: Sequence[int],
         insort(ranked, (ranks[after], follow, inf))
         insort(releases, follow.r_min)
         insort(releases, follow.r_max)
-    return _with_budget(kind, ranked, releases, apps.crit is not None)
+    return _with_budget(apps.kind, ranked, releases)
 
 
-def _with_budget(kind: PolicyKind, ranked: list[tuple[int, Job, float]], releases: list[int],
-                 budgeted: bool) -> ApplicableSet:
+def _with_budget(kind: PolicyKind, ranked: list[tuple[int, Job, float]],
+                 releases: list[int]) -> ApplicableSet:
     """Add the critical context, the latest admitted starts and the budget boundaries.
 
     With a critical start budget, a non-critical job stops being admitted
-    the instant t + c_max first exceeds the budget. `budgeted` says that
-    `ranked` still holds a former budget's latest starts.
+    the instant t + c_max first exceeds the budget.
     """
     crit = critical_context(kind, map(_JOB, ranked))
     if crit is None:
-        if budgeted:
+        if not kind.work_conserving:  # `ranked` may hold a former budget's latest starts
             ranked = [(rank, job, inf) for rank, job, _ in ranked]
-        return ApplicableSet(None, ranked, releases, releases)
+        return ApplicableSet(kind, None, ranked, releases, releases)
     ranked = [(rank, job, inf if job.pos == crit.job.pos else crit.time - job.c_max)
               for rank, job, _ in ranked]
     boundaries = sorted(releases + [crit.time - job.c_max + 1 for _, job, _ in ranked
                                     if job.pos != crit.job.pos])
-    return ApplicableSet(crit, ranked, releases, boundaries)
+    return ApplicableSet(kind, crit, ranked, releases, boundaries)
 
 
 # --- eligibility ----------------------------------------------------------------
 
-@dataclass(slots=True)
-class EligibilityContext:
-    """Everything needed to probe one vertex's eligibility pointwise."""
-
-    instance: ProblemInstance
-    kind: PolicyKind
-    eft: int
-    lft: int
-    apps: ApplicableSet
-
-    @property
-    def applicable(self) -> tuple[Job, ...]:
-        """The applicable jobs in task-id order."""
-        return tuple(sorted((job for _, job, _ in self.apps.ranked), key=_POSITION))
-
-    @property
-    def crit(self) -> CriticalContext | None:
-        return self.apps.crit
-
-    @property
-    def boundaries(self) -> list[int]:
-        return self.apps.boundaries
-
-
-def make_context(instance: ProblemInstance, kind: PolicyKind, finished: int,
-                 eft: int, lft: int) -> EligibilityContext:
-    """A vertex's context built from scratch, ranks and applicable jobs included."""
-    apps = prepare(kind, priority_ranks(instance, kind), applicable_jobs(instance, finished))
-    return EligibilityContext(instance, kind, eft, lft, apps)
-
-
-def certainly_eligible(ctx: EligibilityContext, t: int,
+def certainly_eligible(apps: ApplicableSet, t: int,
                        exclude: AbstractSet[int] = frozenset()) -> Job | None:
     """The unique certainly released, budget-respecting job of top priority at t.
 
     That is the first job in rank order that is certainly released,
     admitted by the budget and not excluded.
     """
-    for _, job, last in ctx.apps.ranked:
+    for _, job, last in apps.ranked:
         if job.r_max <= t <= last and job.pos not in exclude:
             return job
     return None
 
 
-def _outranking_possible(ctx: EligibilityContext, t: int, ce: Job | None,
+def _outranking_possible(apps: ApplicableSet, t: int, ce: Job | None,
                          exclude: AbstractSet[int]) -> list[Job]:
     """The possibly eligible jobs among those ranked above `ce`, in position order."""
     out = []
-    for _, job, last in ctx.apps.ranked:
+    for _, job, last in apps.ranked:
         if job is ce:
             break
         if job.r_min <= t < job.r_max and t <= last and job.pos not in exclude:
@@ -319,16 +303,17 @@ def _outranking_possible(ctx: EligibilityContext, t: int, ce: Job | None,
     return out
 
 
-def possibly_eligible(ctx: EligibilityContext, t: int,
+def possibly_eligible(apps: ApplicableSet, t: int,
                       exclude: AbstractSet[int] = frozenset()) -> list[Job]:
     """Possibly released, budget-respecting jobs outranking the certain choice at t."""
-    return _outranking_possible(ctx, t, certainly_eligible(ctx, t, exclude), exclude)
+    return _outranking_possible(apps, t, certainly_eligible(apps, t, exclude), exclude)
 
 
 # --- expansion sweep ----------------------------------------------------------
 
-def expansion_windows(ctx: EligibilityContext, mode: str = ME) -> list[tuple[Job, int, int]]:
-    """Dispatch windows (job, est, lst) a vertex expands into, in creation order.
+def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
+                      mode: str) -> list[tuple[Job, int, int]]:
+    """Dispatch windows (job, est, lst) of a vertex with interval [eft, lft], in creation order.
 
     Probes eft and every distinct boundary time above it; between two
     probes nothing can change, so the result matches a per-integer-time
@@ -338,14 +323,12 @@ def expansion_windows(ctx: EligibilityContext, mode: str = ME) -> list[tuple[Job
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if not ctx.apps.ranked:
+    if not apps.ranked:
         return []
-    eft, lft = ctx.eft, ctx.lft
-    boundaries = ctx.apps.boundaries
+    boundaries = apps.boundaries
     probes = [eft, *boundaries[bisect_right(boundaries, eft):]]
-    jobs = ctx.instance.jobs
     consumed: set[int] = set()  # positions; stays empty in ME mode
-    open_runs: dict[int, int] = {}  # position -> est
+    open_runs: dict[int, tuple[Job, int]] = {}  # position -> (job, est)
     out: list[tuple[Job, int, int]] = []
     t = ce = None
     for probe in probes:
@@ -354,25 +337,26 @@ def expansion_windows(ctx: EligibilityContext, mode: str = ME) -> list[tuple[Job
         if ce is not None and probe > lft:  # the last segment reached lft
             break
         t = probe
-        ce = certainly_eligible(ctx, t, consumed)
-        eligible = _outranking_possible(ctx, t, ce, consumed)
+        ce = certainly_eligible(apps, t, consumed)
+        eligible = _outranking_possible(apps, t, ce, consumed)
         if ce is not None:
             eligible.insert(0, ce)
         if open_runs:
             live = {job.pos for job in eligible}
             for pos in [p for p in open_runs if p not in live]:
-                out.append((jobs[pos], open_runs.pop(pos), t - 1))
+                job, est = open_runs.pop(pos)
+                out.append((job, est, t - 1))
                 if mode == SE:
                     # consumed jobs were not eligible at t, so ce stays the same
                     consumed.add(pos)
         for job in eligible:
             if job.pos not in open_runs:
-                open_runs[job.pos] = t
+                open_runs[job.pos] = (job, t)
     if ce is None:
         raise AnalysisStuck(f"no certainly eligible job exists at or after t={lft}")
     bound = max(t, lft)
-    out.extend((jobs[pos], est, bound) for pos, est in open_runs.items())
-    if ctx.kind.work_conserving:
+    out.extend((job, est, bound) for job, est in open_runs.values())
+    if apps.kind.work_conserving:
         seen: set[int] = set()
         for job, est, _ in out:
             if job.pos in seen:
@@ -411,6 +395,9 @@ def merge_phase(graph: ScheduleGraph, vertex_ids: Sequence[int]) -> list[int]:
         buckets.setdefault(graph.vertices[vid].finished, []).append(vid)
     survivors: list[int] = []
     for members in buckets.values():
+        if len(members) == 1:  # most buckets: nothing to merge
+            survivors.append(members[0])
+            continue
         members.sort(key=lambda vid: (graph.vertices[vid].eft, vid))
         group = [members[0]]
         reach = graph.vertices[members[0]].lft
@@ -505,18 +492,11 @@ class AnalysisResult:
 
 
 def next_nodes(graph: ScheduleGraph, vertex: Vertex,
-               apps: ApplicableSet | None = None) -> list[tuple[Vertex, Job]]:
-    """Expand one vertex: each successor (one per dispatch window) and the job it dispatches.
-
-    `apps` is the vertex's prepared applicable set; without it the context
-    is built from scratch.
-    """
-    if apps is None:
-        ctx = make_context(graph.instance, graph.kind, vertex.finished, vertex.eft, vertex.lft)
-    else:
-        ctx = EligibilityContext(graph.instance, graph.kind, vertex.eft, vertex.lft, apps)
+               apps: ApplicableSet) -> list[tuple[Vertex, Job]]:
+    """Expand one vertex, whose applicable set is `apps`: each successor
+    (one per dispatch window) and the job it dispatches."""
     try:
-        windows = expansion_windows(ctx, graph.mode)
+        windows = expansion_windows(apps, vertex.eft, vertex.lft, graph.mode)
     except AnalysisStuck as exc:
         raise AnalysisStuck(str(exc), vertex=vertex.id) from None
     return [(expand(graph, vertex, job, est, lst)[0], job) for job, est, lst in windows]
@@ -562,7 +542,7 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
             for successor, job in next_nodes(graph, vertex, apps):
                 new_ids.append(successor.id)
                 if successor.finished not in derived:
-                    derived[successor.finished] = derive(instance, kind, ranks, apps, job)
+                    derived[successor.finished] = derive(instance, ranks, apps, job)
                 lo, hi = bounds.get(job.pos, (successor.eft, successor.lft))
                 bounds[job.pos] = (min(lo, successor.eft), max(hi, successor.lft))
                 if successor.lft > job.deadline and (exhaustive_misses or not misses):

@@ -181,54 +181,53 @@ def mask(instance, keys) -> int:
     return out
 
 
-def _admitted(ctx, job, t, exclude) -> bool:
-    return (ctx.crit is None or ctx.crit.admits(job, t)) and job.pos not in exclude
+def _admitted(apps, job, t, exclude) -> bool:
+    return (apps.crit is None or apps.crit.admits(job, t)) and job.pos not in exclude
 
 
-def reference_certainly_eligible(ctx, t, exclude=frozenset()):
+def reference_certainly_eligible(apps, t, exclude=frozenset()):
     """The job of smallest `pi_key` among those certainly released (r_max <= t)
     and admitted by the critical budget at t, or None."""
-    candidates = [j for j in ctx.applicable if j.r_max <= t and _admitted(ctx, j, t, exclude)]
-    return min(candidates, key=lambda j: pi_key(ctx.kind, j), default=None)
+    candidates = [j for j in apps.applicable if j.r_max <= t and _admitted(apps, j, t, exclude)]
+    return min(candidates, key=lambda j: pi_key(apps.kind, j), default=None)
 
 
-def reference_possibly_eligible(ctx, t, exclude=frozenset()):
+def reference_possibly_eligible(apps, t, exclude=frozenset()):
     """Jobs possibly released at t (r_min <= t < r_max), admitted by the budget
     and of smaller `pi_key` than the certain choice, in position order."""
-    ce = reference_certainly_eligible(ctx, t, exclude)
-    return [j for j in ctx.applicable
-            if j.r_min <= t < j.r_max and _admitted(ctx, j, t, exclude)
-            and (ce is None or pi_key(ctx.kind, j) < pi_key(ctx.kind, ce))]
+    ce = reference_certainly_eligible(apps, t, exclude)
+    return [j for j in apps.applicable
+            if j.r_min <= t < j.r_max and _admitted(apps, j, t, exclude)
+            and (ce is None or pi_key(apps.kind, j) < pi_key(apps.kind, ce))]
 
 
-def eligible_at(ctx, t, exclude=frozenset()):
-    ce = reference_certainly_eligible(ctx, t, exclude)
+def eligible_at(apps, t, exclude=frozenset()):
+    ce = reference_certainly_eligible(apps, t, exclude)
     head = [] if ce is None else [ce]
-    return head + reference_possibly_eligible(ctx, t, exclude)
+    return head + reference_possibly_eligible(apps, t, exclude)
 
 
-def exploration_bound(ctx) -> int:
+def exploration_bound(apps, lft) -> int:
     """Smallest t >= lft at which a certainly eligible job exists.
 
     A certainly eligible job can only appear when some applicable job
     becomes certainly released, so it suffices to probe lft and the r_max
     values above it. If none of them works, no later time can either.
     """
-    candidates = sorted({ctx.lft} | {j.r_max for j in ctx.applicable if j.r_max > ctx.lft})
+    candidates = sorted({lft} | {j.r_max for j in apps.applicable if j.r_max > lft})
     for t in candidates:
-        if reference_certainly_eligible(ctx, t) is not None:
+        if reference_certainly_eligible(apps, t) is not None:
             return t
-    raise AnalysisStuck(f"no certainly eligible job exists at or after t={ctx.lft}")
+    raise AnalysisStuck(f"no certainly eligible job exists at or after t={lft}")
 
 
-def naive_windows_me(ctx):
-    """Per-integer-time sweep over the exploration interval."""
-    lo = ctx.eft
-    hi = exploration_bound(ctx)
+def naive_windows_me(apps, eft, lft):
+    """Per-integer-time sweep over the exploration interval of a vertex [eft, lft]."""
+    hi = exploration_bound(apps, lft)
     open_runs: dict = {}
     out = []
-    for t in range(lo, hi + 2):
-        eligible = [] if t > hi else eligible_at(ctx, t)
+    for t in range(eft, hi + 2):
+        eligible = [] if t > hi else eligible_at(apps, t)
         live = set(eligible)
         for job in [j for j in open_runs if j not in live]:
             out.append((job, open_runs.pop(job), t - 1))
@@ -239,19 +238,18 @@ def naive_windows_me(ctx):
     return out
 
 
-def naive_windows_se(ctx):
+def naive_windows_se(apps, eft, lft):
     """Per-integer-time sweep with single-eligibility consumption semantics."""
-    lo, lft = ctx.eft, ctx.lft
-    cap = max([lft] + [j.r_max for j in ctx.applicable])
-    if ctx.crit is not None:
-        cap = max([cap] + [ctx.crit.time - j.c_max + 1 for j in ctx.applicable
-                           if j.pos != ctx.crit.job.pos])
+    cap = max([lft] + [j.r_max for j in apps.applicable])
+    if apps.crit is not None:
+        cap = max([cap] + [apps.crit.time - j.c_max + 1 for j in apps.applicable
+                           if j.pos != apps.crit.job.pos])
     consumed: set = set()  # positions
     open_runs: dict = {}
     out = []
     bound = None
-    for t in range(lo, cap + 1):
-        eligible = eligible_at(ctx, t, frozenset(consumed))
+    for t in range(eft, cap + 1):
+        eligible = eligible_at(apps, t, frozenset(consumed))
         live = set(eligible)
         for job in [j for j in open_runs if j not in live]:
             out.append((job, open_runs.pop(job), t - 1))
@@ -259,7 +257,7 @@ def naive_windows_se(ctx):
         for job in eligible:
             if job not in open_runs and job.pos not in consumed:
                 open_runs[job] = t
-        if t >= lft and reference_certainly_eligible(ctx, t, frozenset(consumed)) is not None:
+        if t >= lft and reference_certainly_eligible(apps, t, frozenset(consumed)) is not None:
             bound = t
             break
     if bound is None:

@@ -141,12 +141,12 @@ def test_criterion_5_sweep_equivalence():
             for vertex in graph.vertices.values():
                 if vertex.level == len(instance.jobs):
                     continue
-                ctx = make_context(instance, kind, vertex.finished,
-                                   vertex.eft, vertex.lft)
-                if not ctx.applicable:
+                apps = make_context(instance, kind, vertex.finished)
+                if not apps.ranked:
                     continue
-                assert expansion_windows(ctx, ME) == naive_windows_me(ctx)
-                assert expansion_windows(ctx, SE) == naive_windows_se(ctx)
+                eft, lft = vertex.interval
+                assert expansion_windows(apps, eft, lft, ME) == naive_windows_me(apps, eft, lft)
+                assert expansion_windows(apps, eft, lft, SE) == naive_windows_se(apps, eft, lft)
                 checked += 1
         assert checked >= 200
 
@@ -160,16 +160,15 @@ def test_criterion_6_structural_invariants(fuzz_corpus):
                 check_graph(graph, result)
                 # certain-eligibility uniqueness, checked from the definition
                 for vertex in list(graph.vertices.values())[:3]:
-                    ctx = make_context(instance, kind, vertex.finished,
-                                       vertex.eft, vertex.lft)
-                    if not ctx.applicable:
+                    apps = make_context(instance, kind, vertex.finished)
+                    if not apps.ranked:
                         continue
                     for t in (vertex.eft, vertex.lft, vertex.lft + 1):
                         viable = [
-                            j for j in ctx.applicable
-                            if j.r_max <= t and (ctx.crit is None
-                                                 or t + j.c_max <= ctx.crit.time
-                                                 or j == ctx.crit.job)
+                            j for j in apps.applicable
+                            if j.r_max <= t and (apps.crit is None
+                                                 or t + j.c_max <= apps.crit.time
+                                                 or j == apps.crit.job)
                         ]
                         top = [a for a in viable
                                if all(not pi_key(kind, b) < pi_key(kind, a)

@@ -184,6 +184,22 @@ class TestBruteForce:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["brute-force", "compare"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_exits_two_before_any_analysis(capsys, monkeypatch, command, cap):
+    import schedgraph.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an analysis ran")
+
+    monkeypatch.setattr(cli, "generate", refuse)
+    monkeypatch.setattr(cli, "enumerate_scenarios", refuse)
+    assert main([command, str(ANOMALY), "--max-scenarios", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --max-scenarios must be at least 1, got {cap}" in captured.err
+
+
 class TestGen:
     def test_generated_instance_parses_and_analyzes(self, capsys, tmp_path):
         out_file = tmp_path / "gen.txt"

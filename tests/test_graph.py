@@ -17,9 +17,9 @@ import schedgraph.policy
 from schedgraph import (ME, SE, AnalysisStuck, ExecutionScenario, PolicyKind, Task,
                         enumerate_scenarios, export_dot, generate, make_instance,
                         scenario_count, simulate, write_instance)
-from schedgraph.graph import (EligibilityContext, ScheduleGraph, applicable_jobs,
-                              certainly_eligible, expand, expansion_windows, make_context,
-                              merge_phase, next_nodes, possibly_eligible, priority_ranks)
+from schedgraph.graph import (ScheduleGraph, applicable_jobs, certainly_eligible, expand,
+                              expansion_windows, make_context, merge_phase, next_nodes,
+                              possibly_eligible, priority_ranks)
 from schedgraph.model import Job
 from schedgraph.policy import pi_key
 from support import (ALL_POLICIES, check_graph, exploration_bound, mask,
@@ -32,6 +32,11 @@ CROWDED_SEED_BASE = 90_000
 
 def intervals(graph, level):
     return sorted(graph.vertices[vid].interval for vid in graph.levels[level])
+
+
+def scratch(graph, vid):
+    """A stored vertex's applicable set, built from scratch."""
+    return make_context(graph.instance, graph.kind, graph.vertices[vid].finished)
 
 
 class TestApplicableJobs:
@@ -77,21 +82,21 @@ class TestJobIdentity:
 
 class TestEligibility:
     def test_certain_choice_at_root(self, jitter3):
-        ctx = make_context(jitter3, PolicyKind.EDF, 0, 0, 0)
-        assert certainly_eligible(ctx, 0) == jitter3.job((2, 1))
+        apps = make_context(jitter3, PolicyKind.EDF, 0)
+        assert certainly_eligible(apps, 0) == jitter3.job((2, 1))
 
     def test_certain_choice_respects_budget(self, idle4):
-        ctx = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]), 1, 8)
-        assert certainly_eligible(ctx, 7) == idle4.job((3, 1))
+        apps = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]))
+        assert certainly_eligible(apps, 7) == idle4.job((3, 1))
 
     def test_no_certain_choice_before_any_certain_release(self, jitter3):
-        ctx = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(1, 1), (2, 1)]), 2, 3)
+        apps = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(1, 1), (2, 1)]))
         # only the jittery job remains unreleased-for-sure before t=3
-        assert certainly_eligible(ctx, 2) is None
+        assert certainly_eligible(apps, 2) is None
 
     def test_possible_jobs_must_outrank_certain_choice(self, jitter3):
-        ctx = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1)]), 1, 1)
-        assert possibly_eligible(ctx, 1) == [jitter3.job((3, 1))]
+        apps = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1)]))
+        assert possibly_eligible(apps, 1) == [jitter3.job((3, 1))]
 
     def test_priority_table_pattern(self):
         # seven jobs, one per priority level; at t=5: priorities 3 and 4 are
@@ -100,13 +105,13 @@ class TestEligibility:
                    5: (8, 9), 6: (2, 7)}
         tasks = [Task(p + 1, 40, lo, hi, 1, 1, 30 + p, p) for p, (lo, hi) in windows.items()]
         instance = make_instance(tasks, horizon=40)
-        ctx = make_context(instance, PolicyKind.FP_EDF, 0, 5, 5)
-        assert certainly_eligible(ctx, 5).priority == 3
-        assert sorted(j.priority for j in possibly_eligible(ctx, 5)) == [0, 2]
+        apps = make_context(instance, PolicyKind.FP_EDF, 0)
+        assert certainly_eligible(apps, 5).priority == 3
+        assert sorted(j.priority for j in possibly_eligible(apps, 5)) == [0, 2]
 
     def test_nothing_possible_once_everything_certain(self, jitter3):
-        ctx = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1)]), 5, 5)
-        assert possibly_eligible(ctx, 5) == []
+        apps = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1)]))
+        assert possibly_eligible(apps, 5) == []
 
     def test_equal_priority_keys_are_refused_before_generation(self, monkeypatch, jitter3):
         monkeypatch.setattr(schedgraph.graph, "pi_key", lambda kind, job: (job.priority,))
@@ -116,80 +121,80 @@ class TestEligibility:
 
 class TestExplorationBound:
     def test_bound_stays_at_lft_when_choice_exists(self, jitter3):
-        ctx = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1), (3, 1)]), 4, 5)
-        assert exploration_bound(ctx) == 5
+        apps = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1), (3, 1)]))
+        assert exploration_bound(apps, 5) == 5
 
     def test_bound_jumps_to_next_certain_release(self):
         tasks = [Task(1, 20, 10, 10, 1, 1, 20)]
         instance = make_instance([Task(2, 20, 0, 0, 4, 8, 20)] + tasks)
-        ctx = make_context(instance, PolicyKind.EDF, mask(instance, [(2, 1)]), 4, 8)
-        assert exploration_bound(ctx) == 10
+        apps = make_context(instance, PolicyKind.EDF, mask(instance, [(2, 1)]))
+        assert exploration_bound(apps, 8) == 10
 
     def test_bound_with_recovered_eligibility(self, idle4):
-        ctx = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]), 1, 8)
-        assert exploration_bound(ctx) == 8
+        apps = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]))
+        assert exploration_bound(apps, 8) == 8
 
 
 class TestRanges:
     @staticmethod
-    def ranges(ctx, job):
-        return [(est, lst) for j, est, lst in expansion_windows(ctx, ME) if j == job]
+    def ranges(apps, eft, lft, job):
+        return [(est, lst) for j, est, lst in expansion_windows(apps, eft, lft, ME) if j == job]
 
     def test_split_eligibility_of_low_priority_job(self, idle4):
-        ctx = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]), 1, 8)
-        assert self.ranges(ctx, idle4.job((3, 1))) == [(1, 2), (7, 8)]
+        apps = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]))
+        assert self.ranges(apps, 1, 8, idle4.job((3, 1))) == [(1, 2), (7, 8)]
 
     def test_single_window_of_mid_priority_job(self, idle4):
-        ctx = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]), 1, 8)
-        assert self.ranges(ctx, idle4.job((4, 1))) == [(3, 6)]
+        apps = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]))
+        assert self.ranges(apps, 1, 8, idle4.job((4, 1))) == [(3, 6)]
 
     def test_work_conserving_range_starts_at_release(self, jitter3):
-        ctx = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1)]), 1, 1)
-        for job in ctx.applicable:
-            ranges = self.ranges(ctx, job)
+        apps = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1)]))
+        for job in apps.applicable:
+            ranges = self.ranges(apps, 1, 1, job)
             assert len(ranges) <= 1
             if ranges:
-                assert ranges[0][0] == max(ctx.eft, job.r_min)
+                assert ranges[0][0] == max(1, job.r_min)
 
 
 class TestProbeCount:
     """The sweep evaluates the certain choice once per probed time."""
 
     @staticmethod
-    def probed_times(monkeypatch, ctx, mode):
+    def probed_times(monkeypatch, apps, eft, lft, mode):
         calls = []
         original = schedgraph.graph.certainly_eligible
 
-        def counting(ctx, t, *args):
+        def counting(apps, t, *args):
             calls.append(t)
-            return original(ctx, t, *args)
+            return original(apps, t, *args)
 
         monkeypatch.setattr(schedgraph.graph, "certainly_eligible", counting)
         try:
-            expansion_windows(ctx, mode)
+            expansion_windows(apps, eft, lft, mode)
         finally:
             monkeypatch.undo()
         return calls
 
-    def assert_once_per_probe(self, monkeypatch, ctx, mode):
-        calls = self.probed_times(monkeypatch, ctx, mode)
-        boundaries = {ctx.eft} | set(ctx.boundaries)
+    def assert_once_per_probe(self, monkeypatch, apps, eft, lft, mode):
+        calls = self.probed_times(monkeypatch, apps, eft, lft, mode)
+        boundaries = {eft} | set(apps.boundaries)
         assert calls, "the sweep probed nothing"
         assert len(calls) == len(set(calls)), f"a time was probed twice: {calls}"
         assert set(calls) <= boundaries
 
     @pytest.mark.parametrize("mode", [ME, SE])
     def test_idle_vertex(self, monkeypatch, idle4, mode):
-        ctx = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]), 1, 8)
-        self.assert_once_per_probe(monkeypatch, ctx, mode)
+        apps = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]))
+        self.assert_once_per_probe(monkeypatch, apps, 1, 8, mode)
 
     @pytest.mark.parametrize("mode", [ME, SE])
     def test_every_jitter_vertex(self, monkeypatch, jitter3, mode):
         graph, _ = generate(jitter3, PolicyKind.EDF, mode)
         for vertex in graph.vertices.values():
-            ctx = make_context(jitter3, PolicyKind.EDF, vertex.finished, vertex.eft, vertex.lft)
-            if ctx.applicable:
-                self.assert_once_per_probe(monkeypatch, ctx, mode)
+            apps = make_context(jitter3, PolicyKind.EDF, vertex.finished)
+            if apps.ranked:
+                self.assert_once_per_probe(monkeypatch, apps, vertex.eft, vertex.lft, mode)
 
 
 class TestExpand:
@@ -227,7 +232,7 @@ class TestExpand:
 class TestNextNodes:
     def test_root_expands_to_single_certain_choice(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
-        new = next_nodes(graph, graph.vertices[graph.root])
+        new = next_nodes(graph, graph.vertices[graph.root], scratch(graph, graph.root))
         assert [(job.label, v.interval) for v, job in new] == [("J2,1", (1, 1))]
 
     def test_vertex_with_certain_switchover_expands_twice(self, jitter3):
@@ -235,14 +240,14 @@ class TestNextNodes:
         root = graph.vertices[graph.root]
         v1, _ = expand(graph, root, jitter3.job((2, 1)), 0, 0)
         v3, _ = expand(graph, v1, jitter3.job((3, 1)), 1, 1)
-        new = next_nodes(graph, v3)
+        new = next_nodes(graph, v3, scratch(graph, v3.id))
         assert [v.interval for v, _ in new] == [(5, 6), (6, 6)]
 
     def test_idling_policy_reopens_eligibility(self, idle4):
         graph = ScheduleGraph(idle4, PolicyKind.P_FP_EDF)
         root = graph.vertices[graph.root]
         v1, _ = expand(graph, root, idle4.job((2, 1)), 0, 0)
-        new = next_nodes(graph, v1)
+        new = next_nodes(graph, v1, scratch(graph, v1.id))
         labels = [(job.label, v.interval) for v, job in new]
         assert labels == [("J3,1", (3, 4)), ("J4,1", (7, 10)), ("J3,1", (9, 10))]
 
@@ -374,10 +379,11 @@ class TestSweepEquivalence:
         for vertex in graph.vertices.values():
             if vertex.level == len(instance.jobs):
                 continue
-            ctx = make_context(instance, kind, vertex.finished, vertex.eft, vertex.lft)
-            if not ctx.applicable:
+            apps = make_context(instance, kind, vertex.finished)
+            if not apps.ranked:
                 continue
-            assert expansion_windows(ctx, ME) == naive_windows_me(ctx)
+            assert expansion_windows(apps, vertex.eft, vertex.lft, ME) == \
+                naive_windows_me(apps, vertex.eft, vertex.lft)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 5000), kind=st.sampled_from(ALL_POLICIES))
@@ -388,16 +394,16 @@ class TestSweepEquivalence:
         for vertex in graph.vertices.values():
             if vertex.level == len(instance.jobs):
                 continue
-            ctx = make_context(instance, kind, vertex.finished, vertex.eft, vertex.lft)
-            if not ctx.applicable:
+            apps = make_context(instance, kind, vertex.finished)
+            if not apps.ranked:
                 continue
             try:
-                fast = expansion_windows(ctx, SE)
+                fast = expansion_windows(apps, vertex.eft, vertex.lft, SE)
             except AnalysisStuck:
                 with pytest.raises(AnalysisStuck):
-                    naive_windows_se(ctx)
+                    naive_windows_se(apps, vertex.eft, vertex.lft)
                 continue
-            assert fast == naive_windows_se(ctx)
+            assert fast == naive_windows_se(apps, vertex.eft, vertex.lft)
 
 
 class TestIncrementalState:
@@ -415,13 +421,13 @@ class TestIncrementalState:
         expanded = []
         original = schedgraph.graph.next_nodes
 
-        def checking(graph, vertex, apps=None):
-            scratch = make_context(instance, kind, vertex.finished, vertex.eft, vertex.lft)
-            derived = EligibilityContext(instance, kind, vertex.eft, vertex.lft, apps)
-            assert derived.applicable == scratch.applicable
-            assert derived.crit == scratch.crit
-            assert derived.boundaries == scratch.boundaries
-            assert apps.ranked == scratch.apps.ranked
+        def checking(graph, vertex, apps):
+            scratch = make_context(instance, kind, vertex.finished)
+            assert apps.kind is scratch.kind is kind
+            assert apps.applicable == scratch.applicable
+            assert apps.crit == scratch.crit
+            assert apps.boundaries == scratch.boundaries
+            assert apps.ranked == scratch.ranked
             expanded.append(vertex.id)
             return original(graph, vertex, apps)
 
@@ -445,14 +451,14 @@ class TestIncrementalState:
         except AnalysisStuck:
             return
         for vertex in graph.vertices.values():
-            ctx = make_context(instance, kind, vertex.finished, vertex.eft, vertex.lft)
-            for t in range(vertex.eft, max([vertex.lft, *ctx.boundaries]) + 1):
-                exclude = frozenset(j.pos for j in ctx.applicable if rng.random() < 0.2)
+            apps = make_context(instance, kind, vertex.finished)
+            for t in range(vertex.eft, max([vertex.lft, *apps.boundaries]) + 1):
+                exclude = frozenset(j.pos for j in apps.applicable if rng.random() < 0.2)
                 for skip in (frozenset(), exclude):
-                    assert certainly_eligible(ctx, t, skip) is \
-                        reference_certainly_eligible(ctx, t, skip)
-                    assert possibly_eligible(ctx, t, skip) == \
-                        reference_possibly_eligible(ctx, t, skip)
+                    assert certainly_eligible(apps, t, skip) is \
+                        reference_certainly_eligible(apps, t, skip)
+                    assert possibly_eligible(apps, t, skip) == \
+                        reference_possibly_eligible(apps, t, skip)
 
 
 class TestIncrementalCost:
@@ -646,10 +652,10 @@ class TestStuckGuard:
 
     def test_sweep_rejects_unknown_mode_without_applicable_jobs(self, jitter3):
         done = mask(jitter3, [j.key for j in jitter3.jobs])
-        ctx = make_context(jitter3, PolicyKind.EDF, done, 8, 8)
-        assert expansion_windows(ctx, ME) == []
+        apps = make_context(jitter3, PolicyKind.EDF, done)
+        assert expansion_windows(apps, 8, 8, ME) == []
         with pytest.raises(ValueError, match="unknown mode"):
-            expansion_windows(ctx, "both")
+            expansion_windows(apps, 8, 8, "both")
 
 
 # Each case corrupts the engine's state in one way; the check must still fire
@@ -681,8 +687,8 @@ CORRUPTED_CASES = textwrap.dedent("""
 
     def eligible_before_release():  # the last case: the engine stays patched
         import schedgraph.graph as engine
-        engine._outranking_possible = lambda ctx, t, ce, exclude: [
-            j for j in ctx.applicable if j is not ce]
+        engine._outranking_possible = lambda apps, t, ce, exclude: [
+            j for j in apps.applicable if j is not ce]
         generate(instance, PolicyKind.EDF, ME)
 
     cases = [
