@@ -17,7 +17,7 @@ import statistics
 import sys
 import time
 
-from .generator import DEFAULT_PERIODS, GenerationError, GenSpec, generate_instance
+from .generator import DEFAULT_PERIODS, GenerationError, GenSpec, check_reachable, generate_instance
 from .graph import ME, MODES, AnalysisStuck, export_dot, generate
 from .model import (InstanceError, parse_instance, parse_scenario, write_instance)
 from .oracle import (DEFAULT_SCENARIO_CAP, ScenarioCapExceeded,
@@ -26,7 +26,10 @@ from .policy import POLICY_NAMES, parse_policy
 
 def _load_instance(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(handle.read())
+        instance = parse_instance(handle.read())
+    if not instance.jobs:
+        raise InstanceError("instance has no jobs")
+    return instance
 
 
 def _emit(args, text: str) -> None:
@@ -215,7 +218,7 @@ def _parse_bench_spec(text: str) -> list[dict]:
                 "modes": tuple(fields["modes"].split(",")),
             }
             # every check that needs no analysis runs here, so it can name the line
-            GenSpec(row["tasks"], row["util"], row["rj"], row["rc"], row["periods"])
+            check_reachable(GenSpec(row["tasks"], row["util"], row["rj"], row["rc"], row["periods"]))
             if row["seeds"] < 1:
                 raise ValueError(f"seeds must be >= 1, got {row['seeds']}")
             for policy in row["policies"]:
@@ -223,7 +226,7 @@ def _parse_bench_spec(text: str) -> list[dict]:
             for mode in row["modes"]:
                 if mode not in MODES:
                     raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, GenerationError) as exc:
             raise InstanceError(f"line {lineno}: {exc}") from None
         rows.append(row)
     return rows

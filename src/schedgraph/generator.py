@@ -91,8 +91,17 @@ def _repair_utilization(periods: list[int], c_maxes: list[int], target: float) -
     return False
 
 
+def check_reachable(spec: GenSpec) -> None:
+    """Refuse a target below n_tasks / max(periods): every task has c_max >= 1."""
+    floor = spec.n_tasks / max(spec.periods)
+    if floor - spec.utilization > UTILIZATION_TOLERANCE + 1e-12:
+        raise GenerationError(f"utilization {spec.utilization:g} is out of reach: {spec.n_tasks}"
+                              f" tasks on periods up to {max(spec.periods)} give at least {floor:g}")
+
+
 def generate_instance(spec: GenSpec) -> ProblemInstance:
     """Draw an instance matching the spec; identical seeds give identical results."""
+    check_reachable(spec)
     rng = random.Random(spec.seed)
     for _ in range(_MAX_ATTEMPTS):
         periods = [rng.choice(spec.periods) for _ in range(spec.n_tasks)]

@@ -54,9 +54,11 @@ class SimulationTrace:
 
 def simulate(instance: ProblemInstance, kind: PolicyKind, scenario: ExecutionScenario,
              stop_on_miss: bool = False) -> SimulationTrace:
-    """Play one scenario to completion (misses are recorded, not fatal)."""
+    """Play one scenario, validated once and read by job position (misses are not fatal)."""
     validate_scenario(instance, scenario)
-    return _simulate(instance, kind, scenario.release, scenario.execution, stop_on_miss)
+    keys = [job.key for job in instance.jobs]
+    return _simulate(instance, kind, [scenario.release[key] for key in keys],
+                     [scenario.execution[key] for key in keys], stop_on_miss)
 
 
 def _simulate(instance: ProblemInstance, kind: PolicyKind, release, execution,
@@ -64,16 +66,15 @@ def _simulate(instance: ProblemInstance, kind: PolicyKind, release, execution,
     runs = [instance.jobs_by_task[task.id] for task in instance.tasks]
     slot = {task.id: i for i, task in enumerate(instance.tasks)}
     ptr = [0] * len(runs)
-    remaining = len(instance.jobs)
     t = 0
     dispatches: list[tuple[Job, int, int]] = []
     idle: list[tuple[int, int]] = []
     misses: list[tuple[Job, int, int]] = []
-    while remaining:
+    while len(dispatches) < len(instance.jobs):
         applicable = [run[p] for run, p in zip(runs, ptr) if p < len(run)]
-        job = pick(kind, t, applicable, release)
+        job = pick(kind, t, applicable, [j for j in applicable if release[j.pos] <= t])
         if job is None:
-            upcoming = [release[j.key] for j in applicable if release[j.key] > t]
+            upcoming = [release[j.pos] for j in applicable if release[j.pos] > t]
             if not upcoming:
                 # cannot happen for the built-in policies: the critical job is
                 # always viable once released
@@ -82,14 +83,13 @@ def _simulate(instance: ProblemInstance, kind: PolicyKind, release, execution,
             idle.append((t, nxt))
             t = nxt
             continue
-        finish = t + execution[job.key]
+        finish = t + execution[job.pos]
         dispatches.append((job, t, finish))
         if finish > job.deadline:
             misses.append((job, finish, job.deadline))
             if stop_on_miss:
                 break
         ptr[slot[job.task_id]] += 1
-        remaining -= 1
         t = finish
     return SimulationTrace(dispatches, idle, misses)
 
@@ -145,13 +145,14 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
     * otherwise two branches: released in [lo, t] (weight times t - lo + 1),
       and not yet released (lo becomes t + 1).
 
-    When `pick` idles, the time steps to the smallest open `lo`: no job is
-    released in between, and a job a policy refuses at t it refuses later
-    too. A dispatched job branches on each execution time; a finish past
-    its deadline ends that branch in a failing leaf. A leaf stands for its
-    weight times the values still open in every dimension it left
-    undecided, and the leaves of a completed search sum to
-    `scenario_count`; a search that does not is a bug and raises
+    `pick` is then handed the jobs whose release is resolved, which are
+    those with lo <= t. When it idles, the time steps to the smallest open
+    `lo`: no job is released in between, and a job a policy refuses at t
+    it refuses later too. A dispatched job branches on each execution
+    time; a finish past its deadline ends that branch in a failing leaf. A
+    leaf stands for its weight times the values still open in every
+    dimension it left undecided, and the leaves of a completed search sum
+    to `scenario_count`; a search that does not is a bug and raises
     RuntimeError.
 
     Raises ScenarioCapExceeded instead of sampling when the grid is larger
@@ -187,42 +188,35 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
     finish_max: list[int | None] = [None] * len(instance.jobs)
     failure: list[int] | None = None  # flat (r, c) per job of the first failure
     checked = 0
-    tasks = range(len(runs))
-    # (t, first task to resolve at t, ptr, lo, released, weight, path), where
-    # path links the (pos, lo, c) of every dispatch back to the root
-    stack = [(0, 0, (0,) * len(runs), tuple(run[0].r_min if run else 0 for run in runs),
+    # (t, ptr, lo, released, weight, path), where path links the (pos, lo, c)
+    # of every dispatch back to the root
+    stack = [(0, (0,) * len(runs), tuple(run[0].r_min if run else 0 for run in runs),
               (False,) * len(runs), 1, None)]
     while stack:
-        t, first, ptr, lo, released, weight, path = stack.pop()
+        t, ptr, lo, released, weight, path = stack.pop()
+        live = [i for i, size in enumerate(sizes) if ptr[i] < size]
+        if not live:
+            checked += weight
+            continue
+        applicable = [runs[i][ptr[i]] for i in live]
         lo = list(lo)
         released = list(released)
         while True:
-            for i in range(first, len(runs)):
-                if released[i] or ptr[i] == sizes[i] or lo[i] > t:
+            for i in live:
+                if released[i] or lo[i] > t:
                     continue
                 r_max = runs[i][ptr[i]].r_max
                 if r_max <= t:
                     weight *= r_max - lo[i] + 1
-                else:
-                    stack.append((t, i + 1, ptr, (*lo[:i], t + 1, *lo[i + 1:]),
+                else:  # resumed by a scan that skips slot i and every slot before it
+                    stack.append((t, ptr, (*lo[:i], t + 1, *lo[i + 1:]),
                                   tuple(released), weight, path))
                     weight *= t - lo[i] + 1
                 released[i] = True
-            first = 0
             # lo stands in for a release: it is <= t exactly when the release is resolved
-            applicable = []
-            releases = {}
-            for i in tasks:
-                if ptr[i] < sizes[i]:
-                    job = runs[i][ptr[i]]
-                    applicable.append(job)
-                    releases[job.key] = lo[i]
-            if not applicable:
-                checked += weight
-                break
-            job = pick(kind, t, applicable, releases)
+            job = pick(kind, t, applicable, [job for i, job in zip(live, applicable) if lo[i] <= t])
             if job is None:
-                upcoming = [lo[i] for i in tasks if ptr[i] < sizes[i] and not released[i]]
+                upcoming = [lo[i] for i in live if not released[i]]
                 if not upcoming:
                     raise RuntimeError("scheduler idles with every applicable job released")
                 t = min(upcoming)
@@ -239,18 +233,16 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
                 # each longer execution is a failing leaf; they differ only in c
                 missing = job.c_max - max(fits, job.c_min - 1)
                 box = weight * open_tail[i][p + 1]
-                for j in tasks:
-                    if j != i and ptr[j] < sizes[j]:
-                        other = runs[j][ptr[j]]
+                for j, other in zip(live, applicable):
+                    if j != i:
                         box *= open_tail[j][ptr[j] + 1] * (other.c_max - other.c_min + 1)
                         if not released[j]:
                             box *= other.r_max - lo[j] + 1
                 checked += box * missing
                 # the leaves' smallest scenario: each open dimension at its lowest value
                 scenario = lowest.copy()
-                for j in tasks:
-                    if ptr[j] < sizes[j]:
-                        scenario[2 * runs[j][ptr[j]].pos] = lo[j]
+                for j, other in zip(live, applicable):
+                    scenario[2 * other.pos] = lo[j]
                 scenario[2 * pos + 1] = max(fits + 1, job.c_min)
                 node = path
                 while node is not None:
@@ -267,7 +259,7 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
                 lo_next = (*lo[:i], runs[i][p + 1].r_min if p + 1 < sizes[i] else 0, *lo[i + 1:])
                 released_next = (*released[:i], False, *released[i + 1:])
                 for c in range(job.c_min, fits + 1):
-                    stack.append((t + c, 0, ptr_next, lo_next, released_next, weight,
+                    stack.append((t + c, ptr_next, lo_next, released_next, weight,
                                   (pos, lo[i], c, path)))
             break
     if (exhaustive or failure is None) and checked != total:

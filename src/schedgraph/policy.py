@@ -1,6 +1,6 @@
 """Scheduling policies and the strict priority order they induce.
 
-A policy maps (time, applicable jobs, concrete releases) to the job to start
+A policy maps (time, applicable jobs, released jobs) to the job to start
 next, or None to idle. EDF and FP-EDF never idle while something runnable is
 released. The remaining three may idle to protect a *critical job*: the
 applicable job whose deadline would be endangered if a long job started
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .model import Job
 
@@ -96,22 +96,16 @@ def critical_context(kind: PolicyKind, applicable: Iterable[Job]) -> CriticalCon
 
 
 def pick(kind: PolicyKind, t: int, applicable: Iterable[Job],
-         releases: Mapping[tuple[int, int], int]) -> Job | None:
+         released: Iterable[Job]) -> Job | None:
     """The job an online scheduler starts at time t, or None to idle.
 
-    `releases` maps job keys to the concrete release times of the scenario
-    being played; only jobs released by t are candidates. For the idling
-    policies, released jobs that would overrun the critical start budget are
-    dropped (the critical job itself is always kept). P-FP-EDF without a
-    p=0 applicable job behaves exactly like FP-EDF.
+    Only `released`, the applicable jobs whose release in the scenario
+    being played is at most t, are candidates; the caller filters them.
+    For the idling policies, released jobs that would overrun the critical
+    start budget are dropped (the critical job itself is always kept).
+    P-FP-EDF without a p=0 applicable job behaves exactly like FP-EDF.
     """
-    jobs = list(applicable)
-    if not jobs:
-        return None
-    released = [j for j in jobs if releases[j.key] <= t]
-    ctx = critical_context(kind, jobs)
+    ctx = critical_context(kind, applicable)
     if ctx is not None:
         released = [j for j in released if ctx.admits(j, t)]
-    if not released:
-        return None
-    return min(released, key=lambda j: pi_key(kind, j))
+    return min(released, key=lambda j: pi_key(kind, j), default=None)

@@ -135,22 +135,16 @@ def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
     total = scenario_count(instance)
     if total > max_scenarios:
         raise ScenarioCapExceeded(total, max_scenarios)
-    release: dict[tuple[int, int], int] = {}
-    execution: dict[tuple[int, int], int] = {}
-    targets = []
     dims = []
     for job in instance.jobs:
-        targets.append((release, job.key))
-        dims.append(range(job.r_min, job.r_max + 1))
-        targets.append((execution, job.key))
-        dims.append(range(job.c_min, job.c_max + 1))
+        dims += [range(job.r_min, job.r_max + 1), range(job.c_min, job.c_max + 1)]
     finish_min: dict[tuple[int, int], int] = {}
     finish_max: dict[tuple[int, int], int] = {}
     first_failure = None
     checked = 0
     for combo in itertools.product(*dims):
-        for (target, key), value in zip(targets, combo):
-            target[key] = value
+        # release and execution times by job position
+        release, execution = combo[0::2], combo[1::2]
         trace = _simulate(instance, kind, release, execution, stop_on_miss=True)
         checked += 1
         for job, _, finish in trace.dispatches:
@@ -160,7 +154,9 @@ def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
             if key not in finish_max or finish > finish_max[key]:
                 finish_max[key] = finish
         if trace.misses and first_failure is None:
-            first_failure = ExecutionScenario(dict(release), dict(execution))
+            first_failure = ExecutionScenario(
+                {job.key: release[job.pos] for job in instance.jobs},
+                {job.key: execution[job.pos] for job in instance.jobs})
             if not exhaustive:
                 break
     return OracleReport(

@@ -264,6 +264,20 @@ class TestCompare:
         assert "exactness violation" in captured.err
 
 
+class TestInstanceWithoutJobs:
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "brute-force", "compare",
+                                         "export-dot"])
+    def test_instance_without_jobs_exits_two(self, capsys, tmp_path, command):
+        # H is below every r_min, so the observation interval holds no job
+        path = tmp_path / "empty.txt"
+        path.write_text("H 5\ntask 1 T=10 rmin=7 rmax=8 cmin=1 cmax=1 d=10\n")
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text("")
+        extra = ["--scenario", str(scenario)] if command == "simulate" else []
+        assert main([command, str(path), *extra]) == 2
+        assert "error: instance has no jobs" in capsys.readouterr().err
+
+
 class TestStuckExitCode:
     def test_analysis_stuck_exits_three(self, monkeypatch):
         import schedgraph.cli as cli
@@ -347,8 +361,9 @@ class TestBench:
         ("seeds=1 periods=10,0", "periods must be positive integers"),
         ("seeds=-2", "seeds must be >= 1, got -2"),
         ("seeds=0", "seeds must be >= 1, got 0"),
+        ("seeds=1 periods=5", "utilization 0.3 is out of reach"),
     ], ids=["unknown-field", "repeated-field", "unknown-policy", "unknown-mode",
-            "bad-value", "negative-seeds", "zero-seeds"])
+            "bad-value", "negative-seeds", "zero-seeds", "unreachable-utilization"])
     def test_bad_field_exits_two_before_any_analysis(self, capsys, tmp_path, monkeypatch,
                                                      fields, message):
         import schedgraph.cli as cli

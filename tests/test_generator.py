@@ -49,6 +49,17 @@ class TestGenerateInstance:
         with pytest.raises(GenerationError):
             generate_instance(spec)
 
+    def test_unreachable_utilization_raises_before_any_draw(self, monkeypatch):
+        import schedgraph.generator as generator
+
+        def no_draw(*args):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(generator, "_uniform_simplex", no_draw)
+        # 12 tasks of c_max >= 1 on periods of 5 give U >= 2.4
+        with pytest.raises(GenerationError, match="utilization 0.05 is out of reach"):
+            generate_instance(GenSpec(12, 0.05, 0.0, 0.0, periods=(5,), seed=0))
+
     def test_invalid_spec_rejected_early(self):
         with pytest.raises(ValueError):
             GenSpec(0, 0.3, 0.0, 0.0)

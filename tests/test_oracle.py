@@ -10,6 +10,7 @@ import schedgraph.oracle
 from schedgraph import (ExecutionScenario, InstanceError, PolicyKind,
                         ScenarioCapExceeded, Task, enumerate_scenarios,
                         make_instance, scenario_count, simulate)
+from schedgraph.model import Job
 from support import ALL_POLICIES, check_trace, product_oracle, sample_instance
 
 REFERENCE_DRAWS = 60
@@ -217,3 +218,30 @@ class TestPrefixSearch:
         monkeypatch.setattr(schedgraph.oracle, "scenario_count", lambda instance: 9)
         with pytest.raises(RuntimeError, match="covered 8 of 9 scenarios"):
             enumerate_scenarios(idle4, PolicyKind.P_FP_EDF)
+
+
+class TestPositions:
+    """The oracle names jobs by position: `Job.key` is called a bounded number
+    of times per job, however many scheduling decisions one call takes."""
+
+    MAX_KEY_CALLS_PER_JOB = 6
+
+    @pytest.mark.parametrize("name", ["anomaly", "jitter3", "idle4"])
+    @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
+    def test_key_calls_per_job_are_bounded(self, request, monkeypatch, name, kind):
+        instance = request.getfixturevalue(name)
+        scenario = ExecutionScenario.worst_case(instance)
+        calls = []
+        key = Job.key
+
+        def counting(job):
+            calls.append(job.pos)
+            return key.fget(job)
+
+        monkeypatch.setattr(Job, "key", property(counting))
+        for run in (lambda: enumerate_scenarios(instance, kind),
+                    lambda: enumerate_scenarios(instance, kind, exhaustive=True),
+                    lambda: simulate(instance, kind, scenario)):
+            calls.clear()
+            run()
+            assert len(calls) <= self.MAX_KEY_CALLS_PER_JOB * len(instance.jobs)

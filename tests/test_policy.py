@@ -53,27 +53,32 @@ class TestPiOrder:
             assert (a < b) != (b < a)
 
 
+def released_by(applicable, releases, t):
+    """The applicable jobs whose release in `releases` (by job key) is at most t."""
+    return [j for j in applicable if releases[j.key] <= t]
+
+
 class TestPick:
     def test_edf_picks_earliest_deadline_among_released(self, jitter3):
         applicable = [jitter3.job((1, 1)), jitter3.job((2, 1)), jitter3.job((3, 1))]
-        releases = {(1, 1): 0, (2, 1): 0, (3, 1): 1}
-        assert pick(PolicyKind.EDF, 0, applicable, releases) == jitter3.job((2, 1))
+        released = released_by(applicable, {(1, 1): 0, (2, 1): 0, (3, 1): 1}, 0)
+        assert pick(PolicyKind.EDF, 0, applicable, released) == jitter3.job((2, 1))
 
     def test_precautious_keeps_viable_low_priority_job(self, idle4):
         applicable = [idle4.job((1, 1)), idle4.job((3, 1)), idle4.job((4, 1))]
-        releases = {(1, 1): 10, (3, 1): 1, (4, 1): 3}
+        released = released_by(applicable, {(1, 1): 10, (3, 1): 1, (4, 1): 3}, 7)
         # at t=7 task 4 would overrun the critical budget (7+4 > 10); task 3 fits
-        assert pick(PolicyKind.P_FP_EDF, 7, applicable, releases) == idle4.job((3, 1))
+        assert pick(PolicyKind.P_FP_EDF, 7, applicable, released) == idle4.job((3, 1))
 
     def test_empty_applicable_set_yields_none(self):
         for kind in ALL_POLICIES:
-            assert pick(kind, 0, [], {}) is None
+            assert pick(kind, 0, [], []) is None
 
     def test_idling_policy_defers_to_unreleased_critical_job(self, idle4):
         applicable = [idle4.job((1, 1)), idle4.job((4, 1))]
-        releases = {(1, 1): 10, (4, 1): 3}
+        released = released_by(applicable, {(1, 1): 10, (4, 1): 3}, 9)
         # t=9: task 4 released but 9+4 > 10 endangers the critical job
-        assert pick(PolicyKind.P_FP_EDF, 9, applicable, releases) is None
+        assert pick(PolicyKind.P_FP_EDF, 9, applicable, released) is None
 
     @given(seed=st.integers(0, 10_000), kind=st.sampled_from(ALL_POLICIES),
            t=st.integers(0, 50))
@@ -82,7 +87,7 @@ class TestPick:
         instance = sample_instance(rng)
         applicable = [jobs[0] for jobs in instance.jobs_by_task.values() if jobs]
         releases = {j.key: rng.randint(j.r_min, j.r_max) for j in applicable}
-        choice = pick(kind, t, applicable, releases)
+        choice = pick(kind, t, applicable, released_by(applicable, releases, t))
         if choice is not None:
             assert choice in applicable
             assert releases[choice.key] <= t
@@ -135,8 +140,9 @@ class TestPolicyCoincidence:
         if not applicable:
             return
         releases = {j.key: rng.randint(j.r_min, j.r_max) for j in applicable}
-        assert (pick(PolicyKind.EDF, t, applicable, releases)
-                == pick(PolicyKind.FP_EDF, t, applicable, releases))
+        released = released_by(applicable, releases, t)
+        assert (pick(PolicyKind.EDF, t, applicable, released)
+                == pick(PolicyKind.FP_EDF, t, applicable, released))
 
     @given(seed=st.integers(0, 10_000), t=st.integers(0, 60))
     def test_fp_edf_equals_pure_fp_under_distinct_priorities(self, seed, t):
@@ -149,8 +155,8 @@ class TestPolicyCoincidence:
                 applicable.append(jobs[0])
                 used.add(jobs[0].priority)
         releases = {j.key: rng.randint(j.r_min, j.r_max) for j in applicable}
-        got = pick(PolicyKind.FP_EDF, t, applicable, releases)
-        released = [j for j in applicable if releases[j.key] <= t]
+        released = released_by(applicable, releases, t)
+        got = pick(PolicyKind.FP_EDF, t, applicable, released)
         expected = min(released, key=lambda j: j.priority) if released else None
         assert got == expected
 
@@ -161,5 +167,6 @@ class TestPolicyCoincidence:
         applicable = [j for j in (jobs[0] for jobs in instance.jobs_by_task.values() if jobs)
                       if j.priority > 0]
         releases = {j.key: rng.randint(j.r_min, j.r_max) for j in applicable}
-        assert (pick(PolicyKind.P_FP_EDF, t, applicable, releases)
-                == pick(PolicyKind.FP_EDF, t, applicable, releases))
+        released = released_by(applicable, releases, t)
+        assert (pick(PolicyKind.P_FP_EDF, t, applicable, released)
+                == pick(PolicyKind.FP_EDF, t, applicable, released))
