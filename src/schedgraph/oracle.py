@@ -9,14 +9,17 @@ over the scheduler's decisions plays each prefix that scenarios share
 once, branching on a job's release only when the scheduler is about to
 look at it and on its execution time only when it is dispatched. Each
 leaf of the search stands for a box of scenarios (a product of per-job
-release and execution intervals) that all take its decisions.
+release and execution intervals) that all take its decisions. Different
+dispatch orders often reach the same scheduler state, so the search is
+memoized: each distinct state is searched once per call, and the memo, one
+entry per distinct state, is dropped when the call returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ExecutionScenario, Job, ProblemInstance, validate_scenario
+from .model import ExecutionScenario, InstanceError, Job, ProblemInstance, validate_scenario
 from .policy import PolicyKind, pick
 
 DEFAULT_SCENARIO_CAP = 10**7
@@ -55,6 +58,8 @@ class SimulationTrace:
 def simulate(instance: ProblemInstance, kind: PolicyKind, scenario: ExecutionScenario,
              stop_on_miss: bool = False) -> SimulationTrace:
     """Play one scenario, validated once and read by job position (misses are not fatal)."""
+    if not instance.jobs:
+        raise InstanceError("instance has no jobs")
     validate_scenario(instance, scenario)
     keys = [job.key for job in instance.jobs]
     return _simulate(instance, kind, [scenario.release[key] for key in keys],
@@ -127,10 +132,35 @@ class OracleReport:
         return data
 
 
+class _Node:
+    """A search state being searched: its scenario count and smallest failing
+    completion so far, both taken at weight 1, and the link to its parent."""
+
+    __slots__ = ("parent", "weight", "edge", "key", "pending", "count", "failure")
+
+    def __init__(self, parent, weight, edge, key):
+        self.parent = parent
+        self.weight = weight  # scenarios per scenario of the parent
+        self.edge = edge  # (pos, r, c) of the dispatch from the parent, or None
+        self.key = key
+        self.pending = 0  # children pushed and not yet folded in
+        self.count = 0
+        self.failure: list[int] | None = None
+
+
+def _stamped(failure: list[int], edge) -> list[int]:
+    """The completion with the dispatched job of `edge` at its release and execution."""
+    pos, r, c = edge
+    failure = failure.copy()
+    failure[2 * pos] = r
+    failure[2 * pos + 1] = c
+    return failure
+
+
 def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
                         max_scenarios: int = DEFAULT_SCENARIO_CAP,
                         exhaustive: bool = False) -> OracleReport:
-    """Simulate every integer scenario by a depth-first search over decisions.
+    """Simulate every integer scenario by a memoized depth-first search over decisions.
 
     The search asks `pick` once per decision prefix that scenarios share
     instead of once per scenario. A search state is a time t, each task's
@@ -155,8 +185,24 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
     to `scenario_count`; a search that does not is a bug and raises
     RuntimeError.
 
-    Raises ScenarioCapExceeded instead of sampling when the grid is larger
-    than `max_scenarios`. With `exhaustive`, every leaf is visited and the
+    Different dispatch orders often reach the same state, and what lies
+    below a state depends on the state alone, so each distinct state
+    `(t, ptr, lo, released)`, after a dispatch or a "not yet released"
+    branch alike, is searched once per call. A finished state leaves a memo
+    entry of two values: the scenarios below it at weight 1, and the
+    smallest failing completion below it (a scenario in which the jobs
+    dispatched before the state keep their lowest values), or None. A state
+    reached again adds its weight times that count to its parent, and its
+    completion stamped with the parent's dispatch `(pos, r, c)`; each
+    finished state folds into its parent in the same way, without
+    recursion. The memo lives for one call and holds one entry per distinct
+    state; it joins only equal concrete states. The finish extremes are
+    not memoized: a repeated state's dispatches were all folded in when it
+    was first searched.
+
+    Raises InstanceError when the instance has no jobs, and
+    ScenarioCapExceeded instead of sampling when the grid is larger than
+    `max_scenarios`. With `exhaustive`, every state is searched and the
     report equals one that simulates each scenario apart: `first_failure`
     is the lexicographically smallest failing scenario in (task, job, r, c)
     order, the smallest over the failing leaves of each leaf's per-job
@@ -165,11 +211,15 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
     leaves, which need not be the lexicographically first failure, and
     `scenarios_checked` counts the scenarios of the leaves visited so far,
     those failing leaves included; the finish extremes then cover the
-    visited leaves only. The search order is fixed (released before not yet
-    released, longer execution times first), so all of these are stable
-    across runs. A schedulable instance is always searched to the end, with
+    visited leaves only. A state reached again in this mode was searched
+    to the end without a miss, so the memo changes none of these. The
+    search order is fixed (released before not yet released, longer
+    execution times first), so all of these are stable across runs. A
+    schedulable instance is always searched to the end, with
     `scenarios_checked == scenarios_total`.
     """
+    if not instance.jobs:
+        raise InstanceError("instance has no jobs")
     total = scenario_count(instance)
     if total > max_scenarios:
         raise ScenarioCapExceeded(total, max_scenarios)
@@ -186,21 +236,45 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
     lowest = [v for job in instance.jobs for v in (job.r_min, job.c_min)]
     finish_min: list[int | None] = [None] * len(instance.jobs)
     finish_max: list[int | None] = [None] * len(instance.jobs)
-    failure: list[int] | None = None  # flat (r, c) per job of the first failure
-    checked = 0
-    # (t, ptr, lo, released, weight, path), where path links the (pos, lo, c)
-    # of every dispatch back to the root
+    # finished state -> (count, failure): failure is a flat (r, c) per job
+    memo: dict[tuple, tuple[int, list[int] | None]] = {}
+
+    def settle(node: _Node, weight: int, edge, count: int, failure) -> None:
+        """Fold a finished state into `node`, and each ancestor that finishes with it."""
+        while True:
+            node.count += weight * count
+            if failure is not None:
+                if edge is not None:
+                    failure = _stamped(failure, edge)
+                if node.failure is None or failure < node.failure:
+                    node.failure = failure
+            node.pending -= 1
+            if node.pending or node.parent is None:
+                return
+            memo[node.key] = (node.count, node.failure)
+            weight, edge, count, failure = node.weight, node.edge, node.count, node.failure
+            node = node.parent
+
+    top = _Node(None, 1, None, None)  # collects the root's count and failure
+    top.pending = 1
+    # (t, ptr, lo, released, parent, weight, edge)
     stack = [(0, (0,) * len(runs), tuple(run[0].r_min if run else 0 for run in runs),
-              (False,) * len(runs), 1, None)]
+              (False,) * len(runs), top, 1, None)]
     while stack:
-        t, ptr, lo, released, weight, path = stack.pop()
-        live = [i for i, size in enumerate(sizes) if ptr[i] < size]
-        if not live:
-            checked += weight
+        t, ptr, lo, released, parent, weight, edge = stack.pop()
+        key = (t, ptr, lo, released)
+        if key in memo:
+            settle(parent, weight, edge, *memo[key])
             continue
+        live = [i for i, size in enumerate(sizes) if ptr[i] < size]
+        if not live:  # every job dispatched: one scenario
+            settle(parent, weight, edge, 1, None)
+            continue
+        node = _Node(parent, weight, edge, key)
         applicable = [runs[i][ptr[i]] for i in live]
         lo = list(lo)
         released = list(released)
+        weight = 1  # from here on, relative to the node
         while True:
             for i in live:
                 if released[i] or lo[i] > t:
@@ -209,8 +283,9 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
                 if r_max <= t:
                     weight *= r_max - lo[i] + 1
                 else:  # resumed by a scan that skips slot i and every slot before it
-                    stack.append((t, ptr, (*lo[:i], t + 1, *lo[i + 1:]),
-                                  tuple(released), weight, path))
+                    stack.append((t, ptr, (*lo[:i], t + 1, *lo[i + 1:]), tuple(released),
+                                  node, weight, None))
+                    node.pending += 1
                     weight *= t - lo[i] + 1
                 released[i] = True
             # lo stands in for a release: it is <= t exactly when the release is resolved
@@ -238,30 +313,46 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
                         box *= open_tail[j][ptr[j] + 1] * (other.c_max - other.c_min + 1)
                         if not released[j]:
                             box *= other.r_max - lo[j] + 1
-                checked += box * missing
-                # the leaves' smallest scenario: each open dimension at its lowest value
-                scenario = lowest.copy()
+                node.count += box * missing
+                # the leaves' smallest completion: each open dimension at its lowest value
+                failure = lowest.copy()
                 for j, other in zip(live, applicable):
-                    scenario[2 * other.pos] = lo[j]
-                scenario[2 * pos + 1] = max(fits + 1, job.c_min)
-                node = path
-                while node is not None:
-                    done, r, c, node = node
-                    scenario[2 * done] = r
-                    scenario[2 * done + 1] = c
-                if failure is None or scenario < failure:
-                    failure = scenario
+                    failure[2 * other.pos] = lo[j]
+                failure[2 * pos + 1] = max(fits + 1, job.c_min)
+                if node.failure is None or failure < node.failure:
+                    node.failure = failure
                 if not exhaustive:
-                    stack.clear()
                     break
             if fits >= job.c_min:
                 ptr_next = (*ptr[:i], p + 1, *ptr[i + 1:])
                 lo_next = (*lo[:i], runs[i][p + 1].r_min if p + 1 < sizes[i] else 0, *lo[i + 1:])
                 released_next = (*released[:i], False, *released[i + 1:])
                 for c in range(job.c_min, fits + 1):
-                    stack.append((t + c, ptr_next, lo_next, released_next, weight,
-                                  (pos, lo[i], c, path)))
+                    stack.append((t + c, ptr_next, lo_next, released_next, node, weight,
+                                  (pos, lo[i], c)))
+                node.pending += fits + 1 - job.c_min
             break
+        if node.failure is not None and not exhaustive:
+            break  # the first miss ends the search
+        if not node.pending:
+            memo[key] = (node.count, node.failure)
+            settle(parent, node.weight, node.edge, node.count, node.failure)
+    if top.pending:
+        # stopped at the first miss, in `node`: sum the scenarios visited in each
+        # state up the chain, and stamp the chain's dispatches into the failure
+        failure = node.failure
+        chain = []
+        while node is not top:
+            chain.append(node)
+            node = node.parent
+        checked, scale = 0, 1
+        for node in reversed(chain):
+            scale *= node.weight
+            checked += scale * node.count
+            if node.edge is not None:
+                failure = _stamped(failure, node.edge)
+    else:
+        checked, failure = top.count, top.failure
     if (exhaustive or failure is None) and checked != total:
         raise RuntimeError(f"search covered {checked} of {total} scenarios")
     jobs = instance.jobs

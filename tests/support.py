@@ -13,6 +13,7 @@ the engine's prefix-sharing search.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,8 @@ PRECAUTIOUS_IDLE = INSTANCE_DIR / "precautious_idle.txt"
 
 ALL_POLICIES = list(PolicyKind)
 PERIOD_CHOICES = (4, 5, 8, 10, 20, 40)  # all divide 40, so H <= 40
+# `sample_crowded_instance` keywords for 7-8 tasks with release jitter up to 4
+MANY_TASKS = {"n_tasks": (7, 8), "r_spans": (0, 1, 2, 3, 4)}
 
 
 def sample_instance(rng: random.Random, max_scenarios: int = 20000, max_jobs: int = 30):
@@ -69,22 +72,27 @@ def sample_instance(rng: random.Random, max_scenarios: int = 20000, max_jobs: in
         return instance
 
 
-def sample_crowded_instance(rng: random.Random):
-    """Random instance of 4-6 tasks with priorities 0-3 and hyperperiod <= 40.
+def sample_crowded_instance(rng: random.Random, n_tasks: tuple[int, int] = (4, 6),
+                            r_spans: tuple[int, ...] = (0, 0, 1, 2),
+                            max_scenarios: int = 10**4):
+    """Random instance of `n_tasks` (low, high) tasks with priorities 0-3 and hyperperiod <= 40.
 
-    It has at most 40 jobs and 10**4 scenarios. Execution times stay under 1/n of a task's period and under half the
-    shortest period, so that crowded task sets still meet their deadlines
-    often enough to compare finish bounds; non-preemptive blocking and the
-    occasional tight deadline still cause misses.
+    It has at most 40 jobs and `max_scenarios` scenarios, and each task's
+    release jitter is drawn from `r_spans`. Execution times stay under 1/n of
+    a task's period and under half the shortest period, so that crowded task
+    sets still meet their deadlines often enough to compare finish bounds;
+    non-preemptive blocking and the occasional tight deadline still cause
+    misses.
     """
+    low, high = n_tasks
     while True:
-        periods = [rng.choice(PERIOD_CHOICES) for _ in range(rng.randint(4, 6))]
+        periods = [rng.choice(PERIOD_CHOICES) for _ in range(rng.randint(low, high))]
         n = len(periods)
         tasks = []
         for i, period in enumerate(periods):
             c_max = rng.randint(1, max(1, min(period // n, min(periods) // 2)))
             c_min = max(1, c_max - rng.choice((0, 0, 1)))
-            r_span = rng.choice((0, 0, 1, 2))
+            r_span = rng.choice(r_spans)
             r_min = rng.randint(0, max(0, period - r_span - 1))
             r_max = r_min + r_span
             if rng.random() < 0.9:
@@ -93,8 +101,11 @@ def sample_crowded_instance(rng: random.Random):
                 deadline = rng.randint(c_max, max(c_max, r_max + c_max))
             tasks.append(Task(i + 1, period, r_min, r_max, c_min, c_max, deadline,
                               rng.randint(0, 3)))
+        hyperperiod = math.lcm(*periods)
+        if sum(hyperperiod // period for period in periods) > 40:
+            continue  # over 40 jobs: refused before building the instance
         instance = make_instance(tasks)
-        if len(instance.jobs) <= 40 and scenario_count(instance) <= 10**4:
+        if scenario_count(instance) <= max_scenarios:
             return instance
 
 

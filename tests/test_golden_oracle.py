@@ -1,4 +1,4 @@
-"""Golden oracle outputs: every bundled instance under every policy.
+"""Golden oracle outputs: every bundled instance and crowded draw under every policy.
 
 Each `enumerate_scenarios` report, with `exhaustive` off and on, is reduced
 to a sha256 digest of its JSON dict, and each `simulate` trace of the
@@ -6,21 +6,30 @@ worst-case and best-case scenarios to a digest of its dispatches, idle gaps
 and misses. A report without `exhaustive` stops at the first dispatch that
 misses, so its `first_failure`, its `scenarios_checked` and its partial
 finish extremes follow the search order; the README promises they are
-stable, and these digests pin them. When a change is meant to alter the
-oracle's outputs, regenerate the table with
-`PYTHONPATH=src python tests/test_golden_oracle.py` and say why in the change.
+stable, and these digests pin them.
+
+The bundled instances have at most a few hundred scenarios. The crowded
+draws below have 10**4 to 10**6 each, beyond what the product enumerator in
+`tests/support.py` can check in a test run, and their report digests were
+taken from the search before it memoized repeated states, so they pin the
+memo to the plain search's reports in both modes.
+
+When a change is meant to alter the oracle's outputs, regenerate the tables
+with `PYTHONPATH=src python tests/test_golden_oracle.py` and say why in the
+change.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from schedgraph import (ExecutionScenario, PolicyKind, enumerate_scenarios, parse_instance,
-                        simulate)
-from support import INSTANCE_DIR
+                        scenario_count, simulate)
+from support import INSTANCE_DIR, MANY_TASKS, sample_crowded_instance
 
 INSTANCES = ("anomaly.txt", "edf_jitter.txt", "precautious_idle.txt")
 OUTPUTS = ("first", "all", "worst", "best")
@@ -34,21 +43,55 @@ def run_id(name: str, kind: PolicyKind, output: str) -> str:
 def oracle_digest(name: str, kind: PolicyKind, output: str) -> str:
     instance = parse_instance((INSTANCE_DIR / name).read_text(encoding="utf-8"))
     if output in ("first", "all"):
-        report = enumerate_scenarios(instance, kind, exhaustive=output == "all")
-        record = json.dumps(report.to_json_dict(), sort_keys=True)
+        return report_digest(instance, kind, exhaustive=output == "all")
+    if output == "worst":
+        scenario = ExecutionScenario.worst_case(instance)
     else:
-        if output == "worst":
-            scenario = ExecutionScenario.worst_case(instance)
-        else:
-            scenario = ExecutionScenario({j.key: j.r_min for j in instance.jobs},
-                                         {j.key: j.c_min for j in instance.jobs})
-        trace = simulate(instance, kind, scenario)
-        record = repr((
-            [(job.key, start, finish) for job, start, finish in trace.dispatches],
-            trace.idle,
-            [(job.key, finish, deadline) for job, finish, deadline in trace.misses],
-        ))
+        scenario = ExecutionScenario({j.key: j.r_min for j in instance.jobs},
+                                     {j.key: j.c_min for j in instance.jobs})
+    trace = simulate(instance, kind, scenario)
+    record = repr((
+        [(job.key, start, finish) for job, start, finish in trace.dispatches],
+        trace.idle,
+        [(job.key, finish, deadline) for job, finish, deadline in trace.misses],
+    ))
     return hashlib.sha256(record.encode()).hexdigest()
+
+
+def report_digest(instance, kind: PolicyKind, exhaustive: bool) -> str:
+    report = enumerate_scenarios(instance, kind, exhaustive=exhaustive)
+    record = json.dumps(report.to_json_dict(), sort_keys=True)
+    return hashlib.sha256(record.encode()).hexdigest()
+
+
+# name -> sampler keywords; "c" draws 4-6 tasks, "w" 7-8 tasks with wider jitter
+PROFILES = {"c": {}, "w": MANY_TASKS}
+DRAWS_PER_PROFILE = 10
+CROWDED_SEED_BASE = 700_000
+
+
+def crowded_draws() -> dict[str, object]:
+    """The first draws of each profile, in seed order, with 10**4 to 10**6 scenarios."""
+    draws = {}
+    for name, profile in PROFILES.items():
+        seed, found = CROWDED_SEED_BASE, 0
+        while found < DRAWS_PER_PROFILE:
+            instance = sample_crowded_instance(random.Random(seed), max_scenarios=10**6,
+                                               **profile)
+            if scenario_count(instance) >= 10**4:
+                draws[f"{name}{seed - CROWDED_SEED_BASE:02d}"] = instance
+                found += 1
+            seed += 1
+    return draws
+
+
+CROWDED = crowded_draws()
+CROWDED_RUNS = [(draw, kind, mode) for draw in CROWDED for kind in PolicyKind
+                for mode in ("first", "all")]
+
+
+def crowded_id(draw: str, kind: PolicyKind, mode: str) -> str:
+    return f"{draw}-{kind.value}-{mode}"
 
 
 GOLDEN = {
@@ -174,12 +217,226 @@ GOLDEN = {
         "828fc81b1d7e92b6492406830c142cf9f726a121f76c4fefa0695c4671e73edb",
 }
 
+GOLDEN_CROWDED = {
+    "c05-edf-first": "2a035ef7c0c91e931b1fa3c8a3633ff85bb8ee37d1fc6cc78574eedbf5cb97c0",
+    "c05-edf-all": "a9361612f41596d31a9aed9732ebf62cb2e0433a7639dc72675eb7791cd9c1ac",
+    "c05-fp-edf-first": "d07c7e0cdd529395c90c5ac8de2729056068cf3ffad0fa391539f54e45a8b170",
+    "c05-fp-edf-all": "4b022f05e481af269d163d02d401d50972dd111e7902ad961984176ab98de46e",
+    "c05-p-fp-edf-first": "d07c7e0cdd529395c90c5ac8de2729056068cf3ffad0fa391539f54e45a8b170",
+    "c05-p-fp-edf-all": "4b022f05e481af269d163d02d401d50972dd111e7902ad961984176ab98de46e",
+    "c05-cp-first": "9fbc448edbb92aff612a1c490fb5a33122920c729bc030cc39ad942635a5f11d",
+    "c05-cp-all": "5c7e28c920a3c49355d8c6dee6cd66da55fbf4e01915d6f4a0ae83b0def0c610",
+    "c05-cw-first": "9fbc448edbb92aff612a1c490fb5a33122920c729bc030cc39ad942635a5f11d",
+    "c05-cw-all": "5c7e28c920a3c49355d8c6dee6cd66da55fbf4e01915d6f4a0ae83b0def0c610",
+    "c15-edf-first": "4970a9c57cb942c98f84d0ce89bc4bc62fc49a0a2f26092daddf07db094aed4c",
+    "c15-edf-all": "7f155bc8685de3230ae164ec6b86ce70a64664d098cb55d415ff6d85e8c53c34",
+    "c15-fp-edf-first": "74f87669d28fcc60ff5241b35defc7b0dc35821c65f1ba799a82f4de35c8883d",
+    "c15-fp-edf-all": "a82f7870a7c60609e657cf3740810e2d0efbf9b286b96db3f5f470075fb8c7f1",
+    "c15-p-fp-edf-first": "74f87669d28fcc60ff5241b35defc7b0dc35821c65f1ba799a82f4de35c8883d",
+    "c15-p-fp-edf-all": "a82f7870a7c60609e657cf3740810e2d0efbf9b286b96db3f5f470075fb8c7f1",
+    "c15-cp-first": "dc05e6991439a14dbe3ee46db41c0ceb96d107e7ca0ea9456cbdc9df877ac230",
+    "c15-cp-all": "6142fe54bee12bc0cb7cdf7bbbb893d5e7eb4ebfce5aeb50ce17e327a2166095",
+    "c15-cw-first": "906761b35ea9276b72f6a61bf2c02e6adcaa8feb8ff73af4555fba93814e4b0c",
+    "c15-cw-all": "828dd63dd374bb0146f50b915da2ae82c40be470d673b2cf6ef2aa90f487eb96",
+    "c16-edf-first": "b02c5d40c590252f288f5d959b60ba96fd454a32001b24ee61320f09e85e106f",
+    "c16-edf-all": "d7f70da4a4fc9dfc8e46d9c445a693c0972bca5a3452e8eff2e2aa541084d0ac",
+    "c16-fp-edf-first": "b02c5d40c590252f288f5d959b60ba96fd454a32001b24ee61320f09e85e106f",
+    "c16-fp-edf-all": "cb79659f2059f3d77ccb2d49d94086c6d33b8f8246f894e12e96ed816a402fa9",
+    "c16-p-fp-edf-first": "b02c5d40c590252f288f5d959b60ba96fd454a32001b24ee61320f09e85e106f",
+    "c16-p-fp-edf-all": "cb79659f2059f3d77ccb2d49d94086c6d33b8f8246f894e12e96ed816a402fa9",
+    "c16-cp-first": "b02c5d40c590252f288f5d959b60ba96fd454a32001b24ee61320f09e85e106f",
+    "c16-cp-all": "d7f70da4a4fc9dfc8e46d9c445a693c0972bca5a3452e8eff2e2aa541084d0ac",
+    "c16-cw-first": "a7ac31f2142126bd4f4c2c21c94025e5210ce0c687f7b5d13454cbe8ebffa9fb",
+    "c16-cw-all": "51a37e380a17014fb82e38496025b16643dc96ca724942ebe3231dd828a3b0d0",
+    "c19-edf-first": "006ced468a6f4ef49a8400c739d6803482840536140cdaf4dcaea749d1db4a4e",
+    "c19-edf-all": "32dcdfb9a513f53f5b19a9a0fc254f275a4b846ccd1b2df89b3defd027279387",
+    "c19-fp-edf-first": "006ced468a6f4ef49a8400c739d6803482840536140cdaf4dcaea749d1db4a4e",
+    "c19-fp-edf-all": "3f61b70f16fcec253af405cd4ad227c946900e2000498d1eef0f2a147812a1a2",
+    "c19-p-fp-edf-first": "006ced468a6f4ef49a8400c739d6803482840536140cdaf4dcaea749d1db4a4e",
+    "c19-p-fp-edf-all": "3f61b70f16fcec253af405cd4ad227c946900e2000498d1eef0f2a147812a1a2",
+    "c19-cp-first": "cf1e25523663f7aaa691083b1c85a88b02b36a0e237843f1386b98b5462eb037",
+    "c19-cp-all": "596b5b3f3e9a5565335fb119acc35136472f89bf9541fcf1d6214fedb91d89b6",
+    "c19-cw-first": "5c2221c42988a02f805f7969e775f27652dc8793ab27c1207036b49c5033a671",
+    "c19-cw-all": "0de45f4a6b507aa7f3d178842f506f634c9ca02d141b3411685f41c2dcd0d381",
+    "c22-edf-first": "be51bdc51c7ae9d548cf26c74c0a3eb2152498d0208dc893695e8539a3c2f546",
+    "c22-edf-all": "3a81968745d27430a6b628eedc3e24db90011ed00e0bafb55c670e10b6151a9b",
+    "c22-fp-edf-first": "c876bb3ad2cb8f3da7fbebb28575fc8ee1136b83f002c1f640770844f7b28dae",
+    "c22-fp-edf-all": "8a8d7d9b36c1835ef4c6a726d3c9d453b7362d914070be5fec74dd234f1130d9",
+    "c22-p-fp-edf-first": "c876bb3ad2cb8f3da7fbebb28575fc8ee1136b83f002c1f640770844f7b28dae",
+    "c22-p-fp-edf-all": "8a8d7d9b36c1835ef4c6a726d3c9d453b7362d914070be5fec74dd234f1130d9",
+    "c22-cp-first": "1e425c8b490461912dc662e19d5bc45736c86bed6117894df6621337a4d73f57",
+    "c22-cp-all": "e5cf4b49c2b9ccece4cfbe23cb97326053ff45c8af56ff5c1b3156fb9aeb84ae",
+    "c22-cw-first": "12c9b5533c1cee93b580adc480c2ab26ed5b4e3c0f16ae7862be59849746d0a9",
+    "c22-cw-all": "3b8892936ca70aa5f53a740654f959409536c53730cea43a12e6e678945ffb9b",
+    "c24-edf-first": "8daac9eaf704cc2170931b1ad45ad8a93a7ed977b3f782809dc80239c2e03591",
+    "c24-edf-all": "dbb40054cb4c413b31e02d5f190295b4b5ccfe80fb1f061e683594875cbbaa49",
+    "c24-fp-edf-first": "8daac9eaf704cc2170931b1ad45ad8a93a7ed977b3f782809dc80239c2e03591",
+    "c24-fp-edf-all": "dbb40054cb4c413b31e02d5f190295b4b5ccfe80fb1f061e683594875cbbaa49",
+    "c24-p-fp-edf-first": "8daac9eaf704cc2170931b1ad45ad8a93a7ed977b3f782809dc80239c2e03591",
+    "c24-p-fp-edf-all": "dbb40054cb4c413b31e02d5f190295b4b5ccfe80fb1f061e683594875cbbaa49",
+    "c24-cp-first": "f29ed6bc35ab8faae5e8b3efb83c6173225ec8243dd5f2112398bdc088f4a539",
+    "c24-cp-all": "f29ed6bc35ab8faae5e8b3efb83c6173225ec8243dd5f2112398bdc088f4a539",
+    "c24-cw-first": "f29ed6bc35ab8faae5e8b3efb83c6173225ec8243dd5f2112398bdc088f4a539",
+    "c24-cw-all": "f29ed6bc35ab8faae5e8b3efb83c6173225ec8243dd5f2112398bdc088f4a539",
+    "c26-edf-first": "63b415ee4ad59e7cd34ad1f0d3fbf2bb3cb9c5c3fe6dae5c4f2865421699ff98",
+    "c26-edf-all": "5deedfcdf5336cb17ea10e33e6e11fac14a044a64d18e5621d7fe5b1291bf8c3",
+    "c26-fp-edf-first": "66c1b923ebd69bacfe94824a4e5de181e534529f49bf0d81dc9d2aa06f8fd0b0",
+    "c26-fp-edf-all": "9807170d9de1f1e29d65b9f17b917662ab4b456d3618b4a221619ed93cd29ac1",
+    "c26-p-fp-edf-first": "66c1b923ebd69bacfe94824a4e5de181e534529f49bf0d81dc9d2aa06f8fd0b0",
+    "c26-p-fp-edf-all": "9807170d9de1f1e29d65b9f17b917662ab4b456d3618b4a221619ed93cd29ac1",
+    "c26-cp-first": "63b415ee4ad59e7cd34ad1f0d3fbf2bb3cb9c5c3fe6dae5c4f2865421699ff98",
+    "c26-cp-all": "5deedfcdf5336cb17ea10e33e6e11fac14a044a64d18e5621d7fe5b1291bf8c3",
+    "c26-cw-first": "63b415ee4ad59e7cd34ad1f0d3fbf2bb3cb9c5c3fe6dae5c4f2865421699ff98",
+    "c26-cw-all": "5deedfcdf5336cb17ea10e33e6e11fac14a044a64d18e5621d7fe5b1291bf8c3",
+    "c27-edf-first": "d67907bb343996b2f333bfd70e858db623530333f59d7608ae8ad4d6b898f64e",
+    "c27-edf-all": "4ab4cbcc69cbd2135afdb2134ad25aab1657015e2c9a49dbe81a0719591b7a37",
+    "c27-fp-edf-first": "d67907bb343996b2f333bfd70e858db623530333f59d7608ae8ad4d6b898f64e",
+    "c27-fp-edf-all": "63fd6dfbdd52958ffe337ded1a72c88870e7d305666ca450e4f1f4d75037e70c",
+    "c27-p-fp-edf-first": "86e1f2f016a332da4a28e668b831034bcf3652cd2bb947228cf4d49142795583",
+    "c27-p-fp-edf-all": "060a7b9a49f001c2585263bc88830f531baac225ec368e1cbb544943cb812eec",
+    "c27-cp-first": "86e1f2f016a332da4a28e668b831034bcf3652cd2bb947228cf4d49142795583",
+    "c27-cp-all": "16ec5f1f83b11c5005be53eeaac44ae85460e9230ba03bbcf207023da088d8c7",
+    "c27-cw-first": "86e1f2f016a332da4a28e668b831034bcf3652cd2bb947228cf4d49142795583",
+    "c27-cw-all": "16ec5f1f83b11c5005be53eeaac44ae85460e9230ba03bbcf207023da088d8c7",
+    "c32-edf-first": "763d7c11cf42b5ca9bba3da35b871e0cb057d7ca37e7286ef97b652625216725",
+    "c32-edf-all": "ac8fa9ae0e290fbd461522f807781374cba374ad8fbb0fd5ff8bdd3ca574bac4",
+    "c32-fp-edf-first": "70257005778ebfab01987b90cdcd8126bbed6e4a75c70aa1918e3e5ac52f3100",
+    "c32-fp-edf-all": "94042641e5164f1dbda469f10d95525b3e51e771106d270c00df304cebcb1423",
+    "c32-p-fp-edf-first": "70257005778ebfab01987b90cdcd8126bbed6e4a75c70aa1918e3e5ac52f3100",
+    "c32-p-fp-edf-all": "94042641e5164f1dbda469f10d95525b3e51e771106d270c00df304cebcb1423",
+    "c32-cp-first": "70257005778ebfab01987b90cdcd8126bbed6e4a75c70aa1918e3e5ac52f3100",
+    "c32-cp-all": "02168dd0a3435075b8f6b7c736afe09556ab8bd236bcf49718bc095acc97b35c",
+    "c32-cw-first": "70257005778ebfab01987b90cdcd8126bbed6e4a75c70aa1918e3e5ac52f3100",
+    "c32-cw-all": "61d525a4d6e9467e6c8c592f7b99ff68195537e4ca5c6e081851d0a00182030c",
+    "c33-edf-first": "feada720af0fbb25b3e47cc21342b119f0314a91dd49aafd915e015447b16b24",
+    "c33-edf-all": "015be3fb27b55322665bc44cefaaba565aecda02409a4dbaa169d29fb0a3ba95",
+    "c33-fp-edf-first": "be761f73e181149259747a5c9de0ced1a62381919b6726e02c49c12126c774d1",
+    "c33-fp-edf-all": "c656bcb95d5f473e157ec5422b63134c65f2add626b372859c1979411c6b9314",
+    "c33-p-fp-edf-first": "be761f73e181149259747a5c9de0ced1a62381919b6726e02c49c12126c774d1",
+    "c33-p-fp-edf-all": "c656bcb95d5f473e157ec5422b63134c65f2add626b372859c1979411c6b9314",
+    "c33-cp-first": "feada720af0fbb25b3e47cc21342b119f0314a91dd49aafd915e015447b16b24",
+    "c33-cp-all": "e50611003e6e6afa68a5e5c4d6276ea4be3d3f160da28e54ae20a941e9b1449b",
+    "c33-cw-first": "24328132f32c578883431bb39f0249f9945106f803cc837b1a4cba7e611f08b2",
+    "c33-cw-all": "22eef959afe2d51cc9c30b24f9fea4794621acafd0b23d5353289365affbda64",
+    "w02-edf-first": "08ba36ff8d15d87e3188b220008de83b7fec79a62189f8181afd421531e154be",
+    "w02-edf-all": "dc056dcede9c35b577f25f1417550c6967f17b32ae8505d3be6122f0be59fb8c",
+    "w02-fp-edf-first": "08ba36ff8d15d87e3188b220008de83b7fec79a62189f8181afd421531e154be",
+    "w02-fp-edf-all": "dc056dcede9c35b577f25f1417550c6967f17b32ae8505d3be6122f0be59fb8c",
+    "w02-p-fp-edf-first": "08ba36ff8d15d87e3188b220008de83b7fec79a62189f8181afd421531e154be",
+    "w02-p-fp-edf-all": "dc056dcede9c35b577f25f1417550c6967f17b32ae8505d3be6122f0be59fb8c",
+    "w02-cp-first": "0c3683546579b71272ab87f99eecbd478512cd80dc7a97ef32f25f5f1eba1ab3",
+    "w02-cp-all": "e9a6542779d36bafd48a6c5401fb51b6d517e55832bf9db8726005875ca97f34",
+    "w02-cw-first": "0c3683546579b71272ab87f99eecbd478512cd80dc7a97ef32f25f5f1eba1ab3",
+    "w02-cw-all": "e9a6542779d36bafd48a6c5401fb51b6d517e55832bf9db8726005875ca97f34",
+    "w04-edf-first": "cc0d0be1601e9b10ee92e7d1068838078dcb5c0fbf50ed87b20edb0505e8d67b",
+    "w04-edf-all": "62a84cd7926423d076837c34633d58fcb220d88476807dc3cb829c40b73d6908",
+    "w04-fp-edf-first": "b5673942d415c4bdf054e493d670ac0ac52f9e6e44afb9eef9b30783f14044ae",
+    "w04-fp-edf-all": "2685d1ce8c0c64916b7830aa3f03ac640717b5a5ac9c6824e997229284e385e0",
+    "w04-p-fp-edf-first": "b5673942d415c4bdf054e493d670ac0ac52f9e6e44afb9eef9b30783f14044ae",
+    "w04-p-fp-edf-all": "1643673e78547507a94a61f0b6c5a039ee981635ff2522774e8df74172300e79",
+    "w04-cp-first": "bd68e6750101a7af3440722ce77ea7ba11ae7b6ca14c0b410a7b5270eacc6ac7",
+    "w04-cp-all": "a3fe3a31d3e8e594d7ce8fc484ccdd7882b6e744dc881f2d47fc263d8f5638f8",
+    "w04-cw-first": "bd68e6750101a7af3440722ce77ea7ba11ae7b6ca14c0b410a7b5270eacc6ac7",
+    "w04-cw-all": "a3fe3a31d3e8e594d7ce8fc484ccdd7882b6e744dc881f2d47fc263d8f5638f8",
+    "w05-edf-first": "75b0274a2952cdd38b3e01f1931cde07e34a6e4246c70788bcc5f02e34adb26d",
+    "w05-edf-all": "d2bc20ab7ff03ba8c81115b2f0673bff42d310b9ac7e001b37850925e7433f04",
+    "w05-fp-edf-first": "d980a2f16c2dc1a8f4bb51f1bc8de2e1c162558e8498ee051b396280cf53e9c2",
+    "w05-fp-edf-all": "6184a78df0e9cfdf0863336054ab79ee816851c2309848d07edc019ff8048ff8",
+    "w05-p-fp-edf-first": "d980a2f16c2dc1a8f4bb51f1bc8de2e1c162558e8498ee051b396280cf53e9c2",
+    "w05-p-fp-edf-all": "6184a78df0e9cfdf0863336054ab79ee816851c2309848d07edc019ff8048ff8",
+    "w05-cp-first": "d8745d049e334c631ec680deab1ff5e53bcd42deb57d44e57e9ca2945dc5fc66",
+    "w05-cp-all": "53e6e0e6e11f5e9f40d31c9da04995bd4b225785187cf3d1d6a8b754f4349fd5",
+    "w05-cw-first": "d8745d049e334c631ec680deab1ff5e53bcd42deb57d44e57e9ca2945dc5fc66",
+    "w05-cw-all": "a7ddfd942967042f0e95ec29bebe8f2c496d10fed16644547f662babd10b6a83",
+    "w06-edf-first": "c32ad47fed4263482417d2a3831c7edf1fdca43223a421106fb6f26b0904ddb7",
+    "w06-edf-all": "e2a51db1ed6eb3417327cdca15f2b1dc15382fc1862496aa184a08fad90f068e",
+    "w06-fp-edf-first": "feb3044cd1792dab755911b49ab7cec14543934323eee6ec8d938f5ae55ee101",
+    "w06-fp-edf-all": "5e6c44fbe7243faf4e011fb4cc33f9b241f0821058f886196b7c465627fa0149",
+    "w06-p-fp-edf-first": "feb3044cd1792dab755911b49ab7cec14543934323eee6ec8d938f5ae55ee101",
+    "w06-p-fp-edf-all": "5e6c44fbe7243faf4e011fb4cc33f9b241f0821058f886196b7c465627fa0149",
+    "w06-cp-first": "6a7b67cfb6be30ec4e9ddfeb954c5be0d79a3263d3202052b300f9bd004cb5d0",
+    "w06-cp-all": "cb03b68b362b9681a9e850fdbd6f4c7a4217a787be3961da7957a75082b7b761",
+    "w06-cw-first": "6a7b67cfb6be30ec4e9ddfeb954c5be0d79a3263d3202052b300f9bd004cb5d0",
+    "w06-cw-all": "cb03b68b362b9681a9e850fdbd6f4c7a4217a787be3961da7957a75082b7b761",
+    "w08-edf-first": "64e2b29d5e9ac5de183494efac8edea798793cdcb8dd10151a68a0a8086b0bd4",
+    "w08-edf-all": "a09bbc950bfe6d22a15c2acc91654bc7d5d10c8f61ca50862329038693b22a81",
+    "w08-fp-edf-first": "ec3f39e85511e32d2a1ddbe47ef9c21405a48fbacf264cb1bfe88877a54e8a57",
+    "w08-fp-edf-all": "9d9132224a6428f5912214bfba67e12dd75e8544a852db3b4db0e226c151b446",
+    "w08-p-fp-edf-first": "ec3f39e85511e32d2a1ddbe47ef9c21405a48fbacf264cb1bfe88877a54e8a57",
+    "w08-p-fp-edf-all": "9d9132224a6428f5912214bfba67e12dd75e8544a852db3b4db0e226c151b446",
+    "w08-cp-first": "581f830582f2cfcfe94eb19494e0fbbb4a5b1178b00a50b0cc0dbd9897441e68",
+    "w08-cp-all": "4f66135cdb9c70966d0c8311f406c113e30855d73efd6cd8afeff15ff806efab",
+    "w08-cw-first": "69d71a94639527a7fb85223175ad49c08feb0ac4b6a0c40dba8b8fee99e36f06",
+    "w08-cw-all": "7c22afd6ac1daaabc5428204d22190552b8523784914d7159f1a507a51d81359",
+    "w09-edf-first": "4c27631618bb92b523f42315bd1f17c031d00599106b06fb974b141c5fd87a17",
+    "w09-edf-all": "7ef78829e49d61cec09d6162a8c30019f4af457abbced1687377f829ffa8665c",
+    "w09-fp-edf-first": "f85d569b82a38f04493c7e52d1ad788f8a868e9631f0fc511344f06e70bf3f90",
+    "w09-fp-edf-all": "d7dc3a3d613da142c4f6984b2b41210815231214da61c59e53ceb1759f8a4d9d",
+    "w09-p-fp-edf-first": "f85d569b82a38f04493c7e52d1ad788f8a868e9631f0fc511344f06e70bf3f90",
+    "w09-p-fp-edf-all": "d7dc3a3d613da142c4f6984b2b41210815231214da61c59e53ceb1759f8a4d9d",
+    "w09-cp-first": "8d0caeaab35fca08f342f977026a44ea1f20f9ceab93800498c6dbe4c831a8cf",
+    "w09-cp-all": "2cfcf1c0bc6a057a89846d3adf69f598356cd27a3681eeaba2d93e0a12ab8e19",
+    "w09-cw-first": "20a5a0ccc43a0a17a9c2c0361711ad46fc00edd75744293a82599c0417545a25",
+    "w09-cw-all": "d6b227e40d405fe8f2913b0ea56525da4e398a81b1c9248b8e43165bdf505305",
+    "w10-edf-first": "e52b67849f0f59aa918241a9f32ad4232e320e6a38e074f3eba2f98a5c2a9d1b",
+    "w10-edf-all": "aea29e697bc3457552f311a99e67da640afacb0ca18d7e8bd28f1ed1665100f3",
+    "w10-fp-edf-first": "e52b67849f0f59aa918241a9f32ad4232e320e6a38e074f3eba2f98a5c2a9d1b",
+    "w10-fp-edf-all": "aea29e697bc3457552f311a99e67da640afacb0ca18d7e8bd28f1ed1665100f3",
+    "w10-p-fp-edf-first": "e52b67849f0f59aa918241a9f32ad4232e320e6a38e074f3eba2f98a5c2a9d1b",
+    "w10-p-fp-edf-all": "aea29e697bc3457552f311a99e67da640afacb0ca18d7e8bd28f1ed1665100f3",
+    "w10-cp-first": "cfb4ab64fd349d4c6ece0d43625bba8a45d7fd9a51c4b841df8bf4180dbb5c44",
+    "w10-cp-all": "61dda3a4a7f8f5d62fc35323fc40462ae198c9258b7f55c491f36c12d91de460",
+    "w10-cw-first": "cfb4ab64fd349d4c6ece0d43625bba8a45d7fd9a51c4b841df8bf4180dbb5c44",
+    "w10-cw-all": "61dda3a4a7f8f5d62fc35323fc40462ae198c9258b7f55c491f36c12d91de460",
+    "w11-edf-first": "c4f15812f4c0431df94d41a3c8121a3d3a5f0cee72d20031cce14b83790d1305",
+    "w11-edf-all": "b6dfbb27fe69f166775c4c4588b48040c0b5d53305dfcecdb0f73834975a30c1",
+    "w11-fp-edf-first": "726b077b3fed4968eb374fa8210da25ec671c345eee0b9d77efee63c2d8bddc5",
+    "w11-fp-edf-all": "2a294d98b0dbcdb9901579bef8c1a42f17c57c5e3c028f15ab17b2b406452785",
+    "w11-p-fp-edf-first": "726b077b3fed4968eb374fa8210da25ec671c345eee0b9d77efee63c2d8bddc5",
+    "w11-p-fp-edf-all": "2a294d98b0dbcdb9901579bef8c1a42f17c57c5e3c028f15ab17b2b406452785",
+    "w11-cp-first": "d0c298c2c4ed87950d93df91ddf91645777ff2448859b5a2274a2e3e3ff42f66",
+    "w11-cp-all": "8936532e89f91fa42d64b616020ad42f7ba77b3bff5b113899e2e45caf589d30",
+    "w11-cw-first": "c93edb2b72de3ba9d192414d36f8ff60c8b0fb4d2336bbea0a17ab0ebe3261a0",
+    "w11-cw-all": "7b54afcc73d51acd84aed775042ed920100e27b4d0d3138d140b1c56b674706d",
+    "w12-edf-first": "77a1d998733d0d85d3449fd7a0c0a25bfa5e77e80feb441bcd3a9dcd570f7b2a",
+    "w12-edf-all": "2d9ed9e3e0263662682cbaefd59ab453b3d6c8a0d36c3c7a2268cb75cafb40f1",
+    "w12-fp-edf-first": "803919c273a9b09a9274c48b3eedadd5eccaf3a4666cd6edf40d608b21dfc830",
+    "w12-fp-edf-all": "9459842523e090dd3f9136b9e115e5aa4445103c35207a87a891c94c81a7bf92",
+    "w12-p-fp-edf-first": "803919c273a9b09a9274c48b3eedadd5eccaf3a4666cd6edf40d608b21dfc830",
+    "w12-p-fp-edf-all": "9459842523e090dd3f9136b9e115e5aa4445103c35207a87a891c94c81a7bf92",
+    "w12-cp-first": "77a1d998733d0d85d3449fd7a0c0a25bfa5e77e80feb441bcd3a9dcd570f7b2a",
+    "w12-cp-all": "2d9ed9e3e0263662682cbaefd59ab453b3d6c8a0d36c3c7a2268cb75cafb40f1",
+    "w12-cw-first": "77a1d998733d0d85d3449fd7a0c0a25bfa5e77e80feb441bcd3a9dcd570f7b2a",
+    "w12-cw-all": "2d9ed9e3e0263662682cbaefd59ab453b3d6c8a0d36c3c7a2268cb75cafb40f1",
+    "w13-edf-first": "27935dcd56b7c76be8a4d9faa9375cf703b90135c5fd4a8db5e44dd982caaee9",
+    "w13-edf-all": "ff6e124e912140da74f78460f2b634817a416d07e2d72c7519b061184df6d05a",
+    "w13-fp-edf-first": "90b719abe21da57004924122066b1f08e77be9c31b70676d97f4941915d8e1d0",
+    "w13-fp-edf-all": "19b68156c269beba373bc60e7fa47780bd0547bd22cce2dba316c9cc468b1fbf",
+    "w13-p-fp-edf-first": "90b719abe21da57004924122066b1f08e77be9c31b70676d97f4941915d8e1d0",
+    "w13-p-fp-edf-all": "8323123d86982a751c0bc91fd61522d9f7c2379128816c838728e3f672fee8ed",
+    "w13-cp-first": "475145f609b1b6a76ce1c214524d6f657ee1601456590e8c93c48cb57892f6ec",
+    "w13-cp-all": "4a87c8c2f8ba25d0570dd5085a9c6877f9100d4d3f1326d1c3cab3aa5aea24ff",
+    "w13-cw-first": "00912b77b7d66b87a3155e1bd0edc7ee6d089d84a4b5b734bd1903cc06c94d2d",
+    "w13-cw-all": "44fde4a98a25da53066b9c5ed644d641f91e2ba0be3e3fb06b78a50d659039fd",
+}
+
 
 @pytest.mark.parametrize("name, kind, output", RUNS, ids=[run_id(*run) for run in RUNS])
 def test_oracle_matches_golden_digest(name, kind, output):
     assert oracle_digest(name, kind, output) == GOLDEN[run_id(name, kind, output)]
 
 
+@pytest.mark.parametrize("draw, kind, mode", CROWDED_RUNS,
+                         ids=[crowded_id(*run) for run in CROWDED_RUNS])
+def test_crowded_report_matches_golden_digest(draw, kind, mode):
+    digest = report_digest(CROWDED[draw], kind, exhaustive=mode == "all")
+    assert digest == GOLDEN_CROWDED[crowded_id(draw, kind, mode)]
+
+
 if __name__ == "__main__":
     for run in RUNS:
         print(f'    "{run_id(*run)}":\n        "{oracle_digest(*run)}",')
+    print()
+    for draw, kind, mode in CROWDED_RUNS:
+        digest = report_digest(CROWDED[draw], kind, exhaustive=mode == "all")
+        print(f'    "{crowded_id(draw, kind, mode)}": "{digest}",')

@@ -22,12 +22,15 @@ from schedgraph.graph import (ScheduleGraph, applicable_jobs, certainly_eligible
                               possibly_eligible, priority_ranks)
 from schedgraph.model import Job
 from schedgraph.policy import pi_key
-from support import (ALL_POLICIES, check_graph, exploration_bound, mask,
+from support import (ALL_POLICIES, MANY_TASKS, check_graph, exploration_bound, mask,
                      naive_windows_me, naive_windows_se, reference_certainly_eligible,
                      reference_possibly_eligible, sample_crowded_instance, sample_instance)
 
-CROWDED_DRAWS = 150
+CROWDED_DRAWS = 300
 CROWDED_SEED_BASE = 90_000
+MANY_TASK_DRAWS = 400
+MANY_TASK_SEED_BASE = 95_000
+DIFFERENTIAL_MAX_SCENARIOS = 10**6
 
 
 def intervals(graph, level):
@@ -513,28 +516,51 @@ class TestOracleSoundness:
 
 @pytest.fixture(scope="module")
 def crowded_instances():
-    return [sample_crowded_instance(random.Random(CROWDED_SEED_BASE + seed))
+    return [sample_crowded_instance(random.Random(CROWDED_SEED_BASE + seed),
+                                    max_scenarios=DIFFERENTIAL_MAX_SCENARIOS)
             for seed in range(CROWDED_DRAWS)]
 
 
+@pytest.fixture(scope="module")
+def many_task_instances():
+    return [sample_crowded_instance(random.Random(MANY_TASK_SEED_BASE + seed),
+                                    max_scenarios=DIFFERENTIAL_MAX_SCENARIOS, **MANY_TASKS)
+            for seed in range(MANY_TASK_DRAWS)]
+
+
+def me_agrees_with_oracle(instance, kind) -> bool:
+    """Assert that me and the oracle agree on the verdict, and on the bounds
+    when schedulable; return the verdict."""
+    _, result = generate(instance, kind, ME)
+    report = enumerate_scenarios(instance, kind)
+    assert result.schedulable == report.schedulable, instance.tasks
+    if result.schedulable:
+        assert result.bounds == {key: (report.finish_min[key], report.finish_max[key])
+                                 for key in report.finish_min}, instance.tasks
+    return result.schedulable
+
+
 class TestDifferential:
-    """The me graph against the exhaustive oracle: verdicts and exact bounds."""
+    """The me graph against the exhaustive oracle: verdicts and exact bounds,
+    on draws of up to 10**6 scenarios."""
 
     @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
     def test_crowded_instances_agree(self, crowded_instances, kind):
         # 4-6 tasks with priorities 0-3; se is never schedulable where me is not
         schedulable = 0
         for instance in crowded_instances:
-            _, result = generate(instance, kind, ME)
-            report = enumerate_scenarios(instance, kind)
-            assert result.schedulable == report.schedulable, instance.tasks
-            if result.schedulable:
-                schedulable += 1
-                assert result.bounds == {key: (report.finish_min[key], report.finish_max[key])
-                                         for key in report.finish_min}, instance.tasks
+            verdict = me_agrees_with_oracle(instance, kind)
+            schedulable += verdict
             _, single = generate(instance, kind, SE)
-            assert not single.schedulable or result.schedulable, instance.tasks
+            assert not single.schedulable or verdict, instance.tasks
         assert 0 < schedulable < len(crowded_instances)
+
+    @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
+    def test_many_task_instances_agree(self, many_task_instances, kind):
+        # 7-8 tasks with release jitter up to 4
+        schedulable = sum(me_agrees_with_oracle(instance, kind)
+                          for instance in many_task_instances)
+        assert 0 < schedulable < len(many_task_instances)
 
     @settings(max_examples=200, deadline=None)
     @given(tasks=st.lists(st.builds(

@@ -11,6 +11,7 @@ from schedgraph import (ExecutionScenario, InstanceError, PolicyKind,
                         ScenarioCapExceeded, Task, enumerate_scenarios,
                         make_instance, scenario_count, simulate)
 from schedgraph.model import Job
+from schedgraph.policy import pick
 from support import ALL_POLICIES, check_trace, product_oracle, sample_instance
 
 REFERENCE_DRAWS = 60
@@ -218,6 +219,52 @@ class TestPrefixSearch:
         monkeypatch.setattr(schedgraph.oracle, "scenario_count", lambda instance: 9)
         with pytest.raises(RuntimeError, match="covered 8 of 9 scenarios"):
             enumerate_scenarios(idle4, PolicyKind.P_FP_EDF)
+
+
+class TestMemo:
+    """Each distinct search state is searched once per call, however many
+    dispatch orders reach it."""
+
+    def test_converging_dispatch_orders_share_their_states(self, monkeypatch):
+        # six jobs released together and run in a fixed order, each for 1-3:
+        # the 3**k ways to run the first k end at one of 2k + 1 times, so a
+        # search of states asks 1 + 3 + ... + 11 = 36 times where one of
+        # prefixes asks 1 + 3 + ... + 3**5 = 364 times
+        instance = make_instance([Task(i, 40, 0, 0, 1, 3, 40) for i in range(1, 7)])
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return pick(*args)
+
+        monkeypatch.setattr(schedgraph.oracle, "pick", counting)
+        for kind in ALL_POLICIES:
+            for exhaustive in (False, True):
+                calls = 0
+                report = enumerate_scenarios(instance, kind, exhaustive=exhaustive)
+                assert report.schedulable
+                assert report.scenarios_checked == 3**6
+                assert calls <= 36, (kind, exhaustive)
+
+
+class TestInstanceWithoutJobs:
+    """Like `generate`, both oracle functions refuse an instance without jobs."""
+
+    @pytest.fixture
+    def jobless(self):
+        # H is below every r_min, so the observation interval holds no job
+        instance = make_instance([Task(1, 10, 7, 8, 1, 1, 10)], horizon=5)
+        assert not instance.jobs
+        return instance
+
+    def test_enumerate_scenarios_refuses(self, jobless):
+        with pytest.raises(InstanceError, match="instance has no jobs"):
+            enumerate_scenarios(jobless, PolicyKind.EDF)
+
+    def test_simulate_refuses(self, jobless):
+        with pytest.raises(InstanceError, match="instance has no jobs"):
+            simulate(jobless, PolicyKind.EDF, ExecutionScenario({}, {}))
 
 
 class TestPositions:
