@@ -57,10 +57,16 @@ become eligible at most once per vertex: a job whose range has ended is
 consumed and no longer counts as eligible, certainly or possibly, at later
 probes.
 
-The result is built with the graph: a successor's interval at creation is
-exactly [est + c_min, lst + c_max] of its dispatch window, so it is folded
-into its job's finish bound and checked against the deadline right there.
-Generation reads only the level it expands; the stored graph is a record.
+A level is merged before it is stored. Expanding a vertex yields plain
+successor candidates, each with the next vertex id and arc id; the merge
+sorts the level's candidates once and builds a `Vertex` only for each
+merge survivor and an `Arc` only for each arc it keeps, with its final
+destination. A merged-away id is counted in `vertices_created` but never
+stored. The result is built with the candidates: a successor's interval at
+creation is exactly [est + c_min, lst + c_max] of its dispatch window, so
+it is folded into its job's finish bound and checked against the deadline
+right there. Generation reads only the level it expands; the stored graph
+is a record.
 """
 
 from __future__ import annotations
@@ -80,6 +86,8 @@ SE = "se"
 MODES = (ME, SE)
 _POSITION = attrgetter("pos")
 _JOB = itemgetter(1)  # of a `ranked` entry
+_ID = attrgetter("id")
+_CANDIDATE_ID = itemgetter(2)  # of a successor candidate (see `expand`)
 
 
 class AnalysisStuck(RuntimeError):
@@ -124,34 +132,12 @@ class ScheduleGraph:
         self.instance = instance
         self.kind = kind
         self.mode = mode
-        self.vertices: dict[int, Vertex] = {}
+        self.root = 0
+        self.vertices: dict[int, Vertex] = {self.root: Vertex(self.root, 0, 0, 0, 0)}
         self.arcs: dict[int, Arc] = {}
-        self.levels: list[list[int]] = []
-        self.vertices_created = 0
+        self.levels: list[list[int]] = [[self.root]]
+        self.vertices_created = 1  # ids handed out, merged-away ones included
         self.arcs_created = 0
-        root = self.add_vertex(0, 0, 0, 0)
-        self.root = root.id
-        self.levels.append([root.id])
-
-    def add_vertex(self, eft: int, lft: int, finished: int, level: int) -> Vertex:
-        if eft > lft:
-            raise RuntimeError(f"vertex interval [{eft}, {lft}] is empty")
-        vertex = Vertex(self.vertices_created, eft, lft, finished, level)
-        self.vertices[vertex.id] = vertex
-        self.vertices_created += 1
-        return vertex
-
-    def add_arc(self, src: int, dst: int, job_pos: int, est: int, lst: int) -> Arc:
-        arc = Arc(self.arcs_created, src, dst, job_pos, est, lst)
-        self.arcs[arc.id] = arc
-        self.arcs_created += 1
-        self.vertices[src].out_arcs.append(arc.id)
-        self.vertices[dst].in_arcs.append(arc.id)
-        return arc
-
-    def remove_arc(self, arc_id: int) -> None:
-        arc = self.arcs.pop(arc_id)
-        self.vertices[arc.src].out_arcs.remove(arc_id)
 
 
 # --- priority ranks and applicable sets ---------------------------------------
@@ -369,84 +355,117 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
 
 # --- graph construction -------------------------------------------------------
 
-def expand(graph: ScheduleGraph, vertex: Vertex, job: Job, est: int, lst: int) -> tuple[Vertex, Arc]:
-    """Create the successor vertex for dispatching `job` over [est, lst]."""
+def expand(graph: ScheduleGraph, vertex: Vertex, job: Job, est: int, lst: int) -> tuple:
+    """The successor candidate for dispatching `job` from `vertex` over [est, lst].
+
+    That is `(finished, eft, id, lft, source, job_pos, est, lst, arc id)`,
+    with the next vertex and arc ids; nothing is stored until the level is
+    merged (`merge_phase`), so a candidate merged away keeps its counted id
+    and its arc id, but is never stored.
+    """
     if est > lst:
         raise ValueError(f"empty dispatch window [{est}, {lst}]")
     if vertex.finished >> job.pos & 1:
         raise RuntimeError("job already finished in source vertex")
-    successor = graph.add_vertex(
-        est + job.c_min, lst + job.c_max, vertex.finished | 1 << job.pos, vertex.level + 1
-    )
-    arc = graph.add_arc(vertex.id, successor.id, job.pos, est, lst)
-    return successor, arc
+    eft, lft = est + job.c_min, lst + job.c_max
+    if eft > lft:
+        raise RuntimeError(f"vertex interval [{eft}, {lft}] is empty")
+    vid, aid = graph.vertices_created, graph.arcs_created
+    graph.vertices_created, graph.arcs_created = vid + 1, aid + 1
+    return (vertex.finished | 1 << job.pos, eft, vid, lft, vertex.id, job.pos, est, lst, aid)
 
 
-def merge_phase(graph: ScheduleGraph, vertex_ids: Sequence[int]) -> list[int]:
-    """Merge same-level vertices with equal finished sets and overlapping intervals.
+def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[int]:
+    """Merge one level's successor candidates, store what survives, and
+    return the survivors' ids in order.
 
-    The survivor keeps the smallest id and the interval hull of its group.
-    Redirecting in-arcs never creates a second arc for one (source,
-    destination) pair: the duplicate is dropped after folding its dispatch
-    window into the kept arc, which preserves exact per-job finish bounds.
+    Candidates with equal finished sets and overlapping intervals merge
+    into one vertex with the smallest id and the interval hull of the
+    group. Its in-arcs are its own arc, then the others in (eft, id) order,
+    except that a second arc from one source is dropped after folding its
+    dispatch window into the kept one, which preserves exact per-job finish
+    bounds and keeps the graph simple. Only survivors and kept arcs are
+    built; both are stored in id order. Sorts `candidates` in place.
     """
-    buckets: dict[int, list[int]] = {}
-    for vid in vertex_ids:
-        buckets.setdefault(graph.vertices[vid].finished, []).append(vid)
-    survivors: list[int] = []
-    for members in buckets.values():
-        if len(members) == 1:  # most buckets: nothing to merge
-            survivors.append(members[0])
+    if not graph.vertices.keys().isdisjoint(map(_CANDIDATE_ID, candidates)):
+        raise RuntimeError("merge phase ran after expansion of the level")
+    if not candidates:
+        return []
+    level = graph.vertices[candidates[0][4]].level + 1
+    candidates.sort()  # by (finished, eft, id)
+    survivors: list[Vertex] = []
+    arcs: list[Arc] = []
+    i, n = 0, len(candidates)
+    while i < n:
+        finished, eft, vid, lft, src, job_pos, est, lst, aid = candidates[i]
+        j = i + 1
+        while j < n:
+            other = candidates[j]
+            if other[0] != finished or other[1] > lft:
+                break
+            if other[3] > lft:
+                lft = other[3]
+            j += 1
+        if j == i + 1:  # most groups: nothing to merge
+            survivors.append(Vertex(vid, eft, lft, finished, level, [aid]))
+            arcs.append(Arc(aid, src, vid, job_pos, est, lst))
+            i = j
             continue
-        members.sort(key=lambda vid: (graph.vertices[vid].eft, vid))
-        group = [members[0]]
-        reach = graph.vertices[members[0]].lft
-        for vid in members[1:]:
-            vertex = graph.vertices[vid]
-            if vertex.eft <= reach:
-                group.append(vid)
-                reach = max(reach, vertex.lft)
+        group = candidates[i:j]
+        keep_id = min(map(_CANDIDATE_ID, group))
+        group.sort(key=lambda c: c[2] != keep_id)  # its own arc first, then (eft, id) order
+        kept: dict[int, Arc] = {}  # by source
+        for _, _, _, _, src, job_pos, est, lst, aid in group:
+            arc = kept.get(src)
+            if arc is None:
+                kept[src] = Arc(aid, src, keep_id, job_pos, est, lst)
+            elif arc.job_pos != job_pos:
+                raise RuntimeError("arcs between one pair of vertices dispatch different jobs")
             else:
-                survivors.append(_merge_group(graph, group))
-                group = [vid]
-                reach = vertex.lft
-        survivors.append(_merge_group(graph, group))
-    return sorted(survivors)
+                arc.est = min(arc.est, est)
+                arc.lst = max(arc.lst, lst)
+        survivors.append(Vertex(keep_id, eft, lft, finished, level, [a.id for a in kept.values()]))
+        arcs.extend(kept.values())
+        i = j
+    survivors.sort(key=_ID)
+    arcs.sort(key=_ID)
+    return _store(graph, survivors, arcs)
 
 
-def _merge_group(graph: ScheduleGraph, group: list[int]) -> int:
-    keep_id = min(group)
-    keep = graph.vertices[keep_id]
-    by_source = {graph.arcs[a].src: a for a in keep.in_arcs}
-    for vid in group:
-        if vid == keep_id:
-            continue
-        vertex = graph.vertices[vid]
-        if vertex.out_arcs:
-            raise RuntimeError("merge phase ran after expansion of the level")
-        keep.eft = min(keep.eft, vertex.eft)
-        keep.lft = max(keep.lft, vertex.lft)
-        for arc_id in list(vertex.in_arcs):
-            arc = graph.arcs[arc_id]
-            if arc.src in by_source:
-                kept = graph.arcs[by_source[arc.src]]
-                if kept.job_pos != arc.job_pos:
-                    raise RuntimeError("arcs between one pair of vertices dispatch different jobs")
-                kept.est = min(kept.est, arc.est)
-                kept.lst = max(kept.lst, arc.lst)
-                graph.remove_arc(arc_id)
-            else:
-                arc.dst = keep_id
-                keep.in_arcs.append(arc_id)
-                by_source[arc.src] = arc_id
-        del graph.vertices[vid]
-    return keep_id
+def _store_unmerged(graph: ScheduleGraph, candidates: list[tuple]) -> list[int]:
+    """Store a level's candidates as created, each a vertex with its own arc."""
+    level = graph.vertices[candidates[0][4]].level + 1
+    return _store(graph,
+                  [Vertex(vid, eft, lft, finished, level, [aid])
+                   for finished, eft, vid, lft, _, _, _, _, aid in candidates],
+                  [Arc(aid, src, vid, job_pos, est, lst)
+                   for _, _, vid, _, src, job_pos, est, lst, aid in candidates])
+
+
+def _store(graph: ScheduleGraph, vertices: list[Vertex], arcs: list[Arc]) -> list[int]:
+    """Store one level's vertices and arcs, each list in id order; the vertex ids."""
+    stored = graph.vertices
+    for vertex in vertices:
+        stored[vertex.id] = vertex
+    for arc in arcs:
+        graph.arcs[arc.id] = arc
+        stored[arc.src].out_arcs.append(arc.id)
+    return [vertex.id for vertex in vertices]
 
 
 # --- analysis driver ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class DeadlineMiss:
+    """A successor whose latest finish exceeds its job's deadline.
+
+    `vertex` is the successor's id as created. The level that aborts the
+    analysis is stored unmerged, so the default witness is always a stored
+    vertex. Under `exhaustive_misses` the level is merged afterwards, and a
+    miss may name a candidate that was merged into a smaller id and is
+    never stored.
+    """
+
     vertex: int
     job: Job
     lft: int
@@ -492,26 +511,28 @@ class AnalysisResult:
 
 
 def next_nodes(graph: ScheduleGraph, vertex: Vertex,
-               apps: ApplicableSet) -> list[tuple[Vertex, Job]]:
+               apps: ApplicableSet) -> list[tuple[tuple, Job]]:
     """Expand one vertex, whose applicable set is `apps`: each successor
-    (one per dispatch window) and the job it dispatches."""
+    candidate (one per dispatch window, see `expand`) and the job it
+    dispatches."""
     try:
         windows = expansion_windows(apps, vertex.eft, vertex.lft, graph.mode)
     except AnalysisStuck as exc:
         raise AnalysisStuck(str(exc), vertex=vertex.id) from None
-    return [(expand(graph, vertex, job, est, lst)[0], job) for job, est, lst in windows]
+    return [(expand(graph, vertex, job, est, lst), job) for job, est, lst in windows]
 
 
 def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
              exhaustive_misses: bool = False) -> tuple[ScheduleGraph, AnalysisResult]:
     """Build the schedule graph level by level and report schedulability.
 
-    Levels alternate expansion and merging. Each successor's interval is
-    folded into its job's finish bound and checked against its deadline as
-    it is created; a level with a miss is still expanded in full, then the
-    first miss aborts with a witness unless `exhaustive_misses` asks to
-    keep going and collect all of them. Pure function of its arguments:
-    repeated runs build identical graphs.
+    Levels alternate expansion and merging: a level's successor candidates
+    are merged before anything of the level is stored. Each successor's
+    interval is folded into its job's finish bound and checked against its
+    deadline as it is created; a level with a miss is still expanded in
+    full and stored unmerged, then the first miss aborts with a witness
+    unless `exhaustive_misses` asks to keep going and collect all of them.
+    Pure function of its arguments: repeated runs build identical graphs.
 
     Only the root's applicable jobs are computed from its finished set. The
     first successor created with a finished set derives that set's
@@ -531,7 +552,7 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
     stats = [(1, 0)]  # per level: (vertices, in-arcs), after its merge
     frontier = graph.levels[0]
     for _ in instance.jobs:  # one level per job
-        new_ids = []
+        candidates = []
         derived: dict[int, ApplicableSet] = {}  # the same, for the next level
         last_user = {graph.vertices[vid].finished: vid for vid in frontier}
         for vid in frontier:
@@ -540,18 +561,20 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
             if last_user[vertex.finished] == vid:  # free it while the next level grows
                 del applicable[vertex.finished]
             for successor, job in next_nodes(graph, vertex, apps):
-                new_ids.append(successor.id)
-                if successor.finished not in derived:
-                    derived[successor.finished] = derive(instance, ranks, apps, job)
-                lo, hi = bounds.get(job.pos, (successor.eft, successor.lft))
-                bounds[job.pos] = (min(lo, successor.eft), max(hi, successor.lft))
-                if successor.lft > job.deadline and (exhaustive_misses or not misses):
-                    misses.append(DeadlineMiss(successor.id, job, successor.lft, job.deadline))
+                candidates.append(successor)
+                finished, eft, sid, lft = successor[:4]
+                if finished not in derived:
+                    derived[finished] = derive(instance, ranks, apps, job)
+                lo, hi = bounds.get(job.pos, (eft, lft))
+                bounds[job.pos] = (min(lo, eft), max(hi, lft))
+                if lft > job.deadline and (exhaustive_misses or not misses):
+                    misses.append(DeadlineMiss(sid, job, lft, job.deadline))
         applicable = derived
         aborted = bool(misses) and not exhaustive_misses
-        frontier = new_ids if aborted else merge_phase(graph, new_ids)
+        stored_arcs = len(graph.arcs)
+        frontier = _store_unmerged(graph, candidates) if aborted else merge_phase(graph, candidates)
         graph.levels.append(frontier)
-        stats.append((len(frontier), sum(len(graph.vertices[vid].in_arcs) for vid in frontier)))
+        stats.append((len(frontier), len(graph.arcs) - stored_arcs))  # each in-arc is new
         if aborted:
             break
     result = AnalysisResult(

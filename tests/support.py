@@ -28,6 +28,7 @@ INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 ANOMALY = INSTANCE_DIR / "anomaly.txt"
 EDF_JITTER = INSTANCE_DIR / "edf_jitter.txt"
 PRECAUTIOUS_IDLE = INSTANCE_DIR / "precautious_idle.txt"
+SE_STUCK_SCHEDULABLE = INSTANCE_DIR / "se_stuck_schedulable.txt"
 
 ALL_POLICIES = list(PolicyKind)
 PERIOD_CHOICES = (4, 5, 8, 10, 20, 40)  # all divide 40, so H <= 40

@@ -16,15 +16,17 @@ import schedgraph.graph
 import schedgraph.policy
 from schedgraph import (ME, SE, AnalysisStuck, ExecutionScenario, PolicyKind, Task,
                         enumerate_scenarios, export_dot, generate, make_instance,
-                        scenario_count, simulate, write_instance)
+                        parse_instance, scenario_count, simulate, write_instance)
+from schedgraph.cli import main
 from schedgraph.graph import (ScheduleGraph, applicable_jobs, certainly_eligible, expand,
                               expansion_windows, make_context, merge_phase, next_nodes,
                               possibly_eligible, priority_ranks)
 from schedgraph.model import Job
 from schedgraph.policy import pi_key
-from support import (ALL_POLICIES, MANY_TASKS, check_graph, exploration_bound, mask,
-                     naive_windows_me, naive_windows_se, reference_certainly_eligible,
-                     reference_possibly_eligible, sample_crowded_instance, sample_instance)
+from support import (ALL_POLICIES, MANY_TASKS, SE_STUCK_SCHEDULABLE, check_graph,
+                     exploration_bound, mask, naive_windows_me, naive_windows_se,
+                     reference_certainly_eligible, reference_possibly_eligible,
+                     sample_crowded_instance, sample_instance)
 
 CROWDED_DRAWS = 300
 CROWDED_SEED_BASE = 90_000
@@ -40,6 +42,17 @@ def intervals(graph, level):
 def scratch(graph, vid):
     """A stored vertex's applicable set, built from scratch."""
     return make_context(graph.instance, graph.kind, graph.vertices[vid].finished)
+
+
+def span(candidate):
+    """A successor candidate's interval (eft, lft)."""
+    return candidate[1], candidate[3]
+
+
+def store(graph, candidate):
+    """Merge a level of one candidate into the graph; the stored vertex."""
+    [vid] = merge_phase(graph, [candidate])
+    return graph.vertices[vid]
 
 
 class TestApplicableJobs:
@@ -204,27 +217,28 @@ class TestExpand:
     def test_expand_adds_execution_window(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
         root = graph.vertices[graph.root]
-        v1, arc = expand(graph, root, jitter3.job((2, 1)), 0, 0)
-        assert v1.interval == (1, 1)
-        v2, _ = expand(graph, v1, jitter3.job((3, 1)), 1, 1)
-        assert v2.interval == (4, 5)
-        v3, _ = expand(graph, v1, jitter3.job((1, 1)), 1, 1)
-        assert v3.interval == (2, 3)
+        first = expand(graph, root, jitter3.job((2, 1)), 0, 0)
+        assert span(first) == (1, 1)
+        assert (first[2], first[8]) == (1, 0)  # the next vertex and arc ids
+        assert graph.vertices.keys() == {graph.root}  # nothing stored before the merge
+        v1 = store(graph, first)
+        assert span(expand(graph, v1, jitter3.job((3, 1)), 1, 1)) == (4, 5)
+        assert span(expand(graph, v1, jitter3.job((1, 1)), 1, 1)) == (2, 3)
+        arc = graph.arcs[v1.in_arcs[0]]
         assert (arc.est, arc.lst) == (0, 0)
 
     def test_expand_window_spans_dispatch_times(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
         root = graph.vertices[graph.root]
-        v1, _ = expand(graph, root, jitter3.job((2, 1)), 0, 0)
-        v2, _ = expand(graph, v1, jitter3.job((1, 1)), 1, 1)
-        v4, _ = expand(graph, v2, jitter3.job((3, 1)), 2, 3)
-        assert v4.interval == (5, 7)
+        v1 = store(graph, expand(graph, root, jitter3.job((2, 1)), 0, 0))
+        v2 = store(graph, expand(graph, v1, jitter3.job((1, 1)), 1, 1))
+        assert span(expand(graph, v2, jitter3.job((3, 1)), 2, 3)) == (5, 7)
 
     def test_deterministic_job_gives_point_interval(self):
         instance = make_instance([Task(1, 10, 0, 0, 3, 3, 10)])
         graph = ScheduleGraph(instance, PolicyKind.EDF)
-        vertex, _ = expand(graph, graph.vertices[graph.root], instance.jobs[0], 4, 4)
-        assert vertex.interval == (7, 7)
+        candidate = expand(graph, graph.vertices[graph.root], instance.jobs[0], 4, 4)
+        assert span(candidate) == (7, 7)
 
     def test_empty_window_rejected(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
@@ -236,22 +250,22 @@ class TestNextNodes:
     def test_root_expands_to_single_certain_choice(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
         new = next_nodes(graph, graph.vertices[graph.root], scratch(graph, graph.root))
-        assert [(job.label, v.interval) for v, job in new] == [("J2,1", (1, 1))]
+        assert [(job.label, span(c)) for c, job in new] == [("J2,1", (1, 1))]
 
     def test_vertex_with_certain_switchover_expands_twice(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
         root = graph.vertices[graph.root]
-        v1, _ = expand(graph, root, jitter3.job((2, 1)), 0, 0)
-        v3, _ = expand(graph, v1, jitter3.job((3, 1)), 1, 1)
+        v1 = store(graph, expand(graph, root, jitter3.job((2, 1)), 0, 0))
+        v3 = store(graph, expand(graph, v1, jitter3.job((3, 1)), 1, 1))
         new = next_nodes(graph, v3, scratch(graph, v3.id))
-        assert [v.interval for v, _ in new] == [(5, 6), (6, 6)]
+        assert [span(c) for c, _ in new] == [(5, 6), (6, 6)]
 
     def test_idling_policy_reopens_eligibility(self, idle4):
         graph = ScheduleGraph(idle4, PolicyKind.P_FP_EDF)
         root = graph.vertices[graph.root]
-        v1, _ = expand(graph, root, idle4.job((2, 1)), 0, 0)
+        v1 = store(graph, expand(graph, root, idle4.job((2, 1)), 0, 0))
         new = next_nodes(graph, v1, scratch(graph, v1.id))
-        labels = [(job.label, v.interval) for v, job in new]
+        labels = [(job.label, span(c)) for c, job in new]
         assert labels == [("J3,1", (3, 4)), ("J4,1", (7, 10)), ("J3,1", (9, 10))]
 
 
@@ -267,10 +281,11 @@ class TestMergePhase:
     def test_disjoint_intervals_never_merge(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
         root = graph.vertices[graph.root]
-        a, _ = expand(graph, root, jitter3.job((2, 1)), 0, 0)
-        b, _ = expand(graph, root, jitter3.job((2, 1)), 3, 3)
-        b.eft, b.lft = 4, 5  # force a gap between the two intervals
-        assert merge_phase(graph, [a.id, b.id]) == [a.id, b.id]
+        a = expand(graph, root, jitter3.job((2, 1)), 0, 0)
+        b = expand(graph, root, jitter3.job((2, 1)), 3, 3)
+        assert (span(a), span(b)) == ((1, 1), (4, 4))  # a gap between the two intervals
+        assert merge_phase(graph, [b, a]) == [a[2], b[2]]
+        assert [graph.vertices[c[2]].interval for c in (a, b)] == [(1, 1), (4, 4)]
 
     def test_merge_takes_interval_hull_and_redirects_arcs(self, jitter3):
         graph, _ = generate(jitter3, PolicyKind.EDF, ME)
@@ -285,10 +300,12 @@ class TestMergePhase:
         # finish bounds stay exact and the graph stays simple
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
         root = graph.vertices[graph.root]
-        a, _ = expand(graph, root, jitter3.job((1, 1)), 0, 1)  # interval [1, 3]
-        b, _ = expand(graph, root, jitter3.job((1, 1)), 2, 3)  # interval [3, 5]
-        assert merge_phase(graph, [a.id, b.id]) == [a.id]
-        survivor = graph.vertices[a.id]
+        a = expand(graph, root, jitter3.job((1, 1)), 0, 1)  # interval [1, 3]
+        b = expand(graph, root, jitter3.job((1, 1)), 2, 3)  # interval [3, 5]
+        assert merge_phase(graph, [a, b]) == [a[2]]
+        assert b[2] not in graph.vertices  # merged away, counted, never stored
+        assert graph.vertices_created == 3 and graph.arcs_created == 2
+        survivor = graph.vertices[a[2]]
         assert survivor.interval == (1, 5)
         assert len(survivor.in_arcs) == 1
         assert len(root.out_arcs) == 1
@@ -370,6 +387,63 @@ class TestGenerate:
             for mode in (ME, SE):
                 graph, result = generate(instance, kind, mode)
                 check_graph(graph, result)
+
+
+class TestMissVertex:
+    """A miss names its successor's id as created; only the aborting level is stored unmerged."""
+
+    def test_default_witness_is_a_stored_vertex_of_the_last_level(self):
+        witnesses = 0
+        for seed in range(150):
+            instance = sample_instance(random.Random(seed))
+            for kind in ALL_POLICIES:
+                for mode in (ME, SE):
+                    try:
+                        graph, result = generate(instance, kind, mode)
+                    except AnalysisStuck:
+                        continue
+                    witness = result.witness
+                    if witness is None:
+                        continue
+                    witnesses += 1
+                    assert witness.vertex in graph.levels[-1]
+                    vertex = graph.vertices[witness.vertex]
+                    assert vertex.lft == witness.lft  # its interval as created
+                    [arc] = vertex.in_arcs
+                    assert graph.arcs[arc].job_pos == witness.job.pos
+        assert witnesses > 100
+
+    def test_exhaustive_miss_can_name_a_merged_away_vertex(self, idle4):
+        graph, result = generate(idle4, PolicyKind.FP_EDF, ME, exhaustive_misses=True)
+        assert [(m.vertex, m.job.key, m.lft) for m in result.misses] == \
+            [(6, (1, 1), 14), (8, (1, 1), 13), (9, (3, 1), 16)]
+        assert 8 not in graph.vertices and graph.vertices_created > 8
+        # vertex 8 merged into vertex 7, whose interval hull covers its miss
+        assert graph.levels[4] == [7, 9]
+        assert graph.vertices[7].lft >= 13
+
+
+class TestSingleEligibilityStuck:
+    """Single eligibility gets stuck under cw and cp on a set that multiple
+    eligibility and the oracle find schedulable."""
+
+    def test_pinned_instance_is_the_seeded_draw(self):
+        drawn = sample_crowded_instance(random.Random(95_201), max_scenarios=10**6, **MANY_TASKS)
+        pinned = parse_instance(SE_STUCK_SCHEDULABLE.read_text(encoding="utf-8"))
+        assert pinned.tasks == drawn.tasks
+        assert (len(pinned.tasks), len(pinned.jobs)) == (7, 14)
+
+    @pytest.mark.parametrize("kind", [PolicyKind.CW, PolicyKind.CP], ids=lambda kind: kind.value)
+    def test_se_stuck_where_me_and_oracle_schedule(self, capsys, kind):
+        instance = parse_instance(SE_STUCK_SCHEDULABLE.read_text(encoding="utf-8"))
+        with pytest.raises(AnalysisStuck, match="no certainly eligible job exists at or after t=14"):
+            generate(instance, kind, SE)
+        assert generate(instance, kind, ME)[1].schedulable
+        assert enumerate_scenarios(instance, kind, max_scenarios=10**6, exhaustive=True).schedulable
+        path = str(SE_STUCK_SCHEDULABLE)
+        assert main(["analyze", path, "--policy", kind.value, "--mode", "se"]) == 3
+        assert main(["analyze", path, "--policy", kind.value, "--mode", "me"]) == 0
+        capsys.readouterr()
 
 
 class TestSweepEquivalence:
@@ -687,6 +761,7 @@ class TestStuckGuard:
 # Each case corrupts the engine's state in one way; the check must still fire
 # when assert statements are stripped.
 CORRUPTED_CASES = textwrap.dedent("""
+    import dataclasses
     import sys
     from schedgraph import ME, PolicyKind, Task, generate, make_instance, parse_instance
     from schedgraph.graph import ScheduleGraph, expand, merge_phase, prepare, priority_ranks
@@ -695,15 +770,16 @@ CORRUPTED_CASES = textwrap.dedent("""
     graph = ScheduleGraph(instance, PolicyKind.EDF)
     root = graph.vertices[graph.root]
     job = instance.job((2, 1))
-    done, _ = expand(graph, root, job, 0, 0)
+    first = expand(graph, root, job, 0, 0)
+    merge_phase(graph, [first])
+    done = graph.vertices[first[2]]
 
     def twice():  # one job twice in the applicable set
         prepare(PolicyKind.EDF, priority_ranks(instance, PolicyKind.EDF), (job, job))
 
-    def merged_after_expansion():
-        other, _ = expand(graph, root, job, 0, 0)
-        expand(graph, other, instance.job((1, 1)), 1, 1)
-        merge_phase(graph, [done.id, other.id])
+    def merged_after_expansion():  # a candidate of a level already stored
+        expand(graph, done, instance.job((1, 1)), 1, 1)
+        merge_phase(graph, [first])
 
     def generator_breaks_its_deadline_rule():
         import schedgraph.generator as generator
@@ -718,7 +794,7 @@ CORRUPTED_CASES = textwrap.dedent("""
         generate(instance, PolicyKind.EDF, ME)
 
     cases = [
-        lambda: graph.add_vertex(3, 2, 0, 1),
+        lambda: expand(graph, root, dataclasses.replace(job, c_min=3, c_max=2), 0, 0),
         lambda: expand(graph, done, job, 1, 1),
         twice,
         merged_after_expansion,
