@@ -389,13 +389,14 @@ def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[int]:
     """
     if not graph.vertices.keys().isdisjoint(map(_CANDIDATE_ID, candidates)):
         raise RuntimeError("merge phase ran after expansion of the level")
-    if not candidates:
-        return []
-    level = graph.vertices[candidates[0][4]].level + 1
+    n = len(candidates)
+    if n < 2:  # nothing to merge
+        return _store_unmerged(graph, candidates)
     candidates.sort()  # by (finished, eft, id)
+    level = graph.vertices[candidates[0][4]].level + 1
     survivors: list[Vertex] = []
     arcs: list[Arc] = []
-    i, n = 0, len(candidates)
+    i = 0
     while i < n:
         finished, eft, vid, lft, src, job_pos, est, lst, aid = candidates[i]
         j = i + 1
@@ -429,28 +430,24 @@ def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[int]:
         i = j
     survivors.sort(key=_ID)
     arcs.sort(key=_ID)
-    return _store(graph, survivors, arcs)
-
-
-def _store_unmerged(graph: ScheduleGraph, candidates: list[tuple]) -> list[int]:
-    """Store a level's candidates as created, each a vertex with its own arc."""
-    level = graph.vertices[candidates[0][4]].level + 1
-    return _store(graph,
-                  [Vertex(vid, eft, lft, finished, level, [aid])
-                   for finished, eft, vid, lft, _, _, _, _, aid in candidates],
-                  [Arc(aid, src, vid, job_pos, est, lst)
-                   for _, _, vid, _, src, job_pos, est, lst, aid in candidates])
-
-
-def _store(graph: ScheduleGraph, vertices: list[Vertex], arcs: list[Arc]) -> list[int]:
-    """Store one level's vertices and arcs, each list in id order; the vertex ids."""
     stored = graph.vertices
-    for vertex in vertices:
+    for vertex in survivors:
         stored[vertex.id] = vertex
     for arc in arcs:
         graph.arcs[arc.id] = arc
         stored[arc.src].out_arcs.append(arc.id)
-    return [vertex.id for vertex in vertices]
+    return [vertex.id for vertex in survivors]
+
+
+def _store_unmerged(graph: ScheduleGraph, candidates: list[tuple]) -> list[int]:
+    """Store candidates, given in id order, as created: each a vertex with its own arc."""
+    stored = graph.vertices
+    for finished, eft, vid, lft, src, job_pos, est, lst, aid in candidates:
+        source = stored[src]
+        stored[vid] = Vertex(vid, eft, lft, finished, source.level + 1, [aid])
+        graph.arcs[aid] = Arc(aid, src, vid, job_pos, est, lst)
+        source.out_arcs.append(aid)
+    return [candidate[2] for candidate in candidates]
 
 
 # --- analysis driver ----------------------------------------------------------
@@ -574,7 +571,7 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
         stored_arcs = len(graph.arcs)
         frontier = _store_unmerged(graph, candidates) if aborted else merge_phase(graph, candidates)
         graph.levels.append(frontier)
-        stats.append((len(frontier), len(graph.arcs) - stored_arcs))  # each in-arc is new
+        stats.append((len(frontier), len(graph.arcs) - stored_arcs))  # the level's in-arcs
         if aborted:
             break
     result = AnalysisResult(
