@@ -57,16 +57,13 @@ become eligible at most once per vertex: a job whose range has ended is
 consumed and no longer counts as eligible, certainly or possibly, at later
 probes.
 
-A level is merged before it is stored. Expanding a vertex yields plain
-successor candidates, each with the next vertex id and arc id; the merge
-sorts the level's candidates once and builds a `Vertex` only for each
-merge survivor and an `Arc` only for each arc it keeps, with its final
-destination. A merged-away id is counted in `vertices_created` but never
-stored. The result is built with the candidates: a successor's interval at
-creation is exactly [est + c_min, lst + c_max] of its dispatch window, so
-it is folded into its job's finish bound and checked against the deadline
-right there. Generation reads only the level it expands; the stored graph
-is a record.
+A level is merged before it is stored: expansion yields plain successor
+candidates, and the merge builds a `Vertex` only per survivor and an `Arc`
+only per kept arc. A merged-away id is counted in `vertices_created` but
+never stored. A successor's interval at creation is exactly [est + c_min,
+lst + c_max] of its dispatch window, so it is folded into its job's finish
+bound and checked against the deadline right there. Generation reads only
+the level it expands; the stored graph is a record.
 """
 
 from __future__ import annotations
@@ -87,7 +84,6 @@ MODES = (ME, SE)
 _POSITION = attrgetter("pos")
 _JOB = itemgetter(1)  # of a `ranked` entry
 _ID = attrgetter("id")
-_CANDIDATE_ID = itemgetter(2)  # of a successor candidate (see `expand`)
 
 
 class AnalysisStuck(RuntimeError):
@@ -356,13 +352,9 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
 # --- graph construction -------------------------------------------------------
 
 def expand(graph: ScheduleGraph, vertex: Vertex, job: Job, est: int, lst: int) -> tuple:
-    """The successor candidate for dispatching `job` from `vertex` over [est, lst].
-
-    That is `(finished, eft, id, lft, source, job_pos, est, lst, arc id)`,
-    with the next vertex and arc ids; nothing is stored until the level is
-    merged (`merge_phase`), so a candidate merged away keeps its counted id
-    and its arc id, but is never stored.
-    """
+    """The successor candidate for dispatching `job` from `vertex` over [est, lst]:
+    `(finished, eft, id, lft, source, job_pos, est, lst, arc id)`, with the
+    next vertex and arc ids. Nothing is stored before `merge_phase`."""
     if est > lst:
         raise ValueError(f"empty dispatch window [{est}, {lst}]")
     if vertex.finished >> job.pos & 1:
@@ -376,57 +368,50 @@ def expand(graph: ScheduleGraph, vertex: Vertex, job: Job, est: int, lst: int) -
 
 
 def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[int]:
-    """Merge one level's successor candidates, store what survives, and
-    return the survivors' ids in order.
+    """Merge one level's candidates, then store the survivors; their ids in order.
 
-    Candidates with equal finished sets and overlapping intervals merge
-    into one vertex with the smallest id and the interval hull of the
-    group. Its in-arcs are its own arc, then the others in (eft, id) order,
-    except that a second arc from one source is dropped after folding its
-    dispatch window into the kept one, which preserves exact per-job finish
-    bounds and keeps the graph simple. Only survivors and kept arcs are
-    built; both are stored in id order. Sorts `candidates` in place.
+    Candidates with equal finished sets and overlapping intervals merge into
+    one vertex with the smallest id and the interval hull. Its in-arcs are
+    its own arc, then the others in (eft, id) order; a second arc from one
+    source folds its dispatch window into the first, which keeps finish
+    bounds exact and the graph simple. Only survivors and kept arcs are
+    built and stored, in id order: a merged-away id is counted in
+    `vertices_created` but never stored. Sorts `candidates` in place.
     """
-    if not graph.vertices.keys().isdisjoint(map(_CANDIDATE_ID, candidates)):
+    if not graph.vertices.keys().isdisjoint(map(itemgetter(2), candidates)):
         raise RuntimeError("merge phase ran after expansion of the level")
-    n = len(candidates)
-    if n < 2:  # nothing to merge
+    if len(candidates) < 2:  # nothing to merge
         return _store_unmerged(graph, candidates)
     candidates.sort()  # by (finished, eft, id)
     level = graph.vertices[candidates[0][4]].level + 1
     survivors: list[Vertex] = []
     arcs: list[Arc] = []
-    i = 0
+    i, n = 0, len(candidates)
     while i < n:
         finished, eft, vid, lft, src, job_pos, est, lst, aid = candidates[i]
         j = i + 1
-        while j < n:
-            other = candidates[j]
-            if other[0] != finished or other[1] > lft:
-                break
-            if other[3] > lft:
-                lft = other[3]
+        while j < n and candidates[j][0] == finished and candidates[j][1] <= lft:
+            lft = max(lft, candidates[j][3])
             j += 1
         if j == i + 1:  # most groups: nothing to merge
             survivors.append(Vertex(vid, eft, lft, finished, level, [aid]))
             arcs.append(Arc(aid, src, vid, job_pos, est, lst))
-            i = j
-            continue
-        group = candidates[i:j]
-        keep_id = min(map(_CANDIDATE_ID, group))
-        group.sort(key=lambda c: c[2] != keep_id)  # its own arc first, then (eft, id) order
-        kept: dict[int, Arc] = {}  # by source
-        for _, _, _, _, src, job_pos, est, lst, aid in group:
-            arc = kept.get(src)
-            if arc is None:
-                kept[src] = Arc(aid, src, keep_id, job_pos, est, lst)
-            elif arc.job_pos != job_pos:
-                raise RuntimeError("arcs between one pair of vertices dispatch different jobs")
-            else:
-                arc.est = min(arc.est, est)
-                arc.lst = max(arc.lst, lst)
-        survivors.append(Vertex(keep_id, eft, lft, finished, level, [a.id for a in kept.values()]))
-        arcs.extend(kept.values())
+        else:
+            group = candidates[i:j]
+            keep_id = min(candidate[2] for candidate in group)
+            group.sort(key=lambda c: c[2] != keep_id)  # its own arc first, then (eft, id)
+            kept: dict[int, Arc] = {}  # by source
+            for _, _, _, _, src, job_pos, est, lst, aid in group:
+                arc = kept.get(src)
+                if arc is None:
+                    kept[src] = Arc(aid, src, keep_id, job_pos, est, lst)
+                elif arc.job_pos != job_pos:
+                    raise RuntimeError("arcs between one pair of vertices dispatch different jobs")
+                else:
+                    arc.est = min(arc.est, est)
+                    arc.lst = max(arc.lst, lst)
+            survivors.append(Vertex(keep_id, eft, lft, finished, level, [*map(_ID, kept.values())]))
+            arcs.extend(kept.values())
         i = j
     survivors.sort(key=_ID)
     arcs.sort(key=_ID)
@@ -443,10 +428,9 @@ def _store_unmerged(graph: ScheduleGraph, candidates: list[tuple]) -> list[int]:
     """Store candidates, given in id order, as created: each a vertex with its own arc."""
     stored = graph.vertices
     for finished, eft, vid, lft, src, job_pos, est, lst, aid in candidates:
-        source = stored[src]
-        stored[vid] = Vertex(vid, eft, lft, finished, source.level + 1, [aid])
+        stored[vid] = Vertex(vid, eft, lft, finished, stored[src].level + 1, [aid])
         graph.arcs[aid] = Arc(aid, src, vid, job_pos, est, lst)
-        source.out_arcs.append(aid)
+        stored[src].out_arcs.append(aid)
     return [candidate[2] for candidate in candidates]
 
 
@@ -454,14 +438,10 @@ def _store_unmerged(graph: ScheduleGraph, candidates: list[tuple]) -> list[int]:
 
 @dataclass(frozen=True)
 class DeadlineMiss:
-    """A successor whose latest finish exceeds its job's deadline.
-
-    `vertex` is the successor's id as created. The level that aborts the
-    analysis is stored unmerged, so the default witness is always a stored
-    vertex. Under `exhaustive_misses` the level is merged afterwards, and a
-    miss may name a candidate that was merged into a smaller id and is
-    never stored.
-    """
+    """A successor whose latest finish passes its job's deadline. `vertex` is
+    its id as created: the aborting level is stored unmerged, so the default
+    witness is a stored vertex, but under `exhaustive_misses` a miss may name
+    an id that was merged away and is never stored."""
 
     vertex: int
     job: Job
@@ -510,8 +490,7 @@ class AnalysisResult:
 def next_nodes(graph: ScheduleGraph, vertex: Vertex,
                apps: ApplicableSet) -> list[tuple[tuple, Job]]:
     """Expand one vertex, whose applicable set is `apps`: each successor
-    candidate (one per dispatch window, see `expand`) and the job it
-    dispatches."""
+    candidate (one per dispatch window) and the job it dispatches."""
     try:
         windows = expansion_windows(apps, vertex.eft, vertex.lft, graph.mode)
     except AnalysisStuck as exc:
@@ -523,13 +502,13 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
              exhaustive_misses: bool = False) -> tuple[ScheduleGraph, AnalysisResult]:
     """Build the schedule graph level by level and report schedulability.
 
-    Levels alternate expansion and merging: a level's successor candidates
-    are merged before anything of the level is stored. Each successor's
-    interval is folded into its job's finish bound and checked against its
-    deadline as it is created; a level with a miss is still expanded in
-    full and stored unmerged, then the first miss aborts with a witness
-    unless `exhaustive_misses` asks to keep going and collect all of them.
-    Pure function of its arguments: repeated runs build identical graphs.
+    Levels alternate expansion and merging, and a level is merged before it
+    is stored. Each successor's interval is folded into its job's finish
+    bound and checked against its deadline as it is created; a level with a
+    miss is still expanded in full and stored unmerged, then the first miss
+    aborts with a witness unless `exhaustive_misses` asks to keep going and
+    collect all of them. Pure function of its arguments: repeated runs
+    build identical graphs.
 
     Only the root's applicable jobs are computed from its finished set. The
     first successor created with a finished set derives that set's
@@ -568,10 +547,9 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
                     misses.append(DeadlineMiss(sid, job, lft, job.deadline))
         applicable = derived
         aborted = bool(misses) and not exhaustive_misses
-        stored_arcs = len(graph.arcs)
         frontier = _store_unmerged(graph, candidates) if aborted else merge_phase(graph, candidates)
         graph.levels.append(frontier)
-        stats.append((len(frontier), len(graph.arcs) - stored_arcs))  # the level's in-arcs
+        stats.append((len(frontier), sum(len(graph.vertices[vid].in_arcs) for vid in frontier)))
         if aborted:
             break
     result = AnalysisResult(
