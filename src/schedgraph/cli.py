@@ -248,24 +248,20 @@ def _bench_one(item: tuple[GenSpec, str, str]) -> dict:
     spec, policy, mode = item
     instance = generate_instance(spec)
     kind = parse_policy(policy)
-    timings = []
-    graph = result = None
-    for _ in range(_BENCH_REPEATS):
-        t0 = time.perf_counter()
-        graph, result = generate(instance, kind, mode)
-        timings.append((time.perf_counter() - t0) * 1000.0)
     name = (f"n{spec.n_tasks}-u{spec.utilization:g}-rj{spec.jitter_ratio:g}"
             f"-rc{spec.variation_ratio:g}-s{spec.seed}")
-    return {
-        "instance": name,
-        "jobs": len(instance.jobs),
-        "policy": policy,
-        "mode": mode,
-        "vertices": graph.vertices_created,
-        "arcs": graph.arcs_created,
-        "wall_ms": f"{statistics.median(timings):.3f}",
-        "verdict": "schedulable" if result.schedulable else "non-schedulable",
-    }
+    row = {"instance": name, "jobs": len(instance.jobs), "policy": policy, "mode": mode}
+    timings = []
+    try:
+        for _ in range(_BENCH_REPEATS):
+            t0 = time.perf_counter()
+            graph, result = generate(instance, kind, mode)
+            timings.append((time.perf_counter() - t0) * 1000.0)
+    except AnalysisStuck:  # a row without a verdict, not the end of the run
+        return {**row, "vertices": "", "arcs": "", "wall_ms": "", "verdict": "stuck"}
+    return {**row, "vertices": graph.vertices_created, "arcs": graph.arcs_created,
+            "wall_ms": f"{statistics.median(timings):.3f}",
+            "verdict": "schedulable" if result.schedulable else "non-schedulable"}
 
 
 def cmd_bench(args) -> int:

@@ -22,16 +22,16 @@ could be the next job started:
   eligible job (vacuously when there is none).
 
 Priorities are integer ranks: `generate` ranks every job position by the
-policy's `pi_key` once, so outranking is `int <`. The applicable jobs are
-computed from a finished set only at the root. A successor's applicable
-set is derived from its parent's: the dispatched job's slot goes to its
-task's next job, or is dropped when the task is done, in the rank order
-and in the sorted release bounds alike. Each set is built once, with its
-critical context, each job's latest start under the budget and its sorted
-boundary times, and serves every vertex that has it; the sets live in a
-dict keyed by finished set for one level only. This `ApplicableSet` is
-the only eligibility state: `certainly_eligible(apps, t)` and
-`possibly_eligible(apps, t)` read nothing else, and
+policy's `pi_key` once, so outranking is `int <`, and by an idling
+policy's `urgency_key` too. Only the root's applicable jobs are computed
+from its finished set. A successor's applicable set is derived from its
+parent's: the dispatched job's slot goes to its task's next job, or is
+dropped when the task is done, in both orders and the release bounds. The
+critical context is read off the urgency order; while its job and time
+stay the parent's, only the two jobs' budget boundaries change. Each set
+serves every vertex that has it, for one level only. `ApplicableSet`, the
+only eligibility state, is all that `certainly_eligible(apps, t)` and
+`possibly_eligible(apps, t)` read, and
 `expansion_windows(apps, eft, lft, mode)` adds the vertex's interval.
 `make_context` builds the same set from scratch for any finished set.
 
@@ -76,13 +76,12 @@ from operator import attrgetter, itemgetter
 from typing import AbstractSet, Sequence
 
 from .model import InstanceError, Job, ProblemInstance
-from .policy import CriticalContext, PolicyKind, critical_context, pi_key
+from .policy import CriticalContext, PolicyKind, critical_context, pi_key, urgency_key
 
 ME = "me"
 SE = "se"
 MODES = (ME, SE)
 _POSITION = attrgetter("pos")
-_JOB = itemgetter(1)  # of a `ranked` entry
 _ID = attrgetter("id")
 
 
@@ -170,6 +169,16 @@ def priority_ranks(instance: ProblemInstance, kind: PolicyKind) -> list[int]:
     keys = [pi_key(kind, job) for job in instance.jobs]
     if len(set(keys)) != len(keys):
         raise RuntimeError("priority order is not strict")
+    return _ranks(keys)
+
+
+def urgency_ranks(instance: ProblemInstance, kind: PolicyKind) -> list[int]:
+    """Each job position's rank in `urgency_key` order, ties by position; empty
+    under a work conserving policy, which has no critical job."""
+    return [] if kind.work_conserving else _ranks([urgency_key(kind, job) for job in instance.jobs])
+
+
+def _ranks(keys: list) -> list[int]:
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return sorted(range(len(order)), key=order.__getitem__)  # the inverse of `order`
 
@@ -180,10 +189,10 @@ class ApplicableSet:
     for every vertex that has it; all that eligibility at a time t reads.
 
     `ranked` holds (rank, job, latest start the critical budget admits) for
-    every applicable job, in rank order. `releases` is the sorted multiset
-    of the jobs' release bounds; `boundaries` adds the budget boundaries,
-    so it may repeat a time too, and is the same list when there is no
-    critical job. Nothing is changed once built.
+    every applicable job, in rank order; `urgent` lists an idling policy's
+    jobs by urgency. `releases` is the sorted multiset of the jobs' release
+    bounds; `boundaries` adds the budget boundaries, may repeat a time too,
+    and is `releases` when there is no critical job. Nothing changes later.
     """
 
     kind: PolicyKind
@@ -191,6 +200,7 @@ class ApplicableSet:
     ranked: list[tuple[int, Job, float]]
     releases: list[int]
     boundaries: list[int]
+    urgent: list[Job]
 
     @property
     def applicable(self) -> list[Job]:
@@ -198,8 +208,9 @@ class ApplicableSet:
         return sorted((job for _, job, _ in self.ranked), key=_POSITION)
 
 
-def prepare(kind: PolicyKind, ranks: Sequence[int], jobs: Sequence[Job]) -> ApplicableSet:
-    """An applicable set built from scratch.
+def prepare(kind: PolicyKind, ranks: Sequence[int], urgency: Sequence[int],
+            jobs: Sequence[Job]) -> ApplicableSet:
+    """An applicable set built from scratch, given the priority and urgency ranks.
 
     A job named twice raises RuntimeError: the priority order among the
     jobs would not be strict.
@@ -208,52 +219,70 @@ def prepare(kind: PolicyKind, ranks: Sequence[int], jobs: Sequence[Job]) -> Appl
         raise RuntimeError("priority order is not strict")
     ranked = sorted((ranks[job.pos], job, inf) for job in jobs)
     releases = sorted(t for job in jobs for t in (job.r_min, job.r_max))
-    return _with_budget(kind, ranked, releases)
+    urgent = sorted(jobs, key=lambda job: urgency[job.pos]) if urgency else []
+    return _with_budget(kind, critical_context(kind, urgent), ranked, releases, urgent)
 
 
 def make_context(instance: ProblemInstance, kind: PolicyKind, finished: int) -> ApplicableSet:
     """A finished set's applicable set built from scratch, ranks and applicable jobs included."""
-    return prepare(kind, priority_ranks(instance, kind), applicable_jobs(instance, finished))
+    return prepare(kind, priority_ranks(instance, kind), urgency_ranks(instance, kind),
+                   applicable_jobs(instance, finished))
 
 
-def derive(instance: ProblemInstance, ranks: Sequence[int], apps: ApplicableSet,
-           job: Job) -> ApplicableSet:
+def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[int],
+           apps: ApplicableSet, job: Job) -> ApplicableSet:
     """The applicable set once `job` finishes, derived from its parent's.
 
-    The task's next job, if it has one, takes the finished job's place in
-    the rank order and the release bounds.
+    The task's next job, if any, takes its place in both orders, the release
+    bounds and, while the critical job and time stay, the budget boundaries.
     """
+    jobs, after = instance.jobs, job.pos + 1
+    follow = jobs[after] if after < len(jobs) and jobs[after].task_id == job.task_id else None
+    urgent, crit = apps.urgent, None
+    if urgency:  # an idling policy
+        urgent, rank = urgent.copy(), lambda j: urgency[j.pos]
+        del urgent[bisect_left(urgent, urgency[job.pos], key=rank)]
+        if follow is not None:
+            insort(urgent, follow, key=rank)
+        crit = critical_context(apps.kind, urgent)
     ranked = apps.ranked.copy()
     del ranked[bisect_left(ranked, (ranks[job.pos],))]
     releases = apps.releases.copy()
     releases.remove(job.r_min)
     releases.remove(job.r_max)
-    after = job.pos + 1
-    if after < len(instance.jobs) and instance.jobs[after].task_id == job.task_id:
-        follow = instance.jobs[after]
-        insort(ranked, (ranks[after], follow, inf))
+    if follow is not None:
+        insort(ranked, (ranks[after], follow, inf if crit is None else crit.time - follow.c_max))
         insort(releases, follow.r_min)
         insort(releases, follow.r_max)
-    return _with_budget(apps.kind, ranked, releases)
+    parent = apps.crit
+    if crit is None and parent is None:
+        return ApplicableSet(apps.kind, None, ranked, releases, releases, urgent)
+    if (crit and (crit.job.pos, crit.time)) != (parent and (parent.job.pos, parent.time)):
+        return _with_budget(apps.kind, crit, ranked, releases, urgent)
+    boundaries = apps.boundaries.copy()
+    for t in (job.r_min, job.r_max, crit.time - job.c_max + 1):
+        boundaries.remove(t)
+    for t in () if follow is None else (follow.r_min, follow.r_max, crit.time - follow.c_max + 1):
+        insort(boundaries, t)
+    return ApplicableSet(apps.kind, crit, ranked, releases, boundaries, urgent)
 
 
-def _with_budget(kind: PolicyKind, ranked: list[tuple[int, Job, float]],
-                 releases: list[int]) -> ApplicableSet:
-    """Add the critical context, the latest admitted starts and the budget boundaries.
+def _with_budget(kind: PolicyKind, crit: CriticalContext | None,
+                 ranked: list[tuple[int, Job, float]], releases: list[int],
+                 urgent: list[Job]) -> ApplicableSet:
+    """Add the latest starts and the boundaries that the budget of `crit` admits.
 
     With a critical start budget, a non-critical job stops being admitted
     the instant t + c_max first exceeds the budget.
     """
-    crit = critical_context(kind, map(_JOB, ranked))
-    if crit is None:
-        if not kind.work_conserving:  # `ranked` may hold a former budget's latest starts
-            ranked = [(rank, job, inf) for rank, job, _ in ranked]
-        return ApplicableSet(kind, None, ranked, releases, releases)
+    if crit is None:  # `ranked` may hold a former budget's latest starts
+        ranked = [(rank, job, inf) for rank, job, _ in ranked]
+        return ApplicableSet(kind, None, ranked, releases, releases, urgent)
     ranked = [(rank, job, inf if job.pos == crit.job.pos else crit.time - job.c_max)
               for rank, job, _ in ranked]
     boundaries = sorted(releases + [crit.time - job.c_max + 1 for _, job, _ in ranked
                                     if job.pos != crit.job.pos])
-    return ApplicableSet(kind, crit, ranked, releases, boundaries)
+    return ApplicableSet(kind, crit, ranked, releases, boundaries, urgent)
 
 
 # --- eligibility ----------------------------------------------------------------
@@ -520,9 +549,9 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
         raise InstanceError("instance has no jobs")
     start = time.perf_counter()
     graph = ScheduleGraph(instance, kind, mode)
-    ranks = priority_ranks(instance, kind)
+    ranks, urgency = priority_ranks(instance, kind), urgency_ranks(instance, kind)
     # finished set -> applicable set, for the level being expanded
-    applicable = {0: prepare(kind, ranks, applicable_jobs(instance, 0))}
+    applicable = {0: prepare(kind, ranks, urgency, applicable_jobs(instance, 0))}
     misses: list[DeadlineMiss] = []
     bounds: dict[int, tuple[int, int]] = {}  # by job position, in creation order
     stats = [(1, 0)]  # per level: (vertices, in-arcs), after its merge
@@ -540,7 +569,7 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
                 candidates.append(successor)
                 finished, eft, sid, lft = successor[:4]
                 if finished not in derived:
-                    derived[finished] = derive(instance, ranks, apps, job)
+                    derived[finished] = derive(instance, ranks, urgency, apps, job)
                 lo, hi = bounds.get(job.pos, (eft, lft))
                 bounds[job.pos] = (min(lo, eft), max(hi, lft))
                 if lft > job.deadline and (exhaustive_misses or not misses):

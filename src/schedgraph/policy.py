@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 from .model import Job
 
@@ -24,12 +25,13 @@ class PolicyKind(enum.Enum):
     CP = "cp"
     CW = "cw"
 
-    @property
-    def work_conserving(self) -> bool:
-        return self in (PolicyKind.EDF, PolicyKind.FP_EDF)
+    def __init__(self, value: str) -> None:
+        # a plain attribute: the analysis reads it per applicable set
+        self.work_conserving = value in ("edf", "fp-edf")
 
 
 POLICY_NAMES = tuple(kind.value for kind in PolicyKind)
+_BY_DEADLINE = attrgetter("deadline", "task_id")  # `urgency_key` under CP and CW
 
 
 def parse_policy(name: str) -> PolicyKind:
@@ -65,34 +67,34 @@ def pi_key(kind: PolicyKind, job: Job) -> tuple[int, ...]:
     return (job.priority, job.deadline, job.task_id)
 
 
-def critical_context(kind: PolicyKind, applicable: Iterable[Job]) -> CriticalContext | None:
-    """Critical job and latest safe start for the idling policies.
-
-    EDF/FP-EDF never idle and have no critical job. P-FP-EDF protects the
-    highest-priority (p=0) applicable job with the earliest certain release,
-    and has no context when no p=0 job is applicable. CP protects the
-    earliest-deadline applicable job. CW folds every applicable job, latest
-    deadline first, into a single start-time budget and protects the
-    earliest-deadline job.
-    """
-    jobs = list(applicable)
-    if kind.work_conserving or not jobs:
-        return None
+def urgency_key(kind: PolicyKind, job: Job) -> tuple[int, ...]:
+    """Sort key that puts an idling policy's critical job first: the earliest
+    deadline, or under P-FP-EDF a p=0 job by certain release; then task id."""
     if kind is PolicyKind.P_FP_EDF:
-        top = [j for j in jobs if j.priority == 0]
-        if not top:
-            return None
-        crit = min(top, key=lambda j: (j.r_max, j.task_id))
-        return CriticalContext(crit, crit.deadline - crit.c_max)
-    if kind is PolicyKind.CP:
-        crit = min(jobs, key=lambda j: (j.deadline, j.task_id))
-        return CriticalContext(crit, crit.deadline - crit.c_max)
-    # CW: enough slack must remain to run every applicable job by its deadline.
-    budget: int | None = None
-    for job in sorted(jobs, key=lambda j: (-j.deadline, j.task_id)):
-        budget = (job.deadline if budget is None else min(budget, job.deadline)) - job.c_max
-    crit = min(jobs, key=lambda j: (j.deadline, j.task_id))
-    return CriticalContext(crit, budget)
+        return (job.priority != 0, job.r_max, job.task_id)
+    return (job.deadline, job.task_id)
+
+
+def critical_context(kind: PolicyKind, ordered: Sequence[Job]) -> CriticalContext | None:
+    """Critical job and latest safe start for the idling policies, given the
+    applicable jobs in `urgency_key` order.
+
+    EDF/FP-EDF never idle and have no critical job. The idling policies
+    protect the first job, P-FP-EDF only if it has p=0. CW folds every
+    applicable job, latest deadline first, into a single start-time budget.
+    """
+    if kind.work_conserving or not ordered:
+        return None
+    crit = ordered[0]
+    if kind is PolicyKind.CW:
+        # enough slack must remain to run every applicable job by its deadline
+        budget = ordered[-1].deadline
+        for job in reversed(ordered):
+            budget = (budget if budget < job.deadline else job.deadline) - job.c_max
+        return CriticalContext(crit, budget)
+    if kind is PolicyKind.P_FP_EDF and crit.priority != 0:
+        return None
+    return CriticalContext(crit, crit.deadline - crit.c_max)
 
 
 def pick(kind: PolicyKind, t: int, applicable: Iterable[Job],
@@ -104,8 +106,11 @@ def pick(kind: PolicyKind, t: int, applicable: Iterable[Job],
     For the idling policies, released jobs that would overrun the critical
     start budget are dropped (the critical job itself is always kept).
     P-FP-EDF without a p=0 applicable job behaves exactly like FP-EDF.
+    The applicable jobs are put in `urgency_key` order once.
     """
-    ctx = critical_context(kind, applicable)
-    if ctx is not None:
-        released = [j for j in released if ctx.admits(j, t)]
+    if not kind.work_conserving:
+        key = _BY_DEADLINE if kind is not PolicyKind.P_FP_EDF else lambda j: urgency_key(kind, j)
+        ctx = critical_context(kind, sorted(applicable, key=key))
+        if ctx is not None:
+            released = [j for j in released if ctx.admits(j, t)]
     return min(released, key=lambda j: pi_key(kind, j), default=None)

@@ -6,6 +6,8 @@ exploration bound is computed here too, apart from the engine's stop rule.
 They decide eligibility by the pointwise reference functions below, which
 are written from the definition (release bounds, the critical budget and
 the smallest `pi_key`) and share nothing with the engine's rank order.
+The reference critical context takes the applicable jobs in any order and
+shares nothing with the engine's urgency order.
 The product oracle simulates every scenario apart and is the reference for
 the engine's prefix-sharing search.
 """
@@ -22,7 +24,7 @@ from pathlib import Path
 from schedgraph import (AnalysisStuck, ExecutionScenario, InstanceError, PolicyKind,
                         ScenarioCapExceeded, Task, make_instance, scenario_count)
 from schedgraph.oracle import DEFAULT_SCENARIO_CAP, OracleReport, _simulate
-from schedgraph.policy import pi_key
+from schedgraph.policy import CriticalContext, pi_key
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 ANOMALY = INSTANCE_DIR / "anomaly.txt"
@@ -187,6 +189,29 @@ def mask(instance, keys) -> int:
     for key in keys:
         out |= 1 << instance.job(key).pos
     return out
+
+
+def reference_critical_context(kind, applicable):
+    """Critical context of the applicable jobs given in any order, written from
+    the definition: P-FP-EDF protects the p=0 job with the earliest certain
+    release, CP the earliest deadline, and CW the earliest deadline under a
+    budget folded over every job, latest deadline first."""
+    jobs = list(applicable)
+    if kind.work_conserving or not jobs:
+        return None
+    if kind is PolicyKind.P_FP_EDF:
+        top = [j for j in jobs if j.priority == 0]
+        if not top:
+            return None
+        crit = min(top, key=lambda j: (j.r_max, j.task_id))
+        return CriticalContext(crit, crit.deadline - crit.c_max)
+    crit = min(jobs, key=lambda j: (j.deadline, j.task_id))
+    if kind is PolicyKind.CP:
+        return CriticalContext(crit, crit.deadline - crit.c_max)
+    budget = None
+    for job in sorted(jobs, key=lambda j: (-j.deadline, j.task_id)):
+        budget = (job.deadline if budget is None else min(budget, job.deadline)) - job.c_max
+    return CriticalContext(crit, budget)
 
 
 def _admitted(apps, job, t, exclude) -> bool:

@@ -339,6 +339,25 @@ class TestBench:
         assert int(row["vertices"]) == graph.vertices_created
         assert int(row["arcs"]) == graph.arcs_created
 
+    def test_stuck_analysis_is_a_row_not_the_end_of_the_run(self, capsys, tmp_path,
+                                                            monkeypatch):
+        import schedgraph.cli as cli
+
+        def stuck_under_se(instance, kind, mode):
+            if mode == "se":
+                raise schedgraph.AnalysisStuck("no certainly eligible job exists at or after t=0")
+            return generate(instance, kind, mode)
+
+        monkeypatch.setattr(cli, "generate", stuck_under_se)
+        spec = tmp_path / "bench.txt"
+        spec.write_text("bench tasks=3 util=0.3 rj=0.2 rc=0.2 seeds=3 modes=me,se\n")
+        code, out = run(capsys, "bench", str(spec), "--jobs", "1")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(row["mode"], row["verdict"] == "stuck") for row in rows] == \
+            [("me", False), ("se", True)] * 3
+        assert all(row["vertices"] == row["wall_ms"] == "" for row in rows if row["mode"] == "se")
+
     def test_parallel_output_matches_serial(self, capsys, tmp_path):
         spec = tmp_path / "bench.txt"
         spec.write_text("bench tasks=3 util=0.3 rj=0.1 rc=0.1 seeds=4\n")

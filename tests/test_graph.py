@@ -14,15 +14,16 @@ from hypothesis import strategies as st
 
 import schedgraph.graph
 import schedgraph.policy
-from schedgraph import (ME, SE, AnalysisStuck, ExecutionScenario, PolicyKind, Task,
-                        enumerate_scenarios, export_dot, generate, make_instance,
-                        parse_instance, scenario_count, simulate, write_instance)
+from schedgraph import (ME, SE, AnalysisStuck, ExecutionScenario, GenSpec, PolicyKind, Task,
+                        enumerate_scenarios, export_dot, generate, generate_instance,
+                        make_instance, parse_instance, scenario_count, simulate,
+                        write_instance)
 from schedgraph.cli import main
 from schedgraph.graph import (ScheduleGraph, applicable_jobs, certainly_eligible, expand,
                               expansion_windows, make_context, merge_phase, next_nodes,
                               possibly_eligible, priority_ranks)
 from schedgraph.model import Job
-from schedgraph.policy import pi_key
+from schedgraph.policy import pi_key, urgency_key
 from support import (ALL_POLICIES, MANY_TASKS, SE_STUCK_SCHEDULABLE, check_graph,
                      exploration_bound, mask, naive_windows_me, naive_windows_se,
                      reference_certainly_eligible, reference_possibly_eligible,
@@ -505,6 +506,7 @@ class TestIncrementalState:
             assert apps.crit == scratch.crit
             assert apps.boundaries == scratch.boundaries
             assert apps.ranked == scratch.ranked
+            assert apps.urgent == scratch.urgent
             expanded.append(vertex.id)
             return original(graph, vertex, apps)
 
@@ -539,7 +541,8 @@ class TestIncrementalState:
 
 
 class TestIncrementalCost:
-    """generate computes applicable jobs only at the root and each priority key once.
+    """generate computes applicable jobs only at the root and each priority and
+    urgency key once.
 
     A per-vertex rescan of the tasks or of the priority keys makes this fail.
     """
@@ -547,7 +550,7 @@ class TestIncrementalCost:
     @pytest.mark.parametrize("name", ["anomaly", "idle4"])
     def test_no_per_vertex_rescan(self, monkeypatch, request, name):
         instance = request.getfixturevalue(name)
-        calls = {"applicable_jobs": 0, "pi_key": 0}
+        calls = {"applicable_jobs": 0, "pi_key": 0, "urgency_key": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -559,13 +562,15 @@ class TestIncrementalCost:
                             counted("applicable_jobs", applicable_jobs))
         monkeypatch.setattr(schedgraph.graph, "pi_key", counted("pi_key", pi_key))
         monkeypatch.setattr(schedgraph.policy, "pi_key", counted("pi_key", pi_key))
+        monkeypatch.setattr(schedgraph.graph, "urgency_key", counted("urgency_key", urgency_key))
         for kind in ALL_POLICIES:
             for mode in (ME, SE):
-                calls.update(applicable_jobs=0, pi_key=0)
+                calls.update(applicable_jobs=0, pi_key=0, urgency_key=0)
                 graph, _ = generate(instance, kind, mode, exhaustive_misses=True)
                 assert graph.vertices_created > len(instance.jobs)
                 assert calls["applicable_jobs"] <= 1, (kind, mode)
                 assert calls["pi_key"] <= len(instance.jobs), (kind, mode)
+                assert calls["urgency_key"] <= len(instance.jobs), (kind, mode)
 
 
 class TestOracleSoundness:
@@ -635,6 +640,19 @@ class TestDifferential:
         schedulable = sum(me_agrees_with_oracle(instance, kind)
                           for instance in many_task_instances)
         assert 0 < schedulable < len(many_task_instances)
+
+    @pytest.mark.parametrize("spec, kind, schedulable", [
+        (GenSpec(4, 0.5, 1.0, 1.0, (10, 20, 40), 36), PolicyKind.CW, True),
+        (GenSpec(4, 0.6, 0.5, 1.0, (10, 20, 40), 14), PolicyKind.CP, False),
+        (GenSpec(4, 0.6, 0.5, 1.0, (10, 20, 40), 246), PolicyKind.CP, False),
+    ], ids=["cw-36", "cp-14", "cp-246"])
+    def test_folded_arcs_agree(self, spec, kind, schedulable):
+        # the crowded draws never fold a duplicate arc in merge_phase; these do
+        instance = generate_instance(spec)
+        graph, result = generate(instance, kind, ME)
+        assert graph.arcs_created > len(graph.arcs)
+        assert me_agrees_with_oracle(instance, kind) is schedulable
+        check_graph(graph, result)
 
     @settings(max_examples=200, deadline=None)
     @given(tasks=st.lists(st.builds(
@@ -775,7 +793,7 @@ CORRUPTED_CASES = textwrap.dedent("""
     done = graph.vertices[first[2]]
 
     def twice():  # one job twice in the applicable set
-        prepare(PolicyKind.EDF, priority_ranks(instance, PolicyKind.EDF), (job, job))
+        prepare(PolicyKind.EDF, priority_ranks(instance, PolicyKind.EDF), [], (job, job))
 
     def merged_after_expansion():  # a candidate of a level already stored
         expand(graph, done, instance.job((1, 1)), 1, 1)

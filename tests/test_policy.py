@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schedgraph import PolicyKind, parse_policy
-from schedgraph.policy import critical_context, pi_key, pick
-from support import ALL_POLICIES, sample_instance
+from schedgraph.model import Job
+from schedgraph.policy import critical_context, pi_key, pick, urgency_key
+from support import ALL_POLICIES, reference_critical_context, sample_instance
 
 
 def test_parse_policy_names():
@@ -93,30 +94,50 @@ class TestPick:
             assert releases[choice.key] <= t
 
 
+def urgent(kind, jobs):
+    """The jobs in the urgency order that `critical_context` expects."""
+    return sorted(jobs, key=lambda j: urgency_key(kind, j))
+
+
+@st.composite
+def applicable_sets(draw):
+    """One job per task, shuffled; small deadline and priority ranges make
+    equal deadlines and sets without a p=0 job common."""
+    jobs = []
+    for pos in range(draw(st.integers(0, 6))):
+        r_min, c_min = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+        jobs.append(Job(task_id=pos + 1, index=1, r_min=r_min,
+                        r_max=r_min + draw(st.integers(0, 2)), c_min=c_min,
+                        c_max=c_min + draw(st.integers(0, 2)),
+                        deadline=draw(st.integers(1, 8)), priority=draw(st.integers(0, 2)),
+                        pos=pos))
+    return draw(st.permutations(jobs))
+
+
 class TestCriticalContext:
     def test_precautious_protects_top_priority_job(self, idle4):
-        ctx = critical_context(PolicyKind.P_FP_EDF, idle4.jobs)
+        ctx = critical_context(PolicyKind.P_FP_EDF, urgent(PolicyKind.P_FP_EDF, idle4.jobs))
         assert ctx.job == idle4.job((1, 1))
         assert ctx.time == 12 - 2
 
     def test_precautious_absent_without_top_priority_job(self, idle4):
         applicable = [idle4.job((3, 1)), idle4.job((4, 1))]
-        assert critical_context(PolicyKind.P_FP_EDF, applicable) is None
+        assert critical_context(PolicyKind.P_FP_EDF, urgent(PolicyKind.P_FP_EDF, applicable)) is None
 
     def test_cp_protects_earliest_deadline(self, idle4):
-        ctx = critical_context(PolicyKind.CP, idle4.jobs)
+        ctx = critical_context(PolicyKind.CP, urgent(PolicyKind.CP, idle4.jobs))
         assert ctx.job == idle4.job((2, 1))
         assert ctx.time == 8 - 8
 
     def test_cw_folds_all_deadlines(self, idle4):
         # deadlines descending: 16, 14, 12, 8 with c_max 4, 2, 2, 8
-        ctx = critical_context(PolicyKind.CW, idle4.jobs)
+        ctx = critical_context(PolicyKind.CW, urgent(PolicyKind.CW, idle4.jobs))
         assert ctx.time == 0
         assert ctx.job == idle4.job((2, 1))
 
     def test_work_conserving_policies_have_no_context(self, idle4):
-        assert critical_context(PolicyKind.EDF, idle4.jobs) is None
-        assert critical_context(PolicyKind.FP_EDF, idle4.jobs) is None
+        assert critical_context(PolicyKind.EDF, urgent(PolicyKind.EDF, idle4.jobs)) is None
+        assert critical_context(PolicyKind.FP_EDF, urgent(PolicyKind.FP_EDF, idle4.jobs)) is None
 
     @given(seed=st.integers(0, 10_000))
     def test_cp_cw_always_present_on_non_empty_sets(self, seed):
@@ -124,10 +145,23 @@ class TestCriticalContext:
         instance = sample_instance(rng)
         applicable = [jobs[0] for jobs in instance.jobs_by_task.values() if jobs]
         for kind in (PolicyKind.CP, PolicyKind.CW):
-            ctx = critical_context(kind, applicable)
+            ctx = critical_context(kind, urgent(kind, applicable))
             assert ctx is not None
             assert ctx.job in applicable
         assert critical_context(kind, []) is None
+
+    @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
+    @given(jobs=applicable_sets())
+    def test_urgency_order_matches_any_order_reference(self, kind, jobs):
+        assert critical_context(kind, urgent(kind, jobs)) == reference_critical_context(kind, jobs)
+
+    def test_cw_equal_deadlines_fold_in_any_order(self):
+        jobs = [Job(task, 1, 0, 0, 1, c_max, 10, 0, task - 1)
+                for task, c_max in ((1, 3), (2, 1), (3, 2))]
+        for order in (jobs, jobs[::-1]):
+            ctx = critical_context(PolicyKind.CW, urgent(PolicyKind.CW, order))
+            assert ctx == reference_critical_context(PolicyKind.CW, order)
+            assert (ctx.job, ctx.time) == (jobs[0], 10 - 6)
 
 
 class TestPolicyCoincidence:
