@@ -31,7 +31,7 @@ class PolicyKind(enum.Enum):
 
 
 POLICY_NAMES = tuple(kind.value for kind in PolicyKind)
-_BY_DEADLINE = attrgetter("deadline", "task_id")  # `urgency_key` under CP and CW
+_BY_DEADLINE = attrgetter("deadline", "task_id")  # `urgency_key` under CP and CW, in C
 
 
 def parse_policy(name: str) -> PolicyKind:
@@ -72,7 +72,7 @@ def urgency_key(kind: PolicyKind, job: Job) -> tuple[int, ...]:
     deadline, or under P-FP-EDF a p=0 job by certain release; then task id."""
     if kind is PolicyKind.P_FP_EDF:
         return (job.priority != 0, job.r_max, job.task_id)
-    return (job.deadline, job.task_id)
+    return _BY_DEADLINE(job)
 
 
 def critical_context(kind: PolicyKind, ordered: Sequence[Job]) -> CriticalContext | None:
