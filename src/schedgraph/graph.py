@@ -57,25 +57,26 @@ become eligible at most once per vertex: a job whose range has ended is
 consumed and no longer counts as eligible, certainly or possibly, at later
 probes.
 
-A level is merged before it is stored: expansion yields plain successor
-candidates, and the merge builds a `Vertex` only per survivor and an `Arc`
-only per kept arc. A merged-away id is counted in `vertices_created` but
-never stored. A successor's interval at creation is exactly [est + c_min,
-lst + c_max] of its dispatch window, so it is folded into its job's finish
-bound and checked against the deadline right there. Generation reads only
-the level it expands; the stored graph is a record.
+A level is merged before it is recorded: expansion yields plain successor
+candidates, and the merge records the survivors as frontier tuples
+`(finished, eft, id, lft)` and the kept arcs as one flat `array('Q')`; a
+merged-away id is only counted. A successor's interval at creation is
+exactly [est + c_min, lst + c_max] of its window, so it is folded into its
+job's finish bound and checked against the deadline right there. `Vertex`
+and `Arc` objects are built only when the graph is read.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from math import inf
 from operator import attrgetter, itemgetter
 from typing import AbstractSet, Sequence
 
-from .model import InstanceError, Job, ProblemInstance
+from .model import U64_MAX, InstanceError, Job, ProblemInstance
 from .policy import CriticalContext, PolicyKind, critical_context, pi_key, urgency_key
 
 ME = "me"
@@ -83,6 +84,7 @@ SE = "se"
 MODES = (ME, SE)
 _POSITION = attrgetter("pos")
 _ID = attrgetter("id")
+_VID = itemgetter(2)  # a frontier tuple's or a candidate's vertex id
 
 
 class AnalysisStuck(RuntimeError):
@@ -118,8 +120,18 @@ class Arc:
     lst: int
 
 
+class _WideRecord(list):  # an arc record with times past 2**64 - 1, which no `array` holds
+    fromlist = list.extend
+
+
 class ScheduleGraph:
-    """Level-structured DAG of scheduler states for one (instance, policy, mode)."""
+    """Level-structured DAG of scheduler states for one (instance, policy, mode).
+
+    `recorded` holds each level, the root's first, as its frontier tuples in
+    id order and its arcs' `(id, src, dst, job_pos, est, lst)` in in-arc
+    order. A read of `vertices` or `arcs` adds the levels recorded since the
+    last read to the same dicts, so objects read earlier gain later out-arcs.
+    """
 
     def __init__(self, instance: ProblemInstance, kind: PolicyKind, mode: str = ME):
         if mode not in MODES:
@@ -128,11 +140,33 @@ class ScheduleGraph:
         self.kind = kind
         self.mode = mode
         self.root = 0
-        self.vertices: dict[int, Vertex] = {self.root: Vertex(self.root, 0, 0, 0, 0)}
-        self.arcs: dict[int, Arc] = {}
-        self.levels: list[list[int]] = [[self.root]]
+        # bounds every time in the graph: none passes the latest release or deadline plus all c_max
+        wide = sum(job.r_max + job.deadline + job.c_max for job in instance.jobs) > U64_MAX
+        self.arc_record = _WideRecord if wide else lambda: array("Q")
+        self.recorded: list[tuple[list[tuple], array]] = [([(0, 0, self.root, 0)], self.arc_record())]
         self.vertices_created = 1  # ids handed out, merged-away ones included
         self.arcs_created = 0
+        self.first_unrecorded = 1  # every smaller vertex id belongs to a recorded level
+        self._vertices, self._arcs = {}, {}  # built from `recorded` on read
+        self._built = 0  # levels of `recorded` built into the dicts
+
+    levels = property(lambda self: [[*map(_VID, survivors)] for survivors, _ in self.recorded])
+    vertices = property(lambda self: self._build()[0])  # dict[int, Vertex]
+    arcs = property(lambda self: self._build()[1])  # dict[int, Arc]
+
+    def _build(self) -> tuple[dict[int, Vertex], dict[int, Arc]]:
+        vertices, arcs = self._vertices, self._arcs
+        for level in range(self._built, len(self.recorded)):
+            survivors, kept = self.recorded[level]
+            vertices.update((v[2], Vertex(v[2], v[1], v[3], v[0], level)) for v in survivors)
+            made = [Arc(*fields) for fields in zip(*[iter(kept)] * 6)]
+            for arc in made:  # in in-arc order
+                vertices[arc.dst].in_arcs.append(arc.id)
+            for arc in sorted(made, key=_ID):
+                arcs[arc.id] = arc
+                vertices[arc.src].out_arcs.append(arc.id)
+        self._built = len(self.recorded)
+        return vertices, arcs
 
 
 # --- priority ranks and applicable sets ---------------------------------------
@@ -380,41 +414,40 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
 
 # --- graph construction -------------------------------------------------------
 
-def expand(graph: ScheduleGraph, vertex: Vertex, job: Job, est: int, lst: int) -> tuple:
-    """The successor candidate for dispatching `job` from `vertex` over [est, lst]:
-    `(finished, eft, id, lft, source, job_pos, est, lst, arc id)`, with the
-    next vertex and arc ids. Nothing is stored before `merge_phase`."""
+def expand(graph: ScheduleGraph, vertex: tuple, job: Job, est: int, lst: int) -> tuple:
+    """The successor candidate for dispatching `job` from frontier tuple `vertex`
+    over [est, lst]: `(finished, eft, id, lft, source, job_pos, est, lst, arc
+    id)`, with the next vertex and arc ids. Nothing is recorded before the merge."""
     if est > lst:
         raise ValueError(f"empty dispatch window [{est}, {lst}]")
-    if vertex.finished >> job.pos & 1:
+    if vertex[0] >> job.pos & 1:
         raise RuntimeError("job already finished in source vertex")
     eft, lft = est + job.c_min, lst + job.c_max
     if eft > lft:
         raise RuntimeError(f"vertex interval [{eft}, {lft}] is empty")
     vid, aid = graph.vertices_created, graph.arcs_created
     graph.vertices_created, graph.arcs_created = vid + 1, aid + 1
-    return (vertex.finished | 1 << job.pos, eft, vid, lft, vertex.id, job.pos, est, lst, aid)
+    return (vertex[0] | 1 << job.pos, eft, vid, lft, vertex[2], job.pos, est, lst, aid)
 
 
-def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[int]:
-    """Merge one level's candidates, then store the survivors; their ids in order.
+def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[tuple]:
+    """Merge one level's candidates and record it; the survivors' frontier tuples in id order.
 
     Candidates with equal finished sets and overlapping intervals merge into
     one vertex with the smallest id and the interval hull. Its in-arcs are
     its own arc, then the others in (eft, id) order; a second arc from one
     source folds its dispatch window into the first, which keeps finish
-    bounds exact and the graph simple. Only survivors and kept arcs are
-    built and stored, in id order: a merged-away id is counted in
-    `vertices_created` but never stored. Sorts `candidates` in place.
+    bounds exact and the graph simple. A merged-away id is counted in
+    `vertices_created` but never recorded. Sorts `candidates` in place.
     """
-    if not graph.vertices.keys().isdisjoint(map(itemgetter(2), candidates)):
+    if min(map(_VID, candidates), default=graph.first_unrecorded) < graph.first_unrecorded:
         raise RuntimeError("merge phase ran after expansion of the level")
+    graph.first_unrecorded = graph.vertices_created
     if len(candidates) < 2:  # nothing to merge
-        return _store_unmerged(graph, candidates)
+        return _record_unmerged(graph, candidates)
     candidates.sort()  # by (finished, eft, id)
-    level = graph.vertices[candidates[0][4]].level + 1
-    survivors: list[Vertex] = []
-    arcs: list[Arc] = []
+    survivors: list[tuple] = []
+    arcs = graph.arc_record()
     i, n = 0, len(candidates)
     while i < n:
         finished, eft, vid, lft, src, job_pos, est, lst, aid = candidates[i]
@@ -423,44 +456,36 @@ def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[int]:
             lft = max(lft, candidates[j][3])
             j += 1
         if j == i + 1:  # most groups: nothing to merge
-            survivors.append(Vertex(vid, eft, lft, finished, level, [aid]))
-            arcs.append(Arc(aid, src, vid, job_pos, est, lst))
+            survivors.append((finished, eft, vid, lft))
+            arcs.fromlist([aid, src, vid, job_pos, est, lst])  # `extend` is slow on a tuple
         else:
             group = candidates[i:j]
-            keep_id = min(candidate[2] for candidate in group)
+            keep_id = min(map(_VID, group))
             group.sort(key=lambda c: c[2] != keep_id)  # its own arc first, then (eft, id)
-            kept: dict[int, Arc] = {}  # by source
+            kept: dict[int, list[int]] = {}  # by source: [id, src, dst, job_pos, est, lst]
             for _, _, _, _, src, job_pos, est, lst, aid in group:
                 arc = kept.get(src)
                 if arc is None:
-                    kept[src] = Arc(aid, src, keep_id, job_pos, est, lst)
-                elif arc.job_pos != job_pos:
+                    kept[src] = [aid, src, keep_id, job_pos, est, lst]
+                elif arc[3] != job_pos:
                     raise RuntimeError("arcs between one pair of vertices dispatch different jobs")
                 else:
-                    arc.est = min(arc.est, est)
-                    arc.lst = max(arc.lst, lst)
-            survivors.append(Vertex(keep_id, eft, lft, finished, level, [*map(_ID, kept.values())]))
-            arcs.extend(kept.values())
+                    arc[4], arc[5] = min(arc[4], est), max(arc[5], lst)
+            survivors.append((finished, eft, keep_id, lft))
+            arcs.fromlist([field for arc in kept.values() for field in arc])
         i = j
-    survivors.sort(key=_ID)
-    arcs.sort(key=_ID)
-    stored = graph.vertices
-    for vertex in survivors:
-        stored[vertex.id] = vertex
-    for arc in arcs:
-        graph.arcs[arc.id] = arc
-        stored[arc.src].out_arcs.append(arc.id)
-    return [vertex.id for vertex in survivors]
+    survivors.sort(key=_VID)
+    graph.recorded.append((survivors, arcs))
+    return survivors
 
 
-def _store_unmerged(graph: ScheduleGraph, candidates: list[tuple]) -> list[int]:
-    """Store candidates, given in id order, as created: each a vertex with its own arc."""
-    stored = graph.vertices
-    for finished, eft, vid, lft, src, job_pos, est, lst, aid in candidates:
-        stored[vid] = Vertex(vid, eft, lft, finished, stored[src].level + 1, [aid])
-        graph.arcs[aid] = Arc(aid, src, vid, job_pos, est, lst)
-        stored[src].out_arcs.append(aid)
-    return [candidate[2] for candidate in candidates]
+def _record_unmerged(graph: ScheduleGraph, candidates: list[tuple]) -> list[tuple]:
+    """Record candidates, given in id order, as created: each a vertex with its own arc."""
+    arcs = graph.arc_record()
+    for _, _, vid, _, src, job_pos, est, lst, aid in candidates:
+        arcs.fromlist([aid, src, vid, job_pos, est, lst])
+    graph.recorded.append(([candidate[:4] for candidate in candidates], arcs))
+    return graph.recorded[-1][0]
 
 
 # --- analysis driver ----------------------------------------------------------
@@ -468,9 +493,9 @@ def _store_unmerged(graph: ScheduleGraph, candidates: list[tuple]) -> list[int]:
 @dataclass(frozen=True)
 class DeadlineMiss:
     """A successor whose latest finish passes its job's deadline. `vertex` is
-    its id as created: the aborting level is stored unmerged, so the default
-    witness is a stored vertex, but under `exhaustive_misses` a miss may name
-    an id that was merged away and is never stored."""
+    its id as created: the aborting level is recorded unmerged, so the
+    default witness is a vertex of the graph, but under `exhaustive_misses` a
+    miss may name an id that was merged away and is never recorded."""
 
     vertex: int
     job: Job
@@ -485,7 +510,7 @@ class AnalysisResult:
     misses: list[DeadlineMiss]
     bounds: dict[tuple[int, int], tuple[int, int]]  # job key -> (finish min, finish max)
     bounds_complete: bool
-    levels: list[tuple[int, int]]  # per level: (vertices, in-arcs), post-merge
+    levels: list[tuple[int, int]]  # per level: (vertices, in-arcs), as recorded
     vertices_created: int  # before merging
     arcs_created: int
     wall_ms: float
@@ -516,14 +541,14 @@ class AnalysisResult:
         return data
 
 
-def next_nodes(graph: ScheduleGraph, vertex: Vertex,
+def next_nodes(graph: ScheduleGraph, vertex: tuple,
                apps: ApplicableSet) -> list[tuple[tuple, Job]]:
-    """Expand one vertex, whose applicable set is `apps`: each successor
+    """Expand one frontier tuple, whose applicable set is `apps`: each successor
     candidate (one per dispatch window) and the job it dispatches."""
     try:
-        windows = expansion_windows(apps, vertex.eft, vertex.lft, graph.mode)
+        windows = expansion_windows(apps, vertex[1], vertex[3], graph.mode)
     except AnalysisStuck as exc:
-        raise AnalysisStuck(str(exc), vertex=vertex.id) from None
+        raise AnalysisStuck(str(exc), vertex=vertex[2]) from None
     return [(expand(graph, vertex, job, est, lst), job) for job, est, lst in windows]
 
 
@@ -532,11 +557,11 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
     """Build the schedule graph level by level and report schedulability.
 
     Levels alternate expansion and merging, and a level is merged before it
-    is stored. Each successor's interval is folded into its job's finish
+    is recorded. Each successor's interval is folded into its job's finish
     bound and checked against its deadline as it is created; a level with a
-    miss is still expanded in full and stored unmerged, then the first miss
-    aborts with a witness unless `exhaustive_misses` asks to keep going and
-    collect all of them. Pure function of its arguments: repeated runs
+    miss is still expanded in full and recorded unmerged, then the first
+    miss aborts with a witness unless `exhaustive_misses` asks to keep going
+    and collect all of them. Pure function of its arguments: repeated runs
     build identical graphs.
 
     Only the root's applicable jobs are computed from its finished set. The
@@ -554,17 +579,15 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
     applicable = {0: prepare(kind, ranks, urgency, applicable_jobs(instance, 0))}
     misses: list[DeadlineMiss] = []
     bounds: dict[int, tuple[int, int]] = {}  # by job position, in creation order
-    stats = [(1, 0)]  # per level: (vertices, in-arcs), after its merge
-    frontier = graph.levels[0]
+    frontier = graph.recorded[0][0]
     for _ in instance.jobs:  # one level per job
         candidates = []
         derived: dict[int, ApplicableSet] = {}  # the same, for the next level
-        last_user = {graph.vertices[vid].finished: vid for vid in frontier}
-        for vid in frontier:
-            vertex = graph.vertices[vid]
-            apps = applicable[vertex.finished]
-            if last_user[vertex.finished] == vid:  # free it while the next level grows
-                del applicable[vertex.finished]
+        last_user = {vertex[0]: vertex for vertex in frontier}
+        for vertex in frontier:
+            apps = applicable[vertex[0]]
+            if last_user[vertex[0]] is vertex:  # free it while the next level grows
+                del applicable[vertex[0]]
             for successor, job in next_nodes(graph, vertex, apps):
                 candidates.append(successor)
                 finished, eft, sid, lft = successor[:4]
@@ -576,9 +599,7 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
                     misses.append(DeadlineMiss(sid, job, lft, job.deadline))
         applicable = derived
         aborted = bool(misses) and not exhaustive_misses
-        frontier = _store_unmerged(graph, candidates) if aborted else merge_phase(graph, candidates)
-        graph.levels.append(frontier)
-        stats.append((len(frontier), sum(len(graph.vertices[vid].in_arcs) for vid in frontier)))
+        frontier = _record_unmerged(graph, candidates) if aborted else merge_phase(graph, candidates)
         if aborted:
             break
     result = AnalysisResult(
@@ -587,7 +608,7 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
         misses=misses,
         bounds={instance.jobs[pos].key: bound for pos, bound in bounds.items()},
         bounds_complete=not aborted,
-        levels=stats,
+        levels=[(len(survivors), len(arcs) // 6) for survivors, arcs in graph.recorded],
         vertices_created=graph.vertices_created,
         arcs_created=graph.arcs_created,
         wall_ms=(time.perf_counter() - start) * 1000.0,

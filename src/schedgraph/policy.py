@@ -17,6 +17,9 @@ from typing import Iterable, Sequence
 
 from .model import Job
 
+_BY_DEADLINE = attrgetter("deadline", "task_id")  # `pi_key` under EDF, `urgency_key` under CP and CW
+_BY_PRIORITY = attrgetter("priority", "deadline", "task_id")  # `pi_key` under the other policies
+
 
 class PolicyKind(enum.Enum):
     EDF = "edf"
@@ -26,12 +29,12 @@ class PolicyKind(enum.Enum):
     CW = "cw"
 
     def __init__(self, value: str) -> None:
-        # a plain attribute: the analysis reads it per applicable set
+        # plain attributes: the analysis reads them per applicable set, the oracle per decision
         self.work_conserving = value in ("edf", "fp-edf")
+        self.priority_key = _BY_DEADLINE if value == "edf" else _BY_PRIORITY  # see `pi_key`
 
 
 POLICY_NAMES = tuple(kind.value for kind in PolicyKind)
-_BY_DEADLINE = attrgetter("deadline", "task_id")  # `urgency_key` under CP and CW, in C
 
 
 def parse_policy(name: str) -> PolicyKind:
@@ -62,9 +65,7 @@ def pi_key(kind: PolicyKind, job: Job) -> tuple[int, ...]:
     first (0 is highest), then deadline. Ties always fall back to the task
     id, which keeps the order strict within one instance.
     """
-    if kind is PolicyKind.EDF:
-        return (job.deadline, job.task_id)
-    return (job.priority, job.deadline, job.task_id)
+    return kind.priority_key(job)
 
 
 def urgency_key(kind: PolicyKind, job: Job) -> tuple[int, ...]:
@@ -113,4 +114,4 @@ def pick(kind: PolicyKind, t: int, applicable: Iterable[Job],
         ctx = critical_context(kind, sorted(applicable, key=key))
         if ctx is not None:
             released = [j for j in released if ctx.admits(j, t)]
-    return min(released, key=lambda j: pi_key(kind, j), default=None)
+    return min(released, key=kind.priority_key, default=None)

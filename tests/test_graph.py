@@ -50,10 +50,16 @@ def span(candidate):
     return candidate[1], candidate[3]
 
 
+def top(graph):
+    """The root's frontier tuple (finished, eft, id, lft)."""
+    [root] = graph.recorded[0][0]
+    return root
+
+
 def store(graph, candidate):
-    """Merge a level of one candidate into the graph; the stored vertex."""
-    [vid] = merge_phase(graph, [candidate])
-    return graph.vertices[vid]
+    """Merge a level of one candidate into the graph; the recorded frontier tuple."""
+    [vertex] = merge_phase(graph, [candidate])
+    return vertex
 
 
 class TestApplicableJobs:
@@ -217,55 +223,51 @@ class TestProbeCount:
 class TestExpand:
     def test_expand_adds_execution_window(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
-        root = graph.vertices[graph.root]
-        first = expand(graph, root, jitter3.job((2, 1)), 0, 0)
+        first = expand(graph, top(graph), jitter3.job((2, 1)), 0, 0)
         assert span(first) == (1, 1)
         assert (first[2], first[8]) == (1, 0)  # the next vertex and arc ids
         assert graph.vertices.keys() == {graph.root}  # nothing stored before the merge
         v1 = store(graph, first)
         assert span(expand(graph, v1, jitter3.job((3, 1)), 1, 1)) == (4, 5)
         assert span(expand(graph, v1, jitter3.job((1, 1)), 1, 1)) == (2, 3)
-        arc = graph.arcs[v1.in_arcs[0]]
+        arc = graph.arcs[graph.vertices[v1[2]].in_arcs[0]]
         assert (arc.est, arc.lst) == (0, 0)
 
     def test_expand_window_spans_dispatch_times(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
-        root = graph.vertices[graph.root]
-        v1 = store(graph, expand(graph, root, jitter3.job((2, 1)), 0, 0))
+        v1 = store(graph, expand(graph, top(graph), jitter3.job((2, 1)), 0, 0))
         v2 = store(graph, expand(graph, v1, jitter3.job((1, 1)), 1, 1))
         assert span(expand(graph, v2, jitter3.job((3, 1)), 2, 3)) == (5, 7)
 
     def test_deterministic_job_gives_point_interval(self):
         instance = make_instance([Task(1, 10, 0, 0, 3, 3, 10)])
         graph = ScheduleGraph(instance, PolicyKind.EDF)
-        candidate = expand(graph, graph.vertices[graph.root], instance.jobs[0], 4, 4)
+        candidate = expand(graph, top(graph), instance.jobs[0], 4, 4)
         assert span(candidate) == (7, 7)
 
     def test_empty_window_rejected(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
         with pytest.raises(ValueError, match="empty dispatch window"):
-            expand(graph, graph.vertices[graph.root], jitter3.job((2, 1)), 3, 2)
+            expand(graph, top(graph), jitter3.job((2, 1)), 3, 2)
 
 
 class TestNextNodes:
     def test_root_expands_to_single_certain_choice(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
-        new = next_nodes(graph, graph.vertices[graph.root], scratch(graph, graph.root))
+        new = next_nodes(graph, top(graph), scratch(graph, graph.root))
         assert [(job.label, span(c)) for c, job in new] == [("J2,1", (1, 1))]
 
     def test_vertex_with_certain_switchover_expands_twice(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
-        root = graph.vertices[graph.root]
-        v1 = store(graph, expand(graph, root, jitter3.job((2, 1)), 0, 0))
+        v1 = store(graph, expand(graph, top(graph), jitter3.job((2, 1)), 0, 0))
         v3 = store(graph, expand(graph, v1, jitter3.job((3, 1)), 1, 1))
-        new = next_nodes(graph, v3, scratch(graph, v3.id))
+        new = next_nodes(graph, v3, scratch(graph, v3[2]))
         assert [span(c) for c, _ in new] == [(5, 6), (6, 6)]
 
     def test_idling_policy_reopens_eligibility(self, idle4):
         graph = ScheduleGraph(idle4, PolicyKind.P_FP_EDF)
-        root = graph.vertices[graph.root]
-        v1 = store(graph, expand(graph, root, idle4.job((2, 1)), 0, 0))
-        new = next_nodes(graph, v1, scratch(graph, v1.id))
+        v1 = store(graph, expand(graph, top(graph), idle4.job((2, 1)), 0, 0))
+        new = next_nodes(graph, v1, scratch(graph, v1[2]))
         labels = [(job.label, span(c)) for c, job in new]
         assert labels == [("J3,1", (3, 4)), ("J4,1", (7, 10)), ("J3,1", (9, 10))]
 
@@ -281,11 +283,10 @@ class TestMergePhase:
 
     def test_disjoint_intervals_never_merge(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
-        root = graph.vertices[graph.root]
-        a = expand(graph, root, jitter3.job((2, 1)), 0, 0)
-        b = expand(graph, root, jitter3.job((2, 1)), 3, 3)
+        a = expand(graph, top(graph), jitter3.job((2, 1)), 0, 0)
+        b = expand(graph, top(graph), jitter3.job((2, 1)), 3, 3)
         assert (span(a), span(b)) == ((1, 1), (4, 4))  # a gap between the two intervals
-        assert merge_phase(graph, [b, a]) == [a[2], b[2]]
+        assert merge_phase(graph, [b, a]) == [a[:4], b[:4]]
         assert [graph.vertices[c[2]].interval for c in (a, b)] == [(1, 1), (4, 4)]
 
     def test_merge_takes_interval_hull_and_redirects_arcs(self, jitter3):
@@ -300,10 +301,10 @@ class TestMergePhase:
         # merge keeps a single arc whose window is the hull of both, so
         # finish bounds stay exact and the graph stays simple
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
-        root = graph.vertices[graph.root]
-        a = expand(graph, root, jitter3.job((1, 1)), 0, 1)  # interval [1, 3]
-        b = expand(graph, root, jitter3.job((1, 1)), 2, 3)  # interval [3, 5]
-        assert merge_phase(graph, [a, b]) == [a[2]]
+        root = graph.vertices[graph.root]  # read before the merge, still current after it
+        a = expand(graph, top(graph), jitter3.job((1, 1)), 0, 1)  # interval [1, 3]
+        b = expand(graph, top(graph), jitter3.job((1, 1)), 2, 3)  # interval [3, 5]
+        assert [vertex[2] for vertex in merge_phase(graph, [a, b])] == [a[2]]
         assert b[2] not in graph.vertices  # merged away, counted, never stored
         assert graph.vertices_created == 3 and graph.arcs_created == 2
         survivor = graph.vertices[a[2]]
@@ -312,6 +313,44 @@ class TestMergePhase:
         assert len(root.out_arcs) == 1
         kept = graph.arcs[survivor.in_arcs[0]]
         assert (kept.est, kept.lst) == (0, 3)
+
+
+class TestGraphOnRead:
+    """Generation records its levels flat; `graph.vertices` and `graph.arcs`
+    build each `Vertex` and `Arc` once, on the first read that needs it."""
+
+    @pytest.mark.parametrize("mode", [ME, SE])
+    @pytest.mark.parametrize("kind", [PolicyKind.EDF, PolicyKind.CW], ids=lambda kind: kind.value)
+    def test_objects_are_built_on_the_first_read_only(self, monkeypatch, kind, mode):
+        made = {"vertex": 0, "arc": 0}
+
+        class CountingVertex(schedgraph.graph.Vertex):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                made["vertex"] += 1
+                super().__init__(*args)
+
+        class CountingArc(schedgraph.graph.Arc):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                made["arc"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(schedgraph.graph, "Vertex", CountingVertex)
+        monkeypatch.setattr(schedgraph.graph, "Arc", CountingArc)
+        # edf misses a deadline and records its aborting level unmerged; cw completes
+        instance = generate_instance(GenSpec(20, 0.3, 0.6, 0.6, periods=(50, 100, 200), seed=3))
+        graph, result = generate(instance, kind, mode)
+        assert graph.vertices_created > 5_000
+        assert made == {"vertex": 0, "arc": 0}
+        vertices, arcs = graph.vertices, graph.arcs
+        assert made == {"vertex": len(vertices), "arc": len(arcs)}
+        assert type(vertices[graph.root]) is CountingVertex
+        assert graph.vertices is vertices and graph.arcs is arcs
+        assert made == {"vertex": len(vertices), "arc": len(arcs)}
+        check_graph(graph, result)
 
 
 class TestGenerate:
@@ -365,6 +404,18 @@ class TestGenerate:
                                (3, 4): (16, 19)}
         assert not partial.bounds_complete and full.bounds_complete
         assert partial.levels == full.levels[:4] + [(2, 2)]
+
+    def test_times_past_the_int64_and_uint64_ranges(self):
+        # a start at 2**63 fits the compact arc record; one past 2**64 - 1 does not
+        long = make_instance([Task(1, 2**64 - 1, 0, 0, 2**63, 2**63, 1),
+                              Task(2, 2**64 - 1, 0, 0, 1, 1, 1)])
+        late = make_instance([Task(i, 2**64 - 1, 2**64 - 10, 2**64 - 10, 4, 4, 2**64 - 1)
+                              for i in (1, 2, 3, 4)])
+        for instance, latest in ((long, 2**63), (late, 2**64 + 2)):
+            graph, result = generate(instance, PolicyKind.EDF, ME, exhaustive_misses=True)
+            check_graph(graph, result)
+            assert not result.schedulable
+            assert max(arc.lst for arc in graph.arcs.values()) == latest
 
     def test_generate_is_deterministic(self, idle4):
         g1, r1 = generate(idle4, PolicyKind.P_FP_EDF, ME)
@@ -500,14 +551,14 @@ class TestIncrementalState:
         original = schedgraph.graph.next_nodes
 
         def checking(graph, vertex, apps):
-            scratch = make_context(instance, kind, vertex.finished)
+            scratch = make_context(instance, kind, vertex[0])
             assert apps.kind is scratch.kind is kind
             assert apps.applicable == scratch.applicable
             assert apps.crit == scratch.crit
             assert apps.boundaries == scratch.boundaries
             assert apps.ranked == scratch.ranked
             assert apps.urgent == scratch.urgent
-            expanded.append(vertex.id)
+            expanded.append(vertex[2])
             return original(graph, vertex, apps)
 
         schedgraph.graph.next_nodes = checking
@@ -786,16 +837,15 @@ CORRUPTED_CASES = textwrap.dedent("""
     assert False, "assert statements must be stripped"
     instance = parse_instance(open(sys.argv[1]).read())
     graph = ScheduleGraph(instance, PolicyKind.EDF)
-    root = graph.vertices[graph.root]
+    [root] = graph.recorded[0][0]
     job = instance.job((2, 1))
     first = expand(graph, root, job, 0, 0)
-    merge_phase(graph, [first])
-    done = graph.vertices[first[2]]
+    [done] = merge_phase(graph, [first])
 
     def twice():  # one job twice in the applicable set
         prepare(PolicyKind.EDF, priority_ranks(instance, PolicyKind.EDF), [], (job, job))
 
-    def merged_after_expansion():  # a candidate of a level already stored
+    def merged_after_expansion():  # a candidate of a level already recorded
         expand(graph, done, instance.job((1, 1)), 1, 1)
         merge_phase(graph, [first])
 

@@ -4,27 +4,36 @@ A renamed function would make its per-layer metric read as absent, so every
 name the tracer wraps must still resolve to a callable. A function that
 `generate` stops calling through its module would read 0 without a warning,
 so a traced analysis must reach the seams of the sweep, expansion and
-merging.
+merging. The traced shape metrics read `graph.vertices` and `graph.arcs`,
+which must hold every level that generation recorded.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-import schedgraph.graph
-from schedgraph import ME, SE, PolicyKind, parse_instance
-from support import PRECAUTIOUS_IDLE
+import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import schedgraph.graph
+from schedgraph import ME, SE, AnalysisStuck, PolicyKind, parse_instance
+from support import ANOMALY, EDF_JITTER, PRECAUTIOUS_IDLE
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # `dataclass` looks its module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return load("tracing")
 
 
 def test_every_traced_name_resolves_to_a_callable():
@@ -55,3 +64,19 @@ def test_generate_calls_the_traced_seams():
     for name in ("graph.expansion_windows", "graph.merge_phase", "policy.critical_context"):
         assert calls[name] > 0, name
     assert tracer.counts["graph.probes"] > 0
+
+
+@pytest.mark.parametrize("path", [ANOMALY, EDF_JITTER, PRECAUTIOUS_IDLE], ids=lambda p: p.stem)
+def test_graph_reads_hold_every_recorded_level(path):
+    instance = parse_instance(path.read_text(encoding="utf-8"))
+    families = load("families")
+    for kind in PolicyKind:
+        for mode in (ME, SE):
+            try:
+                graph, result = schedgraph.graph.generate(instance, kind, mode)
+            except AnalysisStuck:
+                continue
+            assert len(graph.vertices) == sum(vertices for vertices, _ in result.levels)
+            assert len(graph.arcs) == sum(arcs for _, arcs in result.levels)
+            if path == PRECAUTIOUS_IDLE and kind in (PolicyKind.CW, PolicyKind.CP) and mode == ME:
+                assert families.reeligible_arcs(graph) > 0, kind

@@ -88,10 +88,15 @@ class TestPick:
         instance = sample_instance(rng)
         applicable = [jobs[0] for jobs in instance.jobs_by_task.values() if jobs]
         releases = {j.key: rng.randint(j.r_min, j.r_max) for j in applicable}
-        choice = pick(kind, t, applicable, released_by(applicable, releases, t))
+        released = released_by(applicable, releases, t)
+        choice = pick(kind, t, applicable, released)
         if choice is not None:
             assert choice in applicable
             assert releases[choice.key] <= t
+        # the first released job by `pi_key` that the critical budget admits
+        ctx = critical_context(kind, urgent(kind, applicable))
+        admitted = [j for j in released if ctx is None or ctx.admits(j, t)]
+        assert choice is min(admitted, key=lambda j: pi_key(kind, j), default=None)
 
 
 def urgent(kind, jobs):
