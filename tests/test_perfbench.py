@@ -32,12 +32,8 @@ def load(name):
     return module
 
 
-def load_tracing():
-    return load("tracing")
-
-
 def test_every_traced_name_resolves_to_a_callable():
-    tracing = load_tracing()
+    tracing = load("tracing")
     names = tracing.SPANS + tracing.COUNTS
     assert names
     missing = [f"{module}.{attr}" for module, attr, _ in names
@@ -47,7 +43,7 @@ def test_every_traced_name_resolves_to_a_callable():
 
 def test_generate_calls_the_traced_seams():
     instance = parse_instance(PRECAUTIOUS_IDLE.read_text(encoding="utf-8"))
-    tracer = load_tracing().Tracer()
+    tracer = load("tracing").Tracer()
     tracer.install()
     try:
         tracer.op = 1  # count the analyses, not set-up
