@@ -3,10 +3,10 @@
 `generate` builds a schedule graph that abstracts every execution scenario
 of a task set under a scheduling policy and verifies deadlines along the
 way; `enumerate_scenarios` cross checks it against an exhaustive simulator
-on small instances. This module exports what the command line, the
-scripts and the benchmark use. Engine internals, such as the eligibility
-sweep and the priority keys, live in `schedgraph.graph`, `schedgraph.policy`
-and `schedgraph.oracle`.
+on small instances. This module exports what the command line and the
+benchmark use. Engine internals, such as the eligibility sweep and the
+priority keys, live in `schedgraph.graph`, `schedgraph.policy` and
+`schedgraph.oracle`.
 """
 
 from .generator import GenSpec, GenerationError, generate_instance

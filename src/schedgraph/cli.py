@@ -176,6 +176,7 @@ def cmd_export_dot(args) -> int:
 # Bench spec files hold one directive per line (# comments allowed):
 #   bench tasks=<n> util=<f> rj=<f> rc=<f> seeds=<k> [seed0=<s>]
 #         [periods=a,b,c] [policies=edf,...] [modes=me,se]
+# After the CSV, stderr gets one summary line per (spec line, policy, mode).
 
 BENCH_COLUMNS = ("instance", "jobs", "policy", "mode", "vertices", "arcs",
                  "wall_ms", "verdict")
@@ -207,6 +208,7 @@ def _parse_bench_spec(text: str) -> list[dict]:
         fields = {**_BENCH_DEFAULTS, **fields}
         try:
             row = {
+                "line": lineno,
                 "tasks": int(fields["tasks"]),
                 "util": float(fields["util"]),
                 "rj": float(fields["rj"]),
@@ -286,6 +288,19 @@ def cmd_bench(args) -> int:
     writer.writeheader()
     writer.writerows(records)
     _emit(args, buffer.getvalue())
+    start = 0
+    for row in rows:  # the summary: per (spec line, policy, mode), in spec order
+        pairs = [(policy, mode) for policy in row["policies"] for mode in row["modes"]]
+        block = records[start:start + row["seeds"] * len(pairs)]  # by seed, then pair
+        start += len(block)
+        for k, (policy, mode) in enumerate(pairs):
+            group = block[k::len(pairs)]
+            verdicts = [record["verdict"] for record in group]
+            counts = [record["vertices"] for record in group if record["verdict"] != "stuck"]
+            median = str(statistics.median(counts)).removesuffix(".0") if counts else "-"
+            print(f"line {row['line']} {policy} {mode}: {verdicts.count('schedulable')} schedulable, "
+                  f"{verdicts.count('non-schedulable')} non-schedulable, {verdicts.count('stuck')} "
+                  f"stuck; median {median} vertices created", file=sys.stderr)
     return 0
 
 

@@ -26,9 +26,9 @@ policy's `pi_key` once, so outranking is `int <`, and by an idling
 policy's `urgency_key` too. Only the root's applicable jobs are computed
 from its finished set. A successor's applicable set is derived from its
 parent's: the dispatched job's slot goes to its task's next job, or is
-dropped when the task is done, in both orders and the release bounds. The
-critical context is read off the urgency order; while its job and time
-stay the parent's, only the two jobs' budget boundaries change. Each set
+dropped when the task is done, in both orders. The critical context is
+read off the urgency order; while its job and time stay the parent's, or
+there is none, only the two jobs' boundary times change. Each set
 serves every vertex that has it, for one level only. `ApplicableSet`, the
 only eligibility state, is all that `certainly_eligible(apps, t)` and
 `possibly_eligible(apps, t)` read, and
@@ -130,7 +130,8 @@ class ScheduleGraph:
     `recorded` holds each level, the root's first, as its frontier tuples in
     id order and its arcs' `(id, src, dst, job_pos, est, lst)` in in-arc
     order. A read of `vertices` or `arcs` adds the levels recorded since the
-    last read to the same dicts, so objects read earlier gain later out-arcs.
+    last read to the same dicts, so objects read earlier gain later out-arcs,
+    and empties their arc records; `levels` still reads their survivors.
     """
 
     def __init__(self, instance: ProblemInstance, kind: PolicyKind, mode: str = ME):
@@ -165,6 +166,7 @@ class ScheduleGraph:
             for arc in sorted(made, key=_ID):
                 arcs[arc.id] = arc
                 vertices[arc.src].out_arcs.append(arc.id)
+            del kept[:]  # the `Arc` objects hold it now
         self._built = len(self.recorded)
         return vertices, arcs
 
@@ -224,15 +226,14 @@ class ApplicableSet:
 
     `ranked` holds (rank, job, latest start the critical budget admits) for
     every applicable job, in rank order; `urgent` lists an idling policy's
-    jobs by urgency. `releases` is the sorted multiset of the jobs' release
-    bounds; `boundaries` adds the budget boundaries, may repeat a time too,
-    and is `releases` when there is no critical job. Nothing changes later.
+    jobs by urgency. `boundaries` is the sorted multiset of the jobs' release
+    bounds and, under a budget, the instants the jobs stop being admitted.
+    Nothing changes later.
     """
 
     kind: PolicyKind
     crit: CriticalContext | None
     ranked: list[tuple[int, Job, float]]
-    releases: list[int]
     boundaries: list[int]
     urgent: list[Job]
 
@@ -252,9 +253,8 @@ def prepare(kind: PolicyKind, ranks: Sequence[int], urgency: Sequence[int],
     if len({job.pos for job in jobs}) != len(jobs):
         raise RuntimeError("priority order is not strict")
     ranked = sorted((ranks[job.pos], job, inf) for job in jobs)
-    releases = sorted(t for job in jobs for t in (job.r_min, job.r_max))
     urgent = sorted(jobs, key=lambda job: urgency[job.pos]) if urgency else []
-    return _with_budget(kind, critical_context(kind, urgent), ranked, releases, urgent)
+    return _with_budget(kind, critical_context(kind, urgent), ranked, urgent)
 
 
 def make_context(instance: ProblemInstance, kind: PolicyKind, finished: int) -> ApplicableSet:
@@ -267,8 +267,8 @@ def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[in
            apps: ApplicableSet, job: Job) -> ApplicableSet:
     """The applicable set once `job` finishes, derived from its parent's.
 
-    The task's next job, if any, takes its place in both orders, the release
-    bounds and, while the critical job and time stay, the budget boundaries.
+    The task's next job, if any, takes its place in both orders and, while
+    the critical job and time stay (or there is none), the boundaries.
     """
     jobs, after = instance.jobs, job.pos + 1
     follow = jobs[after] if after < len(jobs) and jobs[after].task_id == job.task_id else None
@@ -281,42 +281,39 @@ def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[in
         crit = critical_context(apps.kind, urgent)
     ranked = apps.ranked.copy()
     del ranked[bisect_left(ranked, (ranks[job.pos],))]
-    releases = apps.releases.copy()
-    releases.remove(job.r_min)
-    releases.remove(job.r_max)
     if follow is not None:
         insort(ranked, (ranks[after], follow, inf if crit is None else crit.time - follow.c_max))
-        insort(releases, follow.r_min)
-        insort(releases, follow.r_max)
     parent = apps.crit
-    if crit is None and parent is None:
-        return ApplicableSet(apps.kind, None, ranked, releases, releases, urgent)
     if (crit and (crit.job.pos, crit.time)) != (parent and (parent.job.pos, parent.time)):
-        return _with_budget(apps.kind, crit, ranked, releases, urgent)
+        return _with_budget(apps.kind, crit, ranked, urgent)
     boundaries = apps.boundaries.copy()
-    for t in (job.r_min, job.r_max, crit.time - job.c_max + 1):
-        boundaries.remove(t)
-    for t in () if follow is None else (follow.r_min, follow.r_max, crit.time - follow.c_max + 1):
-        insort(boundaries, t)
-    return ApplicableSet(apps.kind, crit, ranked, releases, boundaries, urgent)
+    boundaries.remove(job.r_min)
+    boundaries.remove(job.r_max)
+    if crit is not None:  # neither job is the critical one
+        boundaries.remove(crit.time - job.c_max + 1)
+    if follow is not None:
+        insort(boundaries, follow.r_min)
+        insort(boundaries, follow.r_max)
+        if crit is not None:
+            insort(boundaries, crit.time - follow.c_max + 1)
+    return ApplicableSet(apps.kind, crit, ranked, boundaries, urgent)
 
 
 def _with_budget(kind: PolicyKind, crit: CriticalContext | None,
-                 ranked: list[tuple[int, Job, float]], releases: list[int],
-                 urgent: list[Job]) -> ApplicableSet:
+                 ranked: list[tuple[int, Job, float]], urgent: list[Job]) -> ApplicableSet:
     """Add the latest starts and the boundaries that the budget of `crit` admits.
 
     With a critical start budget, a non-critical job stops being admitted
-    the instant t + c_max first exceeds the budget.
+    the instant t + c_max first exceeds the budget. `ranked` may hold a
+    former budget's latest starts.
     """
-    if crit is None:  # `ranked` may hold a former budget's latest starts
-        ranked = [(rank, job, inf) for rank, job, _ in ranked]
-        return ApplicableSet(kind, None, ranked, releases, releases, urgent)
-    ranked = [(rank, job, inf if job.pos == crit.job.pos else crit.time - job.c_max)
+    ranked = [(rank, job, inf if crit is None or job.pos == crit.job.pos else crit.time - job.c_max)
               for rank, job, _ in ranked]
-    boundaries = sorted(releases + [crit.time - job.c_max + 1 for _, job, _ in ranked
-                                    if job.pos != crit.job.pos])
-    return ApplicableSet(kind, crit, ranked, releases, boundaries, urgent)
+    boundaries = [job.r_min for _, job, _ in ranked]
+    boundaries += [job.r_max for _, job, _ in ranked]
+    boundaries += [last + 1 for _, _, last in ranked if last != inf]
+    boundaries.sort()
+    return ApplicableSet(kind, crit, ranked, boundaries, urgent)
 
 
 # --- eligibility ----------------------------------------------------------------

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import os
+import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +14,10 @@ import jsonschema
 import pytest
 
 import schedgraph
-from schedgraph import ME, GenSpec, PolicyKind, generate, generate_instance
-from schedgraph.cli import compare_verdicts, main
-from support import ANOMALY, EDF_JITTER, PRECAUTIOUS_IDLE
+from schedgraph import (ME, GenSpec, PolicyKind, generate, generate_instance,
+                        write_instance)
+from schedgraph.cli import _bench_items, _parse_bench_spec, compare_verdicts, main
+from support import ANOMALY, EDF_JITTER, INSTANCE_DIR, PRECAUTIOUS_IDLE
 
 ANALYZE_SCHEMA = {
     "type": "object",
@@ -61,6 +64,12 @@ ANALYZE_SCHEMA = {
 def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def strip_timing(text):
+    """Bench CSV rows without their wall-clock column."""
+    return [{k: v for k, v in row.items() if k != "wall_ms"}
+            for row in csv.DictReader(io.StringIO(text))]
 
 
 class TestAnalyze:
@@ -365,12 +374,79 @@ class TestBench:
         assert code == 0
         code, parallel = run(capsys, "bench", str(spec), "--jobs", "2")
         assert code == 0
-
-        def strip_timing(text):
-            rows = list(csv.DictReader(io.StringIO(text)))
-            return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
-
         assert strip_timing(serial) == strip_timing(parallel)
+
+    SUMMARY = re.compile(r"line (\d+) (\S+) (me|se): (\d+) schedulable, (\d+) non-schedulable, "
+                         r"(\d+) stuck; median (\S+) vertices created")
+
+    def summary(self, err):
+        """The stderr summary, in order: (line, policy, mode) -> (schedulable,
+        non-schedulable, stuck, median)."""
+        matches = [self.SUMMARY.fullmatch(line) for line in err.splitlines()]
+        assert all(matches), err
+        return {(int(m[1]), m[2], m[3]): (int(m[4]), int(m[5]), int(m[6]), m[7]) for m in matches}
+
+    def test_summary_per_line_policy_and_mode(self, capsys, tmp_path):
+        spec = tmp_path / "bench.txt"
+        spec.write_text("# both modes under every policy\n"
+                        "bench tasks=3 util=0.4 rj=0.3 rc=0.3 seeds=2 policies=edf,fp-edf,p-fp-edf,cp,cw"
+                        " modes=me,se\n\n"
+                        "bench tasks=4 util=0.7 rj=0.5 rc=0.5 seeds=2 seed0=5"
+                        " policies=edf,fp-edf,p-fp-edf,cp,cw modes=me,se\n")
+        assert main(["bench", str(spec)]) == 0
+        serial = capsys.readouterr()
+        summary = self.summary(serial.err)
+        policies = ["edf", "fp-edf", "p-fp-edf", "cp", "cw"]
+        assert list(summary) == [(line, policy, mode) for line in (2, 4)
+                                 for policy in policies for mode in ("me", "se")]
+        rows = list(csv.DictReader(io.StringIO(serial.out)))
+        blocks = {2: rows[:20], 4: rows[20:]}  # 2 seeds x 5 policies x 2 modes each
+        for (line, policy, mode), (ok, missed, stuck, median) in summary.items():
+            assert ok + missed + stuck == 2
+            group = [row for row in blocks[line] if (row["policy"], row["mode"]) == (policy, mode)]
+            assert ok == sum(row["verdict"] == "schedulable" for row in group)
+            assert float(median) == statistics.median(int(row["vertices"]) for row in group)
+            # the paper's dominance claim: se schedulable implies me schedulable
+            assert ok <= summary[line, policy, "me"][0]
+        assert main(["bench", str(spec), "--jobs", "2"]) == 0
+        parallel = capsys.readouterr()
+        assert parallel.err == serial.err
+        assert strip_timing(parallel.out) == strip_timing(serial.out)
+
+    def test_stuck_rows_count_as_stuck_and_leave_the_median(self, capsys, tmp_path,
+                                                            monkeypatch):
+        import schedgraph.cli as cli
+
+        first = write_instance(generate_instance(GenSpec(3, 0.3, 0.2, 0.2, seed=0)))
+
+        def stuck_on_seed_0_under_se(instance, kind, mode):
+            if mode == "se" and write_instance(instance) == first:
+                raise schedgraph.AnalysisStuck("no certainly eligible job exists at or after t=0")
+            return generate(instance, kind, mode)
+
+        monkeypatch.setattr(cli, "generate", stuck_on_seed_0_under_se)
+        spec = tmp_path / "bench.txt"
+        spec.write_text("bench tasks=3 util=0.3 rj=0.2 rc=0.2 seeds=3 modes=me,se\n"
+                        "bench tasks=3 util=0.3 rj=0.2 rc=0.2 seeds=1 modes=se\n")
+        assert main(["bench", str(spec)]) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        summary = self.summary(captured.err)
+        verdicts = {key: value[:3] for key, value in summary.items()}
+        assert sum(verdicts[1, "edf", "se"]) == 3 and verdicts[1, "edf", "se"][2] == 1
+        assert verdicts[1, "edf", "me"][2] == 0 and verdicts[2, "edf", "se"] == (0, 0, 1)
+        se_counts = [int(row["vertices"]) for row in rows[3:6:2]]  # seeds 1 and 2 under se
+        assert rows[1]["verdict"] == "stuck" and summary[1, "edf", "se"][3] != "-"
+        assert float(summary[1, "edf", "se"][3]) == statistics.median(se_counts)
+        assert summary[2, "edf", "se"][3] == "-"
+
+    def test_shipped_util_sweep_spec_parses(self):
+        # the utilization sweep: both modes under every policy, no analysis run here
+        rows = _parse_bench_spec((INSTANCE_DIR / "util_sweep.bench").read_text())
+        assert [row["util"] for row in rows] == [u / 10 for u in range(1, 10)]
+        assert all(row["policies"] == ("edf", "fp-edf", "p-fp-edf", "cp", "cw")
+                   and row["modes"] == ("me", "se") and row["seeds"] == 25 for row in rows)
+        assert len(_bench_items(rows)) == 9 * 25 * 5 * 2
 
     @pytest.mark.parametrize("fields, message", [
         ("seeds=1 mode=se polices=cw", "unknown field 'mode'"),

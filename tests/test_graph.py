@@ -315,31 +315,37 @@ class TestMergePhase:
         assert (kept.est, kept.lst) == (0, 3)
 
 
+@pytest.fixture
+def made(monkeypatch):
+    """Counts of the `Vertex` and `Arc` objects built from here on."""
+    made = {"vertex": 0, "arc": 0}
+
+    class CountingVertex(schedgraph.graph.Vertex):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made["vertex"] += 1
+            super().__init__(*args)
+
+    class CountingArc(schedgraph.graph.Arc):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made["arc"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(schedgraph.graph, "Vertex", CountingVertex)
+    monkeypatch.setattr(schedgraph.graph, "Arc", CountingArc)
+    return made
+
+
 class TestGraphOnRead:
     """Generation records its levels flat; `graph.vertices` and `graph.arcs`
     build each `Vertex` and `Arc` once, on the first read that needs it."""
 
     @pytest.mark.parametrize("mode", [ME, SE])
     @pytest.mark.parametrize("kind", [PolicyKind.EDF, PolicyKind.CW], ids=lambda kind: kind.value)
-    def test_objects_are_built_on_the_first_read_only(self, monkeypatch, kind, mode):
-        made = {"vertex": 0, "arc": 0}
-
-        class CountingVertex(schedgraph.graph.Vertex):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                made["vertex"] += 1
-                super().__init__(*args)
-
-        class CountingArc(schedgraph.graph.Arc):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                made["arc"] += 1
-                super().__init__(*args)
-
-        monkeypatch.setattr(schedgraph.graph, "Vertex", CountingVertex)
-        monkeypatch.setattr(schedgraph.graph, "Arc", CountingArc)
+    def test_objects_are_built_on_the_first_read_only(self, made, kind, mode):
         # edf misses a deadline and records its aborting level unmerged; cw completes
         instance = generate_instance(GenSpec(20, 0.3, 0.6, 0.6, periods=(50, 100, 200), seed=3))
         graph, result = generate(instance, kind, mode)
@@ -347,10 +353,35 @@ class TestGraphOnRead:
         assert made == {"vertex": 0, "arc": 0}
         vertices, arcs = graph.vertices, graph.arcs
         assert made == {"vertex": len(vertices), "arc": len(arcs)}
-        assert type(vertices[graph.root]) is CountingVertex
+        assert type(vertices[graph.root]) is schedgraph.graph.Vertex
         assert graph.vertices is vertices and graph.arcs is arcs
         assert made == {"vertex": len(vertices), "arc": len(arcs)}
         check_graph(graph, result)
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_a_read_empties_the_arc_records_it_built(self, made, anomaly, exhaustive):
+        graph, result = generate(anomaly, PolicyKind.EDF, ME, exhaustive_misses=exhaustive)
+        levels = graph.levels
+        recorded_arcs = sum(len(kept) // 6 for _, kept in graph.recorded)
+        assert len(graph.arcs) == recorded_arcs == sum(arcs for _, arcs in result.levels)
+        assert all(len(kept) == 0 for _, kept in graph.recorded)
+        assert graph.levels == levels
+        # the second read built nothing
+        assert made == {"vertex": len(graph.vertices), "arc": recorded_arcs}
+        check_graph(graph, result)
+
+    def test_a_level_merged_after_a_read_is_built_on_the_next(self, made, anomaly):
+        graph = ScheduleGraph(anomaly, PolicyKind.EDF, ME)
+        assert graph.vertices.keys() == {graph.root} and graph.arcs == {}
+        apps = make_context(anomaly, PolicyKind.EDF, 0)
+        candidates = [candidate for candidate, _ in next_nodes(graph, top(graph), apps)]
+        level = merge_phase(graph, candidates)
+        assert len(graph.recorded[1][1]) == 6 * len(candidates)
+        assert graph.vertices.keys() == {graph.root, *(vertex[2] for vertex in level)}
+        assert len(graph.arcs) == len(graph.vertices[graph.root].out_arcs) == len(candidates)
+        assert len(graph.recorded[1][1]) == 0
+        assert graph.levels == [[graph.root], [vertex[2] for vertex in level]]
+        assert made == {"vertex": 1 + len(level), "arc": len(candidates)}
 
 
 class TestGenerate:
@@ -687,9 +718,16 @@ class TestDifferential:
 
     @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
     def test_many_task_instances_agree(self, many_task_instances, kind):
-        # 7-8 tasks with release jitter up to 4
-        schedulable = sum(me_agrees_with_oracle(instance, kind)
-                          for instance in many_task_instances)
+        # 7-8 tasks with release jitter up to 4; a stuck se analysis gives no verdict
+        schedulable = 0
+        for instance in many_task_instances:
+            verdict = me_agrees_with_oracle(instance, kind)
+            schedulable += verdict
+            try:
+                _, single = generate(instance, kind, SE)
+            except AnalysisStuck:
+                continue
+            assert not single.schedulable or verdict, instance.tasks
         assert 0 < schedulable < len(many_task_instances)
 
     @pytest.mark.parametrize("spec, kind, schedulable", [
