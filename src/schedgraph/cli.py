@@ -19,17 +19,15 @@ import time
 
 from .generator import DEFAULT_PERIODS, GenerationError, GenSpec, check_reachable, generate_instance
 from .graph import ME, MODES, AnalysisStuck, export_dot, generate
-from .model import (InstanceError, parse_instance, parse_scenario, write_instance)
+from .model import (InstanceError, parse_instance, parse_scenario, read_directives,
+                     read_fields, write_instance)
 from .oracle import (DEFAULT_SCENARIO_CAP, ScenarioCapExceeded,
                      enumerate_scenarios, simulate)
 from .policy import POLICY_NAMES, parse_policy
 
 def _load_instance(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        instance = parse_instance(handle.read())
-    if not instance.jobs:
-        raise InstanceError("instance has no jobs")
-    return instance
+        return parse_instance(handle.read())
 
 
 def _emit(args, text: str) -> None:
@@ -173,7 +171,7 @@ def cmd_export_dot(args) -> int:
 
 # --- bench -----------------------------------------------------------------
 #
-# Bench spec files hold one directive per line (# comments allowed):
+# Bench spec files follow the grammar of instance files (`model.read_directives`):
 #   bench tasks=<n> util=<f> rj=<f> rc=<f> seeds=<k> [seed0=<s>]
 #         [periods=a,b,c] [policies=edf,...] [modes=me,se]
 # After the CSV, stderr gets one summary line per (spec line, policy, mode).
@@ -189,23 +187,11 @@ _BENCH_FIELDS = ("tasks", "util", "rj", "rc", "seeds", *_BENCH_DEFAULTS)
 def _parse_bench_spec(text: str) -> list[dict]:
     """Rows of a bench spec; an unknown, repeated or bad field names its line."""
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "bench":
-            raise InstanceError(f"line {lineno}: unknown directive {parts[0]!r}")
-        fields = {}
-        for item in parts[1:]:
-            name, sep, value = item.partition("=")
-            if not sep:
-                raise InstanceError(f"line {lineno}: malformed field {item!r}")
-            if name not in _BENCH_FIELDS or name in fields:
-                problem = "repeated" if name in fields else "unknown"
-                raise InstanceError(f"line {lineno}: {problem} field {name!r}")
-            fields[name] = value
-        fields = {**_BENCH_DEFAULTS, **fields}
+
+    def directive(lineno: int, words: list[str]) -> None:
+        if words[0] != "bench":
+            raise InstanceError(f"unknown directive {words[0]!r}")
+        fields = {**_BENCH_DEFAULTS, **read_fields(words[1:], _BENCH_FIELDS)}
         try:
             row = {
                 "line": lineno,
@@ -229,8 +215,10 @@ def _parse_bench_spec(text: str) -> list[dict]:
                 if mode not in MODES:
                     raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
         except (KeyError, ValueError, GenerationError) as exc:
-            raise InstanceError(f"line {lineno}: {exc}") from None
+            raise InstanceError(str(exc)) from None
         rows.append(row)
+
+    read_directives(text, directive)
     return rows
 
 
@@ -296,11 +284,12 @@ def cmd_bench(args) -> int:
         for k, (policy, mode) in enumerate(pairs):
             group = block[k::len(pairs)]
             verdicts = [record["verdict"] for record in group]
-            counts = [record["vertices"] for record in group if record["verdict"] != "stuck"]
+            # a non-schedulable analysis stops at its first miss, so only complete ones count
+            counts = [record["vertices"] for record in group if record["verdict"] == "schedulable"]
             median = str(statistics.median(counts)).removesuffix(".0") if counts else "-"
             print(f"line {row['line']} {policy} {mode}: {verdicts.count('schedulable')} schedulable, "
                   f"{verdicts.count('non-schedulable')} non-schedulable, {verdicts.count('stuck')} "
-                  f"stuck; median {median} vertices created", file=sys.stderr)
+                  f"stuck; median {median} vertices created (schedulable rows)", file=sys.stderr)
     return 0
 
 

@@ -440,8 +440,6 @@ def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[tuple]:
     if min(map(_VID, candidates), default=graph.first_unrecorded) < graph.first_unrecorded:
         raise RuntimeError("merge phase ran after expansion of the level")
     graph.first_unrecorded = graph.vertices_created
-    if len(candidates) < 2:  # nothing to merge
-        return _record_unmerged(graph, candidates)
     candidates.sort()  # by (finished, eft, id)
     survivors: list[tuple] = []
     arcs = graph.arc_record()

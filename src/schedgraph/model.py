@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Collection, Iterable
 
 U64_MAX = 2**64 - 1
 
@@ -131,10 +131,7 @@ def expand_jobs(tasks: Iterable[Task], horizon: int) -> tuple[Job, ...]:
 
 def hyperperiod(tasks: Iterable[Task]) -> int:
     """Least common multiple of all task periods."""
-    periods = [task.period for task in tasks]
-    if not periods:
-        raise InstanceError("empty instance")
-    h = math.lcm(*periods)
+    h = math.lcm(*(task.period for task in tasks))
     if h > U64_MAX:
         raise InstanceError(f"hyperperiod {h} exceeds the unsigned 64-bit range")
     return h
@@ -166,9 +163,7 @@ class ProblemInstance:
 
 def make_instance(tasks: Iterable[Task], horizon: int | None = None) -> ProblemInstance:
     """Build an instance; the observation interval defaults to the hyperperiod."""
-    tasks = tuple(tasks)
-    if not tasks:
-        raise InstanceError("empty instance")
+    tasks = tuple(tasks)  # `expand_jobs` refuses an empty one
     ids = [task.id for task in tasks]
     if len(set(ids)) != len(ids):
         raise InstanceError("duplicate task id")
@@ -176,15 +171,44 @@ def make_instance(tasks: Iterable[Task], horizon: int | None = None) -> ProblemI
     return ProblemInstance(tasks, h, expand_jobs(tasks, h))
 
 
-# --- instance file format ---------------------------------------------------
+# --- text formats ------------------------------------------------------------
 #
-# UTF-8 text, one directive per line, `#` starts a comment:
+# Instance, scenario and bench spec files share one grammar: UTF-8 text, one
+# directive per line, `#` starts a comment, and a field is a `name=value` word.
+# An instance file holds:
 #   H <int>                                  (optional; defaults to the hyperperiod)
 #   task <id> T=<int> rmin=<int> rmax=<int> cmin=<int> cmax=<int> d=<int> p=<int>
 # The p= field may be omitted and defaults to 0.
 
 _TASK_FIELDS = {"T": "period", "rmin": "r_min", "rmax": "r_max",
                 "cmin": "c_min", "cmax": "c_max", "d": "deadline", "p": "priority"}
+
+
+def read_directives(text: str, handle: Callable[[int, list[str]], None]) -> None:
+    """Call `handle(lineno, words)` per line that holds more than a comment; an
+    InstanceError it raises is raised again as `line N: ...`."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        words = raw.split("#", 1)[0].split()
+        if words:
+            try:
+                handle(lineno, words)
+            except InstanceError as exc:
+                raise InstanceError(f"line {lineno}: {exc}") from None
+
+
+def read_fields(words: Iterable[str], names: Collection[str]) -> dict[str, str]:
+    """The `name=value` words as a dict; a malformed, unknown or repeated field raises."""
+    fields: dict[str, str] = {}
+    for item in words:
+        name, sep, value = item.partition("=")
+        if not sep:
+            raise InstanceError(f"malformed field {item!r}")
+        if name not in names:
+            raise InstanceError(f"unknown field {name!r}")
+        if name in fields:
+            raise InstanceError(f"duplicate field {name!r}")
+        fields[name] = value
+    return fields
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -194,66 +218,46 @@ def _parse_int(text: str, what: str) -> int:
         raise InstanceError(f"{what}: expected an integer, got {text!r}") from None
 
 
-def _parse_task_line(parts: list[str]) -> Task:
-    if not parts:
-        raise InstanceError("task directive needs an id")
-    task_id = _parse_int(parts[0], "task id")
-    kwargs = {}
-    for item in parts[1:]:
-        name, sep, value = item.partition("=")
-        if not sep or name not in _TASK_FIELDS:
-            raise InstanceError(f"unknown task field {item!r}")
-        field = _TASK_FIELDS[name]
-        if field in kwargs:
-            raise InstanceError(f"duplicate task field {name!r}")
-        kwargs[field] = _parse_int(value, name)
-    missing = [n for n, f in _TASK_FIELDS.items() if f not in kwargs and n != "p"]
-    if missing:
-        raise InstanceError(f"task {task_id}: missing field(s) {', '.join(missing)}")
-    return Task(id=task_id, **kwargs)
-
-
 def parse_instance(text: str) -> ProblemInstance:
     """Parse the instance file format; errors carry the offending line number."""
     horizon: int | None = None
-    tasks: list[Task] = []
-    seen: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "H":
-                if horizon is not None:
-                    raise InstanceError("duplicate H directive")
-                if len(parts) != 2:
-                    raise InstanceError("H takes exactly one value")
-                horizon = _parse_int(parts[1], "H")
-                _check_range("H", horizon, 1)
-            elif parts[0] == "task":
-                task = _parse_task_line(parts[1:])
-                if task.id in seen:
-                    raise InstanceError(f"duplicate task id {task.id}")
-                seen.add(task.id)
-                tasks.append(task)
-            else:
-                raise InstanceError(f"unknown directive {parts[0]!r}")
-        except InstanceError as exc:
-            raise InstanceError(f"line {lineno}: {exc}") from None
-    if not tasks:
-        raise InstanceError("empty instance")
-    return make_instance(tasks, horizon)
+    tasks: dict[int, Task] = {}  # by id, in file order
+
+    def directive(lineno: int, words: list[str]) -> None:
+        nonlocal horizon
+        if words[0] == "H":
+            if horizon is not None:
+                raise InstanceError("duplicate H directive")
+            if len(words) != 2:
+                raise InstanceError("H takes exactly one value")
+            horizon = _parse_int(words[1], "H")
+            _check_range("H", horizon, 1)
+        elif words[0] == "task":
+            if len(words) < 2:
+                raise InstanceError("task directive needs an id")
+            task_id = _parse_int(words[1], "task id")
+            fields = read_fields(words[2:], _TASK_FIELDS)
+            missing = [name for name in _TASK_FIELDS if name not in fields and name != "p"]
+            if missing:
+                raise InstanceError(f"task {task_id}: missing field(s) {', '.join(missing)}")
+            task = Task(task_id, **{_TASK_FIELDS[name]: _parse_int(value, name)
+                                    for name, value in fields.items()})
+            if task.id in tasks:
+                raise InstanceError(f"duplicate task id {task.id}")
+            tasks[task.id] = task
+        else:
+            raise InstanceError(f"unknown directive {words[0]!r}")
+
+    read_directives(text, directive)
+    return make_instance(tasks.values(), horizon)
 
 
 def write_instance(instance: ProblemInstance) -> str:
     """Serialize an instance; parse(write(x)) is structurally equal to x."""
     lines = [f"H {instance.horizon}"]
     for t in instance.tasks:
-        lines.append(
-            f"task {t.id} T={t.period} rmin={t.r_min} rmax={t.r_max}"
-            f" cmin={t.c_min} cmax={t.c_max} d={t.deadline} p={t.priority}"
-        )
+        lines.append(f"task {t.id} " + " ".join(f"{name}={getattr(t, field)}"
+                                                for name, field in _TASK_FIELDS.items()))
     return "\n".join(lines) + "\n"
 
 
@@ -295,29 +299,17 @@ def parse_scenario(text: str, instance: ProblemInstance) -> ExecutionScenario:
     """Parse `J <task> <index> r=<int> c=<int>` lines into a validated scenario."""
     release: dict[tuple[int, int], int] = {}
     execution: dict[tuple[int, int], int] = {}
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] != "J" or len(parts) != 5:
-                raise InstanceError("expected 'J <task> <index> r=<int> c=<int>'")
-            key = (_parse_int(parts[1], "task"), _parse_int(parts[2], "index"))
-            if key in seen:
-                raise InstanceError(f"duplicate job J{key[0]},{key[1]}")
-            seen.add(key)
-            for item in parts[3:]:
-                name, sep, value = item.partition("=")
-                if not sep or name not in ("r", "c"):
-                    raise InstanceError(f"unknown scenario field {item!r}")
-                values = release if name == "r" else execution
-                if key in values:
-                    raise InstanceError(f"duplicate field {name!r}")
-                values[key] = _parse_int(value, name)
-        except InstanceError as exc:
-            raise InstanceError(f"line {lineno}: {exc}") from None
+
+    def directive(lineno: int, words: list[str]) -> None:
+        if words[0] != "J" or len(words) != 5:
+            raise InstanceError("expected 'J <task> <index> r=<int> c=<int>'")
+        key = (_parse_int(words[1], "task"), _parse_int(words[2], "index"))
+        if key in release:
+            raise InstanceError(f"duplicate job J{key[0]},{key[1]}")
+        fields = read_fields(words[3:], ("r", "c"))  # two distinct names of two: both
+        release[key], execution[key] = _parse_int(fields["r"], "r"), _parse_int(fields["c"], "c")
+
+    read_directives(text, directive)
     scenario = ExecutionScenario(release, execution)
     validate_scenario(instance, scenario)
     return scenario

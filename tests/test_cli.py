@@ -14,8 +14,8 @@ import jsonschema
 import pytest
 
 import schedgraph
-from schedgraph import (ME, GenSpec, PolicyKind, generate, generate_instance,
-                        write_instance)
+from schedgraph import (ME, GenSpec, InstanceError, PolicyKind, generate, generate_instance,
+                        parse_instance, parse_scenario, write_instance)
 from schedgraph.cli import _bench_items, _parse_bench_spec, compare_verdicts, main
 from support import ANOMALY, EDF_JITTER, INSTANCE_DIR, PRECAUTIOUS_IDLE
 
@@ -377,7 +377,7 @@ class TestBench:
         assert strip_timing(serial) == strip_timing(parallel)
 
     SUMMARY = re.compile(r"line (\d+) (\S+) (me|se): (\d+) schedulable, (\d+) non-schedulable, "
-                         r"(\d+) stuck; median (\S+) vertices created")
+                         r"(\d+) stuck; median (\S+) vertices created \(schedulable rows\)")
 
     def summary(self, err):
         """The stderr summary, in order: (line, policy, mode) -> (schedulable,
@@ -404,8 +404,13 @@ class TestBench:
         for (line, policy, mode), (ok, missed, stuck, median) in summary.items():
             assert ok + missed + stuck == 2
             group = [row for row in blocks[line] if (row["policy"], row["mode"]) == (policy, mode)]
-            assert ok == sum(row["verdict"] == "schedulable" for row in group)
-            assert float(median) == statistics.median(int(row["vertices"]) for row in group)
+            counts = [int(row["vertices"]) for row in group if row["verdict"] == "schedulable"]
+            assert ok == len(counts)
+            # a non-schedulable row stopped at its first miss and stays out of the median
+            if counts:
+                assert float(median) == statistics.median(counts)
+            else:
+                assert median == "-"
             # the paper's dominance claim: se schedulable implies me schedulable
             assert ok <= summary[line, policy, "me"][0]
         assert main(["bench", str(spec), "--jobs", "2"]) == 0
@@ -435,7 +440,8 @@ class TestBench:
         verdicts = {key: value[:3] for key, value in summary.items()}
         assert sum(verdicts[1, "edf", "se"]) == 3 and verdicts[1, "edf", "se"][2] == 1
         assert verdicts[1, "edf", "me"][2] == 0 and verdicts[2, "edf", "se"] == (0, 0, 1)
-        se_counts = [int(row["vertices"]) for row in rows[3:6:2]]  # seeds 1 and 2 under se
+        se_rows = rows[3:6:2]  # seeds 1 and 2 under se
+        se_counts = [int(row["vertices"]) for row in se_rows if row["verdict"] == "schedulable"]
         assert rows[1]["verdict"] == "stuck" and summary[1, "edf", "se"][3] != "-"
         assert float(summary[1, "edf", "se"][3]) == statistics.median(se_counts)
         assert summary[2, "edf", "se"][3] == "-"
@@ -450,7 +456,7 @@ class TestBench:
 
     @pytest.mark.parametrize("fields, message", [
         ("seeds=1 mode=se polices=cw", "unknown field 'mode'"),
-        ("seeds=1 seeds=2", "repeated field 'seeds'"),
+        ("seeds=1 seeds=2", "duplicate field 'seeds'"),
         ("seeds=1 policies=edf,edff", "unknown policy 'edff'"),
         ("seeds=1 modes=me,both", "unknown mode 'both'"),
         ("seeds=1 periods=10,0", "periods must be positive integers"),
@@ -525,6 +531,65 @@ class TestBenchWorkers:
         assert code == 0
         assert recording_pool == pools
         assert len(list(csv.DictReader(io.StringIO(out)))) == 3
+
+
+# One directive of each text format, ending in a field. The scenario is for ONE_JOB,
+# whose only job J1,1 has its release in [0, 0] and its execution time in [1, 2].
+ONE_JOB = "task 1 T=10 rmin=0 rmax=0 cmin=1 cmax=2 d=5\n"
+DIRECTIVES = {
+    "instance": "task 1 T=10 rmin=0 rmax=0 cmin=1 cmax=2 d=5 p=0",
+    "scenario": "J 1 1 r=0 c=2",
+    "bench": "bench tasks=3 util=0.3 rj=0.3 rc=0.3 seeds=1",
+}
+
+
+class TestSharedGrammar:
+    """Instance, scenario and bench spec files are read by one grammar."""
+
+    @staticmethod
+    def parse(kind, text):
+        if kind == "instance":
+            return parse_instance(text)
+        if kind == "scenario":
+            return parse_scenario(text, parse_instance(ONE_JOB))
+        return _parse_bench_spec(text)
+
+    @staticmethod
+    def main_on(kind, tmp_path, text):
+        """Exit code of the subcommand that reads `text` as a `kind` file."""
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(text)
+        if kind == "instance":
+            return main(["analyze", str(path)])
+        if kind == "scenario":
+            instance = tmp_path / "one_job.txt"
+            instance.write_text(ONE_JOB)
+            return main(["simulate", str(instance), "--scenario", str(path)])
+        return main(["bench", str(path)])
+
+    @pytest.mark.parametrize("kind", DIRECTIVES)
+    def test_comments_and_blank_lines_are_skipped(self, kind):
+        commented = (f"# a comment only\n\n   # indented, q=1 junk\n"
+                     f"{DIRECTIVES[kind]}  # trailing, q=1 junk\n")
+        assert self.parse(kind, commented) == self.parse(kind, f"\n\n\n{DIRECTIVES[kind]}\n")
+
+    @pytest.mark.parametrize("kind", DIRECTIVES)
+    @pytest.mark.parametrize("last, message", [
+        ("junk", "malformed field 'junk'"),
+        ("q=1", "unknown field 'q'"),
+        (None, "duplicate field '{first}'"),  # the line's first field again
+    ], ids=["malformed", "unknown", "duplicate"])
+    def test_bad_field_names_its_line_and_exits_two(self, capsys, tmp_path, kind, last, message):
+        words = DIRECTIVES[kind].split()
+        first = next(word for word in words if "=" in word)
+        words[-1] = last or first
+        text = "# a bad field on line 3\n\n" + " ".join(words) + "\n"
+        expected = "line 3: " + message.format(first=first.partition("=")[0])
+        with pytest.raises(InstanceError) as exc:
+            self.parse(kind, text)
+        assert str(exc.value) == expected
+        assert self.main_on(kind, tmp_path, text) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 class TestImportCost:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from schedgraph import (ExecutionScenario, InstanceError, Task, make_instance,
                         parse_instance, parse_scenario, write_instance)
 from schedgraph.model import MAX_JOBS, U64_MAX, expand_jobs, hyperperiod, validate_scenario
-from support import utilization
+from support import INSTANCE_DIR, utilization
 
 tasks_strategy = st.lists(
     st.builds(
@@ -159,6 +159,15 @@ class TestInstanceIO:
     def test_roundtrip_fixture_instances(self, anomaly, jitter3, idle4):
         for instance in (anomaly, jitter3, idle4):
             assert parse_instance(write_instance(instance)) == instance
+
+    @pytest.mark.parametrize("path", sorted(INSTANCE_DIR.glob("*.txt")), ids=lambda path: path.name)
+    def test_write_renders_bundled_instances_field_by_field(self, path):
+        instance = parse_instance(path.read_text(encoding="utf-8"))
+        expected = f"H {instance.horizon}\n" + "".join(
+            f"task {t.id} T={t.period} rmin={t.r_min} rmax={t.r_max} cmin={t.c_min}"
+            f" cmax={t.c_max} d={t.deadline} p={t.priority}\n" for t in instance.tasks)
+        assert write_instance(instance) == expected
+        assert parse_instance(expected) == instance
 
     @given(tasks=tasks_strategy, horizon=st.one_of(st.none(), st.integers(1, 60)))
     def test_roundtrip_random_instances(self, tasks, horizon):
