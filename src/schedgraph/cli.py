@@ -19,8 +19,8 @@ import time
 
 from .generator import DEFAULT_PERIODS, GenerationError, GenSpec, check_reachable, generate_instance
 from .graph import ME, MODES, AnalysisStuck, export_dot, generate
-from .model import (InstanceError, parse_instance, parse_scenario, read_directives,
-                     read_fields, write_instance)
+from .model import (InstanceError, _parse_int, parse_instance, parse_scenario,
+                     read_directives, read_fields, write_instance)
 from .oracle import (DEFAULT_SCENARIO_CAP, ScenarioCapExceeded,
                      enumerate_scenarios, simulate)
 from .policy import POLICY_NAMES, parse_policy
@@ -184,24 +184,34 @@ _BENCH_DEFAULTS = {"seed0": "0", "periods": ",".join(map(str, DEFAULT_PERIODS)),
 _BENCH_FIELDS = ("tasks", "util", "rj", "rc", "seeds", *_BENCH_DEFAULTS)
 
 
+def _parse_number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InstanceError(f"{what}: expected a number, got {text!r}") from None
+
+
 def _parse_bench_spec(text: str) -> list[dict]:
-    """Rows of a bench spec; an unknown, repeated or bad field names its line."""
+    """Rows of a bench spec; an unknown, repeated, missing or bad field names its line."""
     rows = []
 
     def directive(lineno: int, words: list[str]) -> None:
         if words[0] != "bench":
             raise InstanceError(f"unknown directive {words[0]!r}")
         fields = {**_BENCH_DEFAULTS, **read_fields(words[1:], _BENCH_FIELDS)}
+        missing = [name for name in _BENCH_FIELDS if name not in fields]
+        if missing:
+            raise InstanceError(f"missing field(s) {', '.join(missing)}")
         try:
             row = {
                 "line": lineno,
-                "tasks": int(fields["tasks"]),
-                "util": float(fields["util"]),
-                "rj": float(fields["rj"]),
-                "rc": float(fields["rc"]),
-                "seeds": int(fields["seeds"]),
-                "seed0": int(fields["seed0"]),
-                "periods": tuple(int(p) for p in fields["periods"].split(",")),
+                "tasks": _parse_int(fields["tasks"], "tasks"),
+                "util": _parse_number(fields["util"], "util"),
+                "rj": _parse_number(fields["rj"], "rj"),
+                "rc": _parse_number(fields["rc"], "rc"),
+                "seeds": _parse_int(fields["seeds"], "seeds"),
+                "seed0": _parse_int(fields["seed0"], "seed0"),
+                "periods": tuple(_parse_int(p, "periods") for p in fields["periods"].split(",")),
                 "policies": tuple(fields["policies"].split(",")),
                 "modes": tuple(fields["modes"].split(",")),
             }
@@ -214,7 +224,7 @@ def _parse_bench_spec(text: str) -> list[dict]:
             for mode in row["modes"]:
                 if mode not in MODES:
                     raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
-        except (KeyError, ValueError, GenerationError) as exc:
+        except (ValueError, GenerationError) as exc:
             raise InstanceError(str(exc)) from None
         rows.append(row)
 

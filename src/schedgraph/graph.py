@@ -76,7 +76,7 @@ from math import inf
 from operator import attrgetter, itemgetter
 from typing import AbstractSet, Sequence
 
-from .model import U64_MAX, InstanceError, Job, ProblemInstance
+from .model import InstanceError, Job, ProblemInstance
 from .policy import CriticalContext, PolicyKind, critical_context, pi_key, urgency_key
 
 ME = "me"
@@ -120,10 +120,6 @@ class Arc:
     lst: int
 
 
-class _WideRecord(list):  # an arc record with times past 2**64 - 1, which no `array` holds
-    fromlist = list.extend
-
-
 class ScheduleGraph:
     """Level-structured DAG of scheduler states for one (instance, policy, mode).
 
@@ -141,10 +137,7 @@ class ScheduleGraph:
         self.kind = kind
         self.mode = mode
         self.root = 0
-        # bounds every time in the graph: none passes the latest release or deadline plus all c_max
-        wide = sum(job.r_max + job.deadline + job.c_max for job in instance.jobs) > U64_MAX
-        self.arc_record = _WideRecord if wide else lambda: array("Q")
-        self.recorded: list[tuple[list[tuple], array]] = [([(0, 0, self.root, 0)], self.arc_record())]
+        self.recorded: list[tuple[list[tuple], array]] = [([(0, 0, self.root, 0)], array("Q"))]
         self.vertices_created = 1  # ids handed out, merged-away ones included
         self.arcs_created = 0
         self.first_unrecorded = 1  # every smaller vertex id belongs to a recorded level
@@ -442,7 +435,7 @@ def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[tuple]:
     graph.first_unrecorded = graph.vertices_created
     candidates.sort()  # by (finished, eft, id)
     survivors: list[tuple] = []
-    arcs = graph.arc_record()
+    arcs = array("Q")
     i, n = 0, len(candidates)
     while i < n:
         finished, eft, vid, lft, src, job_pos, est, lst, aid = candidates[i]
@@ -476,7 +469,7 @@ def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[tuple]:
 
 def _record_unmerged(graph: ScheduleGraph, candidates: list[tuple]) -> list[tuple]:
     """Record candidates, given in id order, as created: each a vertex with its own arc."""
-    arcs = graph.arc_record()
+    arcs = array("Q")
     for _, _, vid, _, src, job_pos, est, lst, aid in candidates:
         arcs.fromlist([aid, src, vid, job_pos, est, lst])
     graph.recorded.append(([candidate[:4] for candidate in candidates], arcs))

@@ -1,8 +1,10 @@
 """Periodic task model, job expansion, and instance file I/O.
 
 All timing parameters are non-negative integers. Values above 2**64 - 1 are
-rejected outright rather than wrapped. Instances are immutable once built,
-so any number of analysis workers may read them concurrently.
+rejected outright rather than wrapped, and so is an instance whose latest
+release or deadline plus the sum of every job's c_max passes 2**64 - 1:
+that sum bounds every time the analysis derives. Instances are immutable
+once built, so any number of analysis workers may read them concurrently.
 """
 
 from __future__ import annotations
@@ -126,6 +128,11 @@ def expand_jobs(tasks: Iterable[Task], horizon: int) -> tuple[Job, ...]:
             if job.deadline > U64_MAX:
                 _check_range(f"{job.label}: deadline", job.deadline, 1)
             jobs.append(job)
+    latest = max((max(job.r_max, job.deadline) for job in jobs), default=0)
+    total = latest + sum(job.c_max for job in jobs)
+    if total > U64_MAX:
+        raise InstanceError(f"latest release or deadline plus every c_max, {total}, "
+                            "exceeds the unsigned 64-bit range")
     return tuple(jobs)
 
 

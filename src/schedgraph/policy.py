@@ -21,6 +21,10 @@ _BY_DEADLINE = attrgetter("deadline", "task_id")  # `pi_key` under EDF, `urgency
 _BY_PRIORITY = attrgetter("priority", "deadline", "task_id")  # `pi_key` under the other policies
 
 
+def _by_certain_release(job: Job) -> tuple[int, ...]:  # `urgency_key` under P-FP-EDF
+    return (job.priority != 0, job.r_max, job.task_id)
+
+
 class PolicyKind(enum.Enum):
     EDF = "edf"
     FP_EDF = "fp-edf"
@@ -32,6 +36,7 @@ class PolicyKind(enum.Enum):
         # plain attributes: the analysis reads them per applicable set, the oracle per decision
         self.work_conserving = value in ("edf", "fp-edf")
         self.priority_key = _BY_DEADLINE if value == "edf" else _BY_PRIORITY  # see `pi_key`
+        self.urgency_key = _by_certain_release if value == "p-fp-edf" else _BY_DEADLINE
 
 
 POLICY_NAMES = tuple(kind.value for kind in PolicyKind)
@@ -71,9 +76,7 @@ def pi_key(kind: PolicyKind, job: Job) -> tuple[int, ...]:
 def urgency_key(kind: PolicyKind, job: Job) -> tuple[int, ...]:
     """Sort key that puts an idling policy's critical job first: the earliest
     deadline, or under P-FP-EDF a p=0 job by certain release; then task id."""
-    if kind is PolicyKind.P_FP_EDF:
-        return (job.priority != 0, job.r_max, job.task_id)
-    return _BY_DEADLINE(job)
+    return kind.urgency_key(job)
 
 
 def critical_context(kind: PolicyKind, ordered: Sequence[Job]) -> CriticalContext | None:
@@ -110,8 +113,7 @@ def pick(kind: PolicyKind, t: int, applicable: Iterable[Job],
     The applicable jobs are put in `urgency_key` order once.
     """
     if not kind.work_conserving:
-        key = _BY_DEADLINE if kind is not PolicyKind.P_FP_EDF else lambda j: urgency_key(kind, j)
-        ctx = critical_context(kind, sorted(applicable, key=key))
+        ctx = critical_context(kind, sorted(applicable, key=kind.urgency_key))
         if ctx is not None:
             released = [j for j in released if ctx.admits(j, t)]
     return min(released, key=kind.priority_key, default=None)

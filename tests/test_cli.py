@@ -17,7 +17,7 @@ import schedgraph
 from schedgraph import (ME, GenSpec, InstanceError, PolicyKind, generate, generate_instance,
                         parse_instance, parse_scenario, write_instance)
 from schedgraph.cli import _bench_items, _parse_bench_spec, compare_verdicts, main
-from support import ANOMALY, EDF_JITTER, INSTANCE_DIR, PRECAUTIOUS_IDLE
+from support import ANOMALY, EDF_JITTER, INSTANCE_DIR, PRECAUTIOUS_IDLE, SE_STUCK_SCHEDULABLE
 
 ANALYZE_SCHEMA = {
     "type": "object",
@@ -59,6 +59,13 @@ ANALYZE_SCHEMA = {
         },
     },
 }
+
+
+# Scenarios for ANOMALY: every job meets its deadline, or J3,2 misses it.
+NO_MISS = ("J 1 1 r=5 c=7\nJ 2 1 r=1 c=4\nJ 2 2 r=11 c=4\n"
+           "J 3 1 r=0 c=1\nJ 3 2 r=5 c=1\nJ 3 3 r=10 c=1\nJ 3 4 r=15 c=1\n")
+J32_MISSES = ("J 1 1 r=2 c=7\nJ 2 1 r=1 c=2\nJ 2 2 r=11 c=4\n"
+              "J 3 1 r=0 c=1\nJ 3 2 r=5 c=1\nJ 3 3 r=10 c=1\nJ 3 4 r=15 c=1\n")
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -133,9 +140,7 @@ class TestAnalyze:
 class TestSimulate:
     def test_scenario_without_miss(self, capsys, tmp_path):
         scenario = tmp_path / "s.txt"
-        scenario.write_text("J 1 1 r=5 c=7\nJ 2 1 r=1 c=4\nJ 2 2 r=11 c=4\n"
-                            "J 3 1 r=0 c=1\nJ 3 2 r=5 c=1\nJ 3 3 r=10 c=1\n"
-                            "J 3 4 r=15 c=1\n")
+        scenario.write_text(NO_MISS)
         code, out = run(capsys, "simulate", str(ANOMALY), "--scenario",
                         str(scenario), "--format", "json")
         assert code == 0
@@ -145,14 +150,26 @@ class TestSimulate:
 
     def test_scenario_with_miss_exits_one(self, capsys, tmp_path):
         scenario = tmp_path / "s.txt"
-        scenario.write_text("J 1 1 r=2 c=7\nJ 2 1 r=1 c=2\nJ 2 2 r=11 c=4\n"
-                            "J 3 1 r=0 c=1\nJ 3 2 r=5 c=1\nJ 3 3 r=10 c=1\n"
-                            "J 3 4 r=15 c=1\n")
+        scenario.write_text(J32_MISSES)
         code, out = run(capsys, "simulate", str(ANOMALY), "--scenario",
                         str(scenario), "--format", "json")
         assert code == 1
         data = json.loads(out)
         assert data["misses"] == [{"task": 3, "job": 2, "finish": 11, "deadline": 10}]
+
+    @pytest.mark.parametrize("text, code, lines", [
+        (NO_MISS, 0, ["J3,1: runs [0, 1)", "J2,1: runs [1, 5)", "J3,2: runs [5, 6)",
+                      "J1,1: runs [6, 13)", "J3,3: runs [13, 14)", "J2,2: runs [14, 18)",
+                      "J3,4: runs [18, 19)", "no deadline miss"]),
+        (J32_MISSES, 1, ["J3,1: runs [0, 1)", "J2,1: runs [1, 3)", "J1,1: runs [3, 10)",
+                         "J3,2: runs [10, 11)", "J3,3: runs [11, 12)", "J2,2: runs [12, 16)",
+                         "J3,4: runs [16, 17)", "MISS: J3,2 finishes at 11 > deadline 10"]),
+    ], ids=["no-miss", "miss"])
+    def test_text_output_lists_dispatches_then_misses(self, capsys, tmp_path, text, code, lines):
+        scenario = tmp_path / "s.txt"
+        scenario.write_text(text)
+        assert run(capsys, "simulate", str(ANOMALY), "--scenario", str(scenario)) == \
+            (code, "\n".join(lines) + "\n")
 
     def test_invalid_scenario_exits_two(self, capsys, tmp_path):
         scenario = tmp_path / "s.txt"
@@ -165,9 +182,7 @@ class TestSimulate:
     ])
     def test_unknown_or_repeated_job_exits_two(self, capsys, tmp_path, extra, message):
         scenario = tmp_path / "s.txt"
-        scenario.write_text("J 1 1 r=5 c=7\nJ 2 1 r=1 c=4\nJ 2 2 r=11 c=4\n"
-                            "J 3 1 r=0 c=1\nJ 3 2 r=5 c=1\nJ 3 3 r=10 c=1\n"
-                            "J 3 4 r=15 c=1\n" + extra)
+        scenario.write_text(NO_MISS + extra)
         assert main(["simulate", str(ANOMALY), "--scenario", str(scenario)]) == 2
         assert message in capsys.readouterr().err
 
@@ -254,6 +269,24 @@ class TestCompare:
         assert code == 0
         assert json.loads(out)["oracle"] == "skipped"
 
+    def test_text_output(self, capsys):
+        assert run(capsys, "compare", str(ANOMALY)) == (0, "me       non-schedulable\n"
+                                                           "se       non-schedulable\n"
+                                                           "oracle   non-schedulable\n"
+                                                           "exactness: ok\n")
+
+    def test_stuck_single_eligibility_is_a_verdict(self, capsys):
+        # se gets stuck under cw where me and the oracle schedule the set
+        code, out = run(capsys, "compare", str(SE_STUCK_SCHEDULABLE), "--policy", "cw")
+        assert code == 0
+        assert out.splitlines() == ["me       schedulable", "se       stuck",
+                                    "oracle   schedulable", "exactness: ok"]
+        code, out = run(capsys, "compare", str(SE_STUCK_SCHEDULABLE), "--policy", "cw",
+                        "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"me": "schedulable", "se": "stuck", "oracle": "schedulable",
+                                   "exactness_ok": True}
+
     def test_disagreement_is_a_hard_failure(self):
         assert compare_verdicts("schedulable", "non-schedulable") is False
         assert compare_verdicts("schedulable", "schedulable") is True
@@ -285,6 +318,45 @@ class TestInstanceWithoutJobs:
         extra = ["--scenario", str(scenario)] if command == "simulate" else []
         assert main([command, str(path), *extra]) == 2
         assert "error: instance has no jobs" in capsys.readouterr().err
+
+
+class TestInstanceFileErrors:
+    @pytest.mark.parametrize("text, message", [
+        ("H 20\nH 20\n", "line 2: duplicate H directive"),
+        ("H 20 40\n", "line 1: H takes exactly one value"),
+        ("# no id\ntask\n", "line 2: task directive needs an id"),
+        ("task 1 T=10 rmax=0 cmin=1 cmax=1 d=10\n", "line 1: task 1: missing field(s) rmin"),
+        ("period 10\n", "line 1: unknown directive 'period'"),
+    ], ids=["second-H", "H-two-values", "task-without-id", "missing-rmin", "unknown-directive"])
+    def test_bad_directive_names_its_line_and_exits_two(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestDerivedTimeBound:
+    """An instance whose latest release or deadline plus every c_max passes
+    2**64 - 1 is refused before any analysis runs."""
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "brute-force", "compare",
+                                         "export-dot"])
+    def test_every_subcommand_exits_two(self, capsys, tmp_path, monkeypatch, command):
+        import schedgraph.cli as cli
+
+        path = tmp_path / "late.txt"
+        path.write_text("".join(f"task {i} T={2**64 - 1} rmin={2**64 - 10} rmax={2**64 - 10} "
+                                f"cmin=2 cmax=2 d={2**64 - 4}\n" for i in (1, 2)))
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text("")
+        analysed = []
+        for name in ("generate", "simulate", "enumerate_scenarios"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: analysed.append(args))
+        extra = ["--scenario", str(scenario)] if command == "simulate" else []
+        assert main([command, str(path), *extra]) == 2
+        assert capsys.readouterr().err == ("error: latest release or deadline plus every c_max, "
+                                           f"{2**64}, exceeds the unsigned 64-bit range\n")
+        assert analysed == []
 
 
 class TestStuckExitCode:
@@ -454,6 +526,20 @@ class TestBench:
                    and row["modes"] == ("me", "se") and row["seeds"] == 25 for row in rows)
         assert len(_bench_items(rows)) == 9 * 25 * 5 * 2
 
+    @staticmethod
+    def exits_two_before_any_analysis(capsys, tmp_path, monkeypatch, line, message):
+        import schedgraph.cli as cli
+
+        spec = tmp_path / "bench.txt"
+        spec.write_text("# a good line, then a bad one\n"
+                        "bench tasks=3 util=0.3 rj=0.3 rc=0.3 seeds=1\n"
+                        f"{line}\n")
+        analysed = []
+        monkeypatch.setattr(cli, "_bench_one", analysed.append)
+        assert main(["bench", str(spec)]) == 2
+        assert f"error: line 3: {message}" in capsys.readouterr().err
+        assert analysed == []
+
     @pytest.mark.parametrize("fields, message", [
         ("seeds=1 mode=se polices=cw", "unknown field 'mode'"),
         ("seeds=1 seeds=2", "duplicate field 'seeds'"),
@@ -467,17 +553,22 @@ class TestBench:
             "bad-value", "negative-seeds", "zero-seeds", "unreachable-utilization"])
     def test_bad_field_exits_two_before_any_analysis(self, capsys, tmp_path, monkeypatch,
                                                      fields, message):
-        import schedgraph.cli as cli
+        self.exits_two_before_any_analysis(capsys, tmp_path, monkeypatch,
+                                           f"bench tasks=3 util=0.3 rj=0.3 rc=0.3 {fields}",
+                                           message)
 
-        spec = tmp_path / "bench.txt"
-        spec.write_text("# a good line, then a bad one\n"
-                        "bench tasks=3 util=0.3 rj=0.3 rc=0.3 seeds=1\n"
-                        f"bench tasks=3 util=0.3 rj=0.3 rc=0.3 {fields}\n")
-        analysed = []
-        monkeypatch.setattr(cli, "_bench_one", analysed.append)
-        assert main(["bench", str(spec)]) == 2
-        assert f"error: line 3: {message}" in capsys.readouterr().err
-        assert analysed == []
+    @pytest.mark.parametrize("line, message", [
+        ("bench util=0.3 rj=0.3 rc=0.3 seeds=1", "missing field(s) tasks"),
+        ("bench tasks=3 util=0.3 rj=0.3 rc=0.3 seeds=a", "seeds: expected an integer, got 'a'"),
+        ("bench tasks=3 util=0.3 rj=0.3 rc=0.3 seeds=1 periods=10,x",
+         "periods: expected an integer, got 'x'"),
+        ("bench tasks=3 util=x rj=0.3 rc=0.3 seeds=1", "util: expected a number, got 'x'"),
+        ("sweep tasks=3 util=0.3 rj=0.3 rc=0.3 seeds=1", "unknown directive 'sweep'"),
+    ], ids=["missing-field", "non-integer", "non-integer-period", "non-number",
+            "unknown-directive"])
+    def test_bad_line_names_the_field_and_exits_two_before_any_analysis(
+            self, capsys, tmp_path, monkeypatch, line, message):
+        self.exits_two_before_any_analysis(capsys, tmp_path, monkeypatch, line, message)
 
 
 @pytest.fixture

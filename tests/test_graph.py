@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 import schedgraph.graph
 import schedgraph.policy
-from schedgraph import (ME, SE, AnalysisStuck, ExecutionScenario, GenSpec, PolicyKind, Task,
-                        enumerate_scenarios, export_dot, generate, generate_instance,
-                        make_instance, parse_instance, scenario_count, simulate,
-                        write_instance)
+from schedgraph import (ME, SE, AnalysisStuck, ExecutionScenario, GenSpec, InstanceError,
+                        PolicyKind, Task, enumerate_scenarios, export_dot, generate,
+                        generate_instance, make_instance, parse_instance, scenario_count,
+                        simulate, write_instance)
 from schedgraph.cli import main
 from schedgraph.graph import (ScheduleGraph, applicable_jobs, certainly_eligible, expand,
                               expansion_windows, make_context, merge_phase, next_nodes,
@@ -73,6 +73,16 @@ class TestApplicableJobs:
 
     def test_all_finished_gives_empty_set(self, jitter3):
         assert applicable_jobs(jitter3, mask(jitter3, [j.key for j in jitter3.jobs])) == []
+
+    @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
+    def test_task_without_a_job_in_the_horizon_is_skipped(self, kind):
+        # task 2's first release is at the horizon, so it has no job
+        instance = make_instance([Task(1, 10, 0, 2, 2, 3, 8), Task(2, 20, 10, 10, 1, 1, 20),
+                                  Task(3, 5, 0, 1, 1, 2, 5)], horizon=10)
+        assert instance.jobs_by_task[2] == ()
+        assert [j.key for j in applicable_jobs(instance, 0)] == [(1, 1), (3, 1)]
+        check_graph(*generate(instance, kind, ME))
+        me_agrees_with_oracle(instance, kind)
 
     def test_non_prefix_closed_set_is_a_bug(self, jitter3, anomaly):
         with pytest.raises(RuntimeError, match="prefix-closed: J2,2 finished before J2,1"):
@@ -437,16 +447,37 @@ class TestGenerate:
         assert partial.levels == full.levels[:4] + [(2, 2)]
 
     def test_times_past_the_int64_and_uint64_ranges(self):
-        # a start at 2**63 fits the compact arc record; one past 2**64 - 1 does not
+        # a start at 2**63 fits the arc record; times that could pass 2**64 - 1 are refused
         long = make_instance([Task(1, 2**64 - 1, 0, 0, 2**63, 2**63, 1),
                               Task(2, 2**64 - 1, 0, 0, 1, 1, 1)])
-        late = make_instance([Task(i, 2**64 - 1, 2**64 - 10, 2**64 - 10, 4, 4, 2**64 - 1)
-                              for i in (1, 2, 3, 4)])
-        for instance, latest in ((long, 2**63), (late, 2**64 + 2)):
-            graph, result = generate(instance, PolicyKind.EDF, ME, exhaustive_misses=True)
-            check_graph(graph, result)
-            assert not result.schedulable
-            assert max(arc.lst for arc in graph.arcs.values()) == latest
+        graph, result = generate(long, PolicyKind.EDF, ME, exhaustive_misses=True)
+        check_graph(graph, result)
+        assert not result.schedulable
+        assert max(arc.lst for arc in graph.arcs.values()) == 2**63
+        late = [Task(i, 2**64 - 1, 2**64 - 10, 2**64 - 10, 4, 4, 2**64 - 1) for i in (1, 2, 3, 4)]
+        with pytest.raises(InstanceError, match=f"plus every c_max, {2**64 + 15}, exceeds"):
+            make_instance(late)
+
+    @staticmethod
+    def edge_tasks(deadline):
+        """Two jobs released at 2**64 - 10 with c_max 2: the deadline plus 4 is the bound."""
+        return [Task(i, 2**64 - 1, 2**64 - 10, 2**64 - 10, 2, 2, deadline) for i in (1, 2)]
+
+    @pytest.mark.parametrize("mode", [ME, SE])
+    @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
+    def test_derived_times_at_the_bound(self, kind, mode):
+        # the latest deadline plus every c_max is exactly 2**64 - 1
+        graph, result = generate(make_instance(self.edge_tasks(2**64 - 5)), kind, mode)
+        check_graph(graph, result)
+        assert result.schedulable
+        assert [v.interval for v in graph.vertices.values()] == \
+            [(0, 0), (2**64 - 8, 2**64 - 8), (2**64 - 6, 2**64 - 6)]
+        assert result.bounds == {(1, 1): (2**64 - 8, 2**64 - 8), (2, 1): (2**64 - 6, 2**64 - 6)}
+        assert max(arc.lst for arc in graph.arcs.values()) == 2**64 - 8
+
+    def test_one_past_the_bound_is_refused(self):
+        with pytest.raises(InstanceError, match=f"plus every c_max, {2**64}, exceeds"):
+            make_instance(self.edge_tasks(2**64 - 4))
 
     def test_generate_is_deterministic(self, idle4):
         g1, r1 = generate(idle4, PolicyKind.P_FP_EDF, ME)
