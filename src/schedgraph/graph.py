@@ -23,7 +23,10 @@ could be the next job started:
 
 Priorities are integer ranks: `generate` ranks every job position by the
 policy's `pi_key` once, so outranking is `int <`, and by an idling
-policy's `urgency_key` too. Only the root's applicable jobs are computed
+policy's `urgency_key` too. An applicable set keeps its jobs in rank order
+as tuples `(rank, r_min, r_max, last, pos, job)`, `last` being the latest
+start the critical budget admits, so a probe compares plain integers and
+loads no `Job` attribute. Only the root's applicable jobs are computed
 from its finished set. A successor's applicable set is derived from its
 parent's: the dispatched job's slot goes to its task's next job, or is
 dropped when the task is done, in both orders. The critical context is
@@ -37,9 +40,10 @@ only eligibility state, is all that `certainly_eligible(apps, t)` and
 
 One sweep serves both generation modes. It probes eft and every boundary
 time above it (a release bound, or the instant a job stops respecting the
-budget), a slice of the set's sorted boundaries; eligibility is constant
-from one probe to the next. At each probe the certainly eligible job, the
-first admitted one in rank order, is computed once, and only the jobs
+budget), walking the set's sorted boundaries by index from the first one
+above eft, so a vertex reads only the few it probes; eligibility is
+constant from one probe to the next. At each probe the certainly eligible
+job, the first admitted one in rank order, is computed once, and only the jobs
 ranked above it are filtered for possible eligibility. Each job's eligible
 times form maximal integer ranges; each range becomes one new vertex. The
 sweep stops at the first probe that has a certainly eligible job and
@@ -63,11 +67,14 @@ candidates, and the merge records the survivors as frontier tuples
 merged-away id is only counted. A successor's interval at creation is
 exactly [est + c_min, lst + c_max] of its window, so it is folded into its
 job's finish bound and checked against the deadline right there. `Vertex`
-and `Arc` objects are built only when the graph is read.
+and `Arc` objects are built only when the graph is read. Generation makes
+no reference cycles, so `generate` pauses the cyclic garbage collector,
+which would only rescan the level's working set, and leaves it as found.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from array import array
 from bisect import bisect_left, bisect_right, insort
@@ -217,23 +224,27 @@ class ApplicableSet:
     """The applicable jobs of one finished set under one policy, prepared once
     for every vertex that has it; all that eligibility at a time t reads.
 
-    `ranked` holds (rank, job, latest start the critical budget admits) for
-    every applicable job, in rank order; `urgent` lists an idling policy's
-    jobs by urgency. `boundaries` is the sorted multiset of the jobs' release
-    bounds and, under a budget, the instants the jobs stop being admitted.
-    Nothing changes later.
+    `ranked` holds `(rank, r_min, r_max, last, pos, job)` for every
+    applicable job, in rank order: its rank, its release bounds, the latest
+    start the critical budget admits (inf without a budget, or for the
+    critical job), its position and the job itself. The sweep reads the
+    copied fields, so a probe loads no `Job` attribute. Ranks are distinct,
+    so the entries sort by rank alone. `urgent` lists an idling policy's
+    jobs by urgency. `boundaries` is the sorted multiset of the jobs'
+    release bounds and, under a budget, the instants the jobs stop being
+    admitted (`last + 1`). Nothing changes later.
     """
 
     kind: PolicyKind
     crit: CriticalContext | None
-    ranked: list[tuple[int, Job, float]]
+    ranked: list[tuple[int, int, int, float, int, Job]]
     boundaries: list[int]
     urgent: list[Job]
 
     @property
     def applicable(self) -> list[Job]:
         """The applicable jobs in position order."""
-        return sorted((job for _, job, _ in self.ranked), key=_POSITION)
+        return sorted((entry[5] for entry in self.ranked), key=_POSITION)
 
 
 def prepare(kind: PolicyKind, ranks: Sequence[int], urgency: Sequence[int],
@@ -245,7 +256,7 @@ def prepare(kind: PolicyKind, ranks: Sequence[int], urgency: Sequence[int],
     """
     if len({job.pos for job in jobs}) != len(jobs):
         raise RuntimeError("priority order is not strict")
-    ranked = sorted((ranks[job.pos], job, inf) for job in jobs)
+    ranked = sorted((ranks[job.pos], job.r_min, job.r_max, inf, job.pos, job) for job in jobs)
     urgent = sorted(jobs, key=lambda job: urgency[job.pos]) if urgency else []
     return _with_budget(kind, critical_context(kind, urgent), ranked, urgent)
 
@@ -275,7 +286,8 @@ def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[in
     ranked = apps.ranked.copy()
     del ranked[bisect_left(ranked, (ranks[job.pos],))]
     if follow is not None:
-        insort(ranked, (ranks[after], follow, inf if crit is None else crit.time - follow.c_max))
+        last = inf if crit is None else crit.time - follow.c_max
+        insort(ranked, (ranks[after], follow.r_min, follow.r_max, last, after, follow))
     parent = apps.crit
     if (crit and (crit.job.pos, crit.time)) != (parent and (parent.job.pos, parent.time)):
         return _with_budget(apps.kind, crit, ranked, urgent)
@@ -293,18 +305,19 @@ def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[in
 
 
 def _with_budget(kind: PolicyKind, crit: CriticalContext | None,
-                 ranked: list[tuple[int, Job, float]], urgent: list[Job]) -> ApplicableSet:
+                 ranked: list[tuple[int, int, int, float, int, Job]],
+                 urgent: list[Job]) -> ApplicableSet:
     """Add the latest starts and the boundaries that the budget of `crit` admits.
 
     With a critical start budget, a non-critical job stops being admitted
     the instant t + c_max first exceeds the budget. `ranked` may hold a
     former budget's latest starts.
     """
-    ranked = [(rank, job, inf if crit is None or job.pos == crit.job.pos else crit.time - job.c_max)
-              for rank, job, _ in ranked]
-    boundaries = [job.r_min for _, job, _ in ranked]
-    boundaries += [job.r_max for _, job, _ in ranked]
-    boundaries += [last + 1 for _, _, last in ranked if last != inf]
+    ranked = [(rank, r_min, r_max, inf if crit is None or pos == crit.job.pos
+               else crit.time - job.c_max, pos, job) for rank, r_min, r_max, _, pos, job in ranked]
+    boundaries = [entry[1] for entry in ranked]
+    boundaries += [entry[2] for entry in ranked]
+    boundaries += [entry[3] + 1 for entry in ranked if entry[3] != inf]
     boundaries.sort()
     return ApplicableSet(kind, crit, ranked, boundaries, urgent)
 
@@ -318,8 +331,8 @@ def certainly_eligible(apps: ApplicableSet, t: int,
     That is the first job in rank order that is certainly released,
     admitted by the budget and not excluded.
     """
-    for _, job, last in apps.ranked:
-        if job.r_max <= t <= last and job.pos not in exclude:
+    for _, _, r_max, last, pos, job in apps.ranked:
+        if r_max <= t <= last and pos not in exclude:
             return job
     return None
 
@@ -328,10 +341,10 @@ def _outranking_possible(apps: ApplicableSet, t: int, ce: Job | None,
                          exclude: AbstractSet[int]) -> list[Job]:
     """The possibly eligible jobs among those ranked above `ce`, in position order."""
     out = []
-    for _, job, last in apps.ranked:
+    for _, r_min, r_max, last, pos, job in apps.ranked:
         if job is ce:
             break
-        if job.r_min <= t < job.r_max and t <= last and job.pos not in exclude:
+        if r_min <= t < r_max and t <= last and pos not in exclude:
             out.append(job)
     if len(out) > 1:
         out.sort(key=_POSITION)
@@ -354,24 +367,20 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
     probes nothing can change, so the result matches a per-integer-time
     sweep exactly. The sweep stops at the first probe with a certain choice
     whose constant segment reaches lft, and closes every open run at
-    max(probe, lft).
+    max(probe, lft). The boundaries are walked by index from the first one
+    above eft, so only the probes actually made are read.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if not apps.ranked:
         return []
     boundaries = apps.boundaries
-    probes = [eft, *boundaries[bisect_right(boundaries, eft):]]
+    i, n = bisect_right(boundaries, eft), len(boundaries)  # the next probe's index
     consumed: set[int] = set()  # positions; stays empty in ME mode
     open_runs: dict[int, tuple[Job, int]] = {}  # position -> (job, est)
     out: list[tuple[Job, int, int]] = []
-    t = ce = None
-    for probe in probes:
-        if probe == t:  # boundaries repeat when jobs share a bound
-            continue
-        if ce is not None and probe > lft:  # the last segment reached lft
-            break
-        t = probe
+    t = eft
+    while True:
         ce = certainly_eligible(apps, t, consumed)
         eligible = _outranking_possible(apps, t, ce, consumed)
         if ce is not None:
@@ -387,18 +396,23 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
         for job in eligible:
             if job.pos not in open_runs:
                 open_runs[job.pos] = (job, t)
+        if i == n or ce is not None and boundaries[i] > lft:  # the last segment reached lft
+            break
+        t = boundaries[i]
+        i = bisect_right(boundaries, t, i + 1)  # boundaries repeat when jobs share a bound
     if ce is None:
         raise AnalysisStuck(f"no certainly eligible job exists at or after t={lft}")
     bound = max(t, lft)
-    out.extend((job, est, bound) for job, est in open_runs.values())
+    out += [(job, est, bound) for job, est in open_runs.values()]
     if apps.kind.work_conserving:
         seen: set[int] = set()
         for job, est, _ in out:
-            if job.pos in seen:
+            pos, r_min = job.pos, job.r_min
+            if pos in seen:
                 raise RuntimeError("work conserving job re-eligibility")
-            if est != max(eft, job.r_min):
+            if est != (r_min if r_min > eft else eft):
                 raise RuntimeError("work conserving range must start at release")
-            seen.add(job.pos)
+            seen.add(pos)
     return out
 
 
@@ -440,27 +454,32 @@ def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[tuple]:
     while i < n:
         finished, eft, vid, lft, src, job_pos, est, lst, aid = candidates[i]
         j = i + 1
-        while j < n and candidates[j][0] == finished and candidates[j][1] <= lft:
-            lft = max(lft, candidates[j][3])
+        while j < n:
+            other = candidates[j]
+            if other[0] != finished or other[1] > lft:
+                break
+            if other[3] > lft:
+                lft = other[3]
             j += 1
         if j == i + 1:  # most groups: nothing to merge
             survivors.append((finished, eft, vid, lft))
             arcs.fromlist([aid, src, vid, job_pos, est, lst])  # `extend` is slow on a tuple
         else:
             group = candidates[i:j]
-            keep_id = min(map(_VID, group))
-            group.sort(key=lambda c: c[2] != keep_id)  # its own arc first, then (eft, id)
-            kept: dict[int, list[int]] = {}  # by source: [id, src, dst, job_pos, est, lst]
+            ids = [*map(_VID, group)]
+            keep_id = min(ids)
+            group.insert(0, group.pop(ids.index(keep_id)))  # its own arc first, then (eft, id)
+            at: dict[int, int] = {}  # by source: where its arc starts in `arcs`
             for _, _, _, _, src, job_pos, est, lst, aid in group:
-                arc = kept.get(src)
-                if arc is None:
-                    kept[src] = [aid, src, keep_id, job_pos, est, lst]
-                elif arc[3] != job_pos:
+                k = at.get(src)
+                if k is None:
+                    at[src] = len(arcs)
+                    arcs.fromlist([aid, src, keep_id, job_pos, est, lst])
+                elif arcs[k + 3] != job_pos:
                     raise RuntimeError("arcs between one pair of vertices dispatch different jobs")
                 else:
-                    arc[4], arc[5] = min(arc[4], est), max(arc[5], lst)
+                    arcs[k + 4], arcs[k + 5] = min(arcs[k + 4], est), max(arcs[k + 5], lst)
             survivors.append((finished, eft, keep_id, lft))
-            arcs.fromlist([field for arc in kept.values() for field in arc])
         i = j
     survivors.sort(key=_VID)
     graph.recorded.append((survivors, arcs))
@@ -499,6 +518,7 @@ class AnalysisResult:
     bounds: dict[tuple[int, int], tuple[int, int]]  # job key -> (finish min, finish max)
     bounds_complete: bool
     levels: list[tuple[int, int]]  # per level: (vertices, in-arcs), as recorded
+    created: list[int]  # per level: candidates created before the merge; 0 for the root
     vertices_created: int  # before merging
     arcs_created: int
     wall_ms: float
@@ -512,7 +532,8 @@ class AnalysisResult:
             ],
             "bounds_complete": self.bounds_complete,
             "stats": {
-                "levels": [{"vertices": v, "arcs": a} for v, a in self.levels],
+                "levels": [{"vertices": v, "arcs": a, "created": c}
+                           for (v, a), c in zip(self.levels, self.created)],
                 "vertices_created": self.vertices_created,
                 "arcs_created": self.arcs_created,
                 "wall_ms": self.wall_ms,
@@ -557,9 +578,25 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
     applicable set from its parent's; it is kept, keyed by finished set,
     for the next level alone, and dropped once the last vertex that has it
     is expanded.
+
+    The cyclic garbage collector is paused for the call and left as it was
+    found: generation makes no reference cycles, so reference counting
+    frees all it drops, and a collection would only rescan the level's
+    working set.
     """
     if not instance.jobs:
         raise InstanceError("instance has no jobs")
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _generate(instance, kind, mode, exhaustive_misses)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _generate(instance: ProblemInstance, kind: PolicyKind, mode: str,
+              exhaustive_misses: bool) -> tuple[ScheduleGraph, AnalysisResult]:
     start = time.perf_counter()
     graph = ScheduleGraph(instance, kind, mode)
     ranks, urgency = priority_ranks(instance, kind), urgency_ranks(instance, kind)
@@ -568,6 +605,7 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
     misses: list[DeadlineMiss] = []
     bounds: dict[int, tuple[int, int]] = {}  # by job position, in creation order
     frontier = graph.recorded[0][0]
+    created = [0]  # the root is no candidate
     for _ in instance.jobs:  # one level per job
         candidates = []
         derived: dict[int, ApplicableSet] = {}  # the same, for the next level
@@ -578,14 +616,18 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
                 del applicable[vertex[0]]
             for successor, job in next_nodes(graph, vertex, apps):
                 candidates.append(successor)
-                finished, eft, sid, lft = successor[:4]
+                finished, eft, lft = successor[0], successor[1], successor[3]
                 if finished not in derived:
                     derived[finished] = derive(instance, ranks, urgency, apps, job)
-                lo, hi = bounds.get(job.pos, (eft, lft))
-                bounds[job.pos] = (min(lo, eft), max(hi, lft))
+                bound = bounds.get(job.pos)
+                if bound is None:
+                    bounds[job.pos] = (eft, lft)
+                elif eft < bound[0] or lft > bound[1]:  # rewritten only when it widens
+                    bounds[job.pos] = (min(bound[0], eft), max(bound[1], lft))
                 if lft > job.deadline and (exhaustive_misses or not misses):
-                    misses.append(DeadlineMiss(sid, job, lft, job.deadline))
+                    misses.append(DeadlineMiss(successor[2], job, lft, job.deadline))
         applicable = derived
+        created.append(len(candidates))
         aborted = bool(misses) and not exhaustive_misses
         frontier = _record_unmerged(graph, candidates) if aborted else merge_phase(graph, candidates)
         if aborted:
@@ -597,6 +639,7 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
         bounds={instance.jobs[pos].key: bound for pos, bound in bounds.items()},
         bounds_complete=not aborted,
         levels=[(len(survivors), len(arcs) // 6) for survivors, arcs in graph.recorded],
+        created=created,
         vertices_created=graph.vertices_created,
         arcs_created=graph.arcs_created,
         wall_ms=(time.perf_counter() - start) * 1000.0,

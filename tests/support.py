@@ -335,6 +335,10 @@ def check_graph(graph, result=None) -> None:
     if result is not None:
         assert result.bounds == finish_bounds(graph)
         assert result.levels == level_stats(graph)
+        assert len(result.created) == len(result.levels) and result.created[0] == 0
+        assert sum(result.created) == graph.vertices_created - 1
+        if not result.bounds_complete:  # the aborting level is recorded as created
+            assert result.created[-1] == result.levels[-1][0]
     merged_levels = len(graph.levels)
     if result is not None and not result.bounds_complete:
         merged_levels -= 1  # the aborting level is recorded pre-merge

@@ -49,7 +49,9 @@ ANALYZE_SCHEMA = {
                     "type": "array",
                     "items": {
                         "type": "object",
-                        "required": ["vertices", "arcs"],
+                        "required": ["vertices", "arcs", "created"],
+                        "properties": {k: {"type": "integer"}
+                                       for k in ("vertices", "arcs", "created")},
                     },
                 },
                 "vertices_created": {"type": "integer"},

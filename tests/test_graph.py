@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -24,10 +26,10 @@ from schedgraph.graph import (ScheduleGraph, applicable_jobs, certainly_eligible
                               possibly_eligible, priority_ranks)
 from schedgraph.model import Job
 from schedgraph.policy import pi_key, urgency_key
-from support import (ALL_POLICIES, MANY_TASKS, SE_STUCK_SCHEDULABLE, check_graph,
-                     exploration_bound, mask, naive_windows_me, naive_windows_se,
-                     reference_certainly_eligible, reference_possibly_eligible,
-                     sample_crowded_instance, sample_instance)
+from support import (ALL_POLICIES, ANOMALY, EDF_JITTER, MANY_TASKS, SE_STUCK_SCHEDULABLE,
+                     check_graph, exploration_bound, mask, naive_windows_me, naive_windows_se,
+                     reference_certainly_eligible, reference_critical_context,
+                     reference_possibly_eligible, sample_crowded_instance, sample_instance)
 
 CROWDED_DRAWS = 300
 CROWDED_SEED_BASE = 90_000
@@ -494,6 +496,26 @@ class TestGenerate:
         assert result.levels[0] == (1, 0)
         assert result.levels[1] == (1, 1)
 
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_created_counts_each_levels_candidates(self, anomaly, jitter3, idle4, exhaustive):
+        for instance, kind in ((anomaly, PolicyKind.EDF), (jitter3, PolicyKind.EDF),
+                               (idle4, PolicyKind.P_FP_EDF), (idle4, PolicyKind.CW)):
+            for mode in (ME, SE):
+                _, result = generate(instance, kind, mode, exhaustive_misses=exhaustive)
+                assert len(result.created) == len(result.levels)
+                assert result.created[0] == 0  # the root is no candidate
+                assert sum(result.created) == result.vertices_created - 1
+                assert all(made >= vertices for made, (vertices, _)
+                           in zip(result.created[1:], result.levels[1:]))
+                assert [entry["created"] for entry in result.to_json_dict()["stats"]["levels"]] \
+                    == result.created
+
+    def test_the_aborting_level_counts_its_candidates(self, anomaly):
+        graph, result = generate(anomaly, PolicyKind.EDF, ME)
+        assert not result.bounds_complete
+        assert result.created[-1] == result.levels[-1][0] == len(graph.levels[-1]) == 2
+        assert sum(result.created) == result.vertices_created - 1
+
     def test_structural_invariants_on_worked_examples(self, anomaly, jitter3, idle4):
         cases = [(anomaly, PolicyKind.EDF), (jitter3, PolicyKind.EDF),
                  (idle4, PolicyKind.P_FP_EDF)]
@@ -501,6 +523,54 @@ class TestGenerate:
             for mode in (ME, SE):
                 graph, result = generate(instance, kind, mode)
                 check_graph(graph, result)
+
+
+class TestCollectorPause:
+    """generate pauses the cyclic garbage collector and leaves it as it found it."""
+
+    @pytest.fixture
+    def collecting(self):
+        was = gc.isenabled()
+        gc.enable()
+        yield
+        if not was:
+            gc.disable()
+
+    @pytest.mark.parametrize("path, kind, mode, outcome", [
+        (EDF_JITTER, PolicyKind.EDF, ME, "schedulable"),
+        (ANOMALY, PolicyKind.EDF, ME, "miss"),
+        (SE_STUCK_SCHEDULABLE, PolicyKind.CW, SE, "stuck"),
+    ], ids=["schedulable", "first-miss", "stuck"])
+    def test_an_enabled_collector_is_enabled_after(self, monkeypatch, collecting,
+                                                   path, kind, mode, outcome):
+        instance = parse_instance(path.read_text(encoding="utf-8"))
+        during = []
+        original = schedgraph.graph.next_nodes
+
+        def watching(graph, vertex, apps):
+            during.append(gc.isenabled())
+            return original(graph, vertex, apps)
+
+        monkeypatch.setattr(schedgraph.graph, "next_nodes", watching)
+        if outcome == "stuck":
+            with pytest.raises(AnalysisStuck):
+                generate(instance, kind, mode)
+        else:
+            _, result = generate(instance, kind, mode)
+            assert result.schedulable is (outcome == "schedulable")
+        assert during and not any(during)
+        assert gc.isenabled()
+
+    def test_an_enabled_collector_is_enabled_after_a_jobless_instance(self, collecting):
+        jobless = make_instance([Task(1, 10, 7, 8, 1, 1, 10)], horizon=5)
+        with pytest.raises(InstanceError, match="instance has no jobs"):
+            generate(jobless, PolicyKind.EDF, ME)
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, collecting, jitter3):
+        gc.disable()
+        generate(jitter3, PolicyKind.EDF, ME)
+        assert not gc.isenabled()
 
 
 class TestMissVertex:
@@ -651,6 +721,62 @@ class TestIncrementalState:
                         reference_certainly_eligible(apps, t, skip)
                     assert possibly_eligible(apps, t, skip) == \
                         reference_possibly_eligible(apps, t, skip)
+
+
+@pytest.fixture
+def built_sets(monkeypatch):
+    """Every applicable set that `prepare` and `derive` build while in use."""
+    sets = []
+    for name in ("prepare", "derive"):
+        def recording(*args, _original=getattr(schedgraph.graph, name)):
+            sets.append(_original(*args))
+            return sets[-1]
+        monkeypatch.setattr(schedgraph.graph, name, recording)
+    return sets
+
+
+def check_ranked_entries(instance, kind, sets) -> int:
+    """Assert that each `ranked` entry copies its own job's fields; the number
+    of entries with a budget's latest start."""
+    ranks, budgeted = priority_ranks(instance, kind), 0
+    for apps in sets:
+        crit = reference_critical_context(kind, apps.applicable)
+        for rank, r_min, r_max, last, pos, job in apps.ranked:
+            assert rank == ranks[job.pos]
+            assert (r_min, r_max, pos) == (job.r_min, job.r_max, job.pos)
+            assert last == (inf if crit is None or crit.job is job else crit.time - job.c_max)
+            budgeted += last != inf
+    return budgeted
+
+
+class TestRankedEntries:
+    """Each `ranked` entry's copied fields match its job, on every set built
+    along a graph; comparing derived to scratch sets cannot catch a wrong copy
+    that both make."""
+
+    @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
+    def test_bundled_instances(self, built_sets, kind):
+        for path in sorted(SE_STUCK_SCHEDULABLE.parent.glob("*.txt")):
+            instance = parse_instance(path.read_text(encoding="utf-8"))
+            for mode in (ME, SE):
+                del built_sets[:]
+                try:
+                    generate(instance, kind, mode, exhaustive_misses=True)
+                except AnalysisStuck:
+                    pass
+                assert len(built_sets) > 1
+                budgeted = check_ranked_entries(instance, kind, built_sets)
+                assert not kind.work_conserving or budgeted == 0
+
+    @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
+    def test_crowded_draws(self, built_sets, crowded_instances, kind):
+        budgeted = 0
+        for instance in crowded_instances:
+            del built_sets[:]
+            generate(instance, kind, ME)
+            assert len(built_sets) > 1
+            budgeted += check_ranked_entries(instance, kind, built_sets)
+        assert (budgeted == 0) is kind.work_conserving
 
 
 class TestIncrementalCost:
