@@ -461,7 +461,7 @@ def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[tuple]:
             if other[3] > lft:
                 lft = other[3]
             j += 1
-        if j == i + 1:  # most groups: nothing to merge
+        if j == i + 1:  # a group of one: nothing to merge
             survivors.append((finished, eft, vid, lft))
             arcs.fromlist([aid, src, vid, job_pos, est, lst])  # `extend` is slow on a tuple
         else:

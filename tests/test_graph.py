@@ -514,7 +514,6 @@ class TestGenerate:
         graph, result = generate(anomaly, PolicyKind.EDF, ME)
         assert not result.bounds_complete
         assert result.created[-1] == result.levels[-1][0] == len(graph.levels[-1]) == 2
-        assert sum(result.created) == result.vertices_created - 1
 
     def test_structural_invariants_on_worked_examples(self, anomaly, jitter3, idle4):
         cases = [(anomaly, PolicyKind.EDF), (jitter3, PolicyKind.EDF),
@@ -533,7 +532,9 @@ class TestCollectorPause:
         was = gc.isenabled()
         gc.enable()
         yield
-        if not was:
+        if was:
+            gc.enable()
+        else:
             gc.disable()
 
     @pytest.mark.parametrize("path, kind, mode, outcome", [
