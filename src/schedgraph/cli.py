@@ -31,7 +31,7 @@ def _load_instance(path: str):
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -40,12 +40,9 @@ def _emit(args, text: str) -> None:
 
 def _analysis_text(result) -> str:
     lines = [f"schedulable: {'yes' if result.schedulable else 'no'}"]
-    if result.witness is not None:
-        w = result.witness
-        lines.append(
-            f"witness: {w.job.label} may finish at {w.lft} > deadline {w.deadline}"
-            f" (vertex v{w.vertex})"
-        )
+    for k, miss in enumerate(result.misses):  # the witness first
+        lines.append(f"{'miss' if k else 'witness'}: {miss.job.label} may finish at"
+                     f" {miss.lft} > deadline {miss.deadline} (vertex v{miss.vertex})")
     lines.append("levels (vertices/arcs): " +
                  " ".join(f"{v}/{a}" for v, a in result.levels))
     lines.append(f"created before merging: {result.vertices_created} vertices,"

@@ -7,7 +7,7 @@ dispatching one more job over a window of start times. Levels are indexed
 by the number of finished jobs; the root is level 0 with interval [0, 0].
 
 A job is named by its position `job.pos` in `instance.jobs`: its bit in a
-vertex's finished set, its arcs' `job_pos`, and what `exclude` sets hold.
+vertex's finished set, its arcs' and its successor candidates' `job_pos`.
 A task's jobs hold consecutive positions, so the applicable job of each
 task, its first unfinished one, is read off one bit field.
 
@@ -32,9 +32,9 @@ parent's: the dispatched job's slot goes to its task's next job, or is
 dropped when the task is done, in both orders. The critical context is
 read off the urgency order; while its job and time stay the parent's, or
 there is none, only the two jobs' boundary times change. Each set
-serves every vertex that has it, for one level only. `ApplicableSet`, the
-only eligibility state, is all that `certainly_eligible(apps, t)` and
-`possibly_eligible(apps, t)` read, and
+serves every vertex that has it, for one level only, and nothing changes
+it. `ApplicableSet`, the only eligibility state, is all that
+`certainly_eligible(apps, t)` and `possibly_eligible(apps, t)` read, and
 `expansion_windows(apps, eft, lft, mode)` adds the vertex's interval.
 `make_context` builds the same set from scratch for any finished set.
 
@@ -57,9 +57,10 @@ several arcs with the same job label.
 The two generation modes differ only in what the sweep forgets. The
 default, multiple eligibility ("me"), expands every range. Single
 eligibility ("se") reproduces the older behaviour of letting each job
-become eligible at most once per vertex: a job whose range has ended is
-consumed and no longer counts as eligible, certainly or possibly, at later
-probes.
+become eligible at most once per vertex: when a job's range ends, the sweep
+drops the job from its own copy of the applicable set, so it no longer
+counts as eligible, certainly or possibly, at later probes; the shared set
+is never changed, and the same boundary times are probed.
 
 A level is merged before it is recorded: expansion yields plain successor
 candidates, and the merge records the survivors as frontier tuples
@@ -81,7 +82,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from math import inf
 from operator import attrgetter, itemgetter
-from typing import AbstractSet, Sequence
+from typing import Sequence
 
 from .model import InstanceError, Job, ProblemInstance
 from .policy import CriticalContext, PolicyKind, critical_context, pi_key, urgency_key
@@ -324,37 +325,34 @@ def _with_budget(kind: PolicyKind, crit: CriticalContext | None,
 
 # --- eligibility ----------------------------------------------------------------
 
-def certainly_eligible(apps: ApplicableSet, t: int,
-                       exclude: AbstractSet[int] = frozenset()) -> Job | None:
+def certainly_eligible(apps: ApplicableSet, t: int) -> Job | None:
     """The unique certainly released, budget-respecting job of top priority at t.
 
-    That is the first job in rank order that is certainly released,
-    admitted by the budget and not excluded.
+    That is the first job in rank order that is certainly released and
+    admitted by the budget.
     """
-    for _, _, r_max, last, pos, job in apps.ranked:
-        if r_max <= t <= last and pos not in exclude:
+    for _, _, r_max, last, _, job in apps.ranked:
+        if r_max <= t <= last:
             return job
     return None
 
 
-def _outranking_possible(apps: ApplicableSet, t: int, ce: Job | None,
-                         exclude: AbstractSet[int]) -> list[Job]:
+def _outranking_possible(apps: ApplicableSet, t: int, ce: Job | None) -> list[Job]:
     """The possibly eligible jobs among those ranked above `ce`, in position order."""
     out = []
-    for _, r_min, r_max, last, pos, job in apps.ranked:
+    for _, r_min, r_max, last, _, job in apps.ranked:
         if job is ce:
             break
-        if r_min <= t < r_max and t <= last and pos not in exclude:
+        if r_min <= t < r_max and t <= last:
             out.append(job)
     if len(out) > 1:
         out.sort(key=_POSITION)
     return out
 
 
-def possibly_eligible(apps: ApplicableSet, t: int,
-                      exclude: AbstractSet[int] = frozenset()) -> list[Job]:
+def possibly_eligible(apps: ApplicableSet, t: int) -> list[Job]:
     """Possibly released, budget-respecting jobs outranking the certain choice at t."""
-    return _outranking_possible(apps, t, certainly_eligible(apps, t, exclude), exclude)
+    return _outranking_possible(apps, t, certainly_eligible(apps, t))
 
 
 # --- expansion sweep ----------------------------------------------------------
@@ -368,7 +366,9 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
     sweep exactly. The sweep stops at the first probe with a certain choice
     whose constant segment reaches lft, and closes every open run at
     max(probe, lft). The boundaries are walked by index from the first one
-    above eft, so only the probes actually made are read.
+    above eft, so only the probes actually made are read. In `se` mode the
+    jobs whose runs have ended are dropped from the sweep's own copy of
+    `apps` before the next probe.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -376,28 +376,29 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
         return []
     boundaries = apps.boundaries
     i, n = bisect_right(boundaries, eft), len(boundaries)  # the next probe's index
-    consumed: set[int] = set()  # positions; stays empty in ME mode
     open_runs: dict[int, tuple[Job, int]] = {}  # position -> (job, est)
     out: list[tuple[Job, int, int]] = []
     t = eft
     while True:
-        ce = certainly_eligible(apps, t, consumed)
-        eligible = _outranking_possible(apps, t, ce, consumed)
+        ce = certainly_eligible(apps, t)
+        eligible = _outranking_possible(apps, t, ce)
         if ce is not None:
             eligible.insert(0, ce)
+        ended = ()
         if open_runs:
             live = {job.pos for job in eligible}
-            for pos in [p for p in open_runs if p not in live]:
+            ended = [pos for pos in open_runs if pos not in live]
+            for pos in ended:
                 job, est = open_runs.pop(pos)
                 out.append((job, est, t - 1))
-                if mode == SE:
-                    # consumed jobs were not eligible at t, so ce stays the same
-                    consumed.add(pos)
         for job in eligible:
             if job.pos not in open_runs:
                 open_runs[job.pos] = (job, t)
         if i == n or ce is not None and boundaries[i] > lft:  # the last segment reached lft
             break
+        if ended and mode == SE:  # `apps` is shared by every vertex with this finished set
+            apps = ApplicableSet(apps.kind, apps.crit, [e for e in apps.ranked if e[4] not in ended],
+                                 apps.boundaries, apps.urgent)
         t = boundaries[i]
         i = bisect_right(boundaries, t, i + 1)  # boundaries repeat when jobs share a bound
     if ce is None:
@@ -539,26 +540,22 @@ class AnalysisResult:
                 "wall_ms": self.wall_ms,
             },
         }
-        if self.witness is not None:
-            data["witness"] = {
-                "vertex": self.witness.vertex,
-                "task": self.witness.job.task_id,
-                "job": self.witness.job.index,
-                "lft": self.witness.lft,
-                "deadline": self.witness.deadline,
-            }
+        if self.witness is not None:  # the first of the misses, in creation order
+            misses = [{"vertex": m.vertex, "task": m.job.task_id, "job": m.job.index,
+                       "lft": m.lft, "deadline": m.deadline} for m in self.misses]
+            data["witness"], data["misses"] = dict(misses[0]), misses
         return data
 
 
-def next_nodes(graph: ScheduleGraph, vertex: tuple,
-               apps: ApplicableSet) -> list[tuple[tuple, Job]]:
-    """Expand one frontier tuple, whose applicable set is `apps`: each successor
-    candidate (one per dispatch window) and the job it dispatches."""
+def next_nodes(graph: ScheduleGraph, vertex: tuple, apps: ApplicableSet) -> list[tuple]:
+    """Expand one frontier tuple, whose applicable set is `apps`: its successor
+    candidates, one per dispatch window, in creation order. A candidate's job
+    is `instance.jobs[candidate[5]]`."""
     try:
         windows = expansion_windows(apps, vertex[1], vertex[3], graph.mode)
     except AnalysisStuck as exc:
         raise AnalysisStuck(str(exc), vertex=vertex[2]) from None
-    return [(expand(graph, vertex, job, est, lst), job) for job, est, lst in windows]
+    return [expand(graph, vertex, job, est, lst) for job, est, lst in windows]
 
 
 def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
@@ -598,7 +595,7 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
 def _generate(instance: ProblemInstance, kind: PolicyKind, mode: str,
               exhaustive_misses: bool) -> tuple[ScheduleGraph, AnalysisResult]:
     start = time.perf_counter()
-    graph = ScheduleGraph(instance, kind, mode)
+    graph, jobs = ScheduleGraph(instance, kind, mode), instance.jobs
     ranks, urgency = priority_ranks(instance, kind), urgency_ranks(instance, kind)
     # finished set -> applicable set, for the level being expanded
     applicable = {0: prepare(kind, ranks, urgency, applicable_jobs(instance, 0))}
@@ -614,9 +611,10 @@ def _generate(instance: ProblemInstance, kind: PolicyKind, mode: str,
             apps = applicable[vertex[0]]
             if last_user[vertex[0]] is vertex:  # free it while the next level grows
                 del applicable[vertex[0]]
-            for successor, job in next_nodes(graph, vertex, apps):
+            for successor in next_nodes(graph, vertex, apps):
                 candidates.append(successor)
                 finished, eft, lft = successor[0], successor[1], successor[3]
+                job = jobs[successor[5]]
                 if finished not in derived:
                     derived[finished] = derive(instance, ranks, urgency, apps, job)
                 bound = bounds.get(job.pos)

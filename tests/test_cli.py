@@ -32,6 +32,7 @@ ANALYZE_SCHEMA = {
             "properties": {k: {"type": "integer"}
                            for k in ("vertex", "task", "job", "lft", "deadline")},
         },
+        "misses": {"type": "array", "minItems": 1, "items": {"$ref": "#/properties/witness"}},
         "bounds": {
             "type": "array",
             "items": {
@@ -99,6 +100,24 @@ class TestAnalyze:
         witness = data["witness"]
         assert (witness["task"], witness["job"]) == (3, 1)
         assert (witness["lft"], witness["deadline"]) == (18, 14)
+        assert data["misses"] == [witness]  # the first miss aborts the analysis
+
+    def test_exhaustive_misses_lists_every_miss(self, capsys):
+        argv = ("analyze", str(PRECAUTIOUS_IDLE), "--policy", "fp-edf", "--exhaustive-misses")
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        jsonschema.validate(data, ANALYZE_SCHEMA)
+        assert [(m["vertex"], m["task"], m["job"], m["lft"], m["deadline"])
+                for m in data["misses"]] == [(6, 1, 1, 14, 12), (8, 1, 1, 13, 12), (9, 3, 1, 16, 14)]
+        assert data["witness"] == data["misses"][0]
+        code, text = run(capsys, *argv)
+        assert code == 1
+        assert [line for line in text.splitlines() if line.startswith(("witness", "miss"))] == [
+            "witness: J1,1 may finish at 14 > deadline 12 (vertex v6)",
+            "miss: J1,1 may finish at 13 > deadline 12 (vertex v8)",
+            "miss: J3,1 may finish at 16 > deadline 14 (vertex v9)",
+        ]
 
     def test_missing_file_exits_two(self, capsys):
         code = main(["analyze", "/nonexistent/instance.txt"])

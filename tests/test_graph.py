@@ -191,6 +191,17 @@ class TestRanges:
             if ranges:
                 assert ranges[0][0] == max(1, job.r_min)
 
+    def test_single_eligibility_forgets_in_its_own_copy(self, idle4):
+        apps = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]))
+        ranked, boundaries = apps.ranked.copy(), apps.boundaries.copy()
+
+        def windows(mode):
+            return [(j.label, est, lst) for j, est, lst in expansion_windows(apps, 1, 8, mode)]
+
+        assert windows(SE) == [("J3,1", 1, 2), ("J4,1", 3, 6), ("J1,1", 10, 10)]
+        assert (apps.ranked, apps.boundaries) == (ranked, boundaries)
+        assert windows(ME) == [("J3,1", 1, 2), ("J4,1", 3, 6), ("J3,1", 7, 8)]
+
 
 class TestProbeCount:
     """The sweep evaluates the certain choice once per probed time."""
@@ -267,20 +278,20 @@ class TestNextNodes:
     def test_root_expands_to_single_certain_choice(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
         new = next_nodes(graph, top(graph), scratch(graph, graph.root))
-        assert [(job.label, span(c)) for c, job in new] == [("J2,1", (1, 1))]
+        assert [(jitter3.jobs[c[5]].label, span(c)) for c in new] == [("J2,1", (1, 1))]
 
     def test_vertex_with_certain_switchover_expands_twice(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
         v1 = store(graph, expand(graph, top(graph), jitter3.job((2, 1)), 0, 0))
         v3 = store(graph, expand(graph, v1, jitter3.job((3, 1)), 1, 1))
         new = next_nodes(graph, v3, scratch(graph, v3[2]))
-        assert [span(c) for c, _ in new] == [(5, 6), (6, 6)]
+        assert [span(c) for c in new] == [(5, 6), (6, 6)]
 
     def test_idling_policy_reopens_eligibility(self, idle4):
         graph = ScheduleGraph(idle4, PolicyKind.P_FP_EDF)
         v1 = store(graph, expand(graph, top(graph), idle4.job((2, 1)), 0, 0))
         new = next_nodes(graph, v1, scratch(graph, v1[2]))
-        labels = [(job.label, span(c)) for c, job in new]
+        labels = [(idle4.jobs[c[5]].label, span(c)) for c in new]
         assert labels == [("J3,1", (3, 4)), ("J4,1", (7, 10)), ("J3,1", (9, 10))]
 
 
@@ -386,7 +397,7 @@ class TestGraphOnRead:
         graph = ScheduleGraph(anomaly, PolicyKind.EDF, ME)
         assert graph.vertices.keys() == {graph.root} and graph.arcs == {}
         apps = make_context(anomaly, PolicyKind.EDF, 0)
-        candidates = [candidate for candidate, _ in next_nodes(graph, top(graph), apps)]
+        candidates = next_nodes(graph, top(graph), apps)
         level = merge_phase(graph, candidates)
         assert len(graph.recorded[1][1]) == 6 * len(candidates)
         assert graph.vertices.keys() == {graph.root, *(vertex[2] for vertex in level)}
@@ -718,9 +729,11 @@ class TestIncrementalState:
             for t in range(vertex.eft, max([vertex.lft, *apps.boundaries]) + 1):
                 exclude = frozenset(j.pos for j in apps.applicable if rng.random() < 0.2)
                 for skip in (frozenset(), exclude):
-                    assert certainly_eligible(apps, t, skip) is \
+                    narrowed = dataclasses.replace(
+                        apps, ranked=[e for e in apps.ranked if e[4] not in skip])
+                    assert certainly_eligible(narrowed, t) is \
                         reference_certainly_eligible(apps, t, skip)
-                    assert possibly_eligible(apps, t, skip) == \
+                    assert possibly_eligible(narrowed, t) == \
                         reference_possibly_eligible(apps, t, skip)
 
 
@@ -1053,7 +1066,7 @@ CORRUPTED_CASES = textwrap.dedent("""
 
     def eligible_before_release():  # the last case: the engine stays patched
         import schedgraph.graph as engine
-        engine._outranking_possible = lambda apps, t, ce, exclude: [
+        engine._outranking_possible = lambda apps, t, ce: [
             j for j in apps.applicable if j is not ce]
         generate(instance, PolicyKind.EDF, ME)
 
