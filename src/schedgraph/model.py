@@ -286,17 +286,20 @@ class ExecutionScenario:
 
 def validate_scenario(instance: ProblemInstance, scenario: ExecutionScenario) -> None:
     """Raise InstanceError unless the scenario covers exactly the jobs, within bounds."""
+    release, execution = scenario.release, scenario.execution
     for job in instance.jobs:
-        if job.key not in scenario.release or job.key not in scenario.execution:
-            raise InstanceError(f"scenario missing job {job.label}")
-        r = scenario.release[job.key]
-        c = scenario.execution[job.key]
+        key = job.key
+        try:
+            r = release[key]
+            c = execution[key]
+        except KeyError:
+            raise InstanceError(f"scenario missing job {job.label}") from None
         if not job.r_min <= r <= job.r_max:
             raise InstanceError(f"{job.label}: release {r} outside [{job.r_min}, {job.r_max}]")
         if not job.c_min <= c <= job.c_max:
             raise InstanceError(f"{job.label}: execution {c} outside [{job.c_min}, {job.c_max}]")
     # every job's key is present, so a larger dict holds a key of no job
-    for values in (scenario.release, scenario.execution):
+    for values in (release, execution):
         if len(values) != len(instance.jobs):
             unknown = next(key for key in values if key not in instance.job_index)
             raise InstanceError(f"scenario names unknown job {unknown!r}")

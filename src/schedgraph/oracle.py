@@ -2,6 +2,10 @@
 
 The simulator plays one concrete scenario: the scheduler is invoked at time
 zero, at every job completion, and, while idle, at each upcoming release.
+It keeps the scheduler's state between decisions, because the applicable
+set changes only at a dispatch: each task's applicable job, the applicable
+jobs not yet released in a heap by release time, the released ones, and
+the critical context that `pick` reads, built once per applicable set.
 The enumerator covers the full integer grid of release and execution times
 and is the ground-truth check for the graph analysis on small instances.
 It does not play the grid's scenarios one by one: a depth-first search
@@ -12,15 +16,19 @@ leaf of the search stands for a box of scenarios (a product of per-job
 release and execution intervals) that all take its decisions. Different
 dispatch orders often reach the same scheduler state, so the search is
 memoized: each distinct state is searched once per call, and the memo, one
-entry per distinct state, is dropped when the call returns.
+entry per distinct state, is dropped when the call returns. The critical
+context depends on the applicable jobs alone, so the search builds it once
+per distinct set of applicable jobs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from typing import Iterable
 
 from .model import ExecutionScenario, InstanceError, Job, ProblemInstance, validate_scenario
-from .policy import PolicyKind, pick
+from .policy import CriticalContext, PolicyKind, critical_context, pick
 
 DEFAULT_SCENARIO_CAP = 10**7
 
@@ -66,27 +74,37 @@ def simulate(instance: ProblemInstance, kind: PolicyKind, scenario: ExecutionSce
                      [scenario.execution[key] for key in keys], stop_on_miss)
 
 
+def _context(kind: PolicyKind, applicable: Iterable[Job]) -> CriticalContext | None:
+    """Critical context of the applicable jobs, given in any order."""
+    if kind.work_conserving:
+        return None
+    return critical_context(kind, sorted(applicable, key=kind.urgency_key))
+
+
 def _simulate(instance: ProblemInstance, kind: PolicyKind, release, execution,
               stop_on_miss: bool) -> SimulationTrace:
-    runs = [instance.jobs_by_task[task.id] for task in instance.tasks]
-    slot = {task.id: i for i, task in enumerate(instance.tasks)}
-    ptr = [0] * len(runs)
+    jobs, runs = instance.jobs, instance.jobs_by_task
+    applicable = {tid: run[0] for tid, run in runs.items() if run}  # task id -> job
+    waiting = [(release[job.pos], job.pos) for job in applicable.values()]  # not yet released
+    heapify(waiting)
+    released: dict[int, Job] = {}  # by position
+    crit = _context(kind, applicable.values())
     t = 0
     dispatches: list[tuple[Job, int, int]] = []
     idle: list[tuple[int, int]] = []
     misses: list[tuple[Job, int, int]] = []
-    while len(dispatches) < len(instance.jobs):
-        applicable = [run[p] for run, p in zip(runs, ptr) if p < len(run)]
-        job = pick(kind, t, applicable, [j for j in applicable if release[j.pos] <= t])
+    while applicable:
+        while waiting and waiting[0][0] <= t:
+            pos = heappop(waiting)[1]
+            released[pos] = jobs[pos]
+        job = pick(kind, t, crit, released.values())
         if job is None:
-            upcoming = [release[j.pos] for j in applicable if release[j.pos] > t]
-            if not upcoming:
+            if not waiting:
                 # cannot happen for the built-in policies: the critical job is
                 # always viable once released
                 raise RuntimeError("scheduler idles with every applicable job released")
-            nxt = min(upcoming)
-            idle.append((t, nxt))
-            t = nxt
+            idle.append((t, waiting[0][0]))
+            t = waiting[0][0]
             continue
         finish = t + execution[job.pos]
         dispatches.append((job, t, finish))
@@ -94,7 +112,14 @@ def _simulate(instance: ProblemInstance, kind: PolicyKind, release, execution,
             misses.append((job, finish, job.deadline))
             if stop_on_miss:
                 break
-        ptr[slot[job.task_id]] += 1
+        del released[job.pos]
+        run = runs[job.task_id]
+        if job.index < len(run):  # the task's next job takes its place
+            nxt = applicable[job.task_id] = run[job.index]
+            heappush(waiting, (release[nxt.pos], nxt.pos))
+        else:
+            del applicable[job.task_id]
+        crit = _context(kind, applicable.values())
         t = finish
     return SimulationTrace(dispatches, idle, misses)
 
@@ -176,7 +201,9 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
       and not yet released (lo becomes t + 1).
 
     `pick` is then handed the jobs whose release is resolved, which are
-    those with lo <= t. When it idles, the time steps to the smallest open
+    those with lo <= t, and the critical context of the applicable jobs,
+    which depends on `ptr` alone and is built once per distinct `ptr`
+    in a call. When it idles, the time steps to the smallest open
     `lo`: no job is released in between, and a job a policy refuses at t
     it refuses later too. A dispatched job branches on each execution
     time; a finish past its deadline ends that branch in a failing leaf. A
@@ -238,6 +265,7 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
     finish_max: list[int | None] = [None] * len(instance.jobs)
     # finished state -> (count, failure): failure is a flat (r, c) per job
     memo: dict[tuple, tuple[int, list[int] | None]] = {}
+    contexts: dict[tuple, CriticalContext | None] = {}  # ptr -> critical context
 
     def settle(node: _Node, weight: int, edge, count: int, failure) -> None:
         """Fold a finished state into `node`, and each ancestor that finishes with it."""
@@ -272,6 +300,9 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
             continue
         node = _Node(parent, weight, edge, key)
         applicable = [runs[i][ptr[i]] for i in live]
+        if ptr not in contexts:
+            contexts[ptr] = _context(kind, applicable)
+        crit = contexts[ptr]
         lo = list(lo)
         released = list(released)
         weight = 1  # from here on, relative to the node
@@ -289,7 +320,7 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
                     weight *= t - lo[i] + 1
                 released[i] = True
             # lo stands in for a release: it is <= t exactly when the release is resolved
-            job = pick(kind, t, applicable, [job for i, job in zip(live, applicable) if lo[i] <= t])
+            job = pick(kind, t, crit, [job for i, job in zip(live, applicable) if lo[i] <= t])
             if job is None:
                 upcoming = [lo[i] for i in live if not released[i]]
                 if not upcoming:

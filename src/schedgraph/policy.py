@@ -1,11 +1,13 @@
 """Scheduling policies and the strict priority order they induce.
 
-A policy maps (time, applicable jobs, released jobs) to the job to start
-next, or None to idle. EDF and FP-EDF never idle while something runnable is
-released. The remaining three may idle to protect a *critical job*: the
-applicable job whose deadline would be endangered if a long job started
-first. A released job is *viable* at time t if starting it cannot push the
-critical job past its latest safe start.
+A policy maps (time, critical context of the applicable jobs, released
+jobs) to the job to start next, or None to idle. EDF and FP-EDF never idle
+while something runnable is released. The remaining three may idle to
+protect a *critical job*: the applicable job whose deadline would be
+endangered if a long job started first. A released job is *viable* at time
+t if starting it cannot push the critical job past its latest safe start.
+The critical context depends on the applicable jobs alone, so a caller
+builds it once per applicable set, not once per decision.
 """
 
 from __future__ import annotations
@@ -101,19 +103,20 @@ def critical_context(kind: PolicyKind, ordered: Sequence[Job]) -> CriticalContex
     return CriticalContext(crit, crit.deadline - crit.c_max)
 
 
-def pick(kind: PolicyKind, t: int, applicable: Iterable[Job],
+def pick(kind: PolicyKind, t: int, crit: CriticalContext | None,
          released: Iterable[Job]) -> Job | None:
     """The job an online scheduler starts at time t, or None to idle.
 
     Only `released`, the applicable jobs whose release in the scenario
     being played is at most t, are candidates; the caller filters them.
-    For the idling policies, released jobs that would overrun the critical
-    start budget are dropped (the critical job itself is always kept).
-    P-FP-EDF without a p=0 applicable job behaves exactly like FP-EDF.
-    The applicable jobs are put in `urgency_key` order once.
+    `crit` is the critical context of the applicable jobs,
+    `critical_context(kind, <applicable jobs in urgency order>)`, which
+    changes only when a dispatch changes the applicable set, so the caller
+    builds it once per set and not once per decision. Released jobs that
+    would overrun its start budget are dropped (the critical job itself is
+    always kept). EDF, FP-EDF, and P-FP-EDF without a p=0 applicable job
+    have no context and pick the released job of smallest `pi_key`.
     """
-    if not kind.work_conserving:
-        ctx = critical_context(kind, sorted(applicable, key=kind.urgency_key))
-        if ctx is not None:
-            released = [j for j in released if ctx.admits(j, t)]
+    if crit is not None:
+        released = [j for j in released if crit.admits(j, t)]
     return min(released, key=kind.priority_key, default=None)

@@ -9,7 +9,9 @@ the smallest `pi_key`) and share nothing with the engine's rank order.
 The reference critical context takes the applicable jobs in any order and
 shares nothing with the engine's urgency order.
 The product oracle simulates every scenario apart and is the reference for
-the engine's prefix-sharing search.
+the engine's prefix-sharing search. The reference simulator derives the
+applicable and released jobs and the critical context afresh at every
+scheduling decision and is the reference for the simulator's kept state.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from pathlib import Path
 
 from schedgraph import (AnalysisStuck, ExecutionScenario, InstanceError, PolicyKind,
                         ScenarioCapExceeded, Task, make_instance, scenario_count)
-from schedgraph.oracle import DEFAULT_SCENARIO_CAP, OracleReport, _simulate
-from schedgraph.policy import CriticalContext, pi_key
+from schedgraph.oracle import DEFAULT_SCENARIO_CAP, OracleReport, SimulationTrace, _simulate
+from schedgraph.policy import CriticalContext, pi_key, pick
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 ANOMALY = INSTANCE_DIR / "anomaly.txt"
+ANOMALY_MISS = INSTANCE_DIR / "anomaly_miss.scenario"  # a scenario of ANOMALY that misses
 EDF_JITTER = INSTANCE_DIR / "edf_jitter.txt"
 PRECAUTIOUS_IDLE = INSTANCE_DIR / "precautious_idle.txt"
 SE_STUCK_SCHEDULABLE = INSTANCE_DIR / "se_stuck_schedulable.txt"
@@ -181,6 +184,39 @@ def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
         finish_max=finish_max,
         first_failure=first_failure,
     )
+
+
+def reference_simulate(instance, kind, release, execution, stop_on_miss: bool):
+    """Play one scenario given by job position, deriving the scheduler's state
+    at every decision: the applicable jobs from each task's pointer, the
+    released ones by filtering them, and the critical context by
+    `reference_critical_context`. Returns the simulator's `SimulationTrace`."""
+    runs = [instance.jobs_by_task[task.id] for task in instance.tasks]
+    slot = {task.id: i for i, task in enumerate(instance.tasks)}
+    ptr = [0] * len(runs)
+    t = 0
+    dispatches, idle, misses = [], [], []
+    while len(dispatches) < len(instance.jobs):
+        applicable = [run[p] for run, p in zip(runs, ptr) if p < len(run)]
+        crit = reference_critical_context(kind, applicable)
+        job = pick(kind, t, crit, [j for j in applicable if release[j.pos] <= t])
+        if job is None:
+            upcoming = [release[j.pos] for j in applicable if release[j.pos] > t]
+            if not upcoming:
+                raise RuntimeError("scheduler idles with every applicable job released")
+            nxt = min(upcoming)
+            idle.append((t, nxt))
+            t = nxt
+            continue
+        finish = t + execution[job.pos]
+        dispatches.append((job, t, finish))
+        if finish > job.deadline:
+            misses.append((job, finish, job.deadline))
+            if stop_on_miss:
+                break
+        ptr[slot[job.task_id]] += 1
+        t = finish
+    return SimulationTrace(dispatches, idle, misses)
 
 
 def mask(instance, keys) -> int:

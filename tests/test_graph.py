@@ -94,25 +94,28 @@ class TestApplicableJobs:
 
 
 class TestJobIdentity:
-    """Generation and the online scheduler name a job by its position only."""
+    """Generation, the online scheduler and the scenario search name a job by
+    its position only, so no tie in a sort or heap ever compares two jobs."""
 
     def test_no_job_is_hashed_or_compared_by_value(self, monkeypatch, anomaly, jitter3,
                                                    idle4):
         def refuse(*args):
             raise AssertionError("a Job was hashed or compared by value")
 
-        worst = ExecutionScenario.worst_case(idle4)
+        instances = (anomaly, jitter3, idle4)
+        worst = [ExecutionScenario.worst_case(instance) for instance in instances]
         monkeypatch.setattr(Job, "__hash__", refuse)
         monkeypatch.setattr(Job, "__eq__", refuse)
-        for instance in (anomaly, jitter3, idle4):
+        for instance, scenario in zip(instances, worst):
             for kind in ALL_POLICIES:
                 for mode in (ME, SE):
                     try:
                         generate(instance, kind, mode)
                     except AnalysisStuck:
                         pass
-        for kind in (PolicyKind.P_FP_EDF, PolicyKind.CP, PolicyKind.CW):
-            simulate(idle4, kind, worst)
+                simulate(instance, kind, scenario)
+                for exhaustive in (False, True):
+                    enumerate_scenarios(instance, kind, exhaustive=exhaustive)
 
 
 class TestEligibility:

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 import schedgraph.oracle
 from schedgraph import (ExecutionScenario, InstanceError, PolicyKind,
                         ScenarioCapExceeded, Task, enumerate_scenarios,
-                        make_instance, scenario_count, simulate)
+                        make_instance, parse_scenario, scenario_count, simulate)
 from schedgraph.model import Job
-from schedgraph.policy import pick
-from support import ALL_POLICIES, check_trace, product_oracle, sample_instance
+from schedgraph.oracle import _simulate
+from schedgraph.policy import critical_context, pick
+from support import (ALL_POLICIES, ANOMALY_MISS, check_trace, product_oracle,
+                     reference_simulate, sample_crowded_instance, sample_instance)
 
 REFERENCE_DRAWS = 60
 REFERENCE_SEED_BASE = 6000
@@ -104,6 +106,71 @@ class TestSimulate:
         trace = simulate(instance, kind, scenario)
         assert len(trace.dispatches) == len(instance.jobs)
         check_trace(instance, kind, release, trace)
+
+    def test_shipped_anomaly_scenario_misses_once(self, anomaly):
+        scenario = parse_scenario(ANOMALY_MISS.read_text(encoding="utf-8"), anomaly)
+        assert scenario == anomaly_scenario(anomaly)
+        assert len(simulate(anomaly, PolicyKind.EDF, scenario).misses) == 1
+
+
+def same_trace(instance, kind, release, execution):
+    """The simulator's trace equals the per-decision reference's, with
+    `stop_on_miss` both ways; returns the trace played to the end."""
+    for stop_on_miss in (True, False):
+        trace = _simulate(instance, kind, release, execution, stop_on_miss)
+        assert trace == reference_simulate(instance, kind, release, execution, stop_on_miss)
+    return trace
+
+
+# (tasks, horizon, release, execution by job position), each with a moment the
+# simulator's kept state must get right
+KEPT_STATE_PINS = {
+    "equal-releases": (
+        [Task(1, 10, 2, 2, 1, 2, 9), Task(2, 10, 2, 2, 1, 2, 8), Task(3, 10, 2, 2, 1, 2, 7)],
+        None, [2, 2, 2], [2, 1, 2]),
+    "release-at-completion": (
+        [Task(1, 10, 0, 0, 3, 3, 10), Task(2, 10, 1, 3, 1, 2, 6)], None, [0, 3], [3, 2]),
+    "idle-gap-ends-on-shared-release": (
+        [Task(1, 10, 0, 0, 1, 1, 10), Task(2, 10, 4, 4, 2, 2, 10), Task(3, 10, 3, 4, 1, 1, 10)],
+        None, [0, 4, 4], [1, 2, 1]),
+    "task-without-job": (
+        [Task(1, 4, 0, 1, 1, 2, 4), Task(2, 10, 7, 8, 1, 1, 10)], 5, [1, 4], [2, 1]),
+}
+
+
+class TestKeptState:
+    """`simulate` keeps the scheduler's state between decisions; the reference
+    derives it afresh at each one. Both play the same dispatches, idle gaps
+    and misses."""
+
+    @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("pin", sorted(KEPT_STATE_PINS))
+    def test_pinned_cases_equal_the_reference(self, pin, kind):
+        tasks, horizon, release, execution = KEPT_STATE_PINS[pin]
+        instance = make_instance(tasks, horizon)
+        trace = same_trace(instance, kind, release, execution)
+        if kind is not PolicyKind.EDF:
+            return
+        tasks = [job.task_id for job, _, _ in trace.dispatches]
+        starts = [start for _, start, _ in trace.dispatches]
+        if pin == "equal-releases":
+            assert trace.idle == [(0, 2)] and tasks == [3, 2, 1]
+        elif pin == "release-at-completion":
+            assert trace.idle == [] and starts == [0, 3]
+        elif pin == "idle-gap-ends-on-shared-release":
+            assert trace.idle == [(1, 4)] and starts == [0, 4, 6]
+        else:
+            assert instance.jobs_by_task[2] == () and trace.idle == [(0, 1), (3, 4)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(ALL_POLICIES),
+           crowded=st.booleans())
+    def test_random_scenarios_equal_the_reference(self, seed, kind, crowded):
+        rng = random.Random(seed)
+        instance = sample_crowded_instance(rng) if crowded else sample_instance(rng)
+        release = [rng.randint(job.r_min, job.r_max) for job in instance.jobs]
+        execution = [rng.randint(job.c_min, job.c_max) for job in instance.jobs]
+        same_trace(instance, kind, release, execution)
 
 
 class TestEnumerate:
@@ -221,16 +288,20 @@ class TestPrefixSearch:
             enumerate_scenarios(idle4, PolicyKind.P_FP_EDF)
 
 
+def converging_instance():
+    """Six jobs released together and run in a fixed order, each for 1-3."""
+    return make_instance([Task(i, 40, 0, 0, 1, 3, 40) for i in range(1, 7)])
+
+
 class TestMemo:
     """Each distinct search state is searched once per call, however many
     dispatch orders reach it."""
 
     def test_converging_dispatch_orders_share_their_states(self, monkeypatch):
-        # six jobs released together and run in a fixed order, each for 1-3:
-        # the 3**k ways to run the first k end at one of 2k + 1 times, so a
-        # search of states asks 1 + 3 + ... + 11 = 36 times where one of
+        # the 3**k ways to run the first k jobs end at one of 2k + 1 times, so
+        # a search of states asks 1 + 3 + ... + 11 = 36 times where one of
         # prefixes asks 1 + 3 + ... + 3**5 = 364 times
-        instance = make_instance([Task(i, 40, 0, 0, 1, 3, 40) for i in range(1, 7)])
+        instance = converging_instance()
         calls = 0
 
         def counting(*args):
@@ -246,6 +317,44 @@ class TestMemo:
                 assert report.schedulable
                 assert report.scenarios_checked == 3**6
                 assert calls <= 36, (kind, exhaustive)
+
+
+class TestContextCache:
+    """The critical context depends on the applicable set alone: `simulate`
+    builds it once per dispatch, plus once at the start, and the search once
+    per distinct `ptr`, however many decisions share it."""
+
+    @pytest.fixture
+    def contexts(self, monkeypatch):
+        """The applicable positions of each `critical_context` call the oracle makes."""
+        calls = []
+
+        def counting(kind, ordered):
+            calls.append(tuple(sorted(job.pos for job in ordered)))
+            return critical_context(kind, ordered)
+
+        monkeypatch.setattr(schedgraph.oracle, "critical_context", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["anomaly", "jitter3", "idle4", "converging"])
+    @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
+    def test_one_context_per_applicable_set(self, request, contexts, name, kind):
+        if name == "converging":  # 36 decisions share 6 applicable sets, see TestMemo
+            instance = converging_instance()
+        else:
+            instance = request.getfixturevalue(name)
+        for exhaustive in (False, True):
+            contexts.clear()
+            enumerate_scenarios(instance, kind, exhaustive=exhaustive)
+            # one applicable set per ptr: a repeated set is a repeated ptr
+            assert len(set(contexts)) == len(contexts)
+            assert bool(contexts) != kind.work_conserving
+        for scenario in (ExecutionScenario.worst_case(instance),
+                         ExecutionScenario({job.key: job.r_min for job in instance.jobs},
+                                           {job.key: job.c_min for job in instance.jobs})):
+            contexts.clear()
+            trace = simulate(instance, kind, scenario)
+            assert len(contexts) <= len(trace.dispatches) + 1
 
 
 class TestInstanceWithoutJobs:
@@ -272,6 +381,7 @@ class TestPositions:
     of times per job, however many scheduling decisions one call takes."""
 
     MAX_KEY_CALLS_PER_JOB = 6
+    MAX_SIMULATE_KEY_CALLS_PER_JOB = 2  # validating the scenario, then reading it by position
 
     @pytest.mark.parametrize("name", ["anomaly", "jitter3", "idle4"])
     @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
@@ -286,9 +396,10 @@ class TestPositions:
             return key.fget(job)
 
         monkeypatch.setattr(Job, "key", property(counting))
-        for run in (lambda: enumerate_scenarios(instance, kind),
-                    lambda: enumerate_scenarios(instance, kind, exhaustive=True),
-                    lambda: simulate(instance, kind, scenario)):
+        search, replay = self.MAX_KEY_CALLS_PER_JOB, self.MAX_SIMULATE_KEY_CALLS_PER_JOB
+        for run, bound in ((lambda: enumerate_scenarios(instance, kind), search),
+                           (lambda: enumerate_scenarios(instance, kind, exhaustive=True), search),
+                           (lambda: simulate(instance, kind, scenario), replay)):
             calls.clear()
             run()
-            assert len(calls) <= self.MAX_KEY_CALLS_PER_JOB * len(instance.jobs)
+            assert len(calls) <= bound * len(instance.jobs)

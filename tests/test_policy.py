@@ -63,23 +63,26 @@ class TestPick:
     def test_edf_picks_earliest_deadline_among_released(self, jitter3):
         applicable = [jitter3.job((1, 1)), jitter3.job((2, 1)), jitter3.job((3, 1))]
         released = released_by(applicable, {(1, 1): 0, (2, 1): 0, (3, 1): 1}, 0)
-        assert pick(PolicyKind.EDF, 0, applicable, released) == jitter3.job((2, 1))
+        crit = context(PolicyKind.EDF, applicable)
+        assert pick(PolicyKind.EDF, 0, crit, released) == jitter3.job((2, 1))
 
     def test_precautious_keeps_viable_low_priority_job(self, idle4):
         applicable = [idle4.job((1, 1)), idle4.job((3, 1)), idle4.job((4, 1))]
         released = released_by(applicable, {(1, 1): 10, (3, 1): 1, (4, 1): 3}, 7)
         # at t=7 task 4 would overrun the critical budget (7+4 > 10); task 3 fits
-        assert pick(PolicyKind.P_FP_EDF, 7, applicable, released) == idle4.job((3, 1))
+        crit = context(PolicyKind.P_FP_EDF, applicable)
+        assert pick(PolicyKind.P_FP_EDF, 7, crit, released) == idle4.job((3, 1))
 
     def test_empty_applicable_set_yields_none(self):
         for kind in ALL_POLICIES:
-            assert pick(kind, 0, [], []) is None
+            assert pick(kind, 0, context(kind, []), []) is None
 
     def test_idling_policy_defers_to_unreleased_critical_job(self, idle4):
         applicable = [idle4.job((1, 1)), idle4.job((4, 1))]
         released = released_by(applicable, {(1, 1): 10, (4, 1): 3}, 9)
         # t=9: task 4 released but 9+4 > 10 endangers the critical job
-        assert pick(PolicyKind.P_FP_EDF, 9, applicable, released) is None
+        crit = context(PolicyKind.P_FP_EDF, applicable)
+        assert pick(PolicyKind.P_FP_EDF, 9, crit, released) is None
 
     @given(seed=st.integers(0, 10_000), kind=st.sampled_from(ALL_POLICIES),
            t=st.integers(0, 50))
@@ -89,7 +92,7 @@ class TestPick:
         applicable = [jobs[0] for jobs in instance.jobs_by_task.values() if jobs]
         releases = {j.key: rng.randint(j.r_min, j.r_max) for j in applicable}
         released = released_by(applicable, releases, t)
-        choice = pick(kind, t, applicable, released)
+        choice = pick(kind, t, context(kind, applicable), released)
         if choice is not None:
             assert choice in applicable
             assert releases[choice.key] <= t
@@ -102,6 +105,11 @@ class TestPick:
 def urgent(kind, jobs):
     """The jobs in the urgency order that `critical_context` expects."""
     return sorted(jobs, key=lambda j: urgency_key(kind, j))
+
+
+def context(kind, applicable):
+    """The critical context `pick` takes: that of the applicable jobs in urgency order."""
+    return critical_context(kind, urgent(kind, applicable))
 
 
 @st.composite
@@ -180,8 +188,8 @@ class TestPolicyCoincidence:
             return
         releases = {j.key: rng.randint(j.r_min, j.r_max) for j in applicable}
         released = released_by(applicable, releases, t)
-        assert (pick(PolicyKind.EDF, t, applicable, released)
-                == pick(PolicyKind.FP_EDF, t, applicable, released))
+        assert (pick(PolicyKind.EDF, t, context(PolicyKind.EDF, applicable), released)
+                == pick(PolicyKind.FP_EDF, t, context(PolicyKind.FP_EDF, applicable), released))
 
     @given(seed=st.integers(0, 10_000), t=st.integers(0, 60))
     def test_fp_edf_equals_pure_fp_under_distinct_priorities(self, seed, t):
@@ -195,7 +203,7 @@ class TestPolicyCoincidence:
                 used.add(jobs[0].priority)
         releases = {j.key: rng.randint(j.r_min, j.r_max) for j in applicable}
         released = released_by(applicable, releases, t)
-        got = pick(PolicyKind.FP_EDF, t, applicable, released)
+        got = pick(PolicyKind.FP_EDF, t, context(PolicyKind.FP_EDF, applicable), released)
         expected = min(released, key=lambda j: j.priority) if released else None
         assert got == expected
 
@@ -207,5 +215,5 @@ class TestPolicyCoincidence:
                       if j.priority > 0]
         releases = {j.key: rng.randint(j.r_min, j.r_max) for j in applicable}
         released = released_by(applicable, releases, t)
-        assert (pick(PolicyKind.P_FP_EDF, t, applicable, released)
-                == pick(PolicyKind.FP_EDF, t, applicable, released))
+        assert (pick(PolicyKind.P_FP_EDF, t, context(PolicyKind.P_FP_EDF, applicable), released)
+                == pick(PolicyKind.FP_EDF, t, context(PolicyKind.FP_EDF, applicable), released))
