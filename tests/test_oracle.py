@@ -131,8 +131,8 @@ KEPT_STATE_PINS = {
     "release-at-completion": (
         [Task(1, 10, 0, 0, 3, 3, 10), Task(2, 10, 1, 3, 1, 2, 6)], None, [0, 3], [3, 2]),
     "idle-gap-ends-on-shared-release": (
-        [Task(1, 10, 0, 0, 1, 1, 10), Task(2, 10, 4, 4, 2, 2, 10), Task(3, 10, 3, 4, 1, 1, 10)],
-        None, [0, 4, 4], [1, 2, 1]),
+        [Task(1, 10, 0, 0, 1, 1, 10), Task(2, 10, 4, 4, 2, 2, 10), Task(3, 10, 3, 4, 1, 1, 10),
+         Task(4, 10, 6, 6, 1, 1, 10)], None, [0, 4, 4, 6], [1, 2, 1, 1]),
     "task-without-job": (
         [Task(1, 4, 0, 1, 1, 2, 4), Task(2, 10, 7, 8, 1, 1, 10)], 5, [1, 4], [2, 1]),
 }
@@ -158,7 +158,7 @@ class TestKeptState:
         elif pin == "release-at-completion":
             assert trace.idle == [] and starts == [0, 3]
         elif pin == "idle-gap-ends-on-shared-release":
-            assert trace.idle == [(1, 4)] and starts == [0, 4, 6]
+            assert trace.idle == [(1, 4)] and starts == [0, 4, 6, 7]
         else:
             assert instance.jobs_by_task[2] == () and trace.idle == [(0, 1), (3, 4)]
 
