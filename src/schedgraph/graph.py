@@ -136,6 +136,8 @@ class ScheduleGraph:
     order. A read of `vertices` or `arcs` adds the levels recorded since the
     last read to the same dicts, so objects read earlier gain later out-arcs,
     and empties their arc records; `levels` still reads their survivors.
+    Each successor is handed one id: vertex id k, whose arc from its source
+    is arc id k - 1, so `arcs_created` is always `vertices_created - 1`.
     """
 
     def __init__(self, instance: ProblemInstance, kind: PolicyKind, mode: str = ME):
@@ -147,12 +149,12 @@ class ScheduleGraph:
         self.root = 0
         self.recorded: list[tuple[list[tuple], array]] = [([(0, 0, self.root, 0)], array("Q"))]
         self.vertices_created = 1  # ids handed out, merged-away ones included
-        self.arcs_created = 0
         self.first_unrecorded = 1  # every smaller vertex id belongs to a recorded level
         self._vertices, self._arcs = {}, {}  # built from `recorded` on read
         self._built = 0  # levels of `recorded` built into the dicts
 
     levels = property(lambda self: [[*map(_VID, survivors)] for survivors, _ in self.recorded])
+    arcs_created = property(lambda self: self.vertices_created - 1)  # one per successor
     vertices = property(lambda self: self._build()[0])  # dict[int, Vertex]
     arcs = property(lambda self: self._build()[1])  # dict[int, Arc]
 
@@ -421,8 +423,9 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
 
 def expand(graph: ScheduleGraph, vertex: tuple, job: Job, est: int, lst: int) -> tuple:
     """The successor candidate for dispatching `job` from frontier tuple `vertex`
-    over [est, lst]: `(finished, eft, id, lft, source, job_pos, est, lst, arc
-    id)`, with the next vertex and arc ids. Nothing is recorded before the merge."""
+    over [est, lst]: `(finished, eft, id, lft, source, job_pos, est, lst)`, with
+    the next vertex id. Its arc takes the id one less, so that each successor
+    hands out one id. Nothing is recorded before the merge."""
     if est > lst:
         raise ValueError(f"empty dispatch window [{est}, {lst}]")
     if vertex[0] >> job.pos & 1:
@@ -430,9 +433,9 @@ def expand(graph: ScheduleGraph, vertex: tuple, job: Job, est: int, lst: int) ->
     eft, lft = est + job.c_min, lst + job.c_max
     if eft > lft:
         raise RuntimeError(f"vertex interval [{eft}, {lft}] is empty")
-    vid, aid = graph.vertices_created, graph.arcs_created
-    graph.vertices_created, graph.arcs_created = vid + 1, aid + 1
-    return (vertex[0] | 1 << job.pos, eft, vid, lft, vertex[2], job.pos, est, lst, aid)
+    vid = graph.vertices_created
+    graph.vertices_created = vid + 1
+    return (vertex[0] | 1 << job.pos, eft, vid, lft, vertex[2], job.pos, est, lst)
 
 
 def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[tuple]:
@@ -453,7 +456,7 @@ def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[tuple]:
     arcs = array("Q")
     i, n = 0, len(candidates)
     while i < n:
-        finished, eft, vid, lft, src, job_pos, est, lst, aid = candidates[i]
+        finished, eft, vid, lft, src, job_pos, est, lst = candidates[i]
         j = i + 1
         while j < n:
             other = candidates[j]
@@ -464,18 +467,18 @@ def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[tuple]:
             j += 1
         if j == i + 1:  # a group of one: nothing to merge
             survivors.append((finished, eft, vid, lft))
-            arcs.fromlist([aid, src, vid, job_pos, est, lst])  # `extend` is slow on a tuple
+            arcs.fromlist([vid - 1, src, vid, job_pos, est, lst])  # `extend` is slow on a tuple
         else:
             group = candidates[i:j]
             ids = [*map(_VID, group)]
             keep_id = min(ids)
             group.insert(0, group.pop(ids.index(keep_id)))  # its own arc first, then (eft, id)
             at: dict[int, int] = {}  # by source: where its arc starts in `arcs`
-            for _, _, _, _, src, job_pos, est, lst, aid in group:
+            for _, _, vid, _, src, job_pos, est, lst in group:
                 k = at.get(src)
                 if k is None:
                     at[src] = len(arcs)
-                    arcs.fromlist([aid, src, keep_id, job_pos, est, lst])
+                    arcs.fromlist([vid - 1, src, keep_id, job_pos, est, lst])
                 elif arcs[k + 3] != job_pos:
                     raise RuntimeError("arcs between one pair of vertices dispatch different jobs")
                 else:
@@ -490,8 +493,8 @@ def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[tuple]:
 def _record_unmerged(graph: ScheduleGraph, candidates: list[tuple]) -> list[tuple]:
     """Record candidates, given in id order, as created: each a vertex with its own arc."""
     arcs = array("Q")
-    for _, _, vid, _, src, job_pos, est, lst, aid in candidates:
-        arcs.fromlist([aid, src, vid, job_pos, est, lst])
+    for _, _, vid, _, src, job_pos, est, lst in candidates:
+        arcs.fromlist([vid - 1, src, vid, job_pos, est, lst])
     graph.recorded.append(([candidate[:4] for candidate in candidates], arcs))
     return graph.recorded[-1][0]
 

@@ -16,7 +16,11 @@ leaf of the search stands for a box of scenarios (a product of per-job
 release and execution intervals) that all take its decisions. Different
 dispatch orders often reach the same scheduler state, so the search is
 memoized: each distinct state is searched once per call, and the memo, one
-entry per distinct state, is dropped when the call returns. The critical
+entry per distinct state, is dropped when the call returns. The search
+keeps one explicit stack: a state pushes an exit marker below its
+children, and is finished, its count and first failure folded into its
+parent, when the marker pops; on a first-miss stop, the markers still on
+the stack are the chain from the root to the failing state. The critical
 context depends on the applicable jobs alone, so the search builds it once
 per distinct set of applicable jobs.
 """
@@ -157,31 +161,6 @@ class OracleReport:
         return data
 
 
-class _Node:
-    """A search state being searched: its scenario count and smallest failing
-    completion so far, both taken at weight 1, and the link to its parent."""
-
-    __slots__ = ("parent", "weight", "edge", "key", "pending", "count", "failure")
-
-    def __init__(self, parent, weight, edge, key):
-        self.parent = parent
-        self.weight = weight  # scenarios per scenario of the parent
-        self.edge = edge  # (pos, r, c) of the dispatch from the parent, or None
-        self.key = key
-        self.pending = 0  # children pushed and not yet folded in
-        self.count = 0
-        self.failure: list[int] | None = None
-
-
-def _stamped(failure: list[int], edge) -> list[int]:
-    """The completion with the dispatched job of `edge` at its release and execution."""
-    pos, r, c = edge
-    failure = failure.copy()
-    failure[2 * pos] = r
-    failure[2 * pos + 1] = c
-    return failure
-
-
 def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
                         max_scenarios: int = DEFAULT_SCENARIO_CAP,
                         exhaustive: bool = False) -> OracleReport:
@@ -220,12 +199,16 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
     smallest failing completion below it (a scenario in which the jobs
     dispatched before the state keep their lowest values), or None. A state
     reached again adds its weight times that count to its parent, and its
-    completion stamped with the parent's dispatch `(pos, r, c)`; each
-    finished state folds into its parent in the same way, without
-    recursion. The memo lives for one call and holds one entry per distinct
-    state; it joins only equal concrete states. The finish extremes are
-    not memoized: a repeated state's dispatches were all folded in when it
-    was first searched.
+    completion stamped with the parent's dispatch `(pos, r, c)`. Each
+    searched state folds into its parent in the same way, without
+    recursion: before it pushes a child, it pushes an exit marker onto the
+    search stack, so the marker pops once every child is folded in, and the
+    state is finished there. After a first-miss stop, the markers left on
+    the stack are the chain from the root to the failing state, and each
+    is finished as it stands. The memo lives for one call and holds one
+    entry per distinct state; it joins only equal concrete states. The
+    finish extremes are not memoized: a repeated state's dispatches were
+    all folded in when it was first searched.
 
     Raises InstanceError when the instance has no jobs, and
     ScenarioCapExceeded instead of sampling when the grid is larger than
@@ -263,49 +246,51 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
     lowest = [v for job in instance.jobs for v in (job.r_min, job.c_min)]
     finish_min: list[int | None] = [None] * len(instance.jobs)
     finish_max: list[int | None] = [None] * len(instance.jobs)
-    # finished state -> (count, failure): failure is a flat (r, c) per job
-    memo: dict[tuple, tuple[int, list[int] | None]] = {}
+    # finished state -> [count, failure]: failure is a flat (r, c) per job
+    memo: dict[tuple, list] = {}
     contexts: dict[tuple, CriticalContext | None] = {}  # ptr -> critical context
 
-    def settle(node: _Node, weight: int, edge, count: int, failure) -> None:
-        """Fold a finished state into `node`, and each ancestor that finishes with it."""
-        while True:
-            node.count += weight * count
-            if failure is not None:
-                if edge is not None:
-                    failure = _stamped(failure, edge)
-                if node.failure is None or failure < node.failure:
-                    node.failure = failure
-            node.pending -= 1
-            if node.pending or node.parent is None:
-                return
-            memo[node.key] = (node.count, node.failure)
-            weight, edge, count, failure = node.weight, node.edge, node.count, node.failure
-            node = node.parent
+    def fold(acc: list, weight: int, edge, count: int, failure) -> None:
+        """Fold a finished state, reached by `edge` at `weight`, into its parent's `acc`."""
+        acc[0] += weight * count
+        if failure is not None:
+            if edge is not None:  # the parent's dispatch: its job at its release and execution
+                pos, r, c = edge
+                failure = failure.copy()
+                failure[2 * pos], failure[2 * pos + 1] = r, c
+            if acc[1] is None or failure < acc[1]:
+                acc[1] = failure
 
-    top = _Node(None, 1, None, None)  # collects the root's count and failure
-    top.pending = 1
-    # (t, ptr, lo, released, parent, weight, edge)
-    stack = [(0, (0,) * len(runs), tuple(run[0].r_min if run else 0 for run in runs),
-              (False,) * len(runs), top, 1, None)]
+    top = [0, None]  # collects the root's count and failure
+    # (t, ptr, lo, released, parent, weight, edge), or an exit marker
+    # (None, acc, key, parent, weight, edge) below the children of a state
+    stack: list[tuple] = [(0, (0,) * len(runs), tuple(run[0].r_min if run else 0 for run in runs),
+                           (False,) * len(runs), top, 1, None)]
     while stack:
-        t, ptr, lo, released, parent, weight, edge = stack.pop()
+        entry = stack.pop()
+        if entry[0] is None:  # every child is folded in: the state is finished
+            _, acc, key, parent, weight, edge = entry
+            memo[key] = acc
+            fold(parent, weight, edge, *acc)
+            continue
+        t, ptr, lo, released, parent, weight, edge = entry
         key = (t, ptr, lo, released)
         if key in memo:
-            settle(parent, weight, edge, *memo[key])
+            fold(parent, weight, edge, *memo[key])
             continue
         live = [i for i, size in enumerate(sizes) if ptr[i] < size]
         if not live:  # every job dispatched: one scenario
-            settle(parent, weight, edge, 1, None)
+            fold(parent, weight, edge, 1, None)
             continue
-        node = _Node(parent, weight, edge, key)
+        acc = [0, None]  # the state's count and failure, both at weight 1
+        stack.append((None, acc, key, parent, weight, edge))
         applicable = [runs[i][ptr[i]] for i in live]
         if ptr not in contexts:
             contexts[ptr] = _context(kind, applicable)
         crit = contexts[ptr]
         lo = list(lo)
         released = list(released)
-        weight = 1  # from here on, relative to the node
+        weight = 1  # from here on, relative to the state
         while True:
             for i in live:
                 if released[i] or lo[i] > t:
@@ -315,8 +300,7 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
                     weight *= r_max - lo[i] + 1
                 else:  # resumed by a scan that skips slot i and every slot before it
                     stack.append((t, ptr, (*lo[:i], t + 1, *lo[i + 1:]), tuple(released),
-                                  node, weight, None))
-                    node.pending += 1
+                                  acc, weight, None))
                     weight *= t - lo[i] + 1
                 released[i] = True
             # lo stands in for a release: it is <= t exactly when the release is resolved
@@ -344,14 +328,12 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
                         box *= open_tail[j][ptr[j] + 1] * (other.c_max - other.c_min + 1)
                         if not released[j]:
                             box *= other.r_max - lo[j] + 1
-                node.count += box * missing
                 # the leaves' smallest completion: each open dimension at its lowest value
                 failure = lowest.copy()
                 for j, other in zip(live, applicable):
                     failure[2 * other.pos] = lo[j]
                 failure[2 * pos + 1] = max(fits + 1, job.c_min)
-                if node.failure is None or failure < node.failure:
-                    node.failure = failure
+                fold(acc, 1, None, box * missing, failure)
                 if not exhaustive:
                     break
             if fits >= job.c_min:
@@ -359,31 +341,18 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
                 lo_next = (*lo[:i], runs[i][p + 1].r_min if p + 1 < sizes[i] else 0, *lo[i + 1:])
                 released_next = (*released[:i], False, *released[i + 1:])
                 for c in range(job.c_min, fits + 1):
-                    stack.append((t + c, ptr_next, lo_next, released_next, node, weight,
+                    stack.append((t + c, ptr_next, lo_next, released_next, acc, weight,
                                   (pos, lo[i], c)))
-                node.pending += fits + 1 - job.c_min
             break
-        if node.failure is not None and not exhaustive:
+        if acc[1] is not None and not exhaustive:
             break  # the first miss ends the search
-        if not node.pending:
-            memo[key] = (node.count, node.failure)
-            settle(parent, node.weight, node.edge, node.count, node.failure)
-    if top.pending:
-        # stopped at the first miss, in `node`: sum the scenarios visited in each
-        # state up the chain, and stamp the chain's dispatches into the failure
-        failure = node.failure
-        chain = []
-        while node is not top:
-            chain.append(node)
-            node = node.parent
-        checked, scale = 0, 1
-        for node in reversed(chain):
-            scale *= node.weight
-            checked += scale * node.count
-            if node.edge is not None:
-                failure = _stamped(failure, node.edge)
-    else:
-        checked, failure = top.count, top.failure
+    # after a first-miss stop, the exit markers left on the stack, among states not
+    # yet searched, are the chain from the root to the failing state: finish them
+    for entry in reversed(stack):
+        if entry[0] is None:
+            _, acc, _, parent, weight, edge = entry
+            fold(parent, weight, edge, *acc)
+    checked, failure = top
     if (exhaustive or failure is None) and checked != total:
         raise RuntimeError(f"search covered {checked} of {total} scenarios")
     jobs = instance.jobs

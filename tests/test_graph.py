@@ -251,9 +251,10 @@ class TestExpand:
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
         first = expand(graph, top(graph), jitter3.job((2, 1)), 0, 0)
         assert span(first) == (1, 1)
-        assert (first[2], first[8]) == (1, 0)  # the next vertex and arc ids
+        assert (len(first), first[2]) == (8, 1)  # no arc id field; the next vertex id
         assert graph.vertices.keys() == {graph.root}  # nothing stored before the merge
         v1 = store(graph, first)
+        assert graph.vertices[v1[2]].in_arcs == [0]  # its arc takes the id one less
         assert span(expand(graph, v1, jitter3.job((3, 1)), 1, 1)) == (4, 5)
         assert span(expand(graph, v1, jitter3.job((1, 1)), 1, 1)) == (2, 3)
         arc = graph.arcs[graph.vertices[v1[2]].in_arcs[0]]

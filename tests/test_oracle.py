@@ -209,6 +209,22 @@ class TestEnumerate:
         assert first.first_failure == second.first_failure
         assert first.scenarios_checked == second.scenarios_checked
 
+    # every non-schedulable (bundled instance, policy) pair: the scenarios a
+    # first-miss stop has visited, summed up the chain of states it stopped in
+    @pytest.mark.parametrize("name, policy, checked, total", [
+        ("anomaly", "edf", 45, 108), ("anomaly", "fp-edf", 45, 108),
+        ("anomaly", "p-fp-edf", 45, 108), ("anomaly", "cw", 24, 108),
+        ("idle4", "edf", 2, 8), ("idle4", "fp-edf", 1, 8), ("idle4", "cw", 1, 8),
+        ("jitter3", "cw", 1, 12),
+    ])
+    def test_first_miss_stop_counts_the_visited_scenarios(self, request, name, policy,
+                                                         checked, total):
+        instance, kind = request.getfixturevalue(name), PolicyKind(policy)
+        report = enumerate_scenarios(instance, kind)
+        assert not report.schedulable
+        assert (report.scenarios_checked, report.scenarios_total) == (checked, total)
+        assert simulate(instance, kind, report.first_failure).miss is not None
+
     def test_exhaustive_mode_checks_everything(self, anomaly):
         report = enumerate_scenarios(anomaly, PolicyKind.EDF, exhaustive=True)
         assert report.scenarios_checked == report.scenarios_total == 108
