@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ProblemInstance, Task, make_instance
+from .model import MAX_JOBS, ProblemInstance, Task, make_instance
 
 DEFAULT_PERIODS = (5, 10, 20, 40)
 UTILIZATION_TOLERANCE = 0.01
@@ -37,6 +37,8 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.n_tasks < 1:
             raise ValueError("n_tasks must be >= 1")
+        if self.n_tasks > MAX_JOBS:  # every generated task has a job in the hyperperiod
+            raise ValueError(f"n_tasks must be <= {MAX_JOBS}, the cap on an instance's jobs")
         if not 0.0 < self.utilization <= 1.0:
             raise ValueError("utilization must be in (0, 1]")
         for name in ("jitter_ratio", "variation_ratio"):

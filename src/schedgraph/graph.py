@@ -22,18 +22,18 @@ could be the next job started:
   eligible job (vacuously when there is none).
 
 Priorities are integer ranks: `generate` ranks every job position by the
-policy's `pi_key` once, so outranking is `int <`, and by an idling
+policy's `priority_key` once, so outranking is `int <`, and by an idling
 policy's `urgency_key` too. An applicable set keeps its jobs in rank order
-as tuples `(rank, r_min, r_max, last, pos, job)`, `last` being the latest
-start the critical budget admits, so a probe compares plain integers and
-loads no `Job` attribute. Only the root's applicable jobs are computed
-from its finished set. A successor's applicable set is derived from its
-parent's: the dispatched job's slot goes to its task's next job, or is
-dropped when the task is done, in both orders. The critical context is
-read off the urgency order; while its job and time stay the parent's, or
-there is none, only the two jobs' boundary times change. Each set
-serves every vertex that has it, for one level only, and nothing changes
-it. `ApplicableSet`, the only eligibility state, is all that
+as tuples `(rank, r_min, r_max, last, pos, job)`, `last` being the job's
+`CriticalContext.latest_start` (inf without a budget), so a probe compares
+plain integers and loads no `Job` attribute. Only the root's applicable
+jobs are computed from its finished set. A successor's applicable set is
+derived from its parent's: the dispatched job's slot goes to its task's
+next job, or is dropped when the task is done, in both orders. The
+critical context is read off the urgency order; while its job and time
+stay the parent's, or there is none, only the two jobs' boundary times
+change. Each set serves every vertex that has it, for one level only, and
+nothing changes it. `ApplicableSet`, the only eligibility state, is all that
 `certainly_eligible(apps, t)` and `possibly_eligible(apps, t)` read, and
 `expansion_windows(apps, eft, lft, mode)` adds the vertex's interval.
 `make_context` builds the same set from scratch for any finished set.
@@ -49,8 +49,8 @@ times form maximal integer ranges; each range becomes one new vertex. The
 sweep stops at the first probe that has a certainly eligible job and
 whose constant segment reaches lft: by max(probe, lft) the processor has
 certainly started something, so later times cannot begin the next
-dispatch, and every open range closes there. Under a work conserving
-policy a job gets at most one range; under an idling policy the budget
+dispatch, and every open range closes there. Without a critical budget
+a job gets at most one range, from its release on; under a budget the
 check can cut a range and re-open it later, so one vertex may carry
 several arcs with the same job label.
 
@@ -85,7 +85,7 @@ from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from .model import InstanceError, Job, ProblemInstance
-from .policy import CriticalContext, PolicyKind, critical_context, pi_key, urgency_key
+from .policy import CriticalContext, PolicyKind, critical_context
 
 ME = "me"
 SE = "se"
@@ -202,19 +202,19 @@ def applicable_jobs(instance: ProblemInstance, finished: int) -> list[Job]:
 def priority_ranks(instance: ProblemInstance, kind: PolicyKind) -> list[int]:
     """Each job position's rank in the policy's priority order; rank 0 wins.
 
-    Calls `pi_key` once per job. Two equal keys would leave the certainly
-    eligible job undefined and raise RuntimeError.
+    Calls `kind.priority_key` once per job. Two equal keys would leave the
+    certainly eligible job undefined and raise RuntimeError.
     """
-    keys = [pi_key(kind, job) for job in instance.jobs]
+    keys = [kind.priority_key(job) for job in instance.jobs]
     if len(set(keys)) != len(keys):
         raise RuntimeError("priority order is not strict")
     return _ranks(keys)
 
 
 def urgency_ranks(instance: ProblemInstance, kind: PolicyKind) -> list[int]:
-    """Each job position's rank in `urgency_key` order, ties by position; empty
-    under a work conserving policy, which has no critical job."""
-    return [] if kind.work_conserving else _ranks([urgency_key(kind, job) for job in instance.jobs])
+    """Each job position's rank in `kind.urgency_key` order, ties by position;
+    empty under a work conserving policy, which has no critical job."""
+    return [] if kind.work_conserving else _ranks([kind.urgency_key(job) for job in instance.jobs])
 
 
 def _ranks(keys: list) -> list[int]:
@@ -228,14 +228,14 @@ class ApplicableSet:
     for every vertex that has it; all that eligibility at a time t reads.
 
     `ranked` holds `(rank, r_min, r_max, last, pos, job)` for every
-    applicable job, in rank order: its rank, its release bounds, the latest
-    start the critical budget admits (inf without a budget, or for the
-    critical job), its position and the job itself. The sweep reads the
-    copied fields, so a probe loads no `Job` attribute. Ranks are distinct,
-    so the entries sort by rank alone. `urgent` lists an idling policy's
-    jobs by urgency. `boundaries` is the sorted multiset of the jobs'
-    release bounds and, under a budget, the instants the jobs stop being
-    admitted (`last + 1`). Nothing changes later.
+    applicable job, in rank order: its rank, its release bounds, its latest
+    start `crit.latest_start(job)` (inf without a budget), its position and
+    the job itself. The sweep reads the copied fields, so a probe loads no
+    `Job` attribute. Ranks are distinct, so the entries sort by rank alone.
+    `urgent` lists an idling policy's jobs by urgency. `boundaries` is the
+    sorted multiset of the jobs' release bounds and, under a budget, the
+    instants the jobs stop being admitted (`last + 1`). Nothing changes
+    later.
     """
 
     kind: PolicyKind
@@ -289,7 +289,7 @@ def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[in
     ranked = apps.ranked.copy()
     del ranked[bisect_left(ranked, (ranks[job.pos],))]
     if follow is not None:
-        last = inf if crit is None else crit.time - follow.c_max
+        last = inf if crit is None else crit.latest_start(follow)
         insort(ranked, (ranks[after], follow.r_min, follow.r_max, last, after, follow))
     parent = apps.crit
     if (crit and (crit.job.pos, crit.time)) != (parent and (parent.job.pos, parent.time)):
@@ -298,26 +298,25 @@ def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[in
     boundaries.remove(job.r_min)
     boundaries.remove(job.r_max)
     if crit is not None:  # neither job is the critical one
-        boundaries.remove(crit.time - job.c_max + 1)
+        boundaries.remove(crit.latest_start(job) + 1)
     if follow is not None:
         insort(boundaries, follow.r_min)
         insort(boundaries, follow.r_max)
         if crit is not None:
-            insort(boundaries, crit.time - follow.c_max + 1)
+            insort(boundaries, last + 1)
     return ApplicableSet(apps.kind, crit, ranked, boundaries, urgent)
 
 
 def _with_budget(kind: PolicyKind, crit: CriticalContext | None,
                  ranked: list[tuple[int, int, int, float, int, Job]],
                  urgent: list[Job]) -> ApplicableSet:
-    """Add the latest starts and the boundaries that the budget of `crit` admits.
-
-    With a critical start budget, a non-critical job stops being admitted
-    the instant t + c_max first exceeds the budget. `ranked` may hold a
-    former budget's latest starts.
+    """Add each entry's latest start `crit.latest_start(job)`, and the
+    boundaries: the release bounds and, under a budget, each `last + 1`, the
+    instant a job stops being admitted. `ranked` may hold a former budget's
+    latest starts.
     """
-    ranked = [(rank, r_min, r_max, inf if crit is None or pos == crit.job.pos
-               else crit.time - job.c_max, pos, job) for rank, r_min, r_max, _, pos, job in ranked]
+    ranked = [(rank, r_min, r_max, inf if crit is None else crit.latest_start(job), pos, job)
+              for rank, r_min, r_max, _, pos, job in ranked]
     boundaries = [entry[1] for entry in ranked]
     boundaries += [entry[2] for entry in ranked]
     boundaries += [entry[3] + 1 for entry in ranked if entry[3] != inf]
@@ -407,7 +406,7 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
         raise AnalysisStuck(f"no certainly eligible job exists at or after t={lft}")
     bound = max(t, lft)
     out += [(job, est, bound) for job, est in open_runs.values()]
-    if apps.kind.work_conserving:
+    if apps.crit is None:  # no budget, so each job's one range starts at its release
         seen: set[int] = set()
         for job, est, _ in out:
             pos, r_min = job.pos, job.r_min

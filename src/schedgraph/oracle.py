@@ -67,15 +67,15 @@ class SimulationTrace:
         return self.misses[0] if self.misses else None
 
 
-def simulate(instance: ProblemInstance, kind: PolicyKind, scenario: ExecutionScenario,
-             stop_on_miss: bool = False) -> SimulationTrace:
+def simulate(instance: ProblemInstance, kind: PolicyKind,
+             scenario: ExecutionScenario) -> SimulationTrace:
     """Play one scenario, validated once and read by job position (misses are not fatal)."""
     if not instance.jobs:
         raise InstanceError("instance has no jobs")
     validate_scenario(instance, scenario)
     keys = [job.key for job in instance.jobs]
     return _simulate(instance, kind, [scenario.release[key] for key in keys],
-                     [scenario.execution[key] for key in keys], stop_on_miss)
+                     [scenario.execution[key] for key in keys])
 
 
 def _context(kind: PolicyKind, applicable: Iterable[Job]) -> CriticalContext | None:
@@ -85,8 +85,7 @@ def _context(kind: PolicyKind, applicable: Iterable[Job]) -> CriticalContext | N
     return critical_context(kind, sorted(applicable, key=kind.urgency_key))
 
 
-def _simulate(instance: ProblemInstance, kind: PolicyKind, release, execution,
-              stop_on_miss: bool) -> SimulationTrace:
+def _simulate(instance: ProblemInstance, kind: PolicyKind, release, execution) -> SimulationTrace:
     jobs, runs = instance.jobs, instance.jobs_by_task
     applicable = {tid: run[0] for tid, run in runs.items() if run}  # task id -> job
     waiting = [(release[job.pos], job.pos) for job in applicable.values()]  # not yet released
@@ -114,8 +113,6 @@ def _simulate(instance: ProblemInstance, kind: PolicyKind, release, execution,
         dispatches.append((job, t, finish))
         if finish > job.deadline:
             misses.append((job, finish, job.deadline))
-            if stop_on_miss:
-                break
         del released[job.pos]
         run = runs[job.task_id]
         if job.index < len(run):  # the task's next job takes its place

@@ -5,22 +5,25 @@ jobs) to the job to start next, or None to idle. EDF and FP-EDF never idle
 while something runnable is released. The remaining three may idle to
 protect a *critical job*: the applicable job whose deadline would be
 endangered if a long job started first. A released job is *viable* at time
-t if starting it cannot push the critical job past its latest safe start.
-The critical context depends on the applicable jobs alone, so a caller
-builds it once per applicable set, not once per decision.
+t if t <= `CriticalContext.latest_start(job)`, the one place that writes the
+start budget rule for the analysis and the oracle alike. The critical
+context depends on the applicable jobs alone, so a caller builds it once
+per applicable set, not once per decision.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import inf
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .model import Job
 
-_BY_DEADLINE = attrgetter("deadline", "task_id")  # `pi_key` under EDF, `urgency_key` under CP and CW
-_BY_PRIORITY = attrgetter("priority", "deadline", "task_id")  # `pi_key` under the other policies
+# `priority_key` under EDF, `urgency_key` under CP and CW
+_BY_DEADLINE = attrgetter("deadline", "task_id")
+_BY_PRIORITY = attrgetter("priority", "deadline", "task_id")  # `priority_key` otherwise
 
 
 def _by_certain_release(job: Job) -> tuple[int, ...]:  # `urgency_key` under P-FP-EDF
@@ -37,7 +40,11 @@ class PolicyKind(enum.Enum):
     def __init__(self, value: str) -> None:
         # plain attributes: the analysis reads them per applicable set, the oracle per decision
         self.work_conserving = value in ("edf", "fp-edf")
-        self.priority_key = _BY_DEADLINE if value == "edf" else _BY_PRIORITY  # see `pi_key`
+        # the priority order, smaller wins: EDF by deadline, the others by
+        # priority value (0 is highest), then deadline; ties by task id keep it strict
+        self.priority_key = _BY_DEADLINE if value == "edf" else _BY_PRIORITY
+        # puts an idling policy's critical job first: the earliest deadline,
+        # or under P-FP-EDF a p=0 job by certain release; then task id
         self.urgency_key = _by_certain_release if value == "p-fp-edf" else _BY_DEADLINE
 
 
@@ -55,35 +62,21 @@ def parse_policy(name: str) -> PolicyKind:
 
 @dataclass(frozen=True)
 class CriticalContext:
-    """The job an idling policy protects, and its latest safe start time."""
+    """The job an idling policy protects, and `time`, its latest safe start:
+    any other job must finish by then, whatever its execution time."""
 
     job: Job
     time: int
 
-    def admits(self, job: Job, t: int) -> bool:
-        """Starting `job` at t keeps the critical job safe."""
-        return t + job.c_max <= self.time or job.pos == self.job.pos
-
-
-def pi_key(kind: PolicyKind, job: Job) -> tuple[int, ...]:
-    """Sort key of the policy's priority order; lexicographically smaller wins.
-
-    EDF orders by deadline; every other policy orders by priority value
-    first (0 is highest), then deadline. Ties always fall back to the task
-    id, which keeps the order strict within one instance.
-    """
-    return kind.priority_key(job)
-
-
-def urgency_key(kind: PolicyKind, job: Job) -> tuple[int, ...]:
-    """Sort key that puts an idling policy's critical job first: the earliest
-    deadline, or under P-FP-EDF a p=0 job by certain release; then task id."""
-    return kind.urgency_key(job)
+    def latest_start(self, job: Job) -> float:
+        """The latest time `job` may start: `time - job.c_max`, or inf for
+        the critical job itself, which the budget never holds back."""
+        return inf if job.pos == self.job.pos else self.time - job.c_max
 
 
 def critical_context(kind: PolicyKind, ordered: Sequence[Job]) -> CriticalContext | None:
-    """Critical job and latest safe start for the idling policies, given the
-    applicable jobs in `urgency_key` order.
+    """Critical job and start budget for the idling policies, given the
+    applicable jobs in `kind.urgency_key` order.
 
     EDF/FP-EDF never idle and have no critical job. The idling policies
     protect the first job, P-FP-EDF only if it has p=0. CW folds every
@@ -112,11 +105,11 @@ def pick(kind: PolicyKind, t: int, crit: CriticalContext | None,
     `crit` is the critical context of the applicable jobs,
     `critical_context(kind, <applicable jobs in urgency order>)`, which
     changes only when a dispatch changes the applicable set, so the caller
-    builds it once per set and not once per decision. Released jobs that
-    would overrun its start budget are dropped (the critical job itself is
-    always kept). EDF, FP-EDF, and P-FP-EDF without a p=0 applicable job
-    have no context and pick the released job of smallest `pi_key`.
+    builds it once per set and not once per decision. A released job is
+    kept iff t <= `crit.latest_start(job)`, so the critical job always is.
+    EDF, FP-EDF, and P-FP-EDF without a p=0 applicable job have no context.
+    The pick is the kept job of smallest `kind.priority_key`.
     """
     if crit is not None:
-        released = [j for j in released if crit.admits(j, t)]
+        released = [j for j in released if t <= crit.latest_start(j)]
     return min(released, key=kind.priority_key, default=None)

@@ -5,7 +5,7 @@ reference for the boundary-time sweep inside the engine; the me sweep's
 exploration bound is computed here too, apart from the engine's stop rule.
 They decide eligibility by the pointwise reference functions below, which
 are written from the definition (release bounds, the critical budget and
-the smallest `pi_key`) and share nothing with the engine's rank order.
+the smallest `priority_key`) and share nothing with the engine's rank order.
 The reference critical context takes the applicable jobs in any order and
 shares nothing with the engine's urgency order.
 The product oracle simulates every scenario apart and is the reference for
@@ -26,7 +26,7 @@ from pathlib import Path
 from schedgraph import (AnalysisStuck, ExecutionScenario, InstanceError, PolicyKind,
                         ScenarioCapExceeded, Task, make_instance, scenario_count)
 from schedgraph.oracle import DEFAULT_SCENARIO_CAP, OracleReport, SimulationTrace, _simulate
-from schedgraph.policy import CriticalContext, pi_key, pick
+from schedgraph.policy import CriticalContext, pick
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 ANOMALY = INSTANCE_DIR / "anomaly.txt"
@@ -162,7 +162,7 @@ def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
     for combo in itertools.product(*dims):
         # release and execution times by job position
         release, execution = combo[0::2], combo[1::2]
-        trace = _simulate(instance, kind, release, execution, stop_on_miss=True)
+        trace = _simulate(instance, kind, release, execution)
         checked += 1
         for job, _, finish in trace.dispatches:
             key = job.key
@@ -170,6 +170,8 @@ def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
                 finish_min[key] = finish
             if key not in finish_max or finish > finish_max[key]:
                 finish_max[key] = finish
+            if finish > job.deadline:  # the enumerator ends a scenario at its first miss
+                break
         if trace.misses and first_failure is None:
             first_failure = ExecutionScenario(
                 {job.key: release[job.pos] for job in instance.jobs},
@@ -186,7 +188,7 @@ def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
     )
 
 
-def reference_simulate(instance, kind, release, execution, stop_on_miss: bool):
+def reference_simulate(instance, kind, release, execution):
     """Play one scenario given by job position, deriving the scheduler's state
     at every decision: the applicable jobs from each task's pointer, the
     released ones by filtering them, and the critical context by
@@ -212,8 +214,6 @@ def reference_simulate(instance, kind, release, execution, stop_on_miss: bool):
         dispatches.append((job, t, finish))
         if finish > job.deadline:
             misses.append((job, finish, job.deadline))
-            if stop_on_miss:
-                break
         ptr[slot[job.task_id]] += 1
         t = finish
     return SimulationTrace(dispatches, idle, misses)
@@ -251,23 +251,23 @@ def reference_critical_context(kind, applicable):
 
 
 def _admitted(apps, job, t, exclude) -> bool:
-    return (apps.crit is None or apps.crit.admits(job, t)) and job.pos not in exclude
+    return (apps.crit is None or t <= apps.crit.latest_start(job)) and job.pos not in exclude
 
 
 def reference_certainly_eligible(apps, t, exclude=frozenset()):
-    """The job of smallest `pi_key` among those certainly released (r_max <= t)
+    """The job of smallest `priority_key` among those certainly released (r_max <= t)
     and admitted by the critical budget at t, or None."""
     candidates = [j for j in apps.applicable if j.r_max <= t and _admitted(apps, j, t, exclude)]
-    return min(candidates, key=lambda j: pi_key(apps.kind, j), default=None)
+    return min(candidates, key=apps.kind.priority_key, default=None)
 
 
 def reference_possibly_eligible(apps, t, exclude=frozenset()):
     """Jobs possibly released at t (r_min <= t < r_max), admitted by the budget
-    and of smaller `pi_key` than the certain choice, in position order."""
+    and of smaller `priority_key` than the certain choice, in position order."""
     ce = reference_certainly_eligible(apps, t, exclude)
     return [j for j in apps.applicable
             if j.r_min <= t < j.r_max and _admitted(apps, j, t, exclude)
-            and (ce is None or pi_key(apps.kind, j) < pi_key(apps.kind, ce))]
+            and (ce is None or apps.kind.priority_key(j) < apps.kind.priority_key(ce))]
 
 
 def eligible_at(apps, t, exclude=frozenset()):

@@ -19,7 +19,6 @@ from schedgraph import (ME, SE, ExecutionScenario, GenSpec, PolicyKind,
                         enumerate_scenarios, generate, generate_instance, simulate)
 from schedgraph.cli import main
 from schedgraph.graph import expansion_windows, make_context
-from schedgraph.policy import pi_key
 from support import (ALL_POLICIES, check_graph, naive_windows_me,
                      naive_windows_se, sample_instance)
 
@@ -171,7 +170,7 @@ def test_criterion_6_structural_invariants(fuzz_corpus):
                                                  or j == apps.crit.job)
                         ]
                         top = [a for a in viable
-                               if all(not pi_key(kind, b) < pi_key(kind, a)
+                               if all(not kind.priority_key(b) < kind.priority_key(a)
                                       for b in viable if b != a)]
                         assert len(top) <= 1
                         probes += 1

@@ -261,6 +261,15 @@ class TestGen:
         text = out_file.read_text()
         assert "T=6" in text or "T=12" in text
 
+    def test_more_tasks_than_the_job_cap_exit_two(self, capsys, tmp_path):
+        out_file = tmp_path / "gen.txt"
+        code = main(["gen", "--tasks", "100001", "--util", "1", "--rj", "0", "--rc", "0",
+                     "--periods", "1000000", "--out", str(out_file)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: n_tasks must be <= 100000, the cap on an instance's jobs\n"
+        assert not out_file.exists()
+
 
 class TestCompare:
     def test_modes_disagree_on_idling_instance(self, capsys):
@@ -585,8 +594,10 @@ class TestBench:
          "periods: expected an integer, got 'x'"),
         ("bench tasks=3 util=x rj=0.3 rc=0.3 seeds=1", "util: expected a number, got 'x'"),
         ("sweep tasks=3 util=0.3 rj=0.3 rc=0.3 seeds=1", "unknown directive 'sweep'"),
+        ("bench tasks=100001 util=0.3 rj=0.3 rc=0.3 seeds=1",
+         "n_tasks must be <= 100000, the cap on an instance's jobs"),
     ], ids=["missing-field", "non-integer", "non-integer-period", "non-number",
-            "unknown-directive"])
+            "unknown-directive", "too-many-tasks"])
     def test_bad_line_names_the_field_and_exits_two_before_any_analysis(
             self, capsys, tmp_path, monkeypatch, line, message):
         self.exits_two_before_any_analysis(capsys, tmp_path, monkeypatch, line, message)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schedgraph import GenSpec, GenerationError, generate_instance
+from schedgraph.model import MAX_JOBS
 from support import measure_ratios
 
 specs = st.builds(
@@ -67,6 +68,9 @@ class TestGenerateInstance:
             GenSpec(3, 1.5, 0.0, 0.0)
         with pytest.raises(ValueError):
             GenSpec(3, 0.3, -0.1, 0.0)
+        # each generated task has a job, so such a spec could only end at the job cap
+        with pytest.raises(ValueError, match=f"n_tasks must be <= {MAX_JOBS}, the cap"):
+            GenSpec(MAX_JOBS + 1, 0.5, 0.0, 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(spec=specs)

@@ -15,7 +15,6 @@ from hypothesis import assume, given, note, settings
 from hypothesis import strategies as st
 
 import schedgraph.graph
-import schedgraph.policy
 from schedgraph import (ME, SE, AnalysisStuck, ExecutionScenario, GenSpec, InstanceError,
                         PolicyKind, Task, enumerate_scenarios, export_dot, generate,
                         generate_instance, make_instance, parse_instance, scenario_count,
@@ -25,7 +24,6 @@ from schedgraph.graph import (ScheduleGraph, applicable_jobs, certainly_eligible
                               expansion_windows, make_context, merge_phase, next_nodes,
                               possibly_eligible, priority_ranks)
 from schedgraph.model import Job
-from schedgraph.policy import pi_key, urgency_key
 from support import (ALL_POLICIES, ANOMALY, EDF_JITTER, MANY_TASKS, SE_STUCK_SCHEDULABLE,
                      check_graph, exploration_bound, mask, naive_windows_me, naive_windows_se,
                      reference_certainly_eligible, reference_critical_context,
@@ -152,7 +150,7 @@ class TestEligibility:
         assert possibly_eligible(apps, 5) == []
 
     def test_equal_priority_keys_are_refused_before_generation(self, monkeypatch, jitter3):
-        monkeypatch.setattr(schedgraph.graph, "pi_key", lambda kind, job: (job.priority,))
+        monkeypatch.setattr(PolicyKind.EDF, "priority_key", lambda job: (job.priority,))
         with pytest.raises(RuntimeError, match="priority order is not strict"):
             generate(jitter3, PolicyKind.EDF, ME)
 
@@ -694,7 +692,7 @@ class TestIncrementalState:
         instance = (sample_crowded_instance if crowded else sample_instance)(random.Random(seed))
         ranks = priority_ranks(instance, kind)
         assert sorted(range(len(instance.jobs)), key=ranks.__getitem__) == \
-            sorted(range(len(instance.jobs)), key=lambda pos: pi_key(kind, instance.jobs[pos]))
+            sorted(range(len(instance.jobs)), key=lambda pos: kind.priority_key(instance.jobs[pos]))
         expanded = []
         original = schedgraph.graph.next_nodes
 
@@ -807,7 +805,7 @@ class TestIncrementalCost:
     @pytest.mark.parametrize("name", ["anomaly", "idle4"])
     def test_no_per_vertex_rescan(self, monkeypatch, request, name):
         instance = request.getfixturevalue(name)
-        calls = {"applicable_jobs": 0, "pi_key": 0, "urgency_key": 0}
+        calls = {"applicable_jobs": 0, "priority_key": 0, "urgency_key": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -817,16 +815,16 @@ class TestIncrementalCost:
 
         monkeypatch.setattr(schedgraph.graph, "applicable_jobs",
                             counted("applicable_jobs", applicable_jobs))
-        monkeypatch.setattr(schedgraph.graph, "pi_key", counted("pi_key", pi_key))
-        monkeypatch.setattr(schedgraph.policy, "pi_key", counted("pi_key", pi_key))
-        monkeypatch.setattr(schedgraph.graph, "urgency_key", counted("urgency_key", urgency_key))
+        for kind in ALL_POLICIES:
+            for key in ("priority_key", "urgency_key"):
+                monkeypatch.setattr(kind, key, counted(key, getattr(kind, key)))
         for kind in ALL_POLICIES:
             for mode in (ME, SE):
-                calls.update(applicable_jobs=0, pi_key=0, urgency_key=0)
+                calls.update(applicable_jobs=0, priority_key=0, urgency_key=0)
                 graph, _ = generate(instance, kind, mode, exhaustive_misses=True)
                 assert graph.vertices_created > len(instance.jobs)
                 assert calls["applicable_jobs"] <= 1, (kind, mode)
-                assert calls["pi_key"] <= len(instance.jobs), (kind, mode)
+                assert calls["priority_key"] <= len(instance.jobs), (kind, mode)
                 assert calls["urgency_key"] <= len(instance.jobs), (kind, mode)
 
 

@@ -52,12 +52,6 @@ class TestSimulate:
         trace = simulate(anomaly, PolicyKind.EDF, anomaly_scenario(anomaly))
         assert len(trace.dispatches) == len(anomaly.jobs)
 
-    def test_stop_on_miss_cuts_the_trace(self, anomaly):
-        trace = simulate(anomaly, PolicyKind.EDF, anomaly_scenario(anomaly),
-                         stop_on_miss=True)
-        assert trace.dispatches[-1][0].key == (3, 2)
-        assert len(trace.dispatches) < len(anomaly.jobs)
-
     def test_single_job_trivial_dispatch(self):
         instance = make_instance([Task(1, 10, 0, 0, 1, 1, 5)])
         scenario = ExecutionScenario({(1, 1): 0}, {(1, 1): 1})
@@ -114,11 +108,9 @@ class TestSimulate:
 
 
 def same_trace(instance, kind, release, execution):
-    """The simulator's trace equals the per-decision reference's, with
-    `stop_on_miss` both ways; returns the trace played to the end."""
-    for stop_on_miss in (True, False):
-        trace = _simulate(instance, kind, release, execution, stop_on_miss)
-        assert trace == reference_simulate(instance, kind, release, execution, stop_on_miss)
+    """The simulator's trace equals the per-decision reference's; returns it."""
+    trace = _simulate(instance, kind, release, execution)
+    assert trace == reference_simulate(instance, kind, release, execution)
     return trace
 
 
@@ -268,7 +260,7 @@ class TestPrefixSearch:
             if report.schedulable:
                 assert report == reference
             else:
-                trace = simulate(instance, kind, report.first_failure, stop_on_miss=True)
+                trace = simulate(instance, kind, report.first_failure)
                 assert trace.miss is not None
 
     def test_schedulable_run_checks_every_scenario(self, reference_runs):
@@ -284,8 +276,7 @@ class TestPrefixSearch:
         assert len(instance.jobs) == 3000
         report = enumerate_scenarios(instance, PolicyKind.EDF, exhaustive=True)
         assert report.scenarios_checked == report.scenarios_total == 1
-        trace = simulate(instance, PolicyKind.EDF, ExecutionScenario.worst_case(instance),
-                         stop_on_miss=True)
+        trace = simulate(instance, PolicyKind.EDF, ExecutionScenario.worst_case(instance))
         assert report.schedulable == (trace.miss is None)
         finishes = {job.key: finish for job, _, finish in trace.dispatches}
         assert report.finish_min == report.finish_max == finishes

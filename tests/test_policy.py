@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from schedgraph import PolicyKind, parse_policy
 from schedgraph.model import Job
-from schedgraph.policy import critical_context, pi_key, pick, urgency_key
+from schedgraph.policy import critical_context, pick
 from support import ALL_POLICIES, reference_critical_context, sample_instance
 
 
@@ -31,22 +31,22 @@ class TestPiOrder:
     def test_edf_prefers_earlier_deadline(self, anomaly):
         early = anomaly.job((2, 1))   # deadline 8
         late = anomaly.job((1, 1))    # deadline 16
-        assert pi_key(PolicyKind.EDF, early) < pi_key(PolicyKind.EDF, late)
+        assert PolicyKind.EDF.priority_key(early) < PolicyKind.EDF.priority_key(late)
 
     def test_fixed_priority_ties_break_on_task_id(self, idle4):
         # equal priority and deadline only differ in the task id
         a = idle4.job((3, 1))
         b = dataclasses.replace(a, task_id=5)
-        assert pi_key(PolicyKind.FP_EDF, a) < pi_key(PolicyKind.FP_EDF, b)
+        assert PolicyKind.FP_EDF.priority_key(a) < PolicyKind.FP_EDF.priority_key(b)
 
     @given(seed=st.integers(0, 10_000), kind=st.sampled_from(ALL_POLICIES))
     def test_strict_total_order_on_instance_jobs(self, seed, kind):
         rng = random.Random(seed)
         jobs = sample_instance(rng).jobs
-        keys = [pi_key(kind, job) for job in jobs]
+        keys = [kind.priority_key(job) for job in jobs]
         assert len(set(keys)) == len(keys)          # totality
         triple = [jobs[rng.randrange(len(jobs))] for _ in range(3)]
-        a, b, c = (pi_key(kind, job) for job in triple)
+        a, b, c = (kind.priority_key(job) for job in triple)
         assert not a < a                            # irreflexive
         if a < b and b < c:
             assert a < c                            # transitive
@@ -96,15 +96,15 @@ class TestPick:
         if choice is not None:
             assert choice in applicable
             assert releases[choice.key] <= t
-        # the first released job by `pi_key` that the critical budget admits
+        # the first released job by `priority_key` that the critical budget admits
         ctx = critical_context(kind, urgent(kind, applicable))
-        admitted = [j for j in released if ctx is None or ctx.admits(j, t)]
-        assert choice is min(admitted, key=lambda j: pi_key(kind, j), default=None)
+        admitted = [j for j in released if ctx is None or t <= ctx.latest_start(j)]
+        assert choice is min(admitted, key=kind.priority_key, default=None)
 
 
 def urgent(kind, jobs):
     """The jobs in the urgency order that `critical_context` expects."""
-    return sorted(jobs, key=lambda j: urgency_key(kind, j))
+    return sorted(jobs, key=kind.urgency_key)
 
 
 def context(kind, applicable):
