@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .model import MAX_JOBS, ProblemInstance, Task, make_instance
 
@@ -70,20 +69,25 @@ def _repair_utilization(periods: list[int], c_maxes: list[int], target: float) -
 
     Rounding the simplex draw to integers can leave a gap larger than the
     tolerance on coarse period grids; single +-1 steps close it whenever the
-    integer lattice admits a point in the window at all.
+    integer lattice admits a point in the window at all. The utilization is
+    kept exactly, as an integer count of 1/lcm(periods); integer true
+    division rounds correctly, so each float read of it is the exact
+    fraction's nearest float.
     """
-    current = sum(Fraction(c, p) for c, p in zip(c_maxes, periods))
+    scale = math.lcm(*periods)
+    units = [scale // p for p in periods]  # 1/p in units of 1/scale
+    current = sum(c * unit for c, unit in zip(c_maxes, units))
     for _ in range(256):
-        distance = abs(float(current) - target)
+        distance = abs(current / scale - target)
         if distance <= UTILIZATION_TOLERANCE + 1e-12:
             return True
-        direction = 1 if float(current) < target else -1
+        direction = 1 if current / scale < target else -1
         best = None
         for i, (c, p) in enumerate(zip(c_maxes, periods)):
             if not 1 <= c + direction <= p:
                 continue
-            candidate = current + Fraction(direction, p)
-            gap = abs(float(candidate) - target)
+            candidate = current + direction * units[i]
+            gap = abs(candidate / scale - target)
             if best is None or gap < best[0]:
                 best = (gap, i, candidate)
         if best is None or best[0] >= distance:

@@ -284,9 +284,16 @@ class ExecutionScenario:
                    {j.key: j.c_max for j in instance.jobs})
 
 
-def validate_scenario(instance: ProblemInstance, scenario: ExecutionScenario) -> None:
-    """Raise InstanceError unless the scenario covers exactly the jobs, within bounds."""
+def validate_scenario(instance: ProblemInstance,
+                      scenario: ExecutionScenario) -> tuple[list[int], list[int]]:
+    """Raise InstanceError unless the scenario covers exactly the jobs, within bounds.
+
+    Returns the release and the execution times by job position, read in the
+    same pass over the jobs that checks them.
+    """
     release, execution = scenario.release, scenario.execution
+    r_by_pos: list[int] = []
+    c_by_pos: list[int] = []
     for job in instance.jobs:
         key = job.key
         try:
@@ -298,11 +305,14 @@ def validate_scenario(instance: ProblemInstance, scenario: ExecutionScenario) ->
             raise InstanceError(f"{job.label}: release {r} outside [{job.r_min}, {job.r_max}]")
         if not job.c_min <= c <= job.c_max:
             raise InstanceError(f"{job.label}: execution {c} outside [{job.c_min}, {job.c_max}]")
+        r_by_pos.append(r)
+        c_by_pos.append(c)
     # every job's key is present, so a larger dict holds a key of no job
     for values in (release, execution):
         if len(values) != len(instance.jobs):
             unknown = next(key for key in values if key not in instance.job_index)
             raise InstanceError(f"scenario names unknown job {unknown!r}")
+    return r_by_pos, c_by_pos
 
 
 def parse_scenario(text: str, instance: ProblemInstance) -> ExecutionScenario:

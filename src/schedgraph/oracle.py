@@ -2,10 +2,13 @@
 
 The simulator plays one concrete scenario: the scheduler is invoked at time
 zero, at every job completion, and, while idle, at each upcoming release.
-It keeps the scheduler's state between decisions, because the applicable
-set changes only at a dispatch: each task's applicable job, the applicable
-jobs not yet released in a heap by release time, the released ones, and
-the critical context that `pick` reads, built once per applicable set.
+It reads the scenario by job position in the same pass that validates it,
+and keeps the scheduler's state between decisions, because the applicable
+set changes only at a dispatch: the applicable jobs not yet released in a
+heap by release time, the released ones, and, under an idling policy, the
+applicable jobs in urgency order. A dispatch bisects its job out of that
+order and inserts the task's next job, and the critical context that `pick`
+reads is folded from it once per applicable set.
 The enumerator covers the full integer grid of release and execution times
 and is the ground-truth check for the graph analysis on small instances.
 It does not play the grid's scenarios one by one: a depth-first search
@@ -20,16 +23,16 @@ entry per distinct state, is dropped when the call returns. The search
 keeps one explicit stack: a state pushes an exit marker below its
 children, and is finished, its count and first failure folded into its
 parent, when the marker pops; on a first-miss stop, the markers still on
-the stack are the chain from the root to the failing state. The critical
-context depends on the applicable jobs alone, so the search builds it once
-per distinct set of applicable jobs.
+the stack are the chain from the root to the failing state. Each task's
+next job, `ptr`, fixes the applicable jobs and so the critical context, so
+the search builds both once per distinct `ptr`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable
 
 from .model import ExecutionScenario, InstanceError, Job, ProblemInstance, validate_scenario
 from .policy import CriticalContext, PolicyKind, critical_context, pick
@@ -69,34 +72,27 @@ class SimulationTrace:
 
 def simulate(instance: ProblemInstance, kind: PolicyKind,
              scenario: ExecutionScenario) -> SimulationTrace:
-    """Play one scenario, validated once and read by job position (misses are not fatal)."""
+    """Play one scenario, validated and read by job position in one pass (misses are not fatal)."""
     if not instance.jobs:
         raise InstanceError("instance has no jobs")
-    validate_scenario(instance, scenario)
-    keys = [job.key for job in instance.jobs]
-    return _simulate(instance, kind, [scenario.release[key] for key in keys],
-                     [scenario.execution[key] for key in keys])
-
-
-def _context(kind: PolicyKind, applicable: Iterable[Job]) -> CriticalContext | None:
-    """Critical context of the applicable jobs, given in any order."""
-    if kind.work_conserving:
-        return None
-    return critical_context(kind, sorted(applicable, key=kind.urgency_key))
+    return _simulate(instance, kind, *validate_scenario(instance, scenario))
 
 
 def _simulate(instance: ProblemInstance, kind: PolicyKind, release, execution) -> SimulationTrace:
     jobs, runs = instance.jobs, instance.jobs_by_task
-    applicable = {tid: run[0] for tid, run in runs.items() if run}  # task id -> job
-    waiting = [(release[job.pos], job.pos) for job in applicable.values()]  # not yet released
+    applicable = [run[0] for run in runs.values() if run]  # each task's first job
+    waiting = [(release[job.pos], job.pos) for job in applicable]  # not yet released
     heapify(waiting)
     released: dict[int, Job] = {}  # by position
-    crit = _context(kind, applicable.values())
+    key = kind.urgency_key
+    # an idling policy's applicable jobs in urgency order
+    urgent = None if kind.work_conserving else sorted(applicable, key=key)
+    crit = None if urgent is None else critical_context(kind, urgent)
     t = 0
     dispatches: list[tuple[Job, int, int]] = []
     idle: list[tuple[int, int]] = []
     misses: list[tuple[Job, int, int]] = []
-    while applicable:
+    while len(dispatches) < len(jobs):
         while waiting and waiting[0][0] <= t:
             pos = heappop(waiting)[1]
             released[pos] = jobs[pos]
@@ -115,12 +111,18 @@ def _simulate(instance: ProblemInstance, kind: PolicyKind, release, execution) -
             misses.append((job, finish, job.deadline))
         del released[job.pos]
         run = runs[job.task_id]
-        if job.index < len(run):  # the task's next job takes its place
-            nxt = applicable[job.task_id] = run[job.index]
+        nxt = run[job.index] if job.index < len(run) else None  # the task's next job
+        if nxt is not None:
             heappush(waiting, (release[nxt.pos], nxt.pos))
-        else:
-            del applicable[job.task_id]
-        crit = _context(kind, applicable.values())
+        if urgent is not None:
+            i = bisect_left(urgent, key(job), key=key)
+            # equal keys would leave the order, and so the critical job, to insertion order
+            if urgent[i] is not job:
+                raise RuntimeError("urgency order is not strict")
+            del urgent[i]
+            if nxt is not None:
+                insort(urgent, nxt, key=key)
+            crit = critical_context(kind, urgent)
         t = finish
     return SimulationTrace(dispatches, idle, misses)
 
@@ -177,11 +179,11 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
       and not yet released (lo becomes t + 1).
 
     `pick` is then handed the jobs whose release is resolved, which are
-    those with lo <= t, and the critical context of the applicable jobs,
-    which depends on `ptr` alone and is built once per distinct `ptr`
-    in a call. When it idles, the time steps to the smallest open
-    `lo`: no job is released in between, and a job a policy refuses at t
-    it refuses later too. A dispatched job branches on each execution
+    those with lo <= t, and the critical context of the applicable jobs.
+    The applicable jobs, their slots and their context depend on `ptr`
+    alone and are built once per distinct `ptr` in a call. When it idles,
+    the time steps to the smallest open `lo`: no job is released in
+    between, and a job a policy refuses at t it refuses later too. A dispatched job branches on each execution
     time; a finish past its deadline ends that branch in a failing leaf. A
     leaf stands for its weight times the values still open in every
     dimension it left undecided, and the leaves of a completed search sum
@@ -245,7 +247,9 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
     finish_max: list[int | None] = [None] * len(instance.jobs)
     # finished state -> [count, failure]: failure is a flat (r, c) per job
     memo: dict[tuple, list] = {}
-    contexts: dict[tuple, CriticalContext | None] = {}  # ptr -> critical context
+    done = tuple(sizes)  # the ptr once every job is dispatched
+    # ptr -> (live slots, their applicable jobs, critical context)
+    ptr_state: dict[tuple, tuple[list[int], list[Job], CriticalContext | None]] = {}
 
     def fold(acc: list, weight: int, edge, count: int, failure) -> None:
         """Fold a finished state, reached by `edge` at `weight`, into its parent's `acc`."""
@@ -275,16 +279,17 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
         if key in memo:
             fold(parent, weight, edge, *memo[key])
             continue
-        live = [i for i, size in enumerate(sizes) if ptr[i] < size]
-        if not live:  # every job dispatched: one scenario
+        if ptr == done:  # every job dispatched: one scenario
             fold(parent, weight, edge, 1, None)
             continue
         acc = [0, None]  # the state's count and failure, both at weight 1
         stack.append((None, acc, key, parent, weight, edge))
-        applicable = [runs[i][ptr[i]] for i in live]
-        if ptr not in contexts:
-            contexts[ptr] = _context(kind, applicable)
-        crit = contexts[ptr]
+        if ptr not in ptr_state:
+            live = [i for i, size in enumerate(sizes) if ptr[i] < size]
+            applicable = [runs[i][ptr[i]] for i in live]
+            ptr_state[ptr] = (live, applicable, None if kind.work_conserving else
+                              critical_context(kind, sorted(applicable, key=kind.urgency_key)))
+        live, applicable, crit = ptr_state[ptr]
         lo = list(lo)
         released = list(released)
         weight = 1  # from here on, relative to the state

@@ -8,8 +8,10 @@ are written from the definition (release bounds, the critical budget and
 the smallest `priority_key`) and share nothing with the engine's rank order.
 The reference critical context takes the applicable jobs in any order and
 shares nothing with the engine's urgency order.
-The product oracle simulates every scenario apart and is the reference for
-the engine's prefix-sharing search. The reference simulator derives the
+The product oracle plays every scenario apart, each up to its first miss in
+a loop of its own with the reference critical context (built once per tuple
+of each task's next job), and is the reference for the engine's
+prefix-sharing search. The reference simulator derives the
 applicable and released jobs and the critical context afresh at every
 scheduling decision and is the reference for the simulator's kept state.
 """
@@ -25,7 +27,8 @@ from pathlib import Path
 
 from schedgraph import (AnalysisStuck, ExecutionScenario, InstanceError, PolicyKind,
                         ScenarioCapExceeded, Task, make_instance, scenario_count)
-from schedgraph.oracle import DEFAULT_SCENARIO_CAP, OracleReport, SimulationTrace, _simulate
+from schedgraph.generator import UTILIZATION_TOLERANCE
+from schedgraph.oracle import DEFAULT_SCENARIO_CAP, OracleReport, SimulationTrace
 from schedgraph.policy import CriticalContext, pick
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
@@ -33,6 +36,7 @@ ANOMALY = INSTANCE_DIR / "anomaly.txt"
 ANOMALY_MISS = INSTANCE_DIR / "anomaly_miss.scenario"  # a scenario of ANOMALY that misses
 EDF_JITTER = INSTANCE_DIR / "edf_jitter.txt"
 PRECAUTIOUS_IDLE = INSTANCE_DIR / "precautious_idle.txt"
+PRECAUTIOUS_IDLE_WORST = INSTANCE_DIR / "precautious_idle_worst.scenario"  # its worst case
 SE_STUCK_SCHEDULABLE = INSTANCE_DIR / "se_stuck_schedulable.txt"
 
 ALL_POLICIES = list(PolicyKind)
@@ -142,12 +146,38 @@ def measure_ratios(instance) -> RatioReport:
     return RatioReport(per_task, utilization(instance.tasks))
 
 
+def reference_repair_utilization(periods: list[int], c_maxes: list[int], target: float) -> bool:
+    """The generator's +-1 utilization repair written over `Fraction`: the
+    reference for its integer arithmetic in units of 1/lcm(periods)."""
+    current = sum(Fraction(c, p) for c, p in zip(c_maxes, periods))
+    for _ in range(256):
+        distance = abs(float(current) - target)
+        if distance <= UTILIZATION_TOLERANCE + 1e-12:
+            return True
+        direction = 1 if float(current) < target else -1
+        best = None
+        for i, (c, p) in enumerate(zip(c_maxes, periods)):
+            if not 1 <= c + direction <= p:
+                continue
+            candidate = current + Fraction(direction, p)
+            gap = abs(float(candidate) - target)
+            if best is None or gap < best[0]:
+                best = (gap, i, candidate)
+        if best is None or best[0] >= distance:
+            return False
+        _, i, current = best
+        c_maxes[i] += direction
+    return False
+
+
 def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
                    exhaustive: bool = False) -> OracleReport:
-    """Simulate every integer scenario apart, in lexicographic (task, job, r, c) order.
+    """Play every integer scenario apart, in lexicographic (task, job, r, c) order.
 
-    Stops at the first failing scenario unless `exhaustive` is set. In
-    exhaustive mode its report equals `enumerate_scenarios`' in every field.
+    Each scenario is played up to its first miss, and the finish extremes
+    cover the jobs played. Stops at the first failing scenario unless
+    `exhaustive` is set. In exhaustive mode its report equals
+    `enumerate_scenarios`' in every field.
     """
     total = scenario_count(instance)
     if total > max_scenarios:
@@ -155,6 +185,16 @@ def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
     dims = []
     for job in instance.jobs:
         dims += [range(job.r_min, job.r_max + 1), range(job.c_min, job.c_max + 1)]
+    runs = [instance.jobs_by_task[task.id] for task in instance.tasks]
+    slot = {task.id: i for i, task in enumerate(instance.tasks)}
+    states: dict[tuple, tuple] = {}  # ptr -> (applicable jobs, critical context)
+
+    def state(ptr: tuple) -> tuple:
+        if ptr not in states:
+            applicable = [run[p] for run, p in zip(runs, ptr) if p < len(run)]
+            states[ptr] = (applicable, reference_critical_context(kind, applicable))
+        return states[ptr]
+
     finish_min: dict[tuple[int, int], int] = {}
     finish_max: dict[tuple[int, int], int] = {}
     first_failure = None
@@ -162,17 +202,30 @@ def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
     for combo in itertools.product(*dims):
         # release and execution times by job position
         release, execution = combo[0::2], combo[1::2]
-        trace = _simulate(instance, kind, release, execution)
         checked += 1
-        for job, _, finish in trace.dispatches:
+        # play the scenario up to its first miss, as the enumerator does
+        ptr = (0,) * len(runs)  # each task's next job
+        applicable, crit = state(ptr)
+        t = 0
+        missed = False
+        while applicable:
+            job = pick(kind, t, crit, [j for j in applicable if release[j.pos] <= t])
+            if job is None:
+                t = min(release[j.pos] for j in applicable if release[j.pos] > t)
+                continue
+            t += execution[job.pos]
             key = job.key
-            if key not in finish_min or finish < finish_min[key]:
-                finish_min[key] = finish
-            if key not in finish_max or finish > finish_max[key]:
-                finish_max[key] = finish
-            if finish > job.deadline:  # the enumerator ends a scenario at its first miss
+            if key not in finish_min or t < finish_min[key]:
+                finish_min[key] = t
+            if key not in finish_max or t > finish_max[key]:
+                finish_max[key] = t
+            if t > job.deadline:
+                missed = True
                 break
-        if trace.misses and first_failure is None:
+            i = slot[job.task_id]
+            ptr = (*ptr[:i], ptr[i] + 1, *ptr[i + 1:])
+            applicable, crit = state(ptr)
+        if missed and first_failure is None:
             first_failure = ExecutionScenario(
                 {job.key: release[job.pos] for job in instance.jobs},
                 {job.key: execution[job.pos] for job in instance.jobs})

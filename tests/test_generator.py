@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schedgraph.generator
 from schedgraph import GenSpec, GenerationError, generate_instance
+from schedgraph.generator import (DEFAULT_PERIODS, _repair_utilization, _round_half_up,
+                                  _uniform_simplex)
 from schedgraph.model import MAX_JOBS
-from support import measure_ratios
+from support import measure_ratios, reference_repair_utilization
 
 specs = st.builds(
     GenSpec,
@@ -91,6 +95,42 @@ class TestGenerateInstance:
         # the default period set is a divisor chain, so the hyperperiod is
         # the largest drawn period
         assert instance.horizon == max(t.period for t in instance.tasks)
+
+
+class TestRepairUtilization:
+    """The repair counts utilization in integer units of 1/lcm(periods); each
+    of its steps and its outcome equal the `Fraction` reference's."""
+
+    @pytest.mark.parametrize("n_tasks, periods", [(4, DEFAULT_PERIODS), (6, (3, 7, 11, 13)),
+                                                  (20, (50, 100, 200)), (30, (50, 100, 200))])
+    def test_steps_equal_the_fraction_reference(self, n_tasks, periods):
+        stepped = failed = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            target = rng.uniform(n_tasks / max(periods), 1.0)
+            task_periods = [rng.choice(periods) for _ in range(n_tasks)]
+            # drawn off the target, so that the repair has steps to take
+            shares = _uniform_simplex(rng, n_tasks, target * rng.uniform(0.8, 1.2))
+            drawn = [min(p, max(1, _round_half_up(share * p)))
+                     for p, share in zip(task_periods, shares)]
+            c_maxes, reference = drawn.copy(), drawn.copy()
+            ok = _repair_utilization(task_periods, c_maxes, target)
+            assert ok == reference_repair_utilization(task_periods, reference, target)
+            assert c_maxes == reference, seed
+            stepped += c_maxes != drawn
+            failed += not ok
+        # most draws take steps, and both outcomes occur
+        assert stepped > 200 and 0 < failed < 300
+
+    def test_generated_instances_equal_the_fraction_reference(self, monkeypatch):
+        specs = [GenSpec(20, u, 0.6, 0.6, (50, 100, 200), seed)
+                 for u in (0.5, 0.7, 0.9) for seed in range(5)]
+        specs += [GenSpec(30, 0.8, 0.3, 0.3, (50, 100, 200), seed) for seed in range(5)]
+        specs += [GenSpec(5, u, 0.5, 0.5, seed=seed) for u in (0.3, 0.95) for seed in range(10)]
+        drawn = [generate_instance(spec) for spec in specs]
+        monkeypatch.setattr(schedgraph.generator, "_repair_utilization",
+                            reference_repair_utilization)
+        assert [generate_instance(spec) for spec in specs] == drawn
 
 
 class TestMeasureRatios:

@@ -1,20 +1,25 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schedgraph.oracle
-from schedgraph import (ExecutionScenario, InstanceError, PolicyKind,
-                        ScenarioCapExceeded, Task, enumerate_scenarios,
+from schedgraph import (ExecutionScenario, GenSpec, InstanceError, PolicyKind,
+                        ScenarioCapExceeded, Task, enumerate_scenarios, generate_instance,
                         make_instance, parse_scenario, scenario_count, simulate)
 from schedgraph.model import Job
 from schedgraph.oracle import _simulate
 from schedgraph.policy import critical_context, pick
-from support import (ALL_POLICIES, ANOMALY_MISS, check_trace, product_oracle,
-                     reference_simulate, sample_crowded_instance, sample_instance)
+from support import (ALL_POLICIES, ANOMALY_MISS, PRECAUTIOUS_IDLE_WORST, check_trace,
+                     product_oracle, reference_simulate, sample_crowded_instance,
+                     sample_instance)
 
 REFERENCE_DRAWS = 60
 REFERENCE_SEED_BASE = 6000
@@ -106,6 +111,15 @@ class TestSimulate:
         assert scenario == anomaly_scenario(anomaly)
         assert len(simulate(anomaly, PolicyKind.EDF, scenario).misses) == 1
 
+    def test_shipped_worst_case_scenario_idles_and_misses_under_cw(self, idle4):
+        scenario = parse_scenario(PRECAUTIOUS_IDLE_WORST.read_text(encoding="utf-8"), idle4)
+        assert scenario == ExecutionScenario.worst_case(idle4)
+        trace = simulate(idle4, PolicyKind.CW, scenario)
+        assert trace.idle == [(8, 10)]
+        assert [(job.label, finish, deadline) for job, finish, deadline in trace.misses] == [
+            ("J4,1", 18, 16)]
+        assert simulate(idle4, PolicyKind.CP, scenario).misses == []
+
 
 def same_trace(instance, kind, release, execution):
     """The simulator's trace equals the per-decision reference's; returns it."""
@@ -130,10 +144,27 @@ KEPT_STATE_PINS = {
 }
 
 
+# two jobs released at 0, of which J2,1 has the earlier deadline and runs
+# first, while J1,1 comes first in task order, the order an urgency key that
+# ties everything keeps
+NON_STRICT_URGENCY = """
+from schedgraph import ExecutionScenario, PolicyKind, Task, make_instance, simulate
+instance = make_instance([Task(1, 10, 0, 0, 1, 1, 10), Task(2, 10, 0, 0, 1, 1, 5)])
+PolicyKind.CW.urgency_key = lambda job: 0
+try:
+    simulate(instance, PolicyKind.CW, ExecutionScenario.worst_case(instance))
+except RuntimeError as exc:
+    print(exc)
+else:
+    print("no error")
+"""
+
+
 class TestKeptState:
     """`simulate` keeps the scheduler's state between decisions; the reference
     derives it afresh at each one. Both play the same dispatches, idle gaps
-    and misses."""
+    and misses. Under an idling policy the kept state includes the
+    applicable jobs in urgency order."""
 
     @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
     @pytest.mark.parametrize("pin", sorted(KEPT_STATE_PINS))
@@ -163,6 +194,35 @@ class TestKeptState:
         release = [rng.randint(job.r_min, job.r_max) for job in instance.jobs]
         execution = [rng.randint(job.c_min, job.c_max) for job in instance.jobs]
         same_trace(instance, kind, release, execution)
+
+    @pytest.mark.parametrize("kind", [PolicyKind.CW, PolicyKind.CP, PolicyKind.P_FP_EDF],
+                             ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_twenty_task_draws_equal_the_reference(self, seed, kind):
+        # `idle`-like: 20 tasks with 40 to 80 jobs, so the kept urgency order
+        # takes many removals and insertions
+        rng = random.Random(seed)
+        instance = generate_instance(GenSpec(20, rng.choice((0.5, 0.7, 0.9)), 0.6, 0.6,
+                                             (50, 100, 200), seed))
+        jobs = instance.jobs
+        scenarios = [([job.r_max for job in jobs], [job.c_max for job in jobs]),
+                     ([job.r_min for job in jobs], [job.c_min for job in jobs])]
+        for _ in range(6):
+            scenarios.append(([rng.randint(job.r_min, job.r_max) for job in jobs],
+                              [rng.randint(job.c_min, job.c_max) for job in jobs]))
+        for release, execution in scenarios:
+            same_trace(instance, kind, release, execution)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_non_strict_urgency_order_is_an_error(self, tmp_path, flags):
+        # `-O` drops asserts: the check must raise there too
+        script = tmp_path / "non_strict.py"
+        script.write_text(NON_STRICT_URGENCY, encoding="utf-8")
+        src = str(Path(schedgraph.oracle.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, *flags, str(script)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines() == ["urgency order is not strict"]
 
 
 class TestEnumerate:
@@ -388,7 +448,7 @@ class TestPositions:
     of times per job, however many scheduling decisions one call takes."""
 
     MAX_KEY_CALLS_PER_JOB = 6
-    MAX_SIMULATE_KEY_CALLS_PER_JOB = 2  # validating the scenario, then reading it by position
+    MAX_SIMULATE_KEY_CALLS_PER_JOB = 1  # validating the scenario and reading it by position
 
     @pytest.mark.parametrize("name", ["anomaly", "jitter3", "idle4"])
     @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
