@@ -292,6 +292,7 @@ def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[in
         last = inf if crit is None else crit.latest_start(follow)
         insort(ranked, (ranks[after], follow.r_min, follow.r_max, last, after, follow))
     parent = apps.crit
+    # by (job.pos, time), not `!=`: dataclass equality would compare the `Job`s by value
     if (crit and (crit.job.pos, crit.time)) != (parent and (parent.job.pos, parent.time)):
         return _with_budget(apps.kind, crit, ranked, urgent)
     boundaries = apps.boundaries.copy()
@@ -549,23 +550,15 @@ class AnalysisResult:
         return data
 
 
-def next_nodes(graph: ScheduleGraph, vertex: tuple, apps: ApplicableSet) -> list[tuple]:
-    """Expand one frontier tuple, whose applicable set is `apps`: its successor
-    candidates, one per dispatch window, in creation order. A candidate's job
-    is `instance.jobs[candidate[5]]`."""
-    try:
-        windows = expansion_windows(apps, vertex[1], vertex[3], graph.mode)
-    except AnalysisStuck as exc:
-        raise AnalysisStuck(str(exc), vertex=vertex[2]) from None
-    return [expand(graph, vertex, job, est, lst) for job, est, lst in windows]
-
-
 def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
              exhaustive_misses: bool = False) -> tuple[ScheduleGraph, AnalysisResult]:
     """Build the schedule graph level by level and report schedulability.
 
     Levels alternate expansion and merging, and a level is merged before it
-    is recorded. Each successor's interval is folded into its job's finish
+    is recorded. A frontier vertex is expanded by one `expansion_windows`
+    sweep, whose AnalysisStuck is re-raised with the vertex's id, and one
+    `expand` per window, in window order; the window's job is the
+    successor's. Each successor's interval is folded into its job's finish
     bound and checked against its deadline as it is created; a level with a
     miss is still expanded in full and recorded unmerged, then the first
     miss aborts with a witness unless `exhaustive_misses` asks to keep going
@@ -597,7 +590,7 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
 def _generate(instance: ProblemInstance, kind: PolicyKind, mode: str,
               exhaustive_misses: bool) -> tuple[ScheduleGraph, AnalysisResult]:
     start = time.perf_counter()
-    graph, jobs = ScheduleGraph(instance, kind, mode), instance.jobs
+    graph = ScheduleGraph(instance, kind, mode)
     ranks, urgency = priority_ranks(instance, kind), urgency_ranks(instance, kind)
     # finished set -> applicable set, for the level being expanded
     applicable = {0: prepare(kind, ranks, urgency, applicable_jobs(instance, 0))}
@@ -613,10 +606,14 @@ def _generate(instance: ProblemInstance, kind: PolicyKind, mode: str,
             apps = applicable[vertex[0]]
             if last_user[vertex[0]] is vertex:  # free it while the next level grows
                 del applicable[vertex[0]]
-            for successor in next_nodes(graph, vertex, apps):
+            try:
+                windows = expansion_windows(apps, vertex[1], vertex[3], mode)
+            except AnalysisStuck as exc:
+                raise AnalysisStuck(str(exc), vertex=vertex[2]) from None
+            for job, est, lst in windows:
+                successor = expand(graph, vertex, job, est, lst)
                 candidates.append(successor)
                 finished, eft, lft = successor[0], successor[1], successor[3]
-                job = jobs[successor[5]]
                 if finished not in derived:
                     derived[finished] = derive(instance, ranks, urgency, apps, job)
                 bound = bounds.get(job.pos)

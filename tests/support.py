@@ -114,9 +114,11 @@ def sample_crowded_instance(rng: random.Random, n_tasks: tuple[int, int] = (4, 6
         hyperperiod = math.lcm(*periods)
         if sum(hyperperiod // period for period in periods) > 40:
             continue  # over 40 jobs: refused before building the instance
-        instance = make_instance(tasks)
-        if scenario_count(instance) <= max_scenarios:
-            return instance
+        # the scenario count, unbuilt: each task has H / period jobs, as r_min < period
+        scenarios = math.prod(((task.r_max - task.r_min + 1) * (task.c_max - task.c_min + 1))
+                              ** (hyperperiod // task.period) for task in tasks)
+        if scenarios <= max_scenarios:
+            return make_instance(tasks)
 
 
 def utilization(tasks) -> Fraction:

@@ -21,8 +21,8 @@ from schedgraph import (ME, SE, AnalysisStuck, ExecutionScenario, GenSpec, Insta
                         simulate, write_instance)
 from schedgraph.cli import main
 from schedgraph.graph import (ScheduleGraph, applicable_jobs, certainly_eligible, expand,
-                              expansion_windows, make_context, merge_phase, next_nodes,
-                              possibly_eligible, priority_ranks)
+                              expansion_windows, make_context, merge_phase, possibly_eligible,
+                              priority_ranks)
 from schedgraph.model import Job
 from support import (ALL_POLICIES, ANOMALY, EDF_JITTER, MANY_TASKS, SE_STUCK_SCHEDULABLE,
                      check_graph, exploration_bound, mask, naive_windows_me, naive_windows_se,
@@ -54,6 +54,12 @@ def top(graph):
     """The root's frontier tuple (finished, eft, id, lft)."""
     [root] = graph.recorded[0][0]
     return root
+
+
+def successors(graph, vertex, apps):
+    """A frontier tuple's successor candidates, one per window, as `generate` makes them."""
+    windows = expansion_windows(apps, vertex[1], vertex[3], graph.mode)
+    return [expand(graph, vertex, job, est, lst) for job, est, lst in windows]
 
 
 def store(graph, candidate):
@@ -279,20 +285,20 @@ class TestExpand:
 class TestNextNodes:
     def test_root_expands_to_single_certain_choice(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
-        new = next_nodes(graph, top(graph), scratch(graph, graph.root))
+        new = successors(graph, top(graph), scratch(graph, graph.root))
         assert [(jitter3.jobs[c[5]].label, span(c)) for c in new] == [("J2,1", (1, 1))]
 
     def test_vertex_with_certain_switchover_expands_twice(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
         v1 = store(graph, expand(graph, top(graph), jitter3.job((2, 1)), 0, 0))
         v3 = store(graph, expand(graph, v1, jitter3.job((3, 1)), 1, 1))
-        new = next_nodes(graph, v3, scratch(graph, v3[2]))
+        new = successors(graph, v3, scratch(graph, v3[2]))
         assert [span(c) for c in new] == [(5, 6), (6, 6)]
 
     def test_idling_policy_reopens_eligibility(self, idle4):
         graph = ScheduleGraph(idle4, PolicyKind.P_FP_EDF)
         v1 = store(graph, expand(graph, top(graph), idle4.job((2, 1)), 0, 0))
-        new = next_nodes(graph, v1, scratch(graph, v1[2]))
+        new = successors(graph, v1, scratch(graph, v1[2]))
         labels = [(idle4.jobs[c[5]].label, span(c)) for c in new]
         assert labels == [("J3,1", (3, 4)), ("J4,1", (7, 10)), ("J3,1", (9, 10))]
 
@@ -399,7 +405,7 @@ class TestGraphOnRead:
         graph = ScheduleGraph(anomaly, PolicyKind.EDF, ME)
         assert graph.vertices.keys() == {graph.root} and graph.arcs == {}
         apps = make_context(anomaly, PolicyKind.EDF, 0)
-        candidates = next_nodes(graph, top(graph), apps)
+        candidates = successors(graph, top(graph), apps)
         level = merge_phase(graph, candidates)
         assert len(graph.recorded[1][1]) == 6 * len(candidates)
         assert graph.vertices.keys() == {graph.root, *(vertex[2] for vertex in level)}
@@ -536,6 +542,27 @@ class TestGenerate:
                 graph, result = generate(instance, kind, mode)
                 check_graph(graph, result)
 
+    def test_each_vertex_is_swept_once_and_each_window_expanded_once(
+            self, monkeypatch, anomaly, jitter3, idle4):
+        calls = {"expansion_windows": 0, "expand": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(schedgraph.graph, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(schedgraph.graph, name, counting)
+        aborted = set()
+        for kind in ALL_POLICIES:
+            for instance in (anomaly, jitter3, idle4):
+                calls.update(expansion_windows=0, expand=0)
+                graph, result = generate(instance, kind, ME)
+                aborted.add(not result.bounds_complete)
+                # the last level, full or aborting, is never expanded
+                assert calls["expansion_windows"] == sum(map(len, graph.levels[:-1]))
+                assert calls["expand"] == graph.vertices_created - 1
+                if instance is idle4 and kind is PolicyKind.CW:
+                    assert (result.bounds_complete, *calls.values()) == (False, 10, 13)
+        assert aborted == {True, False}
+
 
 class TestCollectorPause:
     """generate pauses the cyclic garbage collector and leaves it as it found it."""
@@ -559,13 +586,13 @@ class TestCollectorPause:
                                                    path, kind, mode, outcome):
         instance = parse_instance(path.read_text(encoding="utf-8"))
         during = []
-        original = schedgraph.graph.next_nodes
+        original = schedgraph.graph.expansion_windows
 
-        def watching(graph, vertex, apps):
+        def watching(apps, eft, lft, mode):
             during.append(gc.isenabled())
-            return original(graph, vertex, apps)
+            return original(apps, eft, lft, mode)
 
-        monkeypatch.setattr(schedgraph.graph, "next_nodes", watching)
+        monkeypatch.setattr(schedgraph.graph, "expansion_windows", watching)
         if outcome == "stuck":
             with pytest.raises(AnalysisStuck):
                 generate(instance, kind, mode)
@@ -634,8 +661,10 @@ class TestSingleEligibilityStuck:
     @pytest.mark.parametrize("kind", [PolicyKind.CW, PolicyKind.CP], ids=lambda kind: kind.value)
     def test_se_stuck_where_me_and_oracle_schedule(self, capsys, kind):
         instance = parse_instance(SE_STUCK_SCHEDULABLE.read_text(encoding="utf-8"))
-        with pytest.raises(AnalysisStuck, match="no certainly eligible job exists at or after t=14"):
+        message = "no certainly eligible job exists at or after t=14"
+        with pytest.raises(AnalysisStuck, match=message) as stuck:
             generate(instance, kind, SE)
+        assert stuck.value.vertex == 6
         assert generate(instance, kind, ME)[1].schedulable
         assert enumerate_scenarios(instance, kind, max_scenarios=10**6, exhaustive=True).schedulable
         path = str(SE_STUCK_SCHEDULABLE)
@@ -693,28 +722,39 @@ class TestIncrementalState:
         ranks = priority_ranks(instance, kind)
         assert sorted(range(len(instance.jobs)), key=ranks.__getitem__) == \
             sorted(range(len(instance.jobs)), key=lambda pos: kind.priority_key(instance.jobs[pos]))
-        expanded = []
-        original = schedgraph.graph.next_nodes
 
-        def checking(graph, vertex, apps):
-            scratch = make_context(instance, kind, vertex[0])
+        def matches_scratch(apps, finished):
+            scratch = make_context(instance, kind, finished)
             assert apps.kind is scratch.kind is kind
             assert apps.applicable == scratch.applicable
             assert apps.crit == scratch.crit
             assert apps.boundaries == scratch.boundaries
             assert apps.ranked == scratch.ranked
             assert apps.urgent == scratch.urgent
-            expanded.append(vertex[2])
-            return original(graph, vertex, apps)
 
-        schedgraph.graph.next_nodes = checking
+        finished_of = {}  # id -> (set, its finished set); holding the set keeps its id unused
+        original = schedgraph.graph.derive
+
+        def checking(instance_, ranks_, urgency, apps, job):
+            if not finished_of:  # the root's set, prepared from scratch
+                matches_scratch(apps, 0)
+                finished_of[id(apps)] = (apps, 0)
+            parent = finished_of[id(apps)][1]
+            assert not parent >> job.pos & 1
+            child, finished = original(instance_, ranks_, urgency, apps, job), parent | 1 << job.pos
+            matches_scratch(child, finished)
+            finished_of[id(child)] = (child, finished)
+            return child
+
+        schedgraph.graph.derive = checking
+        stuck = None
         try:
             generate(instance, kind, mode)
-        except AnalysisStuck:
-            pass
+        except AnalysisStuck as exc:
+            stuck = exc.vertex
         finally:
-            schedgraph.graph.next_nodes = original
-        assert expanded
+            schedgraph.graph.derive = original
+        assert finished_of or stuck == 0  # only a stuck root derives no set
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), crowded=st.booleans(),
