@@ -13,7 +13,6 @@ import argparse
 import io
 import json
 import os
-import statistics
 import sys
 import time
 
@@ -242,6 +241,7 @@ def _bench_items(rows: list[dict]) -> list[tuple[GenSpec, str, str]]:
 
 
 def _bench_one(item: tuple[GenSpec, str, str]) -> dict:
+    import statistics  # imported here, as in `cmd_bench`
     spec, policy, mode = item
     instance = generate_instance(spec)
     kind = parse_policy(policy)
@@ -262,8 +262,9 @@ def _bench_one(item: tuple[GenSpec, str, str]) -> dict:
 
 
 def cmd_bench(args) -> int:
-    # Imported here: loading multiprocessing would slow every other subcommand.
+    # Imported here: multiprocessing and statistics would slow every other subcommand.
     import csv
+    import statistics
     from concurrent.futures import ProcessPoolExecutor
 
     if args.jobs < 1:

@@ -30,8 +30,8 @@ plain integers and loads no `Job` attribute. Only the root's applicable
 jobs are computed from its finished set. A successor's applicable set is
 derived from its parent's: the dispatched job's slot goes to its task's
 next job, or is dropped when the task is done, in both orders. The
-critical context is read off the urgency order; while its job and time
-stay the parent's, or there is none, only the two jobs' boundary times
+critical context, a job position and a time, is read off the urgency order;
+while it is the parent's, or there is none, only the two jobs' boundary times
 change. Each set serves every vertex that has it, for one level only, and
 nothing changes it. `ApplicableSet`, the only eligibility state, is all that
 `certainly_eligible(apps, t)` and `possibly_eligible(apps, t)` read, and
@@ -275,7 +275,7 @@ def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[in
     """The applicable set once `job` finishes, derived from its parent's.
 
     The task's next job, if any, takes its place in both orders and, while
-    the critical job and time stay (or there is none), the boundaries.
+    the critical context is the parent's (or there is none), the boundaries.
     """
     jobs, after = instance.jobs, job.pos + 1
     follow = jobs[after] if after < len(jobs) and jobs[after].task_id == job.task_id else None
@@ -291,9 +291,7 @@ def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[in
     if follow is not None:
         last = inf if crit is None else crit.latest_start(follow)
         insort(ranked, (ranks[after], follow.r_min, follow.r_max, last, after, follow))
-    parent = apps.crit
-    # by (job.pos, time), not `!=`: dataclass equality would compare the `Job`s by value
-    if (crit and (crit.job.pos, crit.time)) != (parent and (parent.job.pos, parent.time)):
+    if crit != apps.crit:
         return _with_budget(apps.kind, crit, ranked, urgent)
     boundaries = apps.boundaries.copy()
     boundaries.remove(job.r_min)

@@ -62,21 +62,21 @@ def parse_policy(name: str) -> PolicyKind:
 
 @dataclass(frozen=True)
 class CriticalContext:
-    """The job an idling policy protects, and `time`, its latest safe start:
-    any other job must finish by then, whatever its execution time."""
+    """The critical job's position `pos` and latest safe start `time`: any
+    other job must finish by then, whatever its execution time."""
 
-    job: Job
+    pos: int
     time: int
 
     def latest_start(self, job: Job) -> float:
         """The latest time `job` may start: `time - job.c_max`, or inf for
         the critical job itself, which the budget never holds back."""
-        return inf if job.pos == self.job.pos else self.time - job.c_max
+        return inf if job.pos == self.pos else self.time - job.c_max
 
 
 def critical_context(kind: PolicyKind, ordered: Sequence[Job]) -> CriticalContext | None:
-    """Critical job and start budget for the idling policies, given the
-    applicable jobs in `kind.urgency_key` order.
+    """Critical job position and start budget for the idling policies, given
+    the applicable jobs in `kind.urgency_key` order.
 
     EDF/FP-EDF never idle and have no critical job. The idling policies
     protect the first job, P-FP-EDF only if it has p=0. CW folds every
@@ -90,10 +90,10 @@ def critical_context(kind: PolicyKind, ordered: Sequence[Job]) -> CriticalContex
         budget = ordered[-1].deadline
         for job in reversed(ordered):
             budget = (budget if budget < job.deadline else job.deadline) - job.c_max
-        return CriticalContext(crit, budget)
+        return CriticalContext(crit.pos, budget)
     if kind is PolicyKind.P_FP_EDF and crit.priority != 0:
         return None
-    return CriticalContext(crit, crit.deadline - crit.c_max)
+    return CriticalContext(crit.pos, crit.deadline - crit.c_max)
 
 
 def pick(kind: PolicyKind, t: int, crit: CriticalContext | None,

@@ -98,8 +98,8 @@ def sample_crowded_instance(rng: random.Random, n_tasks: tuple[int, int] = (4, 6
     while True:
         periods = [rng.choice(PERIOD_CHOICES) for _ in range(rng.randint(low, high))]
         n = len(periods)
-        tasks = []
-        for i, period in enumerate(periods):
+        drawn = []  # each task's fields after its id, as plain integers
+        for period in periods:
             c_max = rng.randint(1, max(1, min(period // n, min(periods) // 2)))
             c_min = max(1, c_max - rng.choice((0, 0, 1)))
             r_span = rng.choice(r_spans)
@@ -109,16 +109,15 @@ def sample_crowded_instance(rng: random.Random, n_tasks: tuple[int, int] = (4, 6
                 deadline = rng.randint(min(period, r_max + c_max), period)
             else:
                 deadline = rng.randint(c_max, max(c_max, r_max + c_max))
-            tasks.append(Task(i + 1, period, r_min, r_max, c_min, c_max, deadline,
-                              rng.randint(0, 3)))
+            drawn.append((period, r_min, r_max, c_min, c_max, deadline, rng.randint(0, 3)))
         hyperperiod = math.lcm(*periods)
         if sum(hyperperiod // period for period in periods) > 40:
-            continue  # over 40 jobs: refused before building the instance
+            continue  # over 40 jobs: refused before any task is built
         # the scenario count, unbuilt: each task has H / period jobs, as r_min < period
-        scenarios = math.prod(((task.r_max - task.r_min + 1) * (task.c_max - task.c_min + 1))
-                              ** (hyperperiod // task.period) for task in tasks)
+        scenarios = math.prod(((r_max - r_min + 1) * (c_max - c_min + 1)) ** (hyperperiod // period)
+                              for period, r_min, r_max, c_min, c_max, _, _ in drawn)
         if scenarios <= max_scenarios:
-            return make_instance(tasks)
+            return make_instance([Task(i + 1, *fields) for i, fields in enumerate(drawn)])
 
 
 def utilization(tasks) -> Fraction:
@@ -295,14 +294,14 @@ def reference_critical_context(kind, applicable):
         if not top:
             return None
         crit = min(top, key=lambda j: (j.r_max, j.task_id))
-        return CriticalContext(crit, crit.deadline - crit.c_max)
+        return CriticalContext(crit.pos, crit.deadline - crit.c_max)
     crit = min(jobs, key=lambda j: (j.deadline, j.task_id))
     if kind is PolicyKind.CP:
-        return CriticalContext(crit, crit.deadline - crit.c_max)
+        return CriticalContext(crit.pos, crit.deadline - crit.c_max)
     budget = None
     for job in sorted(jobs, key=lambda j: (-j.deadline, j.task_id)):
         budget = (job.deadline if budget is None else min(budget, job.deadline)) - job.c_max
-    return CriticalContext(crit, budget)
+    return CriticalContext(crit.pos, budget)
 
 
 def _admitted(apps, job, t, exclude) -> bool:
@@ -367,7 +366,7 @@ def naive_windows_se(apps, eft, lft):
     cap = max([lft] + [j.r_max for j in apps.applicable])
     if apps.crit is not None:
         cap = max([cap] + [apps.crit.time - j.c_max + 1 for j in apps.applicable
-                           if j.pos != apps.crit.job.pos])
+                           if j.pos != apps.crit.pos])
     consumed: set = set()  # positions
     open_runs: dict = {}
     out = []

@@ -167,11 +167,11 @@ def test_criterion_6_structural_invariants(fuzz_corpus):
                             j for j in apps.applicable
                             if j.r_max <= t and (apps.crit is None
                                                  or t + j.c_max <= apps.crit.time
-                                                 or j == apps.crit.job)
+                                                 or j.pos == apps.crit.pos)
                         ]
                         top = [a for a in viable
                                if all(not kind.priority_key(b) < kind.priority_key(a)
-                                      for b in viable if b != a)]
+                                      for b in viable if b.pos != a.pos)]
                         assert len(top) <= 1
                         probes += 1
         assert probes > 1000

@@ -716,11 +716,20 @@ class TestSharedGrammar:
 
 
 class TestImportCost:
-    def test_cli_import_does_not_load_multiprocessing(self):
+    @staticmethod
+    def loaded(*modules) -> str:
+        """Those of `modules` that a fresh `import schedgraph.cli` loads, as a printed list."""
         src = str(Path(schedgraph.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         probe = ("import sys, schedgraph.cli; "
-                 "print('concurrent.futures.process' in sys.modules)")
+                 f"print([name for name in {modules!r} if name in sys.modules])")
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True).stdout
-        assert out.strip() == "False"
+        return out.strip()
+
+    def test_cli_import_does_not_load_multiprocessing(self):
+        assert self.loaded("concurrent.futures.process") == "[]"
+
+    def test_cli_import_does_not_load_statistics(self):
+        # only `bench` takes medians; `statistics` pulls in `fractions` and `decimal`
+        assert self.loaded("statistics", "fractions", "decimal") == "[]"

@@ -24,6 +24,7 @@ from schedgraph.graph import (ScheduleGraph, applicable_jobs, certainly_eligible
                               expansion_windows, make_context, merge_phase, possibly_eligible,
                               priority_ranks)
 from schedgraph.model import Job
+from schedgraph.policy import CriticalContext, critical_context
 from support import (ALL_POLICIES, ANOMALY, EDF_JITTER, MANY_TASKS, SE_STUCK_SCHEDULABLE,
                      check_graph, exploration_bound, mask, naive_windows_me, naive_windows_se,
                      reference_certainly_eligible, reference_critical_context,
@@ -101,15 +102,16 @@ class TestJobIdentity:
     """Generation, the online scheduler and the scenario search name a job by
     its position only, so no tie in a sort or heap ever compares two jobs."""
 
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("a Job was hashed or compared by value")
+
     def test_no_job_is_hashed_or_compared_by_value(self, monkeypatch, anomaly, jitter3,
                                                    idle4):
-        def refuse(*args):
-            raise AssertionError("a Job was hashed or compared by value")
-
         instances = (anomaly, jitter3, idle4)
         worst = [ExecutionScenario.worst_case(instance) for instance in instances]
-        monkeypatch.setattr(Job, "__hash__", refuse)
-        monkeypatch.setattr(Job, "__eq__", refuse)
+        monkeypatch.setattr(Job, "__hash__", self.refuse)
+        monkeypatch.setattr(Job, "__eq__", self.refuse)
         for instance, scenario in zip(instances, worst):
             for kind in ALL_POLICIES:
                 for mode in (ME, SE):
@@ -120,6 +122,19 @@ class TestJobIdentity:
                 simulate(instance, kind, scenario)
                 for exhaustive in (False, True):
                     enumerate_scenarios(instance, kind, exhaustive=exhaustive)
+
+    def test_critical_contexts_compare_by_position(self, monkeypatch, anomaly):
+        runs = anomaly.jobs_by_task.values()
+        first, last = [run[0] for run in runs], [run[-1] for run in runs]
+        monkeypatch.setattr(Job, "__eq__", self.refuse)
+        # (position, time) of the first jobs' context, then of the last jobs'
+        expected = {PolicyKind.P_FP_EDF: ((3, 4), (0, 9)), PolicyKind.CP: ((3, 4), (0, 9)),
+                    PolicyKind.CW: ((3, 3), (0, 7))}
+        for kind, (early, late) in expected.items():
+            contexts = [critical_context(kind, sorted(jobs, key=kind.urgency_key))
+                        for jobs in (first, last)]
+            assert contexts[0] != contexts[1]
+            assert contexts == [CriticalContext(*early), CriticalContext(*late)]
 
 
 class TestEligibility:
@@ -756,6 +771,42 @@ class TestIncrementalState:
             schedgraph.graph.derive = original
         assert finished_of or stuck == 0  # only a stuck root derives no set
 
+    def test_derive_rebuilds_exactly_when_the_critical_context_changes(self, monkeypatch):
+        """`derive` rebuilds latest starts and boundaries (`_with_budget`) for a
+        child whose critical context differs from its parent's, and only then."""
+        rebuilds, calls, counts = [0], [], {}
+
+        def context(apps):  # equal contexts have equal positions and times
+            return reference_critical_context(apps.kind, apps.applicable)
+
+        def budgeting(*args, _original=schedgraph.graph._with_budget):
+            rebuilds[0] += 1
+            return _original(*args)
+
+        def deriving(instance, ranks, urgency, apps, job, _original=schedgraph.graph.derive):
+            before = rebuilds[0]
+            child = _original(instance, ranks, urgency, apps, job)
+            calls.append((context(apps) != context(child), rebuilds[0] - before))
+            return child
+
+        monkeypatch.setattr(schedgraph.graph, "_with_budget", budgeting)
+        monkeypatch.setattr(schedgraph.graph, "derive", deriving)
+        for kind in (PolicyKind.P_FP_EDF, PolicyKind.CP, PolicyKind.CW):
+            for path in sorted(SE_STUCK_SCHEDULABLE.parent.glob("*.txt")):
+                del calls[:]
+                generate(parse_instance(path.read_text(encoding="utf-8")), kind, ME,
+                         exhaustive_misses=True)
+                assert [rebuilt for _, rebuilt in calls] == [int(changed) for changed, _ in calls]
+                counts[kind.value, path.stem] = (sum(changed for changed, _ in calls), len(calls))
+        # (sets whose critical context changed, sets derived) per run
+        assert counts == {
+            ("p-fp-edf", "anomaly"): (7, 8), ("p-fp-edf", "edf_jitter"): (3, 6),
+            ("p-fp-edf", "precautious_idle"): (3, 7), ("p-fp-edf", "se_stuck_schedulable"): (12, 22),
+            ("cp", "anomaly"): (6, 7), ("cp", "edf_jitter"): (3, 6),
+            ("cp", "precautious_idle"): (4, 7), ("cp", "se_stuck_schedulable"): (11, 28),
+            ("cw", "anomaly"): (7, 7), ("cw", "edf_jitter"): (4, 4),
+            ("cw", "precautious_idle"): (6, 7), ("cw", "se_stuck_schedulable"): (16, 29)}
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), crowded=st.booleans(),
            kind=st.sampled_from(ALL_POLICIES))
@@ -800,7 +851,7 @@ def check_ranked_entries(instance, kind, sets) -> int:
         for rank, r_min, r_max, last, pos, job in apps.ranked:
             assert rank == ranks[job.pos]
             assert (r_min, r_max, pos) == (job.r_min, job.r_max, job.pos)
-            assert last == (inf if crit is None or crit.job is job else crit.time - job.c_max)
+            assert last == (inf if crit is None or crit.pos == job.pos else crit.time - job.c_max)
             budgeted += last != inf
     return budgeted
 
