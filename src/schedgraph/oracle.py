@@ -5,10 +5,13 @@ zero, at every job completion, and, while idle, at each upcoming release.
 It reads the scenario by job position in the same pass that validates it,
 and keeps the scheduler's state between decisions, because the applicable
 set changes only at a dispatch: the applicable jobs not yet released in a
-heap by release time, the released ones, and, under an idling policy, the
-applicable jobs in urgency order. A dispatch bisects its job out of that
-order and inserts the task's next job, and the critical context that `pick`
-reads is folded from it once per applicable set.
+heap by release time, the released ones in priority order, and, under an
+idling policy, the applicable jobs in urgency order. A release inserts its
+job into the priority order, so `pick` takes the first released job the
+start budget admits. A dispatch bisects its job out of the priority order
+and, under an idling policy, out of the urgency order, into which it
+inserts the task's next job; the critical context that `pick` reads is
+folded from that order once per applicable set.
 The enumerator covers the full integer grid of release and execution times
 and is the ground-truth check for the graph analysis on small instances.
 It does not play the grid's scenarios one by one: a depth-first search
@@ -24,8 +27,9 @@ keeps one explicit stack: a state pushes an exit marker below its
 children, and is finished, its count and first failure folded into its
 parent, when the marker pops; on a first-miss stop, the markers still on
 the stack are the chain from the root to the failing state. Each task's
-next job, `ptr`, fixes the applicable jobs and so the critical context, so
-the search builds both once per distinct `ptr`.
+next job, `ptr`, fixes the applicable jobs and so the critical context and
+their priority order, so the search builds all three once per distinct
+`ptr`.
 """
 
 from __future__ import annotations
@@ -83,8 +87,8 @@ def _simulate(instance: ProblemInstance, kind: PolicyKind, release, execution) -
     applicable = [run[0] for run in runs.values() if run]  # each task's first job
     waiting = [(release[job.pos], job.pos) for job in applicable]  # not yet released
     heapify(waiting)
-    released: dict[int, Job] = {}  # by position
-    key = kind.urgency_key
+    prio, key = kind.priority_key, kind.urgency_key
+    released: list[Job] = []  # in priority order
     # an idling policy's applicable jobs in urgency order
     urgent = None if kind.work_conserving else sorted(applicable, key=key)
     crit = None if urgent is None else critical_context(kind, urgent)
@@ -94,9 +98,8 @@ def _simulate(instance: ProblemInstance, kind: PolicyKind, release, execution) -
     misses: list[tuple[Job, int, int]] = []
     while len(dispatches) < len(jobs):
         while waiting and waiting[0][0] <= t:
-            pos = heappop(waiting)[1]
-            released[pos] = jobs[pos]
-        job = pick(kind, t, crit, released.values())
+            insort(released, jobs[heappop(waiting)[1]], key=prio)
+        job = pick(t, crit, released)
         if job is None:
             if not waiting:
                 # cannot happen for the built-in policies: the critical job is
@@ -109,7 +112,11 @@ def _simulate(instance: ProblemInstance, kind: PolicyKind, release, execution) -
         dispatches.append((job, t, finish))
         if finish > job.deadline:
             misses.append((job, finish, job.deadline))
-        del released[job.pos]
+        i = bisect_left(released, prio(job), key=prio)
+        # equal keys would leave the order, and so the pick, to insertion order
+        if i == len(released) or released[i] is not job:
+            raise RuntimeError("priority order is not strict")
+        del released[i]
         run = runs[job.task_id]
         nxt = run[job.index] if job.index < len(run) else None  # the task's next job
         if nxt is not None:
@@ -179,15 +186,17 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
       and not yet released (lo becomes t + 1).
 
     `pick` is then handed the jobs whose release is resolved, which are
-    those with lo <= t, and the critical context of the applicable jobs.
-    The applicable jobs, their slots and their context depend on `ptr`
-    alone and are built once per distinct `ptr` in a call. When it idles,
+    those with lo <= t, in priority order, and the critical context of the
+    applicable jobs. The applicable jobs, their slots, their priority order
+    and their context depend on `ptr` alone and are built once per distinct
+    `ptr` in a call; the resolution above keeps slot order. When it idles,
     the time steps to the smallest open `lo`: no job is released in
-    between, and a job a policy refuses at t it refuses later too. A dispatched job branches on each execution
-    time; a finish past its deadline ends that branch in a failing leaf. A
-    leaf stands for its weight times the values still open in every
-    dimension it left undecided, and the leaves of a completed search sum
-    to `scenario_count`; a search that does not is a bug and raises
+    between, and a job a policy refuses at t it refuses later too. A
+    dispatched job branches on each execution time; a finish past its
+    deadline ends that branch in a failing leaf. A leaf stands for its
+    weight times the values still open in every dimension it left
+    undecided, and the leaves of a completed search sum to
+    `scenario_count`; a search that does not is a bug and raises
     RuntimeError.
 
     Different dispatch orders often reach the same state, and what lies
@@ -248,8 +257,9 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
     # finished state -> [count, failure]: failure is a flat (r, c) per job
     memo: dict[tuple, list] = {}
     done = tuple(sizes)  # the ptr once every job is dispatched
-    # ptr -> (live slots, their applicable jobs, critical context)
-    ptr_state: dict[tuple, tuple[list[int], list[Job], CriticalContext | None]] = {}
+    # ptr -> (live slots, their (slot, applicable job) pairs in priority order,
+    # critical context)
+    ptr_state: dict[tuple, tuple[list[int], list[tuple[int, Job]], CriticalContext | None]] = {}
 
     def fold(acc: list, weight: int, edge, count: int, failure) -> None:
         """Fold a finished state, reached by `edge` at `weight`, into its parent's `acc`."""
@@ -287,9 +297,10 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
         if ptr not in ptr_state:
             live = [i for i, size in enumerate(sizes) if ptr[i] < size]
             applicable = [runs[i][ptr[i]] for i in live]
-            ptr_state[ptr] = (live, applicable, None if kind.work_conserving else
+            by_priority = sorted(zip(live, applicable), key=lambda pair: kind.priority_key(pair[1]))
+            ptr_state[ptr] = (live, by_priority, None if kind.work_conserving else
                               critical_context(kind, sorted(applicable, key=kind.urgency_key)))
-        live, applicable, crit = ptr_state[ptr]
+        live, by_priority, crit = ptr_state[ptr]
         lo = list(lo)
         released = list(released)
         weight = 1  # from here on, relative to the state
@@ -306,7 +317,7 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
                     weight *= t - lo[i] + 1
                 released[i] = True
             # lo stands in for a release: it is <= t exactly when the release is resolved
-            job = pick(kind, t, crit, [job for i, job in zip(live, applicable) if lo[i] <= t])
+            job = pick(t, crit, [job for i, job in by_priority if lo[i] <= t])
             if job is None:
                 upcoming = [lo[i] for i in live if not released[i]]
                 if not upcoming:
@@ -325,14 +336,14 @@ def enumerate_scenarios(instance: ProblemInstance, kind: PolicyKind,
                 # each longer execution is a failing leaf; they differ only in c
                 missing = job.c_max - max(fits, job.c_min - 1)
                 box = weight * open_tail[i][p + 1]
-                for j, other in zip(live, applicable):
+                for j, other in by_priority:
                     if j != i:
                         box *= open_tail[j][ptr[j] + 1] * (other.c_max - other.c_min + 1)
                         if not released[j]:
                             box *= other.r_max - lo[j] + 1
                 # the leaves' smallest completion: each open dimension at its lowest value
                 failure = lowest.copy()
-                for j, other in zip(live, applicable):
+                for j, other in by_priority:
                     failure[2 * other.pos] = lo[j]
                 failure[2 * pos + 1] = max(fits + 1, job.c_min)
                 fold(acc, 1, None, box * missing, failure)

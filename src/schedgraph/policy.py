@@ -1,14 +1,16 @@
 """Scheduling policies and the strict priority order they induce.
 
 A policy maps (time, critical context of the applicable jobs, released
-jobs) to the job to start next, or None to idle. EDF and FP-EDF never idle
+jobs in `priority_key` order) to the job to start next, or None to idle:
+the first released job the start budget admits. EDF and FP-EDF never idle
 while something runnable is released. The remaining three may idle to
 protect a *critical job*: the applicable job whose deadline would be
 endangered if a long job started first. A released job is *viable* at time
 t if t <= `CriticalContext.latest_start(job)`, the one place that writes the
 start budget rule for the analysis and the oracle alike. The critical
 context depends on the applicable jobs alone, so a caller builds it once
-per applicable set, not once per decision.
+per applicable set, not once per decision, and keeps the released jobs
+ranked between decisions instead of searching them at each one.
 """
 
 from __future__ import annotations
@@ -96,20 +98,21 @@ def critical_context(kind: PolicyKind, ordered: Sequence[Job]) -> CriticalContex
     return CriticalContext(crit.pos, crit.deadline - crit.c_max)
 
 
-def pick(kind: PolicyKind, t: int, crit: CriticalContext | None,
-         released: Iterable[Job]) -> Job | None:
+def pick(t: int, crit: CriticalContext | None, released: Iterable[Job]) -> Job | None:
     """The job an online scheduler starts at time t, or None to idle.
 
     Only `released`, the applicable jobs whose release in the scenario
-    being played is at most t, are candidates; the caller filters them.
-    `crit` is the critical context of the applicable jobs,
-    `critical_context(kind, <applicable jobs in urgency order>)`, which
-    changes only when a dispatch changes the applicable set, so the caller
-    builds it once per set and not once per decision. A released job is
-    kept iff t <= `crit.latest_start(job)`, so the critical job always is.
-    EDF, FP-EDF, and P-FP-EDF without a p=0 applicable job have no context.
-    The pick is the kept job of smallest `kind.priority_key`.
+    being played is at most t, are candidates; the caller filters them and
+    hands them over in `kind.priority_key` order, so the first one the
+    critical budget admits is the pick. `crit` is the critical context of
+    the applicable jobs, `critical_context(kind, <applicable jobs in urgency
+    order>)`, which changes only when a dispatch changes the applicable set,
+    so the caller builds it once per set and not once per decision. A
+    released job is admitted iff t <= `crit.latest_start(job)`, so the
+    critical job always is. EDF, FP-EDF, and P-FP-EDF without a p=0
+    applicable job have no context and start the first released job.
     """
-    if crit is not None:
-        released = [j for j in released if t <= crit.latest_start(j)]
-    return min(released, key=kind.priority_key, default=None)
+    for job in released:
+        if crit is None or t <= crit.latest_start(job):
+            return job
+    return None

@@ -210,7 +210,8 @@ def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
         t = 0
         missed = False
         while applicable:
-            job = pick(kind, t, crit, [j for j in applicable if release[j.pos] <= t])
+            job = pick(t, crit, sorted((j for j in applicable if release[j.pos] <= t),
+                                       key=kind.priority_key))
             if job is None:
                 t = min(release[j.pos] for j in applicable if release[j.pos] > t)
                 continue
@@ -245,7 +246,7 @@ def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
 def reference_simulate(instance, kind, release, execution):
     """Play one scenario given by job position, deriving the scheduler's state
     at every decision: the applicable jobs from each task's pointer, the
-    released ones by filtering them, and the critical context by
+    released ones by filtering and sorting them, and the critical context by
     `reference_critical_context`. Returns the simulator's `SimulationTrace`."""
     runs = [instance.jobs_by_task[task.id] for task in instance.tasks]
     slot = {task.id: i for i, task in enumerate(instance.tasks)}
@@ -255,7 +256,8 @@ def reference_simulate(instance, kind, release, execution):
     while len(dispatches) < len(instance.jobs):
         applicable = [run[p] for run, p in zip(runs, ptr) if p < len(run)]
         crit = reference_critical_context(kind, applicable)
-        job = pick(kind, t, crit, [j for j in applicable if release[j.pos] <= t])
+        job = pick(t, crit, sorted((j for j in applicable if release[j.pos] <= t),
+                                   key=kind.priority_key))
         if job is None:
             upcoming = [release[j.pos] for j in applicable if release[j.pos] > t]
             if not upcoming:

@@ -556,6 +556,16 @@ class TestBench:
                    and row["modes"] == ("me", "se") and row["seeds"] == 25 for row in rows)
         assert len(_bench_items(rows)) == 9 * 25 * 5 * 2
 
+    def test_shipped_idle20_spec_parses(self):
+        # the 20-task me/se comparison the README reports, no analysis run here
+        rows = _parse_bench_spec((INSTANCE_DIR / "idle20.bench").read_text())
+        assert [row["util"] for row in rows] == [0.5, 0.6]
+        assert all((row["tasks"], row["rj"], row["rc"], row["periods"], row["seeds"])
+                   == (20, 0.6, 0.6, (50, 100, 200), 10)
+                   and row["policies"] == ("cw", "cp") and row["modes"] == ("me", "se")
+                   for row in rows)
+        assert len(_bench_items(rows)) == 2 * 10 * 2 * 2
+
     @staticmethod
     def exits_two_before_any_analysis(capsys, tmp_path, monkeypatch, line, message):
         import schedgraph.cli as cli

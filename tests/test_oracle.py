@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 import schedgraph.oracle
 from schedgraph import (ExecutionScenario, GenSpec, InstanceError, PolicyKind,
                         ScenarioCapExceeded, Task, enumerate_scenarios, generate_instance,
-                        make_instance, parse_scenario, scenario_count, simulate)
+                        make_instance, parse_instance, parse_scenario, scenario_count,
+                        simulate)
 from schedgraph.model import Job
 from schedgraph.oracle import _simulate
 from schedgraph.policy import critical_context, pick
-from support import (ALL_POLICIES, ANOMALY_MISS, PRECAUTIOUS_IDLE_WORST, check_trace,
-                     product_oracle, reference_simulate, sample_crowded_instance,
+from support import (ALL_POLICIES, ANOMALY_MISS, INSTANCE_DIR, PRECAUTIOUS_IDLE_WORST,
+                     check_trace, product_oracle, reference_simulate, sample_crowded_instance,
                      sample_instance)
 
 REFERENCE_DRAWS = 60
@@ -159,12 +160,38 @@ else:
     print("no error")
 """
 
+# J1,1 comes first among the released jobs when every job has one priority,
+# but its 3 units would overrun the start budget of the critical J2,1
+# (deadline 2) under cp, so `pick` starts J2,1, which a bisect by that
+# priority does not find
+NON_STRICT_PRIORITY = """
+from schedgraph import ExecutionScenario, PolicyKind, Task, make_instance, simulate
+instance = make_instance([Task(1, 10, 0, 0, 3, 3, 10), Task(2, 10, 0, 0, 1, 1, 2)])
+PolicyKind.CP.priority_key = lambda job: 0
+try:
+    simulate(instance, PolicyKind.CP, ExecutionScenario.worst_case(instance))
+except RuntimeError as exc:
+    print(exc)
+else:
+    print("no error")
+"""
+
+
+def script_lines(tmp_path, flags, source):
+    """The stdout lines of `source` run as a script by a fresh interpreter with `flags`."""
+    script = tmp_path / "script.py"
+    script.write_text(source, encoding="utf-8")
+    src = str(Path(schedgraph.oracle.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *flags, str(script)], env=env,
+                          capture_output=True, text=True, check=True).stdout.splitlines()
+
 
 class TestKeptState:
     """`simulate` keeps the scheduler's state between decisions; the reference
     derives it afresh at each one. Both play the same dispatches, idle gaps
-    and misses. Under an idling policy the kept state includes the
-    applicable jobs in urgency order."""
+    and misses. The kept state includes the released jobs in priority
+    order and, under an idling policy, the applicable jobs in urgency order."""
 
     @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
     @pytest.mark.parametrize("pin", sorted(KEPT_STATE_PINS))
@@ -195,12 +222,11 @@ class TestKeptState:
         execution = [rng.randint(job.c_min, job.c_max) for job in instance.jobs]
         same_trace(instance, kind, release, execution)
 
-    @pytest.mark.parametrize("kind", [PolicyKind.CW, PolicyKind.CP, PolicyKind.P_FP_EDF],
-                             ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
     @pytest.mark.parametrize("seed", range(4))
     def test_twenty_task_draws_equal_the_reference(self, seed, kind):
-        # `idle`-like: 20 tasks with 40 to 80 jobs, so the kept urgency order
-        # takes many removals and insertions
+        # `idle`-like: 20 tasks with 40 to 80 jobs, so the kept priority and
+        # urgency orders take many removals and insertions
         rng = random.Random(seed)
         instance = generate_instance(GenSpec(20, rng.choice((0.5, 0.7, 0.9)), 0.6, 0.6,
                                              (50, 100, 200), seed))
@@ -216,13 +242,38 @@ class TestKeptState:
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
     def test_non_strict_urgency_order_is_an_error(self, tmp_path, flags):
         # `-O` drops asserts: the check must raise there too
-        script = tmp_path / "non_strict.py"
-        script.write_text(NON_STRICT_URGENCY, encoding="utf-8")
-        src = str(Path(schedgraph.oracle.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, *flags, str(script)], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        assert out.splitlines() == ["urgency order is not strict"]
+        assert script_lines(tmp_path, flags, NON_STRICT_URGENCY) == ["urgency order is not strict"]
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_non_strict_priority_order_is_an_error(self, tmp_path, flags):
+        lines = script_lines(tmp_path, flags, NON_STRICT_PRIORITY)
+        assert lines == ["priority order is not strict"]
+
+
+class TestRankedPick:
+    """The oracle hands `pick` the released jobs in `kind.priority_key` order,
+    and `pick` starts the first of them that the start budget admits."""
+
+    @pytest.mark.parametrize("path", sorted(INSTANCE_DIR.glob("*.txt")), ids=lambda path: path.stem)
+    @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
+    def test_pick_is_handed_ranked_jobs(self, monkeypatch, path, kind):
+        instance = parse_instance(path.read_text(encoding="utf-8"))
+        calls = 0
+
+        def ranked(t, crit, released):
+            nonlocal calls
+            calls += 1
+            keys = [kind.priority_key(job) for job in released]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (t, keys)
+            return pick(t, crit, released)
+
+        monkeypatch.setattr(schedgraph.oracle, "pick", ranked)
+        for scenario in (ExecutionScenario.worst_case(instance),
+                         ExecutionScenario({job.key: job.r_min for job in instance.jobs},
+                                           {job.key: job.c_min for job in instance.jobs})):
+            simulate(instance, kind, scenario)
+        enumerate_scenarios(instance, kind, exhaustive=True)
+        assert calls
 
 
 class TestEnumerate:

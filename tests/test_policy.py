@@ -54,35 +54,37 @@ class TestPiOrder:
             assert (a < b) != (b < a)
 
 
-def released_by(applicable, releases, t):
-    """The applicable jobs whose release in `releases` (by job key) is at most t."""
-    return [j for j in applicable if releases[j.key] <= t]
+def released_by(kind, applicable, releases, t):
+    """The applicable jobs whose release in `releases` (by job key) is at most
+    t, in the `kind.priority_key` order that `pick` takes them in."""
+    return sorted((j for j in applicable if releases[j.key] <= t), key=kind.priority_key)
 
 
 class TestPick:
     def test_edf_picks_earliest_deadline_among_released(self, jitter3):
         applicable = [jitter3.job((1, 1)), jitter3.job((2, 1)), jitter3.job((3, 1))]
-        released = released_by(applicable, {(1, 1): 0, (2, 1): 0, (3, 1): 1}, 0)
+        released = released_by(PolicyKind.EDF, applicable, {(1, 1): 0, (2, 1): 0, (3, 1): 1}, 0)
         crit = context(PolicyKind.EDF, applicable)
-        assert pick(PolicyKind.EDF, 0, crit, released) == jitter3.job((2, 1))
+        assert pick(0, crit, released) == jitter3.job((2, 1))
 
     def test_precautious_keeps_viable_low_priority_job(self, idle4):
         applicable = [idle4.job((1, 1)), idle4.job((3, 1)), idle4.job((4, 1))]
-        released = released_by(applicable, {(1, 1): 10, (3, 1): 1, (4, 1): 3}, 7)
+        released = released_by(PolicyKind.P_FP_EDF, applicable,
+                               {(1, 1): 10, (3, 1): 1, (4, 1): 3}, 7)
         # at t=7 task 4 would overrun the critical budget (7+4 > 10); task 3 fits
         crit = context(PolicyKind.P_FP_EDF, applicable)
-        assert pick(PolicyKind.P_FP_EDF, 7, crit, released) == idle4.job((3, 1))
+        assert pick(7, crit, released) == idle4.job((3, 1))
 
     def test_empty_applicable_set_yields_none(self):
         for kind in ALL_POLICIES:
-            assert pick(kind, 0, context(kind, []), []) is None
+            assert pick(0, context(kind, []), []) is None
 
     def test_idling_policy_defers_to_unreleased_critical_job(self, idle4):
         applicable = [idle4.job((1, 1)), idle4.job((4, 1))]
-        released = released_by(applicable, {(1, 1): 10, (4, 1): 3}, 9)
+        released = released_by(PolicyKind.P_FP_EDF, applicable, {(1, 1): 10, (4, 1): 3}, 9)
         # t=9: task 4 released but 9+4 > 10 endangers the critical job
         crit = context(PolicyKind.P_FP_EDF, applicable)
-        assert pick(PolicyKind.P_FP_EDF, 9, crit, released) is None
+        assert pick(9, crit, released) is None
 
     @given(seed=st.integers(0, 10_000), kind=st.sampled_from(ALL_POLICIES),
            t=st.integers(0, 50))
@@ -91,14 +93,14 @@ class TestPick:
         instance = sample_instance(rng)
         applicable = [jobs[0] for jobs in instance.jobs_by_task.values() if jobs]
         releases = {j.key: rng.randint(j.r_min, j.r_max) for j in applicable}
-        released = released_by(applicable, releases, t)
-        choice = pick(kind, t, context(kind, applicable), released)
+        choice = pick(t, context(kind, applicable), released_by(kind, applicable, releases, t))
         if choice is not None:
             assert choice in applicable
             assert releases[choice.key] <= t
         # the first released job by `priority_key` that the critical budget admits
         ctx = critical_context(kind, urgent(kind, applicable))
-        admitted = [j for j in released if ctx is None or t <= ctx.latest_start(j)]
+        admitted = [j for j in applicable if releases[j.key] <= t
+                    and (ctx is None or t <= ctx.latest_start(j))]
         assert choice is min(admitted, key=kind.priority_key, default=None)
 
 
@@ -177,6 +179,12 @@ class TestCriticalContext:
             assert (ctx.pos, ctx.time) == (jobs[0].pos, 10 - 6)
 
 
+def picked(kind, t, applicable, releases):
+    """`pick` under `kind`, handed the released jobs in `kind`'s own priority
+    order, so that two policies compared never share one ranking."""
+    return pick(t, context(kind, applicable), released_by(kind, applicable, releases, t))
+
+
 class TestPolicyCoincidence:
     @given(seed=st.integers(0, 10_000), t=st.integers(0, 60))
     def test_edf_equals_fp_edf_under_equal_priorities(self, seed, t):
@@ -187,9 +195,8 @@ class TestPolicyCoincidence:
         if not applicable:
             return
         releases = {j.key: rng.randint(j.r_min, j.r_max) for j in applicable}
-        released = released_by(applicable, releases, t)
-        assert (pick(PolicyKind.EDF, t, context(PolicyKind.EDF, applicable), released)
-                == pick(PolicyKind.FP_EDF, t, context(PolicyKind.FP_EDF, applicable), released))
+        assert picked(PolicyKind.EDF, t, applicable, releases) == picked(
+            PolicyKind.FP_EDF, t, applicable, releases)
 
     @given(seed=st.integers(0, 10_000), t=st.integers(0, 60))
     def test_fp_edf_equals_pure_fp_under_distinct_priorities(self, seed, t):
@@ -202,8 +209,8 @@ class TestPolicyCoincidence:
                 applicable.append(jobs[0])
                 used.add(jobs[0].priority)
         releases = {j.key: rng.randint(j.r_min, j.r_max) for j in applicable}
-        released = released_by(applicable, releases, t)
-        got = pick(PolicyKind.FP_EDF, t, context(PolicyKind.FP_EDF, applicable), released)
+        got = picked(PolicyKind.FP_EDF, t, applicable, releases)
+        released = [j for j in applicable if releases[j.key] <= t]
         expected = min(released, key=lambda j: j.priority) if released else None
         assert got == expected
 
@@ -214,6 +221,5 @@ class TestPolicyCoincidence:
         applicable = [j for j in (jobs[0] for jobs in instance.jobs_by_task.values() if jobs)
                       if j.priority > 0]
         releases = {j.key: rng.randint(j.r_min, j.r_max) for j in applicable}
-        released = released_by(applicable, releases, t)
-        assert (pick(PolicyKind.P_FP_EDF, t, context(PolicyKind.P_FP_EDF, applicable), released)
-                == pick(PolicyKind.FP_EDF, t, context(PolicyKind.FP_EDF, applicable), released))
+        assert picked(PolicyKind.P_FP_EDF, t, applicable, releases) == picked(
+            PolicyKind.FP_EDF, t, applicable, releases)
