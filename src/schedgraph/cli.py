@@ -17,7 +17,7 @@ import sys
 import time
 
 from .generator import DEFAULT_PERIODS, GenerationError, GenSpec, check_reachable, generate_instance
-from .graph import ME, MODES, AnalysisStuck, export_dot, generate
+from .graph import ME, MODES, SE, AnalysisStuck, export_dot, generate
 from .model import (InstanceError, _parse_int, parse_instance, parse_scenario,
                      read_directives, read_fields, write_instance)
 from .oracle import (DEFAULT_SCENARIO_CAP, ScenarioCapExceeded,
@@ -170,7 +170,8 @@ def cmd_export_dot(args) -> int:
 # Bench spec files follow the grammar of instance files (`model.read_directives`):
 #   bench tasks=<n> util=<f> rj=<f> rc=<f> seeds=<k> [seed0=<s>]
 #         [periods=a,b,c] [policies=edf,...] [modes=me,se]
-# After the CSV, stderr gets one summary line per (spec line, policy, mode).
+# After the CSV, stderr gets one summary line per (spec line, policy): verdict
+# counts per mode and the median per-seed me/se ratios of vertices and wall_ms.
 
 BENCH_COLUMNS = ("instance", "jobs", "policy", "mode", "vertices", "arcs",
                  "wall_ms", "verdict")
@@ -285,19 +286,27 @@ def cmd_bench(args) -> int:
     writer.writerows(records)
     _emit(args, buffer.getvalue())
     start = 0
-    for row in rows:  # the summary: per (spec line, policy, mode), in spec order
-        pairs = [(policy, mode) for policy in row["policies"] for mode in row["modes"]]
-        block = records[start:start + row["seeds"] * len(pairs)]  # by seed, then pair
+    for row in rows:  # the summary: per (spec line, policy), in spec order
+        modes, width = row["modes"], len(row["policies"]) * len(row["modes"])
+        block = records[start:start + row["seeds"] * width]  # by seed, then policy, then mode
         start += len(block)
-        for k, (policy, mode) in enumerate(pairs):
-            group = block[k::len(pairs)]
-            verdicts = [record["verdict"] for record in group]
-            # a non-schedulable analysis stops at its first miss, so only complete ones count
-            counts = [record["vertices"] for record in group if record["verdict"] == "schedulable"]
-            median = str(statistics.median(counts)).removesuffix(".0") if counts else "-"
-            print(f"line {row['line']} {policy} {mode}: {verdicts.count('schedulable')} schedulable, "
-                  f"{verdicts.count('non-schedulable')} non-schedulable, {verdicts.count('stuck')} "
-                  f"stuck; median {median} vertices created (schedulable rows)", file=sys.stderr)
+        for k, policy in enumerate(row["policies"]):
+            group = {mode: block[k * len(modes) + m::width] for m, mode in enumerate(modes)}
+            parts = []
+            for mode, rows_of_mode in group.items():
+                verdicts = [record["verdict"] for record in rows_of_mode]
+                counts = (f"{verdicts.count(v)} {v}" for v in ("schedulable", "non-schedulable", "stuck"))
+                parts.append(f"{mode} {', '.join(counts)}")
+            # a non-schedulable analysis stops at its first miss, so a seed is
+            # compared only when both modes analyze it to the end
+            pairs = [(me, se) for me, se in zip(group.get(ME, ()), group.get(SE, ()))
+                     if me["verdict"] == se["verdict"] == "schedulable"]
+            parts.append(f"{len(pairs)} paired seeds")
+            if pairs:
+                ratios = [statistics.median(float(me[column]) / float(se[column]) for me, se in pairs)
+                          for column in ("vertices", "wall_ms")]
+                parts.append("median me/se {:.3f} vertices, {:.3f} wall_ms".format(*ratios))
+            print(f"line {row['line']} {policy}: {'; '.join(parts)}", file=sys.stderr)
     return 0
 
 

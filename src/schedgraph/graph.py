@@ -23,20 +23,24 @@ could be the next job started:
 
 Priorities are integer ranks: `generate` ranks every job position by the
 policy's `priority_key` once, so outranking is `int <`, and by an idling
-policy's `urgency_key` too. An applicable set keeps its jobs in rank order
-as tuples `(rank, r_min, r_max, last, pos, job)`, `last` being the job's
-`CriticalContext.latest_start` (inf without a budget), so a probe compares
-plain integers and loads no `Job` attribute. Only the root's applicable
-jobs are computed from its finished set. A successor's applicable set is
-derived from its parent's: the dispatched job's slot goes to its task's
-next job, or is dropped when the task is done, in both orders. The
-critical context, a job position and a time, is read off the urgency order;
-while it is the parent's, or there is none, only the two jobs' boundary times
-change. Each set serves every vertex that has it, for one level only, and
-nothing changes it. `ApplicableSet`, the only eligibility state, is all that
-`certainly_eligible(apps, t)` and `possibly_eligible(apps, t)` read, and
-`expansion_windows(apps, eft, lft, mode)` adds the vertex's interval.
-`make_context` builds the same set from scratch for any finished set.
+policy's `urgency_key` too. An applicable set keeps the jobs its budget can
+admit (`r_min <= last`) in rank order as tuples `(rank, r_min, r_max, last,
+pos, job)`, `last` being the job's `CriticalContext.latest_start` (inf
+without a budget), so a probe compares plain integers and loads no `Job`
+attribute; a job released after its latest start is never eligible, so it
+and its boundary times are left out. Only the root's applicable jobs are
+computed from its finished set. A successor's applicable set is derived
+from its parent's: the dispatched job's slot goes to its task's next job,
+or is dropped when the task is done, in both orders. The critical context,
+a job position and a time, is read off the urgency order; while it is the
+parent's, or there is none, only the two jobs' entries and boundary times
+change, else the set is rebuilt from all applicable jobs, so a job left out
+returns under a budget that admits it. Each set serves every vertex that
+has it, for one level only, and nothing changes it. `ApplicableSet`, the
+only eligibility state, is all that `certainly_eligible(apps, t)` and
+`possibly_eligible(apps, t)` read, and `expansion_windows(apps, eft, lft,
+mode)` adds the vertex's interval. `make_context` builds the same set from
+scratch for any finished set.
 
 One sweep serves both generation modes. It probes eft and every boundary
 time above it (a release bound, or the instant a job stops respecting the
@@ -228,14 +232,16 @@ class ApplicableSet:
     for every vertex that has it; all that eligibility at a time t reads.
 
     `ranked` holds `(rank, r_min, r_max, last, pos, job)` for every
-    applicable job, in rank order: its rank, its release bounds, its latest
-    start `crit.latest_start(job)` (inf without a budget), its position and
-    the job itself. The sweep reads the copied fields, so a probe loads no
-    `Job` attribute. Ranks are distinct, so the entries sort by rank alone.
-    `urgent` lists an idling policy's jobs by urgency. `boundaries` is the
-    sorted multiset of the jobs' release bounds and, under a budget, the
-    instants the jobs stop being admitted (`last + 1`). Nothing changes
-    later.
+    applicable job the budget can admit, in rank order: its rank, its release
+    bounds, its latest start `crit.latest_start(job)` (inf without a budget),
+    its position and the job itself. A job with `r_min > last` is never
+    eligible, certainly or possibly, and blocks no other: it gets no entry. The
+    critical job, whose `last` is inf, always gets one. The sweep reads the
+    copied fields, so a probe loads no `Job` attribute. Ranks are distinct,
+    so the entries sort by rank alone. `urgent` lists every job of an idling
+    policy by urgency. `boundaries` is the sorted multiset of the entries'
+    release bounds and, under a budget, the instants they stop being
+    admitted (`last + 1`). Nothing changes later.
     """
 
     kind: PolicyKind
@@ -246,8 +252,8 @@ class ApplicableSet:
 
     @property
     def applicable(self) -> list[Job]:
-        """The applicable jobs in position order."""
-        return sorted((entry[5] for entry in self.ranked), key=_POSITION)
+        """Every applicable job, admitted or not, in position order."""
+        return sorted(self.urgent or [entry[5] for entry in self.ranked], key=_POSITION)
 
 
 def prepare(kind: PolicyKind, ranks: Sequence[int], urgency: Sequence[int],
@@ -259,9 +265,8 @@ def prepare(kind: PolicyKind, ranks: Sequence[int], urgency: Sequence[int],
     """
     if len({job.pos for job in jobs}) != len(jobs):
         raise RuntimeError("priority order is not strict")
-    ranked = sorted((ranks[job.pos], job.r_min, job.r_max, inf, job.pos, job) for job in jobs)
     urgent = sorted(jobs, key=lambda job: urgency[job.pos]) if urgency else []
-    return _with_budget(kind, critical_context(kind, urgent), ranked, urgent)
+    return _with_budget(kind, critical_context(kind, urgent), ranks, jobs, urgent)
 
 
 def make_context(instance: ProblemInstance, kind: PolicyKind, finished: int) -> ApplicableSet:
@@ -275,7 +280,8 @@ def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[in
     """The applicable set once `job` finishes, derived from its parent's.
 
     The task's next job, if any, takes its place in both orders and, while
-    the critical context is the parent's (or there is none), the boundaries.
+    the critical context is the parent's (or there is none), in the entries
+    and boundaries if the budget can admit it; a new context rebuilds them.
     """
     jobs, after = instance.jobs, job.pos + 1
     follow = jobs[after] if after < len(jobs) and jobs[after].task_id == job.task_id else None
@@ -286,19 +292,17 @@ def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[in
         if follow is not None:
             insort(urgent, follow, key=rank)
         crit = critical_context(apps.kind, urgent)
-    ranked = apps.ranked.copy()
-    del ranked[bisect_left(ranked, (ranks[job.pos],))]
-    if follow is not None:
-        last = inf if crit is None else crit.latest_start(follow)
-        insort(ranked, (ranks[after], follow.r_min, follow.r_max, last, after, follow))
-    if crit != apps.crit:
-        return _with_budget(apps.kind, crit, ranked, urgent)
-    boundaries = apps.boundaries.copy()
+    if crit != apps.crit:  # under an idling policy, so `urgent` holds every applicable job
+        return _with_budget(apps.kind, crit, ranks, urgent, urgent)
+    ranked, boundaries = apps.ranked.copy(), apps.boundaries.copy()
+    del ranked[bisect_left(ranked, (ranks[job.pos],))]  # it was dispatched, so admitted
     boundaries.remove(job.r_min)
     boundaries.remove(job.r_max)
     if crit is not None:  # neither job is the critical one
         boundaries.remove(crit.latest_start(job) + 1)
-    if follow is not None:
+    last = inf if crit is None or follow is None else crit.latest_start(follow)
+    if follow is not None and follow.r_min <= last:
+        insort(ranked, (ranks[after], follow.r_min, follow.r_max, last, after, follow))
         insort(boundaries, follow.r_min)
         insort(boundaries, follow.r_max)
         if crit is not None:
@@ -306,16 +310,15 @@ def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[in
     return ApplicableSet(apps.kind, crit, ranked, boundaries, urgent)
 
 
-def _with_budget(kind: PolicyKind, crit: CriticalContext | None,
-                 ranked: list[tuple[int, int, int, float, int, Job]],
-                 urgent: list[Job]) -> ApplicableSet:
-    """Add each entry's latest start `crit.latest_start(job)`, and the
-    boundaries: the release bounds and, under a budget, each `last + 1`, the
-    instant a job stops being admitted. `ranked` may hold a former budget's
-    latest starts.
+def _with_budget(kind: PolicyKind, crit: CriticalContext | None, ranks: Sequence[int],
+                 jobs: Sequence[Job], urgent: list[Job]) -> ApplicableSet:
+    """The set of the applicable `jobs` under `crit`: an entry, with its latest
+    start `crit.latest_start(job)`, for each job the budget can admit
+    (`r_min <= last`), and the boundaries: their release bounds and, under a
+    budget, each `last + 1`, the instant a job stops being admitted.
     """
-    ranked = [(rank, r_min, r_max, inf if crit is None else crit.latest_start(job), pos, job)
-              for rank, r_min, r_max, _, pos, job in ranked]
+    ranked = sorted((ranks[job.pos], job.r_min, job.r_max, last, job.pos, job) for job in jobs
+                    if job.r_min <= (last := inf if crit is None else crit.latest_start(job)))
     boundaries = [entry[1] for entry in ranked]
     boundaries += [entry[2] for entry in ranked]
     boundaries += [entry[3] + 1 for entry in ranked if entry[3] != inf]

@@ -9,8 +9,9 @@ the smallest `priority_key`) and share nothing with the engine's rank order.
 The reference critical context takes the applicable jobs in any order and
 shares nothing with the engine's urgency order.
 The product oracle plays every scenario apart, each up to its first miss in
-a loop of its own with the reference critical context (built once per tuple
-of each task's next job), and is the reference for the engine's
+a loop of its own with the reference critical context (built, with the
+applicable jobs in `priority_key` order, once per tuple of each task's next
+job), and is the reference for the engine's
 prefix-sharing search. The reference simulator derives the
 applicable and released jobs and the critical context afresh at every
 scheduling decision and is the reference for the simulator's kept state.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,21 +96,27 @@ def sample_crowded_instance(rng: random.Random, n_tasks: tuple[int, int] = (4, 6
     misses.
     """
     low, high = n_tasks
+    # `randint(a, b)` and `choice(seq)` draw `a + below(b - a + 1)` and
+    # `seq[below(len(seq))]`; calling `below` directly draws the same stream at
+    # about half the cost, which the rejection loop below pays many times over
+    below = rng._randbelow
     while True:
-        periods = [rng.choice(PERIOD_CHOICES) for _ in range(rng.randint(low, high))]
-        n = len(periods)
+        count = low + below(high - low + 1)
+        periods = [PERIOD_CHOICES[below(len(PERIOD_CHOICES))] for _ in range(count)]
+        n, shortest = len(periods), min(periods)
         drawn = []  # each task's fields after its id, as plain integers
         for period in periods:
-            c_max = rng.randint(1, max(1, min(period // n, min(periods) // 2)))
-            c_min = max(1, c_max - rng.choice((0, 0, 1)))
-            r_span = rng.choice(r_spans)
-            r_min = rng.randint(0, max(0, period - r_span - 1))
+            c_max = 1 + below(max(1, min(period // n, shortest // 2)))
+            c_min = max(1, c_max - (0, 0, 1)[below(3)])
+            r_span = r_spans[below(len(r_spans))]
+            r_min = below(max(0, period - r_span - 1) + 1)
             r_max = r_min + r_span
             if rng.random() < 0.9:
-                deadline = rng.randint(min(period, r_max + c_max), period)
+                d_lo = min(period, r_max + c_max)
+                deadline = d_lo + below(period - d_lo + 1)
             else:
-                deadline = rng.randint(c_max, max(c_max, r_max + c_max))
-            drawn.append((period, r_min, r_max, c_min, c_max, deadline, rng.randint(0, 3)))
+                deadline = c_max + below(max(c_max, r_max + c_max) - c_max + 1)
+            drawn.append((period, r_min, r_max, c_min, c_max, deadline, below(4)))
         hyperperiod = math.lcm(*periods)
         if sum(hyperperiod // period for period in periods) > 40:
             continue  # over 40 jobs: refused before any task is built
@@ -188,16 +195,18 @@ def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
         dims += [range(job.r_min, job.r_max + 1), range(job.c_min, job.c_max + 1)]
     runs = [instance.jobs_by_task[task.id] for task in instance.tasks]
     slot = {task.id: i for i, task in enumerate(instance.tasks)}
-    states: dict[tuple, tuple] = {}  # ptr -> (applicable jobs, critical context)
+    # ptr -> (applicable jobs in `priority_key` order, critical context)
+    states: dict[tuple, tuple] = {}
 
     def state(ptr: tuple) -> tuple:
         if ptr not in states:
             applicable = [run[p] for run, p in zip(runs, ptr) if p < len(run)]
-            states[ptr] = (applicable, reference_critical_context(kind, applicable))
+            states[ptr] = (sorted(applicable, key=kind.priority_key),
+                           reference_critical_context(kind, applicable))
         return states[ptr]
 
-    finish_min: dict[tuple[int, int], int] = {}
-    finish_max: dict[tuple[int, int], int] = {}
+    finish_min: dict[int, int] = {}  # by job position, keyed by job at the end
+    finish_max: dict[int, int] = {}
     first_failure = None
     checked = 0
     for combo in itertools.product(*dims):
@@ -210,17 +219,16 @@ def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
         t = 0
         missed = False
         while applicable:
-            job = pick(t, crit, sorted((j for j in applicable if release[j.pos] <= t),
-                                       key=kind.priority_key))
+            job = pick(t, crit, [j for j in applicable if release[j.pos] <= t])
             if job is None:
                 t = min(release[j.pos] for j in applicable if release[j.pos] > t)
                 continue
-            t += execution[job.pos]
-            key = job.key
-            if key not in finish_min or t < finish_min[key]:
-                finish_min[key] = t
-            if key not in finish_max or t > finish_max[key]:
-                finish_max[key] = t
+            pos = job.pos
+            t += execution[pos]
+            if pos not in finish_min or t < finish_min[pos]:
+                finish_min[pos] = t
+            if pos not in finish_max or t > finish_max[pos]:
+                finish_max[pos] = t
             if t > job.deadline:
                 missed = True
                 break
@@ -237,8 +245,8 @@ def product_oracle(instance, kind, max_scenarios: int = DEFAULT_SCENARIO_CAP,
         schedulable=first_failure is None,
         scenarios_checked=checked,
         scenarios_total=total,
-        finish_min=finish_min,
-        finish_max=finish_max,
+        finish_min={instance.jobs[pos].key: t for pos, t in finish_min.items()},
+        finish_max={instance.jobs[pos].key: t for pos, t in finish_max.items()},
         first_failure=first_failure,
     )
 
@@ -392,6 +400,18 @@ def naive_windows_se(apps, eft, lft):
     return out
 
 
+def unpruned(apps, ranks):
+    """`apps` with an entry and boundaries for every applicable job, the ones
+    its budget can never admit (`r_min > last`) included, rebuilt from the
+    applicable jobs, the critical context and the priority `ranks` alone."""
+    ranked = sorted((ranks[job.pos], job.r_min, job.r_max,
+                     math.inf if apps.crit is None else apps.crit.latest_start(job), job.pos, job)
+                    for job in apps.applicable)
+    boundaries = sorted([entry[1] for entry in ranked] + [entry[2] for entry in ranked]
+                        + [entry[3] + 1 for entry in ranked if entry[3] != math.inf])
+    return replace(apps, ranked=ranked, boundaries=boundaries)
+
+
 def finish_bounds(graph) -> dict[tuple[int, int], tuple[int, int]]:
     """Per-job finish bounds read back from the stored arcs' dispatch windows.
 
@@ -399,8 +419,9 @@ def finish_bounds(graph) -> dict[tuple[int, int], tuple[int, int]]:
     [est + c_min, lst + c_max] over a job's arcs is its exact finish range.
     """
     bounds: dict[int, tuple[int, int]] = {}  # by job position
-    for arc_id in sorted(graph.arcs):
-        arc = graph.arcs[arc_id]
+    arcs = graph.arcs  # each read of the property checks for unbuilt levels
+    for arc_id in sorted(arcs):
+        arc = arcs[arc_id]
         job = graph.instance.jobs[arc.job_pos]
         lo = arc.est + job.c_min
         hi = arc.lst + job.c_max
@@ -414,8 +435,8 @@ def finish_bounds(graph) -> dict[tuple[int, int], tuple[int, int]]:
 
 def level_stats(graph) -> list[tuple[int, int]]:
     """Per stored level: (vertices, in-arcs), recounted from the graph."""
-    return [(len(ids), sum(len(graph.vertices[vid].in_arcs) for vid in ids))
-            for ids in graph.levels]
+    vertices = graph.vertices
+    return [(len(ids), sum(len(vertices[vid].in_arcs) for vid in ids)) for ids in graph.levels]
 
 
 def check_graph(graph, result=None) -> None:
@@ -431,6 +452,7 @@ def check_graph(graph, result=None) -> None:
         assert sum(result.created) == graph.vertices_created - 1
         if not result.bounds_complete:  # the aborting level is recorded as created
             assert result.created[-1] == result.levels[-1][0]
+    vertices, arcs = graph.vertices, graph.arcs  # read once: each read checks for unbuilt levels
     merged_levels = len(graph.levels)
     if result is not None and not result.bounds_complete:
         merged_levels -= 1  # the aborting level is recorded pre-merge
@@ -438,7 +460,7 @@ def check_graph(graph, result=None) -> None:
     for level, ids in enumerate(graph.levels):
         by_mask: dict[int, list[tuple[int, int]]] = {}
         for vid in ids:
-            vertex = graph.vertices[vid]
+            vertex = vertices[vid]
             assert vid not in seen
             seen.add(vid)
             assert vertex.level == level
@@ -450,16 +472,16 @@ def check_graph(graph, result=None) -> None:
                 intervals.sort()
                 for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
                     assert lo > hi, "same finished set with overlapping intervals"
-    assert seen == set(graph.vertices)
+    assert seen == set(vertices)
     assert graph.levels[0] == [graph.root]
-    root = graph.vertices[graph.root]
+    root = vertices[graph.root]
     assert root.interval == (0, 0) and root.finished == 0
 
     pairs = set()
     per_label = {}
-    for arc in graph.arcs.values():
-        src = graph.vertices[arc.src]
-        dst = graph.vertices[arc.dst]
+    for arc in arcs.values():
+        src = vertices[arc.src]
+        dst = vertices[arc.dst]
         job = graph.instance.jobs[arc.job_pos]
         pos = arc.job_pos
         assert job.pos == pos
@@ -477,11 +499,11 @@ def check_graph(graph, result=None) -> None:
             assert key not in per_label, "work-conserving job dispatched twice from one vertex"
             per_label[key] = arc
             assert arc.est == max(src.eft, job.r_min)
-    for vertex in graph.vertices.values():
+    for vertex in vertices.values():
         for aid in vertex.in_arcs:
-            assert graph.arcs[aid].dst == vertex.id
+            assert arcs[aid].dst == vertex.id
         for aid in vertex.out_arcs:
-            assert graph.arcs[aid].src == vertex.id
+            assert arcs[aid].src == vertex.id
 
 
 def check_trace(instance, kind, release, trace) -> None:

@@ -478,15 +478,42 @@ class TestBench:
         assert code == 0
         assert strip_timing(serial) == strip_timing(parallel)
 
-    SUMMARY = re.compile(r"line (\d+) (\S+) (me|se): (\d+) schedulable, (\d+) non-schedulable, "
-                         r"(\d+) stuck; median (\S+) vertices created \(schedulable rows\)")
+    COUNTS = re.compile(r"(me|se) (\d+) schedulable, (\d+) non-schedulable, (\d+) stuck")
+    PAIRS = re.compile(r"(\d+) paired seeds")
+    RATIOS = re.compile(r"median me/se (\d+\.\d{3}) vertices, (\d+\.\d{3}) wall_ms")
 
     def summary(self, err):
-        """The stderr summary, in order: (line, policy, mode) -> (schedulable,
-        non-schedulable, stuck, median)."""
-        matches = [self.SUMMARY.fullmatch(line) for line in err.splitlines()]
-        assert all(matches), err
-        return {(int(m[1]), m[2], m[3]): (int(m[4]), int(m[5]), int(m[6]), m[7]) for m in matches}
+        """The stderr summary, in order: (line, policy) -> each mode's
+        (schedulable, non-schedulable, stuck), the number of paired seeds and,
+        when there are any, the median me/se ratios of vertices and wall_ms."""
+        out = {}
+        for text in err.splitlines():
+            head = re.fullmatch(r"line (\d+) (\S+): (.*)", text)
+            assert head, err
+            parts = head[3].split("; ")
+            ratios = self.RATIOS.fullmatch(parts.pop()) if parts[-1].startswith("median") else None
+            *counts, pairs = parts
+            entry = {m[1]: (int(m[2]), int(m[3]), int(m[4]))
+                     for m in (self.COUNTS.fullmatch(part) for part in counts)}
+            assert len(entry) == len(counts), text
+            entry["pairs"] = int(self.PAIRS.fullmatch(pairs)[1])
+            entry["ratios"] = ratios and ratios.groups()
+            assert bool(entry["pairs"]) is bool(entry["ratios"]), text
+            out[int(head[1]), head[2]] = entry
+        return out
+
+    @staticmethod
+    def paired_ratios(rows):
+        """The median per-seed me/se ratios of vertices and wall_ms over the
+        seeds both modes find schedulable, as the summary prints them."""
+        pairs = [(me, se) for me, se in zip(rows[::2], rows[1::2])
+                 if me["verdict"] == se["verdict"] == "schedulable"]
+        assert all((me["mode"], se["mode"]) == ("me", "se") for me, se in pairs)
+        if not pairs:
+            return len(pairs), None
+        return len(pairs), tuple(
+            f"{statistics.median(float(me[c]) / float(se[c]) for me, se in pairs):.3f}"
+            for c in ("vertices", "wall_ms"))
 
     def test_summary_per_line_policy_and_mode(self, capsys, tmp_path):
         spec = tmp_path / "bench.txt"
@@ -499,25 +526,28 @@ class TestBench:
         serial = capsys.readouterr()
         summary = self.summary(serial.err)
         policies = ["edf", "fp-edf", "p-fp-edf", "cp", "cw"]
-        assert list(summary) == [(line, policy, mode) for line in (2, 4)
-                                 for policy in policies for mode in ("me", "se")]
+        assert list(summary) == [(line, policy) for line in (2, 4) for policy in policies]
         rows = list(csv.DictReader(io.StringIO(serial.out)))
         blocks = {2: rows[:20], 4: rows[20:]}  # 2 seeds x 5 policies x 2 modes each
-        for (line, policy, mode), (ok, missed, stuck, median) in summary.items():
-            assert ok + missed + stuck == 2
-            group = [row for row in blocks[line] if (row["policy"], row["mode"]) == (policy, mode)]
-            counts = [int(row["vertices"]) for row in group if row["verdict"] == "schedulable"]
-            assert ok == len(counts)
-            # a non-schedulable row stopped at its first miss and stays out of the median
-            if counts:
-                assert float(median) == statistics.median(counts)
-            else:
-                assert median == "-"
+        for (line, policy), entry in summary.items():
+            group = [row for row in blocks[line] if row["policy"] == policy]
+            for mode in ("me", "se"):
+                ok, missed, stuck = entry[mode]
+                assert ok + missed + stuck == 2
+                verdicts = [row["verdict"] for row in group if row["mode"] == mode]
+                assert (ok, missed, stuck) == tuple(map(verdicts.count, (
+                    "schedulable", "non-schedulable", "stuck")))
+            # a non-schedulable row stopped at its first miss and pairs with nothing
+            assert (entry["pairs"], entry["ratios"]) == self.paired_ratios(group)
             # the paper's dominance claim: se schedulable implies me schedulable
-            assert ok <= summary[line, policy, "me"][0]
+            assert entry["se"][0] <= entry["me"][0]
         assert main(["bench", str(spec), "--jobs", "2"]) == 0
         parallel = capsys.readouterr()
-        assert parallel.err == serial.err
+
+        def untimed(err):
+            return re.sub(r"[\d.]+ wall_ms", "wall_ms", err)
+
+        assert untimed(parallel.err) == untimed(serial.err)
         assert strip_timing(parallel.out) == strip_timing(serial.out)
 
     def test_stuck_rows_count_as_stuck_and_leave_the_median(self, capsys, tmp_path,
@@ -539,14 +569,14 @@ class TestBench:
         captured = capsys.readouterr()
         rows = list(csv.DictReader(io.StringIO(captured.out)))
         summary = self.summary(captured.err)
-        verdicts = {key: value[:3] for key, value in summary.items()}
-        assert sum(verdicts[1, "edf", "se"]) == 3 and verdicts[1, "edf", "se"][2] == 1
-        assert verdicts[1, "edf", "me"][2] == 0 and verdicts[2, "edf", "se"] == (0, 0, 1)
-        se_rows = rows[3:6:2]  # seeds 1 and 2 under se
-        se_counts = [int(row["vertices"]) for row in se_rows if row["verdict"] == "schedulable"]
-        assert rows[1]["verdict"] == "stuck" and summary[1, "edf", "se"][3] != "-"
-        assert float(summary[1, "edf", "se"][3]) == statistics.median(se_counts)
-        assert summary[2, "edf", "se"][3] == "-"
+        assert list(summary) == [(1, "edf"), (2, "edf")]
+        assert sum(summary[1, "edf"]["se"]) == 3 and summary[1, "edf"]["se"][2] == 1
+        assert summary[1, "edf"]["me"][2] == 0
+        assert summary[2, "edf"] == {"se": (0, 0, 1), "pairs": 0, "ratios": None}
+        # seed 0 is stuck under se, so only seeds 1 and 2 can pair
+        assert rows[1]["verdict"] == "stuck" and summary[1, "edf"]["pairs"] == 2
+        assert (summary[1, "edf"]["pairs"], summary[1, "edf"]["ratios"]) == \
+            self.paired_ratios(rows[2:6])
 
     def test_shipped_util_sweep_spec_parses(self):
         # the utilization sweep: both modes under every policy, no analysis run here

@@ -28,7 +28,8 @@ from schedgraph.policy import CriticalContext, critical_context
 from support import (ALL_POLICIES, ANOMALY, EDF_JITTER, MANY_TASKS, SE_STUCK_SCHEDULABLE,
                      check_graph, exploration_bound, mask, naive_windows_me, naive_windows_se,
                      reference_certainly_eligible, reference_critical_context,
-                     reference_possibly_eligible, sample_crowded_instance, sample_instance)
+                     reference_possibly_eligible, sample_crowded_instance, sample_instance,
+                     unpruned)
 
 CROWDED_DRAWS = 300
 CROWDED_SEED_BASE = 90_000
@@ -842,24 +843,32 @@ def built_sets(monkeypatch):
     return sets
 
 
-def check_ranked_entries(instance, kind, sets) -> int:
-    """Assert that each `ranked` entry copies its own job's fields; the number
-    of entries with a budget's latest start."""
-    ranks, budgeted = priority_ranks(instance, kind), 0
+def check_ranked_entries(instance, kind, sets) -> tuple[int, int]:
+    """Assert that each set's `ranked` holds exactly the applicable jobs that
+    its budget can admit (`r_min <= latest start`), in rank order, each entry
+    copying its own job's fields, and that `boundaries` are those entries'
+    release bounds and `last + 1`; the number of entries with a budget's
+    latest start, and of applicable jobs left out."""
+    ranks, budgeted, dropped = priority_ranks(instance, kind), 0, 0
     for apps in sets:
         crit = reference_critical_context(kind, apps.applicable)
-        for rank, r_min, r_max, last, pos, job in apps.ranked:
-            assert rank == ranks[job.pos]
-            assert (r_min, r_max, pos) == (job.r_min, job.r_max, job.pos)
-            assert last == (inf if crit is None or crit.pos == job.pos else crit.time - job.c_max)
-            budgeted += last != inf
-    return budgeted
+        entries = [(ranks[job.pos], job.r_min, job.r_max,
+                    inf if crit is None or crit.pos == job.pos else crit.time - job.c_max, job.pos, job)
+                   for job in apps.applicable]
+        kept = sorted(entry for entry in entries if entry[1] <= entry[3])
+        assert apps.ranked == kept
+        assert apps.boundaries == sorted([e[1] for e in kept] + [e[2] for e in kept]
+                                         + [e[3] + 1 for e in kept if e[3] != inf])
+        budgeted += sum(entry[3] != inf for entry in kept)
+        dropped += len(entries) - len(kept)
+    return budgeted, dropped
 
 
 class TestRankedEntries:
-    """Each `ranked` entry's copied fields match its job, on every set built
-    along a graph; comparing derived to scratch sets cannot catch a wrong copy
-    that both make."""
+    """Each `ranked` entry's copied fields match its job, and the entries are
+    exactly the jobs the budget can admit, on every set built along a graph;
+    comparing derived to scratch sets cannot catch a wrong copy or a wrong
+    pruning rule that both make."""
 
     @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
     def test_bundled_instances(self, built_sets, kind):
@@ -872,18 +881,73 @@ class TestRankedEntries:
                 except AnalysisStuck:
                     pass
                 assert len(built_sets) > 1
-                budgeted = check_ranked_entries(instance, kind, built_sets)
-                assert not kind.work_conserving or budgeted == 0
+                budgeted, dropped = check_ranked_entries(instance, kind, built_sets)
+                assert not kind.work_conserving or budgeted == dropped == 0
 
     @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
     def test_crowded_draws(self, built_sets, crowded_instances, kind):
-        budgeted = 0
+        budgeted = dropped = 0
         for instance in crowded_instances:
             del built_sets[:]
             generate(instance, kind, ME)
             assert len(built_sets) > 1
-            budgeted += check_ranked_entries(instance, kind, built_sets)
-        assert (budgeted == 0) is kind.work_conserving
+            counts = check_ranked_entries(instance, kind, built_sets)
+            budgeted += counts[0]
+            dropped += counts[1]
+        assert (budgeted == 0) is (dropped == 0) is kind.work_conserving
+
+
+class TestPruning:
+    """Under a budget a set keeps only the jobs it can admit: a job with
+    `r_min > last` is never certainly (`r_max <= t <= last`) nor possibly
+    (`r_min <= t <= last`) eligible, so leaving it and its boundaries out
+    changes no window, stop bound or stuck verdict."""
+
+    @pytest.mark.parametrize("kind", [PolicyKind.CP, PolicyKind.CW], ids=lambda kind: kind.value)
+    def test_bundled_root_keeps_only_the_job_it_can_admit(self, idle4, kind):
+        # J2,1 is critical with budget 8 - 8 = 0; every other job is released after its
+        # latest start 0 - c_max
+        apps = make_context(idle4, kind, 0)
+        assert (apps.crit.pos, apps.crit.time) == (idle4.job((2, 1)).pos, 0)
+        assert [job.label for job in apps.applicable] == ["J1,1", "J2,1", "J3,1", "J4,1"]
+        assert [entry[5].label for entry in apps.ranked] == ["J2,1"]
+        assert apps.boundaries == [0, 0]
+        full = unpruned(apps, priority_ranks(idle4, kind))
+        assert len(full.ranked) == 4 and len(full.boundaries) == 11
+        for mode in (ME, SE):
+            assert expansion_windows(apps, 0, 0, mode) == expansion_windows(full, 0, 0, mode) \
+                == [(idle4.job((2, 1)), 0, 0)]
+
+    @pytest.mark.parametrize("mode", [ME, SE])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), crowded=st.booleans(),
+           kind=st.sampled_from([kind for kind in ALL_POLICIES if not kind.work_conserving]))
+    def test_pruned_sweep_equals_unpruned_and_naive_sweeps(self, mode, seed, crowded, kind):
+        instance = (sample_crowded_instance if crowded else sample_instance)(random.Random(seed))
+        try:
+            graph, _ = generate(instance, kind, ME)
+        except AnalysisStuck:
+            return
+        ranks = priority_ranks(instance, kind)
+
+        def outcome(sweep, *args):
+            try:
+                return sweep(*args)
+            except AnalysisStuck:
+                return "stuck"
+
+        pruned_sets = 0
+        for vertex in graph.vertices.values():
+            apps = make_context(instance, kind, vertex.finished)
+            full = unpruned(apps, ranks)
+            if len(full.ranked) == len(apps.ranked):
+                continue  # nothing left out: the same set
+            pruned_sets += 1
+            eft, lft = vertex.eft, vertex.lft
+            naive = outcome(naive_windows_me if mode == ME else naive_windows_se, full, eft, lft)
+            assert outcome(expansion_windows, apps, eft, lft, mode) == \
+                outcome(expansion_windows, full, eft, lft, mode) == naive, vertex
+        note(f"{pruned_sets} pruned sets")
 
 
 class TestIncrementalCost:
