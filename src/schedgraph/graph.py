@@ -67,8 +67,10 @@ counts as eligible, certainly or possibly, at later probes; the shared set
 is never changed, and the same boundary times are probed.
 
 A level is merged before it is recorded: expansion yields plain successor
-candidates, and the merge records the survivors as frontier tuples
-`(finished, eft, id, lft)` and the kept arcs as one flat `array('Q')`; a
+candidates, each filed under its finished set as it is made, and the merge
+takes each set apart, so only candidates that share a set are ever sorted or
+compared. It records the survivors as frontier tuples `(finished, eft, id,
+lft)` and the kept arcs, set by set, as one flat `array('Q')`; a
 merged-away id is only counted. A successor's interval at creation is
 exactly [est + c_min, lst + c_max] of its window, so it is folded into its
 job's finish bound and checked against the deadline right there. `Vertex`
@@ -96,6 +98,7 @@ SE = "se"
 MODES = (ME, SE)
 _POSITION = attrgetter("pos")
 _ID = attrgetter("id")
+_EFT = itemgetter(1)  # a candidate's earliest finish time
 _VID = itemgetter(2)  # a frontier tuple's or a candidate's vertex id
 
 
@@ -371,7 +374,8 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
     max(probe, lft). The boundaries are walked by index from the first one
     above eft, so only the probes actually made are read. In `se` mode the
     jobs whose runs have ended are dropped from the sweep's own copy of
-    `apps` before the next probe.
+    `apps` before the next probe. Without a budget a job has one range, from
+    its release on, so a run that opens anywhere else raises RuntimeError.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -381,6 +385,7 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
     i, n = bisect_right(boundaries, eft), len(boundaries)  # the next probe's index
     open_runs: dict[int, tuple[Job, int]] = {}  # position -> (job, est)
     out: list[tuple[Job, int, int]] = []
+    free = apps.crit is None  # no budget, so each job's one range starts at its release
     t = eft
     while True:
         ce = certainly_eligible(apps, t)
@@ -396,6 +401,10 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
                 out.append((job, est, t - 1))
         for job in eligible:
             if job.pos not in open_runs:
+                if free and t != (job.r_min if job.r_min > eft else eft):
+                    raise RuntimeError("work conserving job re-eligibility"
+                                       if any(w[0].pos == job.pos for w in out) else
+                                       "work conserving range must start at release")
                 open_runs[job.pos] = (job, t)
         if i == n or ce is not None and boundaries[i] > lft:  # the last segment reached lft
             break
@@ -408,15 +417,6 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
         raise AnalysisStuck(f"no certainly eligible job exists at or after t={lft}")
     bound = max(t, lft)
     out += [(job, est, bound) for job, est in open_runs.values()]
-    if apps.crit is None:  # no budget, so each job's one range starts at its release
-        seen: set[int] = set()
-        for job, est, _ in out:
-            pos, r_min = job.pos, job.r_min
-            if pos in seen:
-                raise RuntimeError("work conserving job re-eligibility")
-            if est != (r_min if r_min > eft else eft):
-                raise RuntimeError("work conserving range must start at release")
-            seen.add(pos)
     return out
 
 
@@ -439,53 +439,54 @@ def expand(graph: ScheduleGraph, vertex: tuple, job: Job, est: int, lst: int) ->
     return (vertex[0] | 1 << job.pos, eft, vid, lft, vertex[2], job.pos, est, lst)
 
 
-def merge_phase(graph: ScheduleGraph, candidates: list[tuple]) -> list[tuple]:
+def merge_phase(graph: ScheduleGraph, groups: dict[int, list[tuple]]) -> list[tuple]:
     """Merge one level's candidates and record it; the survivors' frontier tuples in id order.
 
-    Candidates with equal finished sets and overlapping intervals merge into
-    one vertex with the smallest id and the interval hull. Its in-arcs are
-    its own arc, then the others in (eft, id) order; a second arc from one
-    source folds its dispatch window into the first, which keeps finish
-    bounds exact and the graph simple. A merged-away id is counted in
-    `vertices_created` but never recorded. Sorts `candidates` in place.
+    `groups` files the level's candidates under their finished set, each set's
+    in creation order, which is id order. Within a set, candidates with
+    overlapping intervals merge into one vertex with the smallest id and the
+    interval hull. Its in-arcs are its own arc, then the others in (eft, id)
+    order; a second arc from one source folds its dispatch window into the
+    first, which keeps finish bounds exact and the graph simple. A
+    merged-away id is counted in `vertices_created` but never recorded. The
+    arcs are recorded set by set. Sorts each set of several in place.
     """
-    if min(map(_VID, candidates), default=graph.first_unrecorded) < graph.first_unrecorded:
-        raise RuntimeError("merge phase ran after expansion of the level")
-    graph.first_unrecorded = graph.vertices_created
-    candidates.sort()  # by (finished, eft, id)
     survivors: list[tuple] = []
     arcs = array("Q")
-    i, n = 0, len(candidates)
-    while i < n:
-        finished, eft, vid, lft, src, job_pos, est, lst = candidates[i]
-        j = i + 1
-        while j < n:
-            other = candidates[j]
-            if other[0] != finished or other[1] > lft:
-                break
-            if other[3] > lft:
-                lft = other[3]
-            j += 1
-        if j == i + 1:  # a group of one: nothing to merge
-            survivors.append((finished, eft, vid, lft))
-            arcs.fromlist([vid - 1, src, vid, job_pos, est, lst])  # `extend` is slow on a tuple
-        else:
-            group = candidates[i:j]
-            ids = [*map(_VID, group)]
-            keep_id = min(ids)
-            group.insert(0, group.pop(ids.index(keep_id)))  # its own arc first, then (eft, id)
-            at: dict[int, int] = {}  # by source: where its arc starts in `arcs`
-            for _, _, vid, _, src, job_pos, est, lst in group:
-                k = at.get(src)
-                if k is None:
-                    at[src] = len(arcs)
-                    arcs.fromlist([vid - 1, src, keep_id, job_pos, est, lst])
-                elif arcs[k + 3] != job_pos:
-                    raise RuntimeError("arcs between one pair of vertices dispatch different jobs")
-                else:
-                    arcs[k + 4], arcs[k + 5] = min(arcs[k + 4], est), max(arcs[k + 5], lst)
-            survivors.append((finished, eft, keep_id, lft))
-        i = j
+    for group in groups.values():
+        if group[0][2] < graph.first_unrecorded:  # the set's smallest id
+            raise RuntimeError("merge phase ran after expansion of the level")
+        i, n = 0, len(group)
+        if n > 1:
+            group.sort(key=_EFT)  # stable, so by (eft, id)
+        while i < n:
+            finished, eft, vid, lft, src, job_pos, est, lst = group[i]
+            j = i + 1
+            while j < n and group[j][1] <= lft:
+                if group[j][3] > lft:
+                    lft = group[j][3]
+                j += 1
+            if j == i + 1:  # a run of one: nothing to merge
+                survivors.append((finished, eft, vid, lft))
+                arcs.fromlist([vid - 1, src, vid, job_pos, est, lst])  # `extend` is slow on a tuple
+            else:
+                run = group[i:j]
+                ids = [*map(_VID, run)]
+                keep_id = min(ids)
+                run.insert(0, run.pop(ids.index(keep_id)))  # its own arc first, then (eft, id)
+                at: dict[int, int] = {}  # by source: where its arc starts in `arcs`
+                for _, _, vid, _, src, job_pos, est, lst in run:
+                    k = at.get(src)
+                    if k is None:
+                        at[src] = len(arcs)
+                        arcs.fromlist([vid - 1, src, keep_id, job_pos, est, lst])
+                    elif arcs[k + 3] != job_pos:
+                        raise RuntimeError("arcs between one pair of vertices dispatch different jobs")
+                    else:
+                        arcs[k + 4], arcs[k + 5] = min(arcs[k + 4], est), max(arcs[k + 5], lst)
+                survivors.append((finished, eft, keep_id, lft))
+            i = j
+    graph.first_unrecorded = graph.vertices_created
     survivors.sort(key=_VID)
     graph.recorded.append((survivors, arcs))
     return survivors
@@ -567,10 +568,10 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
     build identical graphs.
 
     Only the root's applicable jobs are computed from its finished set. The
-    first successor created with a finished set derives that set's
-    applicable set from its parent's; it is kept, keyed by finished set,
-    for the next level alone, and dropped once the last vertex that has it
-    is expanded.
+    first successor created with a finished set opens that set's group of
+    candidates for `merge_phase` and derives its applicable set from its
+    parent's; the set is kept, keyed by finished set, for the next level
+    alone, and dropped once the last vertex that has it is expanded.
 
     The cyclic garbage collector is paused for the call and left as it was
     found: generation makes no reference cycles, so reference counting
@@ -602,6 +603,7 @@ def _generate(instance: ProblemInstance, kind: PolicyKind, mode: str,
     for _ in instance.jobs:  # one level per job
         candidates = []
         derived: dict[int, ApplicableSet] = {}  # the same, for the next level
+        groups: dict[int, list[tuple]] = {}  # finished set -> its candidates, in id order
         last_user = {vertex[0]: vertex for vertex in frontier}
         for vertex in frontier:
             apps = applicable[vertex[0]]
@@ -615,8 +617,11 @@ def _generate(instance: ProblemInstance, kind: PolicyKind, mode: str,
                 successor = expand(graph, vertex, job, est, lst)
                 candidates.append(successor)
                 finished, eft, lft = successor[0], successor[1], successor[3]
-                if finished not in derived:
+                group = groups.get(finished)
+                if group is None:
+                    groups[finished] = group = []
                     derived[finished] = derive(instance, ranks, urgency, apps, job)
+                group.append(successor)
                 bound = bounds.get(job.pos)
                 if bound is None:
                     bounds[job.pos] = (eft, lft)
@@ -627,7 +632,7 @@ def _generate(instance: ProblemInstance, kind: PolicyKind, mode: str,
         applicable = derived
         created.append(len(candidates))
         aborted = bool(misses) and not exhaustive_misses
-        frontier = _record_unmerged(graph, candidates) if aborted else merge_phase(graph, candidates)
+        frontier = _record_unmerged(graph, candidates) if aborted else merge_phase(graph, groups)
         if aborted:
             break
     result = AnalysisResult(
@@ -651,15 +656,16 @@ def export_dot(graph: ScheduleGraph, result: AnalysisResult | None = None) -> st
     """Render the graph as a DOT digraph; the miss witness is highlighted red."""
     witness_vertex = result.witness.vertex if result is not None and result.witness else None
     lines = ["digraph schedule {", "  rankdir=TB;", "  node [shape=ellipse];"]
-    for vid in sorted(graph.vertices):
-        vertex = graph.vertices[vid]
+    vertices, arcs = graph.vertices, graph.arcs  # each read checks for unbuilt levels
+    for vid in sorted(vertices):
+        vertex = vertices[vid]
         attrs = [f'label="v{vid}: [{vertex.eft},{vertex.lft}]"']
         if vid == witness_vertex:
             attrs.append("color=red")
             attrs.append("penwidth=2")
         lines.append(f"  v{vid} [{', '.join(attrs)}];")
-    for arc_id in sorted(graph.arcs):
-        arc = graph.arcs[arc_id]
+    for arc_id in sorted(arcs):
+        arc = arcs[arc_id]
         attrs = [f'label="{graph.instance.jobs[arc.job_pos].label}"']
         if arc.dst == witness_vertex:
             attrs.append("color=red")

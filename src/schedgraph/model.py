@@ -108,28 +108,27 @@ def expand_jobs(tasks: Iterable[Task], horizon: int) -> tuple[Job, ...]:
         raise InstanceError(f"{sum(counts)} jobs over the observation interval exceed "
                             f"the cap of {MAX_JOBS}")
     jobs: list[Job] = []
+    latest = total = 0
     for task, count in zip(tasks, counts):
-        for j in range(1, count + 1):
-            offset = (j - 1) * task.period
-            job = Job(
-                task_id=task.id,
-                index=j,
-                r_min=task.r_min + offset,
-                r_max=task.r_max + offset,
-                c_min=task.c_min,
-                c_max=task.c_max,
-                deadline=task.deadline + offset,
-                priority=task.priority,
-                pos=len(jobs),
-            )
-            # the task's own checks bound both from below; only the offset can overflow
-            if job.r_max > U64_MAX:
-                _check_range(f"{job.label}: r_max", job.r_max, 0)
-            if job.deadline > U64_MAX:
-                _check_range(f"{job.label}: deadline", job.deadline, 1)
-            jobs.append(job)
-    latest = max((max(job.r_max, job.deadline) for job in jobs), default=0)
-    total = latest + sum(job.c_max for job in jobs)
+        if not count:
+            continue
+        tid, period, r_min, r_max, c_min, c_max, deadline, priority = (
+            task.id, task.period, task.r_min, task.r_max, task.c_min, task.c_max, task.deadline,
+            task.priority)
+        # the task's own checks bound both from below; only the offset can overflow, first
+        # at index (U64_MAX - bound) // period + 2, and r_max is named first on a tie
+        r_over, d_over = (U64_MAX - r_max) // period + 2, (U64_MAX - deadline) // period + 2
+        if r_over <= count or d_over <= count:
+            index, name, bound = (r_over, "r_max", r_max) if r_over <= d_over else \
+                (d_over, "deadline", deadline)
+            _check_range(f"J{tid},{index}: {name}", bound + (index - 1) * period, 0)
+        base = len(jobs) - 1
+        jobs += [Job(tid, index, r_min + offset, r_max + offset, c_min, c_max, deadline + offset,
+                     priority, base + index)
+                 for index, offset in enumerate(range(0, count * period, period), 1)]
+        latest = max(latest, max(r_max, deadline) + (count - 1) * period)
+        total += count * c_max
+    total += latest
     if total > U64_MAX:
         raise InstanceError(f"latest release or deadline plus every c_max, {total}, "
                             "exceeds the unsigned 64-bit range")

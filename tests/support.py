@@ -15,6 +15,8 @@ job), and is the reference for the engine's
 prefix-sharing search. The reference simulator derives the
 applicable and released jobs and the critical context afresh at every
 scheduling decision and is the reference for the simulator's kept state.
+The reference merge sorts a whole level at once by (finished, eft, id) and
+is the reference for `merge_phase`, which merges each finished set apart.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from pathlib import Path
 from schedgraph import (AnalysisStuck, ExecutionScenario, InstanceError, PolicyKind,
                         ScenarioCapExceeded, Task, make_instance, scenario_count)
 from schedgraph.generator import UTILIZATION_TOLERANCE
+from schedgraph.graph import merge_phase
 from schedgraph.oracle import DEFAULT_SCENARIO_CAP, OracleReport, SimulationTrace
 from schedgraph.policy import CriticalContext, pick
 
@@ -410,6 +413,50 @@ def unpruned(apps, ranks):
     boundaries = sorted([entry[1] for entry in ranked] + [entry[2] for entry in ranked]
                         + [entry[3] + 1 for entry in ranked if entry[3] != math.inf])
     return replace(apps, ranked=ranked, boundaries=boundaries)
+
+
+def merge(graph, candidates):
+    """Merge one level's candidates, given in any order, through `merge_phase`,
+    filed as `generate` files them: under their finished set, in id order."""
+    groups: dict[int, list[tuple]] = {}
+    for candidate in sorted(candidates, key=lambda candidate: candidate[2]):
+        groups.setdefault(candidate[0], []).append(candidate)
+    return merge_phase(graph, groups)
+
+
+def reference_merge(candidates) -> tuple[list[tuple], list[tuple]]:
+    """One level's merge by a single sort of all its candidates by (finished,
+    eft, id): the survivors' frontier tuples in id order and the kept arcs'
+    `(id, src, dst, job_pos, est, lst)` in in-arc order.
+
+    A run of one finished set whose intervals overlap merges into its
+    smallest id with the interval hull; its own arc comes first, then the
+    others in (eft, id) order, and a second arc from one source folds its
+    window into the first.
+    """
+    candidates = sorted(candidates)
+    survivors, arcs = [], []
+    i = 0
+    while i < len(candidates):
+        finished, eft, _, lft = candidates[i][:4]
+        j = i + 1
+        while j < len(candidates) and candidates[j][0] == finished and candidates[j][1] <= lft:
+            lft = max(lft, candidates[j][3])
+            j += 1
+        run = candidates[i:j]
+        keep = min(run, key=lambda candidate: candidate[2])
+        at: dict[int, int] = {}  # by source: its arc's index in `arcs`
+        for _, _, vid, _, src, job_pos, est, lst in [keep] + [c for c in run if c is not keep]:
+            if src not in at:
+                at[src] = len(arcs)
+                arcs.append((vid - 1, src, keep[2], job_pos, est, lst))
+            else:
+                first = arcs[at[src]]
+                assert first[3] == job_pos, "arcs between one pair of vertices dispatch different jobs"
+                arcs[at[src]] = first[:4] + (min(first[4], est), max(first[5], lst))
+        survivors.append((finished, eft, keep[2], lft))
+        i = j
+    return sorted(survivors, key=lambda survivor: survivor[2]), arcs
 
 
 def finish_bounds(graph) -> dict[tuple[int, int], tuple[int, int]]:

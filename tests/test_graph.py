@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import os
 import random
 import subprocess
@@ -26,10 +27,10 @@ from schedgraph.graph import (ScheduleGraph, applicable_jobs, certainly_eligible
 from schedgraph.model import Job
 from schedgraph.policy import CriticalContext, critical_context
 from support import (ALL_POLICIES, ANOMALY, EDF_JITTER, MANY_TASKS, SE_STUCK_SCHEDULABLE,
-                     check_graph, exploration_bound, mask, naive_windows_me, naive_windows_se,
-                     reference_certainly_eligible, reference_critical_context,
-                     reference_possibly_eligible, sample_crowded_instance, sample_instance,
-                     unpruned)
+                     check_graph, exploration_bound, mask, merge, naive_windows_me,
+                     naive_windows_se, reference_certainly_eligible, reference_critical_context,
+                     reference_merge, reference_possibly_eligible, sample_crowded_instance,
+                     sample_instance, unpruned)
 
 CROWDED_DRAWS = 300
 CROWDED_SEED_BASE = 90_000
@@ -66,7 +67,7 @@ def successors(graph, vertex, apps):
 
 def store(graph, candidate):
     """Merge a level of one candidate into the graph; the recorded frontier tuple."""
-    [vertex] = merge_phase(graph, [candidate])
+    [vertex] = merge(graph, [candidate])
     return vertex
 
 
@@ -333,7 +334,7 @@ class TestMergePhase:
         a = expand(graph, top(graph), jitter3.job((2, 1)), 0, 0)
         b = expand(graph, top(graph), jitter3.job((2, 1)), 3, 3)
         assert (span(a), span(b)) == ((1, 1), (4, 4))  # a gap between the two intervals
-        assert merge_phase(graph, [b, a]) == [a[:4], b[:4]]
+        assert merge(graph, [b, a]) == [a[:4], b[:4]]
         assert [graph.vertices[c[2]].interval for c in (a, b)] == [(1, 1), (4, 4)]
 
     def test_merge_takes_interval_hull_and_redirects_arcs(self, jitter3):
@@ -351,7 +352,7 @@ class TestMergePhase:
         root = graph.vertices[graph.root]  # read before the merge, still current after it
         a = expand(graph, top(graph), jitter3.job((1, 1)), 0, 1)  # interval [1, 3]
         b = expand(graph, top(graph), jitter3.job((1, 1)), 2, 3)  # interval [3, 5]
-        assert [vertex[2] for vertex in merge_phase(graph, [a, b])] == [a[2]]
+        assert [vertex[2] for vertex in merge(graph, [a, b])] == [a[2]]
         assert b[2] not in graph.vertices  # merged away, counted, never stored
         assert graph.vertices_created == 3 and graph.arcs_created == 2
         survivor = graph.vertices[a[2]]
@@ -360,6 +361,86 @@ class TestMergePhase:
         assert len(root.out_arcs) == 1
         kept = graph.arcs[survivor.in_arcs[0]]
         assert (kept.est, kept.lst) == (0, 3)
+
+    def test_a_stale_candidate_first_in_its_set_is_refused(self, jitter3):
+        # the guard reads each set's first id, which is its smallest
+        graph = ScheduleGraph(jitter3, PolicyKind.EDF)
+        stale = expand(graph, top(graph), jitter3.job((2, 1)), 0, 0)
+        merge(graph, [stale])
+        fresh = expand(graph, top(graph), jitter3.job((2, 1)), 0, 0)
+        assert stale[0] == fresh[0]
+        with pytest.raises(RuntimeError, match="merge phase ran after expansion of the level"):
+            merge(graph, [stale, fresh])
+
+
+MERGE_CONTRACT_DRAWS = 60
+# draws whose merges fold a duplicate arc, with the verdict under their policy
+FOLDING_DRAWS = [(GenSpec(4, 0.5, 1.0, 1.0, (10, 20, 40), 36), PolicyKind.CW, True),
+                 (GenSpec(4, 0.6, 0.5, 1.0, (10, 20, 40), 14), PolicyKind.CP, False),
+                 (GenSpec(4, 0.6, 0.5, 1.0, (10, 20, 40), 246), PolicyKind.CP, False)]
+
+
+class TestPerSetMerge:
+    """`generate` files each level's candidates under their finished set and
+    `merge_phase` merges each set apart; at every level that must give the
+    survivors, kept arcs, folded windows and in-arc order of one sort of the
+    whole level (`reference_merge`)."""
+
+    @staticmethod
+    def in_arcs(arcs) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {}
+        for arc in arcs:
+            out.setdefault(arc[2], []).append(arc[0])
+        return out
+
+    def checked_merge(self, tally):
+        def merge_level(graph, groups):
+            for finished, group in groups.items():
+                assert {c[0] for c in group} == {finished}
+                assert [c[2] for c in group] == sorted(c[2] for c in group)
+            survivors, arcs = reference_merge([c for group in groups.values() for c in group])
+            assert merge_phase(graph, groups) == survivors
+            kept = [*zip(*[iter(graph.recorded[-1][1])] * 6)]
+            assert sorted(kept) == sorted(arcs)  # by id, folded windows included
+            assert self.in_arcs(kept) == self.in_arcs(arcs)
+            created = sum(map(len, groups.values()))
+            tally["levels"] += 1
+            tally["merged"] += len(survivors) < created
+            tally["folded"] += len(arcs) < created
+            return survivors
+        return merge_level
+
+    def run(self, monkeypatch, runs):
+        tally = dict.fromkeys(("levels", "merged", "folded"), 0)
+        monkeypatch.setattr(schedgraph.graph, "merge_phase", self.checked_merge(tally))
+        for instance, kinds in runs:
+            for kind in kinds:
+                for mode in (ME, SE):
+                    try:
+                        generate(instance, kind, mode)
+                    except AnalysisStuck:
+                        pass
+        return tally
+
+    def test_sampled_draws(self, monkeypatch):
+        draws = [sample_instance(random.Random(seed)) for seed in range(MERGE_CONTRACT_DRAWS)]
+        tally = self.run(monkeypatch, [(instance, ALL_POLICIES) for instance in draws])
+        assert tally["merged"] > 0, tally
+
+    def test_crowded_draws(self, monkeypatch, crowded_instances):
+        runs = [(instance, ALL_POLICIES) for instance in crowded_instances[:MERGE_CONTRACT_DRAWS]]
+        tally = self.run(monkeypatch, runs)
+        assert tally["merged"] > 0, tally
+
+    def test_many_task_draws(self, monkeypatch, many_task_instances):
+        runs = [(instance, ALL_POLICIES) for instance in many_task_instances[:MERGE_CONTRACT_DRAWS]]
+        tally = self.run(monkeypatch, runs)
+        assert tally["merged"] > 0, tally
+
+    def test_draws_that_fold_arcs(self, monkeypatch):
+        tally = self.run(monkeypatch, [(generate_instance(spec), [kind])
+                                       for spec, kind, _ in FOLDING_DRAWS])
+        assert tally["folded"] > 0, tally
 
 
 @pytest.fixture
@@ -422,7 +503,7 @@ class TestGraphOnRead:
         assert graph.vertices.keys() == {graph.root} and graph.arcs == {}
         apps = make_context(anomaly, PolicyKind.EDF, 0)
         candidates = successors(graph, top(graph), apps)
-        level = merge_phase(graph, candidates)
+        level = merge(graph, candidates)
         assert len(graph.recorded[1][1]) == 6 * len(candidates)
         assert graph.vertices.keys() == {graph.root, *(vertex[2] for vertex in level)}
         assert len(graph.arcs) == len(graph.vertices[graph.root].out_arcs) == len(candidates)
@@ -1058,11 +1139,8 @@ class TestDifferential:
             assert not single.schedulable or verdict, instance.tasks
         assert 0 < schedulable < len(many_task_instances)
 
-    @pytest.mark.parametrize("spec, kind, schedulable", [
-        (GenSpec(4, 0.5, 1.0, 1.0, (10, 20, 40), 36), PolicyKind.CW, True),
-        (GenSpec(4, 0.6, 0.5, 1.0, (10, 20, 40), 14), PolicyKind.CP, False),
-        (GenSpec(4, 0.6, 0.5, 1.0, (10, 20, 40), 246), PolicyKind.CP, False),
-    ], ids=["cw-36", "cp-14", "cp-246"])
+    @pytest.mark.parametrize("spec, kind, schedulable", FOLDING_DRAWS,
+                             ids=["cw-36", "cp-14", "cp-246"])
     def test_folded_arcs_agree(self, spec, kind, schedulable):
         # the crowded draws never fold a duplicate arc in merge_phase; these do
         instance = generate_instance(spec)
@@ -1179,6 +1257,17 @@ class TestDotExport:
         second = export_dot(*generate(anomaly, PolicyKind.EDF, ME))
         assert first == second
 
+    def test_output_is_pinned_byte_for_byte(self, monkeypatch, idle4):
+        # cw misses on this instance, so the witness is highlighted too
+        graph, result = generate(idle4, PolicyKind.CW, ME)
+        builds = []
+        build = ScheduleGraph._build
+        monkeypatch.setattr(ScheduleGraph, "_build", lambda self: builds.append(1) or build(self))
+        dot = export_dot(graph, result)
+        assert len(builds) == 2  # one read of `vertices` and one of `arcs`
+        assert hashlib.sha256(dot.encode()).hexdigest() == \
+            "d9c138c314ebc5cafe239df56b5ba2819ac97976f396c22cbef48e16b1209463"
+
 
 class TestStuckGuard:
     def test_engine_rejects_unknown_mode(self, jitter3):
@@ -1193,27 +1282,34 @@ class TestStuckGuard:
             expansion_windows(apps, 8, 8, "both")
 
 
+def script_env() -> dict:
+    """The environment of a script run apart: the package and the tests' support on its path."""
+    src = Path(schedgraph.graph.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+
+
 # Each case corrupts the engine's state in one way; the check must still fire
 # when assert statements are stripped.
 CORRUPTED_CASES = textwrap.dedent("""
     import dataclasses
     import sys
     from schedgraph import ME, PolicyKind, Task, generate, make_instance, parse_instance
-    from schedgraph.graph import ScheduleGraph, expand, merge_phase, prepare, priority_ranks
+    from schedgraph.graph import ScheduleGraph, expand, prepare, priority_ranks
+    from support import merge
     assert False, "assert statements must be stripped"
     instance = parse_instance(open(sys.argv[1]).read())
     graph = ScheduleGraph(instance, PolicyKind.EDF)
     [root] = graph.recorded[0][0]
     job = instance.job((2, 1))
     first = expand(graph, root, job, 0, 0)
-    [done] = merge_phase(graph, [first])
+    [done] = merge(graph, [first])
 
     def twice():  # one job twice in the applicable set
         prepare(PolicyKind.EDF, priority_ranks(instance, PolicyKind.EDF), [], (job, job))
 
     def merged_after_expansion():  # a candidate of a level already recorded
         expand(graph, done, instance.job((1, 1)), 1, 1)
-        merge_phase(graph, [first])
+        merge(graph, [first])
 
     def generator_breaks_its_deadline_rule():
         import schedgraph.generator as generator
@@ -1248,10 +1344,8 @@ CORRUPTED_CASES = textwrap.dedent("""
 def test_invariant_checks_survive_optimize_flag(tmp_path):
     script = tmp_path / "corrupt.py"
     script.write_text(CORRUPTED_CASES, encoding="utf-8")
-    src = str(Path(schedgraph.graph.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
     instance = Path(__file__).resolve().parent.parent / "instances" / "edf_jitter.txt"
-    out = subprocess.run([sys.executable, "-O", str(script), str(instance)], env=env,
+    out = subprocess.run([sys.executable, "-O", str(script), str(instance)], env=script_env(),
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == [
         "vertex interval [3, 2] is empty",
@@ -1261,3 +1355,37 @@ def test_invariant_checks_survive_optimize_flag(tmp_path):
         "generated task 1 breaks r_max + c_max <= deadline <= period",
         "work conserving range must start at release",
     ]
+
+
+# J1,1 may be released over [0, 10] and outranks J2,1 (released over [2, 4]) by
+# its deadline, so the root's sweep probes 0, 2 and 4; the corruption hides
+# J1,1 at the second probe only, so it is eligible, then not, then again.
+REELIGIBLE_CASE = textwrap.dedent("""
+    import schedgraph.graph as engine
+    from schedgraph import ME, PolicyKind, Task, generate, make_instance
+    instance = make_instance([Task(1, 20, 0, 10, 1, 1, 12), Task(2, 20, 2, 4, 1, 1, 19)])
+    possible, probes = engine._outranking_possible, []
+
+    def flicker(apps, t, ce):
+        probes.append(t)
+        found = possible(apps, t, ce)
+        return [job for job in found if job.pos != 0] if len(probes) == 2 else found
+
+    engine._outranking_possible = flicker
+    try:
+        generate(instance, PolicyKind.EDF, ME)
+    except RuntimeError as exc:
+        print(exc)
+    else:
+        print("no error")
+    print(probes)
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_work_conserving_job_eligible_again_is_refused(tmp_path, flags):
+    script = tmp_path / "reeligible.py"
+    script.write_text(REELIGIBLE_CASE, encoding="utf-8")
+    out = subprocess.run([sys.executable, *flags, str(script)], env=script_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["work conserving job re-eligibility", "[0, 2, 4]"]

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from schedgraph import (ExecutionScenario, InstanceError, Task, make_instance,
                         parse_instance, parse_scenario, write_instance)
-from schedgraph.model import MAX_JOBS, U64_MAX, expand_jobs, hyperperiod, validate_scenario
+from schedgraph.model import (MAX_JOBS, U64_MAX, expand_jobs, hyperperiod, job_count,
+                              validate_scenario)
 from support import INSTANCE_DIR, utilization
 
 tasks_strategy = st.lists(
@@ -77,6 +78,35 @@ class TestExpandJobs:
         task = Task(1, 2**63, 0, r_max, 1, 1, deadline)
         with pytest.raises(InstanceError, match=f"J1,2: {field}={2**64} exceeds the unsigned 64-bit range"):
             expand_jobs([task], 2**63 + 1)
+
+    @staticmethod
+    def first_overflow(tasks, horizon) -> str | None:
+        """The message of the first job, in (task, index) order, with a field past 2**64 - 1,
+        found job by job with r_max checked before deadline."""
+        for task in sorted(tasks, key=lambda task: task.id):
+            for index in range(1, job_count(task, horizon) + 1):
+                offset = (index - 1) * task.period
+                for name, bound in (("r_max", task.r_max), ("deadline", task.deadline)):
+                    if bound + offset > U64_MAX:
+                        return (f"J{task.id},{index}: {name}={bound + offset} "
+                                "exceeds the unsigned 64-bit range")
+        return None
+
+    @pytest.mark.parametrize("r_max, deadline, named", [
+        (2**62, 3 * 2**62, "J2,2: deadline"),  # r_max first overflows at job 4
+        (3 * 2**62, 2**62, "J2,2: r_max"),  # deadline first overflows at job 4
+        (3 * 2**62, 3 * 2**62, "J2,2: r_max"),  # both at job 2
+        (2**62 + 2, 2**62 + 1, "J2,4: r_max"),  # both at job 4
+        (2**62, 2**63, "J2,3: deadline"),
+        (2**63, 2**62, "J2,3: r_max"),
+    ])
+    def test_first_overflowing_job_is_named_as_job_by_job(self, r_max, deadline, named):
+        tasks = [Task(2, 2**62, 0, r_max, 1, 1, deadline), Task(1, 2**62, 0, 0, 1, 1, 1)]
+        expected = self.first_overflow(tasks, U64_MAX)
+        assert expected.startswith(f"{named}=")
+        with pytest.raises(InstanceError) as raised:
+            expand_jobs(tasks, U64_MAX)
+        assert str(raised.value) == expected
 
     @given(tasks=tasks_strategy, horizon=st.integers(1, 60))
     def test_spans_are_period_invariant_and_sorted(self, tasks, horizon):
