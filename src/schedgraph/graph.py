@@ -28,13 +28,13 @@ admit (`r_min <= last`) in rank order as tuples `(rank, r_min, r_max, last,
 pos, job)`, `last` being the job's `CriticalContext.latest_start` (inf
 without a budget), so a probe compares plain integers and loads no `Job`
 attribute; a job released after its latest start is never eligible, so it
-and its boundary times are left out. Only the root's applicable jobs are
+is left out. Only the root's applicable jobs are
 computed from its finished set. A successor's applicable set is derived
 from its parent's: the dispatched job's slot goes to its task's next job,
 or is dropped when the task is done, in both orders. The critical context,
 a job position and a time, is read off the urgency order; while it is the
-parent's, or there is none, only the two jobs' entries and boundary times
-change, else the set is rebuilt from all applicable jobs, so a job left out
+parent's, or there is none, only the two jobs' entries change, else the
+set is rebuilt from all applicable jobs, so a job left out
 returns under a budget that admits it. Each set serves every vertex that
 has it, for one level only, and nothing changes it. `ApplicableSet`, the
 only eligibility state, is all that `certainly_eligible(apps, t)` and
@@ -42,21 +42,23 @@ only eligibility state, is all that `certainly_eligible(apps, t)` and
 mode)` adds the vertex's interval. `make_context` builds the same set from
 scratch for any finished set.
 
-One sweep serves both generation modes. It probes eft and every boundary
-time above it (a release bound, or the instant a job stops respecting the
-budget), walking the set's sorted boundaries by index from the first one
-above eft, so a vertex reads only the few it probes; eligibility is
-constant from one probe to the next. At each probe the certainly eligible
-job, the first admitted one in rank order, is computed once, and only the jobs
-ranked above it are filtered for possible eligibility. Each job's eligible
+One sweep serves both generation modes. It probes eft and then the next
+event that can change its choice: a release bound, or the instant a job
+stops respecting the budget (`last + 1`), of a job ranked above the
+certainly eligible one, or that job's own `last + 1`. A job ranked below the
+certain choice is not eligible while that choice stays admitted, and a job
+past its latest start never is again, so their events are skipped and
+eligibility is constant from one probe to the next. At each probe the
+certainly eligible job, the first admitted one in rank order, is computed
+once, and only the jobs ranked above it are read. Each job's eligible
 times form maximal integer ranges; each range becomes one new vertex. The
-sweep stops at the first probe that has a certainly eligible job and
-whose constant segment reaches lft: by max(probe, lft) the processor has
-certainly started something, so later times cannot begin the next
-dispatch, and every open range closes there. Without a critical budget
-a job gets at most one range, from its release on; under a budget the
-check can cut a range and re-open it later, so one vertex may carry
-several arcs with the same job label.
+sweep stops at the first probe that has a certainly eligible job and whose
+next event lies beyond lft: by max(probe, lft) the processor has certainly
+started something, so later times cannot begin the next dispatch, and
+every open range closes there. Without a critical budget a job gets at most
+one range, from its release on; under a budget the check can cut a range
+and re-open it later, so one vertex may carry several arcs with the same
+job label.
 
 The two generation modes differ only in what the sweep forgets. The
 default, multiple eligibility ("me"), expands every range. Single
@@ -64,7 +66,7 @@ eligibility ("se") reproduces the older behaviour of letting each job
 become eligible at most once per vertex: when a job's range ends, the sweep
 drops the job from its own copy of the applicable set, so it no longer
 counts as eligible, certainly or possibly, at later probes; the shared set
-is never changed, and the same boundary times are probed.
+is never changed.
 
 A level is merged before it is recorded: expansion yields plain successor
 candidates, each filed under its finished set as it is made, and the merge
@@ -84,7 +86,7 @@ from __future__ import annotations
 import gc
 import time
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from math import inf
 from operator import attrgetter, itemgetter
@@ -242,15 +244,12 @@ class ApplicableSet:
     critical job, whose `last` is inf, always gets one. The sweep reads the
     copied fields, so a probe loads no `Job` attribute. Ranks are distinct,
     so the entries sort by rank alone. `urgent` lists every job of an idling
-    policy by urgency. `boundaries` is the sorted multiset of the entries'
-    release bounds and, under a budget, the instants they stop being
-    admitted (`last + 1`). Nothing changes later.
+    policy by urgency. Nothing changes later.
     """
 
     kind: PolicyKind
     crit: CriticalContext | None
     ranked: list[tuple[int, int, int, float, int, Job]]
-    boundaries: list[int]
     urgent: list[Job]
 
     @property
@@ -284,7 +283,7 @@ def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[in
 
     The task's next job, if any, takes its place in both orders and, while
     the critical context is the parent's (or there is none), in the entries
-    and boundaries if the budget can admit it; a new context rebuilds them.
+    if the budget can admit it; a new context rebuilds them.
     """
     jobs, after = instance.jobs, job.pos + 1
     follow = jobs[after] if after < len(jobs) and jobs[after].task_id == job.task_id else None
@@ -297,36 +296,22 @@ def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[in
         crit = critical_context(apps.kind, urgent)
     if crit != apps.crit:  # under an idling policy, so `urgent` holds every applicable job
         return _with_budget(apps.kind, crit, ranks, urgent, urgent)
-    ranked, boundaries = apps.ranked.copy(), apps.boundaries.copy()
+    ranked = apps.ranked.copy()
     del ranked[bisect_left(ranked, (ranks[job.pos],))]  # it was dispatched, so admitted
-    boundaries.remove(job.r_min)
-    boundaries.remove(job.r_max)
-    if crit is not None:  # neither job is the critical one
-        boundaries.remove(crit.latest_start(job) + 1)
     last = inf if crit is None or follow is None else crit.latest_start(follow)
     if follow is not None and follow.r_min <= last:
         insort(ranked, (ranks[after], follow.r_min, follow.r_max, last, after, follow))
-        insort(boundaries, follow.r_min)
-        insort(boundaries, follow.r_max)
-        if crit is not None:
-            insort(boundaries, last + 1)
-    return ApplicableSet(apps.kind, crit, ranked, boundaries, urgent)
+    return ApplicableSet(apps.kind, crit, ranked, urgent)
 
 
 def _with_budget(kind: PolicyKind, crit: CriticalContext | None, ranks: Sequence[int],
                  jobs: Sequence[Job], urgent: list[Job]) -> ApplicableSet:
     """The set of the applicable `jobs` under `crit`: an entry, with its latest
     start `crit.latest_start(job)`, for each job the budget can admit
-    (`r_min <= last`), and the boundaries: their release bounds and, under a
-    budget, each `last + 1`, the instant a job stops being admitted.
-    """
+    (`r_min <= last`), in rank order."""
     ranked = sorted((ranks[job.pos], job.r_min, job.r_max, last, job.pos, job) for job in jobs
                     if job.r_min <= (last := inf if crit is None else crit.latest_start(job)))
-    boundaries = [entry[1] for entry in ranked]
-    boundaries += [entry[2] for entry in ranked]
-    boundaries += [entry[3] + 1 for entry in ranked if entry[3] != inf]
-    boundaries.sort()
-    return ApplicableSet(kind, crit, ranked, boundaries, urgent)
+    return ApplicableSet(kind, crit, ranked, urgent)
 
 
 # --- eligibility ----------------------------------------------------------------
@@ -343,22 +328,36 @@ def certainly_eligible(apps: ApplicableSet, t: int) -> Job | None:
     return None
 
 
-def _outranking_possible(apps: ApplicableSet, t: int, ce: Job | None) -> list[Job]:
-    """The possibly eligible jobs among those ranked above `ce`, in position order."""
-    out = []
+def _outranking_possible(apps: ApplicableSet, t: int,
+                         ce: Job | None) -> tuple[list[Job], float]:
+    """The possibly eligible jobs among those ranked above `ce`, in position
+    order, and the next event after t that can change the choice (inf if
+    none): `ce`'s `last + 1`, or a job's above it, its `r_min` before it may
+    be released, then its `r_max` or `last + 1`, none once past `last`."""
+    out, after = [], inf
     for _, r_min, r_max, last, _, job in apps.ranked:
         if job is ce:
+            if last + 1 < after:
+                after = last + 1
             break
-        if r_min <= t < r_max and t <= last:
-            out.append(job)
+        if t < r_min:
+            event = r_min
+        elif t <= last:
+            if t < r_max:
+                out.append(job)
+            event = r_max if t < r_max <= last else last + 1
+        else:
+            continue
+        if event < after:
+            after = event
     if len(out) > 1:
         out.sort(key=_POSITION)
-    return out
+    return out, after
 
 
 def possibly_eligible(apps: ApplicableSet, t: int) -> list[Job]:
     """Possibly released, budget-respecting jobs outranking the certain choice at t."""
-    return _outranking_possible(apps, t, certainly_eligible(apps, t))
+    return _outranking_possible(apps, t, certainly_eligible(apps, t))[0]
 
 
 # --- expansion sweep ----------------------------------------------------------
@@ -367,29 +366,26 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
                       mode: str) -> list[tuple[Job, int, int]]:
     """Dispatch windows (job, est, lst) of a vertex with interval [eft, lft], in creation order.
 
-    Probes eft and every distinct boundary time above it; between two
-    probes nothing can change, so the result matches a per-integer-time
-    sweep exactly. The sweep stops at the first probe with a certain choice
-    whose constant segment reaches lft, and closes every open run at
-    max(probe, lft). The boundaries are walked by index from the first one
-    above eft, so only the probes actually made are read. In `se` mode the
-    jobs whose runs have ended are dropped from the sweep's own copy of
-    `apps` before the next probe. Without a budget a job has one range, from
-    its release on, so a run that opens anywhere else raises RuntimeError.
+    Probes eft and then each next event that `_outranking_possible` names;
+    eligibility is constant in between, so the result matches a
+    per-integer-time sweep exactly. The sweep stops at the first probe with
+    a certain choice whose next event lies beyond lft, or with no next event,
+    and closes every open run at max(probe, lft). In `se` mode the jobs whose
+    runs have ended are dropped from the sweep's own copy of `apps` before
+    the next probe. Without a budget a job has one range, from its release
+    on, so a run that opens anywhere else raises RuntimeError.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if not apps.ranked:
         return []
-    boundaries = apps.boundaries
-    i, n = bisect_right(boundaries, eft), len(boundaries)  # the next probe's index
     open_runs: dict[int, tuple[Job, int]] = {}  # position -> (job, est)
     out: list[tuple[Job, int, int]] = []
     free = apps.crit is None  # no budget, so each job's one range starts at its release
     t = eft
     while True:
         ce = certainly_eligible(apps, t)
-        eligible = _outranking_possible(apps, t, ce)
+        eligible, after = _outranking_possible(apps, t, ce)
         if ce is not None:
             eligible.insert(0, ce)
         ended = ()
@@ -406,13 +402,12 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
                                        if any(w[0].pos == job.pos for w in out) else
                                        "work conserving range must start at release")
                 open_runs[job.pos] = (job, t)
-        if i == n or ce is not None and boundaries[i] > lft:  # the last segment reached lft
+        if after == inf or ce is not None and after > lft:  # the last segment reached lft
             break
         if ended and mode == SE:  # `apps` is shared by every vertex with this finished set
             apps = ApplicableSet(apps.kind, apps.crit, [e for e in apps.ranked if e[4] not in ended],
-                                 apps.boundaries, apps.urgent)
-        t = boundaries[i]
-        i = bisect_right(boundaries, t, i + 1)  # boundaries repeat when jobs share a bound
+                                 apps.urgent)
+        t = after
     if ce is None:
         raise AnalysisStuck(f"no certainly eligible job exists at or after t={lft}")
     bound = max(t, lft)

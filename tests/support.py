@@ -1,8 +1,11 @@
 """Shared helpers: instance samplers, reference implementations, invariant checks.
 
 The naive sweeps probe every integer time point and serve as the independent
-reference for the boundary-time sweep inside the engine; the me sweep's
+reference for the event sweep inside the engine; the me sweep's
 exploration bound is computed here too, apart from the engine's stop rule.
+The boundary sweep probes every release bound and budget expiry of every
+entry, as the engine once did, and is the reference for which times the
+event sweep may skip.
 They decide eligibility by the pointwise reference functions below, which
 are written from the definition (release bounds, the critical budget and
 the smallest `priority_key`) and share nothing with the engine's rank order.
@@ -403,16 +406,54 @@ def naive_windows_se(apps, eft, lft):
     return out
 
 
+def reference_boundary_windows(apps, eft, lft, mode, probes=None):
+    """The windows of a vertex with interval [eft, lft] by the boundary sweep.
+
+    It probes eft and every distinct boundary time above it: each entry's
+    release bounds and, under a budget, its `last + 1`. It stops at the first
+    probe with a certain choice whose next boundary lies beyond lft, and
+    closes every open run at max(probe, lft). In `se` mode a job whose run
+    has ended counts as gone from the next probe on. Each probed time is
+    appended to `probes` when given.
+    """
+    if not apps.ranked:
+        return []
+    times = [eft] + sorted({bound for entry in apps.ranked for bound in
+                            (entry[1], entry[2], entry[3] + 1) if eft < bound != math.inf})
+    gone, open_runs, out = set(), {}, []
+    for i, t in enumerate(times):
+        if probes is not None:
+            probes.append(t)
+        live = [entry for entry in apps.ranked if entry[4] not in gone]
+        ce = next((entry for entry in live if entry[2] <= t <= entry[3]), None)
+        above = live if ce is None else live[:live.index(ce)]
+        eligible = ([] if ce is None else [ce[5]]) + sorted(
+            (entry[5] for entry in above if entry[1] <= t < entry[2] and t <= entry[3]),
+            key=lambda job: job.pos)
+        ended = [pos for pos in open_runs if pos not in {job.pos for job in eligible}]
+        for pos in ended:
+            job, est = open_runs.pop(pos)
+            out.append((job, est, t - 1))
+        if mode == "se":
+            gone.update(ended)
+        for job in eligible:
+            open_runs.setdefault(job.pos, (job, t))
+        if i + 1 == len(times) or ce is not None and times[i + 1] > lft:
+            break
+    if ce is None:
+        raise AnalysisStuck(f"no certainly eligible job exists at or after t={lft}")
+    bound = max(t, lft)
+    return out + [(job, est, bound) for job, est in open_runs.values()]
+
+
 def unpruned(apps, ranks):
-    """`apps` with an entry and boundaries for every applicable job, the ones
-    its budget can never admit (`r_min > last`) included, rebuilt from the
-    applicable jobs, the critical context and the priority `ranks` alone."""
+    """`apps` with an entry for every applicable job, the ones its budget can
+    never admit (`r_min > last`) included, rebuilt from the applicable jobs,
+    the critical context and the priority `ranks` alone."""
     ranked = sorted((ranks[job.pos], job.r_min, job.r_max,
                      math.inf if apps.crit is None else apps.crit.latest_start(job), job.pos, job)
                     for job in apps.applicable)
-    boundaries = sorted([entry[1] for entry in ranked] + [entry[2] for entry in ranked]
-                        + [entry[3] + 1 for entry in ranked if entry[3] != math.inf])
-    return replace(apps, ranked=ranked, boundaries=boundaries)
+    return replace(apps, ranked=ranked)
 
 
 def merge(graph, candidates):

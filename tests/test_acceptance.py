@@ -128,7 +128,7 @@ def test_criterion_4_exactness_fuzz(fuzz_corpus):
 
 
 def test_criterion_5_sweep_equivalence():
-    with reported("5 boundary sweep equals naive sweep"):
+    with reported("5 event sweep equals naive sweep"):
         checked = 0
         seed = 0
         while checked < SWEEP_STATES:

@@ -29,13 +29,14 @@ from schedgraph.policy import CriticalContext, critical_context
 from support import (ALL_POLICIES, ANOMALY, EDF_JITTER, MANY_TASKS, SE_STUCK_SCHEDULABLE,
                      check_graph, exploration_bound, mask, merge, naive_windows_me,
                      naive_windows_se, reference_certainly_eligible, reference_critical_context,
-                     reference_merge, reference_possibly_eligible, sample_crowded_instance,
-                     sample_instance, unpruned)
+                     reference_boundary_windows, reference_merge, reference_possibly_eligible,
+                     sample_crowded_instance, sample_instance, unpruned)
 
 CROWDED_DRAWS = 300
 CROWDED_SEED_BASE = 90_000
 MANY_TASK_DRAWS = 400
 MANY_TASK_SEED_BASE = 95_000
+EVENT_SWEEP_DRAWS = 10
 DIFFERENTIAL_MAX_SCENARIOS = 10**6
 
 
@@ -217,54 +218,113 @@ class TestRanges:
 
     def test_single_eligibility_forgets_in_its_own_copy(self, idle4):
         apps = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]))
-        ranked, boundaries = apps.ranked.copy(), apps.boundaries.copy()
+        before = dataclasses.replace(apps, ranked=apps.ranked.copy(), urgent=apps.urgent.copy())
 
         def windows(mode):
             return [(j.label, est, lst) for j, est, lst in expansion_windows(apps, 1, 8, mode)]
 
         assert windows(SE) == [("J3,1", 1, 2), ("J4,1", 3, 6), ("J1,1", 10, 10)]
-        assert (apps.ranked, apps.boundaries) == (ranked, boundaries)
+        assert apps == before
         assert windows(ME) == [("J3,1", 1, 2), ("J4,1", 3, 6), ("J3,1", 7, 8)]
 
 
+def events(entry) -> tuple:
+    """An entry's event times: its release bounds and, under a budget, the
+    instant it stops being admitted (`last + 1`)."""
+    _, r_min, r_max, last, _, _ = entry
+    return (r_min, r_max) if last == inf else (r_min, r_max, last + 1)
+
+
+def recorded(run) -> list[list]:
+    """Every sweep made while `run()` runs, up to a stuck one, as [apps, eft,
+    lft, its windows or "stuck", its probes as (time, the set it read, its
+    certain choice)]."""
+    made, engine = [], schedgraph.graph
+    sweep, certain = engine.expansion_windows, engine.certainly_eligible
+
+    def recording_sweep(apps, eft, lft, mode):
+        made.append([apps, eft, lft, "stuck", []])
+        made[-1][3] = sweep(apps, eft, lft, mode)
+        return made[-1][3]
+
+    def recording_probe(apps, t):
+        made[-1][4].append((t, apps, certain(apps, t)))
+        return made[-1][4][-1][2]
+
+    engine.expansion_windows, engine.certainly_eligible = recording_sweep, recording_probe
+    try:
+        run()
+    except AnalysisStuck:
+        pass
+    finally:
+        engine.expansion_windows, engine.certainly_eligible = sweep, certain
+    return made
+
+
+def probed(apps, eft, lft, mode):
+    """One sweep's windows, or "stuck", and its probes."""
+    [(_, _, _, windows, calls)] = recorded(
+        lambda: schedgraph.graph.expansion_windows(apps, eft, lft, mode))
+    return windows, calls
+
+
+def sweeps(instance, kind, mode) -> list[list]:
+    """Every sweep that `generate` makes, through its misses."""
+    return recorded(lambda: generate(instance, kind, mode, exhaustive_misses=True))
+
+
+def next_event(apps, t, ce) -> float:
+    """The first event after t of a job at or above `ce` (of any job when it
+    is None) that is not past its latest start; inf if there is none."""
+    upto = len(apps.ranked) if ce is None else \
+        next(i for i, entry in enumerate(apps.ranked) if entry[5] is ce) + 1
+    return min((e for entry in apps.ranked[:upto] if t <= entry[3]
+                for e in events(entry) if e > t), default=inf)
+
+
+def assert_probe_rule(apps, eft, lft, calls) -> int:
+    """Assert that a sweep of `apps` over [eft, lft] made the probes `calls`
+    by the rule of `TestProbeCount`; their number."""
+    times = [t for t, _, _ in calls]
+    assert times[:1] == ([eft] if apps.ranked else []), f"eft was not probed first: {times}"
+    assert len(times) == len(set(times)), f"a time was probed twice: {times}"
+    for (t, seen, ce), following in zip(calls, [*times[1:], None]):
+        after = next_event(seen, t, ce)
+        stops = after == inf or ce is not None and after > lft
+        assert (following is None) is stops, (times, t, after)
+        assert following is None or following == after, (times, t, after)
+    return len(times)
+
+
 class TestProbeCount:
-    """The sweep evaluates the certain choice once per probed time."""
-
-    @staticmethod
-    def probed_times(monkeypatch, apps, eft, lft, mode):
-        calls = []
-        original = schedgraph.graph.certainly_eligible
-
-        def counting(apps, t, *args):
-            calls.append(t)
-            return original(apps, t, *args)
-
-        monkeypatch.setattr(schedgraph.graph, "certainly_eligible", counting)
-        try:
-            expansion_windows(apps, eft, lft, mode)
-        finally:
-            monkeypatch.undo()
-        return calls
-
-    def assert_once_per_probe(self, monkeypatch, apps, eft, lft, mode):
-        calls = self.probed_times(monkeypatch, apps, eft, lft, mode)
-        boundaries = {eft} | set(apps.boundaries)
-        assert calls, "the sweep probed nothing"
-        assert len(calls) == len(set(calls)), f"a time was probed twice: {calls}"
-        assert set(calls) <= boundaries
+    """The sweep evaluates the certain choice once per probed time. After eft
+    it probes the first event after the last probe of a job at or above that
+    probe's certain choice (of any job when there was none) that is not past
+    its latest start, and stops when there is none, or when there was a
+    choice and the event lies beyond lft. `TestEventSweep` checks the rule
+    on sampled, crowded and many-task draws."""
 
     @pytest.mark.parametrize("mode", [ME, SE])
-    def test_idle_vertex(self, monkeypatch, idle4, mode):
+    def test_idle_vertex(self, idle4, mode):
         apps = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]))
-        self.assert_once_per_probe(monkeypatch, apps, 1, 8, mode)
+        # me probes 1, 3 and 7; se also 10, where J1,1 is left once the others are dropped
+        assert assert_probe_rule(apps, 1, 8, probed(apps, 1, 8, mode)[1]) == {ME: 3, SE: 4}[mode]
 
     @pytest.mark.parametrize("mode", [ME, SE])
-    def test_every_jitter_vertex(self, monkeypatch, jitter3, mode):
+    def test_every_jitter_vertex(self, jitter3, mode):
         graph, _ = generate(jitter3, PolicyKind.EDF, mode)
         for vertex in graph.vertices.values():
             apps = make_context(jitter3, PolicyKind.EDF, vertex.finished)
-            if apps.ranked:
-                self.assert_once_per_probe(monkeypatch, apps, vertex.eft, vertex.lft, mode)
+            assert_probe_rule(apps, vertex.eft, vertex.lft,
+                              probed(apps, vertex.eft, vertex.lft, mode)[1])
+
+    @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
+    def test_every_sweep_of_the_bundled_instances(self, kind):
+        for path in sorted(SE_STUCK_SCHEDULABLE.parent.glob("*.txt")):
+            instance = parse_instance(path.read_text(encoding="utf-8"))
+            for mode in (ME, SE):
+                for apps, eft, lft, _, calls in sweeps(instance, kind, mode):
+                    assert_probe_rule(apps, eft, lft, calls)
 
 
 class TestExpand:
@@ -773,7 +833,7 @@ class TestSingleEligibilityStuck:
 class TestSweepEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 5000), kind=st.sampled_from(ALL_POLICIES))
-    def test_boundary_sweep_matches_naive_sweep(self, seed, kind):
+    def test_event_sweep_matches_naive_sweep(self, seed, kind):
         rng = random.Random(seed)
         instance = sample_instance(rng)
         graph, _ = generate(instance, kind, ME)
@@ -807,6 +867,53 @@ class TestSweepEquivalence:
             assert fast == naive_windows_se(apps, vertex.eft, vertex.lft)
 
 
+def check_event_sweeps(instance, kind, mode):
+    """Assert that every sweep `generate` makes keeps the probe rule, has the
+    boundary sweep's windows, or is stuck where it is, and probes only times
+    that the boundary sweep probes."""
+    for apps, eft, lft, windows, calls in sweeps(instance, kind, mode):
+        times = []
+        try:
+            expected = reference_boundary_windows(apps, eft, lft, mode, times)
+        except AnalysisStuck:
+            expected = "stuck"
+        assert windows == expected, (eft, lft, apps.ranked)
+        assert {t for t, _, _ in calls} <= set(times), (eft, lft, apps.ranked)
+        assert_probe_rule(apps, eft, lft, calls)
+
+
+class TestEventSweep:
+    """The event sweep against the boundary sweep it replaced, which probes
+    every release bound and budget expiry of every entry above eft: the same
+    windows and stuck verdicts, with a subset of its probes."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 5000), kind=st.sampled_from(ALL_POLICIES),
+           mode=st.sampled_from([ME, SE]))
+    def test_sampled_draws(self, seed, kind, mode):
+        check_event_sweeps(sample_instance(random.Random(seed)), kind, mode)
+
+    @pytest.mark.parametrize("draws", ["crowded_instances", "many_task_instances"])
+    @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
+    def test_crowded_and_many_task_draws(self, request, draws, kind):
+        for instance in request.getfixturevalue(draws)[:EVENT_SWEEP_DRAWS]:
+            for mode in (ME, SE):
+                check_event_sweeps(instance, kind, mode)
+
+    def test_release_ranked_below_the_certain_choice_is_skipped(self, idle4):
+        # at v1 under edf J3,1 is certain from 1 on, and J4,1, released at 3,
+        # ranks below it; J1,1's release at 10 lies beyond lft
+        graph, _ = generate(idle4, PolicyKind.EDF, ME)
+        vertex = graph.vertices[1]
+        assert vertex.interval == (1, 8)
+        apps = make_context(idle4, PolicyKind.EDF, vertex.finished)
+        times = []
+        expected = reference_boundary_windows(apps, 1, 8, ME, times)
+        windows, calls = probed(apps, 1, 8, ME)
+        assert windows == expected == [(idle4.job((3, 1)), 1, 8)]
+        assert times == [1, 3] and [t for t, _, _ in calls] == [1]
+
+
 class TestIncrementalState:
     """What generate derives from each parent equals what make_context builds from scratch."""
 
@@ -825,9 +932,9 @@ class TestIncrementalState:
             assert apps.kind is scratch.kind is kind
             assert apps.applicable == scratch.applicable
             assert apps.crit == scratch.crit
-            assert apps.boundaries == scratch.boundaries
             assert apps.ranked == scratch.ranked
             assert apps.urgent == scratch.urgent
+            assert apps == scratch  # every field, one added later included
 
         finished_of = {}  # id -> (set, its finished set); holding the set keeps its id unused
         original = schedgraph.graph.derive
@@ -854,7 +961,7 @@ class TestIncrementalState:
         assert finished_of or stuck == 0  # only a stuck root derives no set
 
     def test_derive_rebuilds_exactly_when_the_critical_context_changes(self, monkeypatch):
-        """`derive` rebuilds latest starts and boundaries (`_with_budget`) for a
+        """`derive` rebuilds latest starts and entries (`_with_budget`) for a
         child whose critical context differs from its parent's, and only then."""
         rebuilds, calls, counts = [0], [], {}
 
@@ -901,7 +1008,8 @@ class TestIncrementalState:
             return
         for vertex in graph.vertices.values():
             apps = make_context(instance, kind, vertex.finished)
-            for t in range(vertex.eft, max([vertex.lft, *apps.boundaries]) + 1):
+            last_event = max([vertex.lft, *(e for entry in apps.ranked for e in events(entry))])
+            for t in range(vertex.eft, last_event + 1):
                 exclude = frozenset(j.pos for j in apps.applicable if rng.random() < 0.2)
                 for skip in (frozenset(), exclude):
                     narrowed = dataclasses.replace(
@@ -927,8 +1035,7 @@ def built_sets(monkeypatch):
 def check_ranked_entries(instance, kind, sets) -> tuple[int, int]:
     """Assert that each set's `ranked` holds exactly the applicable jobs that
     its budget can admit (`r_min <= latest start`), in rank order, each entry
-    copying its own job's fields, and that `boundaries` are those entries'
-    release bounds and `last + 1`; the number of entries with a budget's
+    copying its own job's fields; the number of entries with a budget's
     latest start, and of applicable jobs left out."""
     ranks, budgeted, dropped = priority_ranks(instance, kind), 0, 0
     for apps in sets:
@@ -938,8 +1045,6 @@ def check_ranked_entries(instance, kind, sets) -> tuple[int, int]:
                    for job in apps.applicable]
         kept = sorted(entry for entry in entries if entry[1] <= entry[3])
         assert apps.ranked == kept
-        assert apps.boundaries == sorted([e[1] for e in kept] + [e[2] for e in kept]
-                                         + [e[3] + 1 for e in kept if e[3] != inf])
         budgeted += sum(entry[3] != inf for entry in kept)
         dropped += len(entries) - len(kept)
     return budgeted, dropped
@@ -981,7 +1086,7 @@ class TestRankedEntries:
 class TestPruning:
     """Under a budget a set keeps only the jobs it can admit: a job with
     `r_min > last` is never certainly (`r_max <= t <= last`) nor possibly
-    (`r_min <= t <= last`) eligible, so leaving it and its boundaries out
+    (`r_min <= t <= last`) eligible, so leaving it and its events out
     changes no window, stop bound or stuck verdict."""
 
     @pytest.mark.parametrize("kind", [PolicyKind.CP, PolicyKind.CW], ids=lambda kind: kind.value)
@@ -992,9 +1097,9 @@ class TestPruning:
         assert (apps.crit.pos, apps.crit.time) == (idle4.job((2, 1)).pos, 0)
         assert [job.label for job in apps.applicable] == ["J1,1", "J2,1", "J3,1", "J4,1"]
         assert [entry[5].label for entry in apps.ranked] == ["J2,1"]
-        assert apps.boundaries == [0, 0]
+        assert [events(entry) for entry in apps.ranked] == [(0, 0)]
         full = unpruned(apps, priority_ranks(idle4, kind))
-        assert len(full.ranked) == 4 and len(full.boundaries) == 11
+        assert len(full.ranked) == 4 and sum(len(events(entry)) for entry in full.ranked) == 11
         for mode in (ME, SE):
             assert expansion_windows(apps, 0, 0, mode) == expansion_windows(full, 0, 0, mode) \
                 == [(idle4.job((2, 1)), 0, 0)]
@@ -1319,8 +1424,9 @@ CORRUPTED_CASES = textwrap.dedent("""
 
     def eligible_before_release():  # the last case: the engine stays patched
         import schedgraph.graph as engine
-        engine._outranking_possible = lambda apps, t, ce: [
-            j for j in apps.applicable if j is not ce]
+        possible = engine._outranking_possible
+        engine._outranking_possible = lambda apps, t, ce: (
+            [j for j in apps.applicable if j is not ce], possible(apps, t, ce)[1])
         generate(instance, PolicyKind.EDF, ME)
 
     cases = [
@@ -1368,8 +1474,8 @@ REELIGIBLE_CASE = textwrap.dedent("""
 
     def flicker(apps, t, ce):
         probes.append(t)
-        found = possible(apps, t, ce)
-        return [job for job in found if job.pos != 0] if len(probes) == 2 else found
+        found, after = possible(apps, t, ce)
+        return ([job for job in found if job.pos != 0] if len(probes) == 2 else found), after
 
     engine._outranking_possible = flicker
     try:
