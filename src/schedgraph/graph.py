@@ -23,32 +23,32 @@ could be the next job started:
 
 Priorities are integer ranks: `generate` ranks every job position by the
 policy's `priority_key` once, so outranking is `int <`, and by an idling
-policy's `urgency_key` too. An applicable set keeps the jobs its budget can
-admit (`r_min <= last`) in rank order as tuples `(rank, r_min, r_max, last,
-pos, job)`, `last` being the job's `CriticalContext.latest_start` (inf
-without a budget), so a probe compares plain integers and loads no `Job`
-attribute; a job released after its latest start is never eligible, so it
-is left out. Only the root's applicable jobs are
-computed from its finished set. A successor's applicable set is derived
-from its parent's: the dispatched job's slot goes to its task's next job,
-or is dropped when the task is done, in both orders. The critical context,
-a job position and a time, is read off the urgency order; while it is the
-parent's, or there is none, only the two jobs' entries change, else the
-set is rebuilt from all applicable jobs, so a job left out
-returns under a budget that admits it. Each set serves every vertex that
-has it, for one level only, and nothing changes it. `ApplicableSet`, the
-only eligibility state, is all that `certainly_eligible(apps, t)` and
-`possibly_eligible(apps, t)` read, and `expansion_windows(apps, eft, lft,
-mode)` adds the vertex's interval. `make_context` builds the same set from
-scratch for any finished set.
+policy's `urgency_key` too. It builds each job's entry `(rank, r_min, r_max,
+c_max, pos, job)` once, in a table by position, and an applicable set holds
+the entries of all its jobs in rank order, so a probe compares plain
+integers and loads no `Job` attribute. The critical start budget is not in
+the entries: the scans read `crit.pos` and `crit.time` once per call (`-1`
+and inf without a budget) and admit a job at t iff `t + c_max <= crit.time`
+or it is the critical job, `CriticalContext.latest_start`'s rule. Only the
+root's applicable jobs are computed from its finished set. A successor's
+applicable set is derived from its parent's: the dispatched job's entry
+and urgency slot go to its task's next job, or are dropped when the task
+is done, and the critical context, a job position and a time, is read off
+the new urgency order. Each set serves every vertex that has it, for one
+level only, and nothing changes it. `ApplicableSet`, the only eligibility
+state, is all that `certainly_eligible(apps, t)` and `possibly_eligible(apps,
+t)` read, and `expansion_windows(apps, eft, lft, mode)` adds the vertex's
+interval. `make_context` builds the same set from scratch for any finished
+set.
 
 One sweep serves both generation modes. It probes eft and then the next
 event that can change its choice: a release bound, or the instant a job
-stops respecting the budget (`last + 1`), of a job ranked above the
-certainly eligible one, or that job's own `last + 1`. A job ranked below the
-certain choice is not eligible while that choice stays admitted, and a job
-past its latest start never is again, so their events are skipped and
-eligibility is constant from one probe to the next. At each probe the
+stops respecting the budget (`last + 1`, where its latest start `last` is
+`crit.time - c_max`), of a job ranked above the certainly eligible one, or
+that job's own `last + 1`. A job ranked below the certain choice is not
+eligible while that choice stays admitted, a job past its latest start
+never is again, and one released after it never is at all, so their
+events are skipped and eligibility is constant from one probe to the next. At each probe the
 certainly eligible job, the first admitted one in rank order, is computed
 once, and only the jobs ranked above it are read. Each job's eligible
 times form maximal integer ranges; each range becomes one new vertex. The
@@ -102,6 +102,7 @@ _POSITION = attrgetter("pos")
 _ID = attrgetter("id")
 _EFT = itemgetter(1)  # a candidate's earliest finish time
 _VID = itemgetter(2)  # a frontier tuple's or a candidate's vertex id
+_NO_BUDGET = (-1, inf)  # (crit.pos, crit.time) without a budget: every job is admitted
 
 
 class AnalysisStuck(RuntimeError):
@@ -208,8 +209,10 @@ def applicable_jobs(instance: ProblemInstance, finished: int) -> list[Job]:
     return out
 
 
-def priority_ranks(instance: ProblemInstance, kind: PolicyKind) -> list[int]:
-    """Each job position's rank in the policy's priority order; rank 0 wins.
+def ranked_entries(instance: ProblemInstance, kind: PolicyKind) -> list[tuple]:
+    """Each job position's `ranked` entry `(rank, r_min, r_max, c_max, pos,
+    job)`: its rank in the policy's priority order, rank 0 winning, and its
+    job's constants, built once per `generate` call.
 
     Calls `kind.priority_key` once per job. Two equal keys would leave the
     certainly eligible job undefined and raise RuntimeError.
@@ -217,7 +220,8 @@ def priority_ranks(instance: ProblemInstance, kind: PolicyKind) -> list[int]:
     keys = [kind.priority_key(job) for job in instance.jobs]
     if len(set(keys)) != len(keys):
         raise RuntimeError("priority order is not strict")
-    return _ranks(keys)
+    ranks = _ranks(keys)
+    return [(ranks[job.pos], job.r_min, job.r_max, job.c_max, job.pos, job) for job in instance.jobs]
 
 
 def urgency_ranks(instance: ProblemInstance, kind: PolicyKind) -> list[int]:
@@ -236,31 +240,30 @@ class ApplicableSet:
     """The applicable jobs of one finished set under one policy, prepared once
     for every vertex that has it; all that eligibility at a time t reads.
 
-    `ranked` holds `(rank, r_min, r_max, last, pos, job)` for every
-    applicable job the budget can admit, in rank order: its rank, its release
-    bounds, its latest start `crit.latest_start(job)` (inf without a budget),
-    its position and the job itself. A job with `r_min > last` is never
-    eligible, certainly or possibly, and blocks no other: it gets no entry. The
-    critical job, whose `last` is inf, always gets one. The sweep reads the
-    copied fields, so a probe loads no `Job` attribute. Ranks are distinct,
-    so the entries sort by rank alone. `urgent` lists every job of an idling
-    policy by urgency. Nothing changes later.
+    `ranked` holds the entry `(rank, r_min, r_max, c_max, pos, job)` of every
+    applicable job in rank order, the very tuple of its position in
+    `ranked_entries`: the constants of its job, so a probe loads no `Job`
+    attribute, and no entry depends on the set. Ranks are distinct, so the
+    entries sort by rank alone. `crit` is the critical context, which the
+    sweep reads the budget off. `urgent` lists every job of an idling policy
+    by urgency. Nothing changes later.
     """
 
     kind: PolicyKind
     crit: CriticalContext | None
-    ranked: list[tuple[int, int, int, float, int, Job]]
+    ranked: list[tuple[int, int, int, int, int, Job]]
     urgent: list[Job]
 
     @property
     def applicable(self) -> list[Job]:
-        """Every applicable job, admitted or not, in position order."""
-        return sorted(self.urgent or [entry[5] for entry in self.ranked], key=_POSITION)
+        """Every applicable job in position order."""
+        return sorted([entry[5] for entry in self.ranked], key=_POSITION)
 
 
-def prepare(kind: PolicyKind, ranks: Sequence[int], urgency: Sequence[int],
+def prepare(kind: PolicyKind, entries: Sequence[tuple], urgency: Sequence[int],
             jobs: Sequence[Job]) -> ApplicableSet:
-    """An applicable set built from scratch, given the priority and urgency ranks.
+    """An applicable set built from scratch, given the `ranked_entries` table
+    and the urgency ranks.
 
     A job named twice raises RuntimeError: the priority order among the
     jobs would not be strict.
@@ -268,22 +271,23 @@ def prepare(kind: PolicyKind, ranks: Sequence[int], urgency: Sequence[int],
     if len({job.pos for job in jobs}) != len(jobs):
         raise RuntimeError("priority order is not strict")
     urgent = sorted(jobs, key=lambda job: urgency[job.pos]) if urgency else []
-    return _with_budget(kind, critical_context(kind, urgent), ranks, jobs, urgent)
+    return ApplicableSet(kind, critical_context(kind, urgent),
+                         sorted(entries[job.pos] for job in jobs), urgent)
 
 
 def make_context(instance: ProblemInstance, kind: PolicyKind, finished: int) -> ApplicableSet:
     """A finished set's applicable set built from scratch, ranks and applicable jobs included."""
-    return prepare(kind, priority_ranks(instance, kind), urgency_ranks(instance, kind),
+    return prepare(kind, ranked_entries(instance, kind), urgency_ranks(instance, kind),
                    applicable_jobs(instance, finished))
 
 
-def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[int],
+def derive(instance: ProblemInstance, entries: Sequence[tuple], urgency: Sequence[int],
            apps: ApplicableSet, job: Job) -> ApplicableSet:
     """The applicable set once `job` finishes, derived from its parent's.
 
-    The task's next job, if any, takes its place in both orders and, while
-    the critical context is the parent's (or there is none), in the entries
-    if the budget can admit it; a new context rebuilds them.
+    The task's next job, if any, takes its place in both orders: its entry
+    from the `entries` table replaces the dispatched job's. Under an idling
+    policy the critical context is read off the new urgency order.
     """
     jobs, after = instance.jobs, job.pos + 1
     follow = jobs[after] if after < len(jobs) and jobs[after].task_id == job.task_id else None
@@ -294,24 +298,11 @@ def derive(instance: ProblemInstance, ranks: Sequence[int], urgency: Sequence[in
         if follow is not None:
             insort(urgent, follow, key=rank)
         crit = critical_context(apps.kind, urgent)
-    if crit != apps.crit:  # under an idling policy, so `urgent` holds every applicable job
-        return _with_budget(apps.kind, crit, ranks, urgent, urgent)
     ranked = apps.ranked.copy()
-    del ranked[bisect_left(ranked, (ranks[job.pos],))]  # it was dispatched, so admitted
-    last = inf if crit is None or follow is None else crit.latest_start(follow)
-    if follow is not None and follow.r_min <= last:
-        insort(ranked, (ranks[after], follow.r_min, follow.r_max, last, after, follow))
+    del ranked[bisect_left(ranked, entries[job.pos])]
+    if follow is not None:
+        insort(ranked, entries[after])
     return ApplicableSet(apps.kind, crit, ranked, urgent)
-
-
-def _with_budget(kind: PolicyKind, crit: CriticalContext | None, ranks: Sequence[int],
-                 jobs: Sequence[Job], urgent: list[Job]) -> ApplicableSet:
-    """The set of the applicable `jobs` under `crit`: an entry, with its latest
-    start `crit.latest_start(job)`, for each job the budget can admit
-    (`r_min <= last`), in rank order."""
-    ranked = sorted((ranks[job.pos], job.r_min, job.r_max, last, job.pos, job) for job in jobs
-                    if job.r_min <= (last := inf if crit is None else crit.latest_start(job)))
-    return ApplicableSet(kind, crit, ranked, urgent)
 
 
 # --- eligibility ----------------------------------------------------------------
@@ -320,36 +311,40 @@ def certainly_eligible(apps: ApplicableSet, t: int) -> Job | None:
     """The unique certainly released, budget-respecting job of top priority at t.
 
     That is the first job in rank order that is certainly released and
-    admitted by the budget.
+    admitted: `t + c_max <= crit.time`, or it is the critical job.
     """
-    for _, _, r_max, last, _, job in apps.ranked:
-        if r_max <= t <= last:
+    crit = apps.crit
+    crit_pos, crit_time = _NO_BUDGET if crit is None else (crit.pos, crit.time)
+    for _, _, r_max, c_max, pos, job in apps.ranked:
+        if r_max <= t and (t + c_max <= crit_time or pos == crit_pos):
             return job
     return None
 
 
 def _outranking_possible(apps: ApplicableSet, t: int,
                          ce: Job | None) -> tuple[list[Job], float]:
-    """The possibly eligible jobs among those ranked above `ce`, in position
-    order, and the next event after t that can change the choice (inf if
-    none): `ce`'s `last + 1`, or a job's above it, its `r_min` before it may
-    be released, then its `r_max` or `last + 1`, none once past `last`."""
+    """The possibly eligible jobs among those ranked above `ce`, the certain
+    choice at t, in position order, and the next event after t that can
+    change the choice (inf if none): `ce`'s `last + 1`, or a job's above it,
+    its `r_min` before it may be released, then its `r_max` or `last + 1`,
+    none once past `last`, nor if released after it (`last` is `crit.time -
+    c_max`, inf for the critical job)."""
+    crit = apps.crit
+    crit_pos, crit_time = _NO_BUDGET if crit is None else (crit.pos, crit.time)
     out, after = [], inf
-    for _, r_min, r_max, last, _, job in apps.ranked:
+    for _, r_min, r_max, c_max, pos, job in apps.ranked:
         if job is ce:
-            if last + 1 < after:
-                after = last + 1
+            if crit is not None and pos != crit_pos and crit_time - c_max + 1 < after:  # it expires
+                after = crit_time - c_max + 1
             break
-        if t < r_min:
-            event = r_min
-        elif t <= last:
-            if t < r_max:
-                out.append(job)
-            event = r_max if t < r_max <= last else last + 1
-        else:
-            continue
-        if event < after:
-            after = event
+        if t < r_min:  # an event if it can be admitted once released
+            if r_min < after and (r_min + c_max <= crit_time or pos == crit_pos):
+                after = r_min
+        elif t + c_max <= crit_time or pos == crit_pos:  # admitted, so `t < r_max`, or it is `ce`
+            out.append(job)
+            event = r_max if r_max + c_max <= crit_time or pos == crit_pos else crit_time - c_max + 1
+            if event < after:
+                after = event
     if len(out) > 1:
         out.sort(key=_POSITION)
     return out, after
@@ -487,8 +482,10 @@ def merge_phase(graph: ScheduleGraph, groups: dict[int, list[tuple]]) -> list[tu
     return survivors
 
 
-def _record_unmerged(graph: ScheduleGraph, candidates: list[tuple]) -> list[tuple]:
-    """Record candidates, given in id order, as created: each a vertex with its own arc."""
+def _record_unmerged(graph: ScheduleGraph, groups: dict[int, list[tuple]]) -> list[tuple]:
+    """Record a level's candidates, filed as for `merge_phase`, as created:
+    each a vertex with its own arc, in id order."""
+    candidates = sorted([candidate for group in groups.values() for candidate in group], key=_VID)
     arcs = array("Q")
     for _, _, vid, _, src, job_pos, est, lst in candidates:
         arcs.fromlist([vid - 1, src, vid, job_pos, est, lst])
@@ -588,15 +585,15 @@ def _generate(instance: ProblemInstance, kind: PolicyKind, mode: str,
               exhaustive_misses: bool) -> tuple[ScheduleGraph, AnalysisResult]:
     start = time.perf_counter()
     graph = ScheduleGraph(instance, kind, mode)
-    ranks, urgency = priority_ranks(instance, kind), urgency_ranks(instance, kind)
+    entries, urgency = ranked_entries(instance, kind), urgency_ranks(instance, kind)
     # finished set -> applicable set, for the level being expanded
-    applicable = {0: prepare(kind, ranks, urgency, applicable_jobs(instance, 0))}
+    applicable = {0: prepare(kind, entries, urgency, applicable_jobs(instance, 0))}
     misses: list[DeadlineMiss] = []
     bounds: dict[int, tuple[int, int]] = {}  # by job position, in creation order
     frontier = graph.recorded[0][0]
     created = [0]  # the root is no candidate
     for _ in instance.jobs:  # one level per job
-        candidates = []
+        first_id = graph.vertices_created
         derived: dict[int, ApplicableSet] = {}  # the same, for the next level
         groups: dict[int, list[tuple]] = {}  # finished set -> its candidates, in id order
         last_user = {vertex[0]: vertex for vertex in frontier}
@@ -610,12 +607,11 @@ def _generate(instance: ProblemInstance, kind: PolicyKind, mode: str,
                 raise AnalysisStuck(str(exc), vertex=vertex[2]) from None
             for job, est, lst in windows:
                 successor = expand(graph, vertex, job, est, lst)
-                candidates.append(successor)
                 finished, eft, lft = successor[0], successor[1], successor[3]
                 group = groups.get(finished)
                 if group is None:
                     groups[finished] = group = []
-                    derived[finished] = derive(instance, ranks, urgency, apps, job)
+                    derived[finished] = derive(instance, entries, urgency, apps, job)
                 group.append(successor)
                 bound = bounds.get(job.pos)
                 if bound is None:
@@ -625,9 +621,9 @@ def _generate(instance: ProblemInstance, kind: PolicyKind, mode: str,
                 if lft > job.deadline and (exhaustive_misses or not misses):
                     misses.append(DeadlineMiss(successor[2], job, lft, job.deadline))
         applicable = derived
-        created.append(len(candidates))
+        created.append(graph.vertices_created - first_id)
         aborted = bool(misses) and not exhaustive_misses
-        frontier = _record_unmerged(graph, candidates) if aborted else merge_phase(graph, groups)
+        frontier = _record_unmerged(graph, groups) if aborted else merge_phase(graph, groups)
         if aborted:
             break
     result = AnalysisResult(

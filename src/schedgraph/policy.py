@@ -6,10 +6,10 @@ the first released job the start budget admits. EDF and FP-EDF never idle
 while something runnable is released. The remaining three may idle to
 protect a *critical job*: the applicable job whose deadline would be
 endangered if a long job started first. A released job is *viable* at time
-t if t <= `CriticalContext.latest_start(job)`, the one place that writes the
-start budget rule for the analysis and the oracle alike. The critical
-context depends on the applicable jobs alone, so a caller builds it once
-per applicable set, not once per decision, and keeps the released jobs
+t if t <= `CriticalContext.latest_start(job)`, the budget rule that `pick`
+reads and the graph's scans apply as `t + c_max <= crit.time or pos ==
+crit.pos`. The critical context depends on the applicable jobs alone, so
+a caller builds it once per applicable set, and keeps the released jobs
 ranked between decisions instead of searching them at each one.
 """
 

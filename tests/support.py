@@ -320,8 +320,13 @@ def reference_critical_context(kind, applicable):
     return CriticalContext(crit.pos, budget)
 
 
+def latest_start(apps, job):
+    """The latest time the budget of `apps` admits `job`: `crit.latest_start(job)`, inf without one."""
+    return math.inf if apps.crit is None else apps.crit.latest_start(job)
+
+
 def _admitted(apps, job, t, exclude) -> bool:
-    return (apps.crit is None or t <= apps.crit.latest_start(job)) and job.pos not in exclude
+    return t <= latest_start(apps, job) and job.pos not in exclude
 
 
 def reference_certainly_eligible(apps, t, exclude=frozenset()):
@@ -409,26 +414,29 @@ def naive_windows_se(apps, eft, lft):
 def reference_boundary_windows(apps, eft, lft, mode, probes=None):
     """The windows of a vertex with interval [eft, lft] by the boundary sweep.
 
-    It probes eft and every distinct boundary time above it: each entry's
-    release bounds and, under a budget, its `last + 1`. It stops at the first
-    probe with a certain choice whose next boundary lies beyond lft, and
-    closes every open run at max(probe, lft). In `se` mode a job whose run
-    has ended counts as gone from the next probe on. Each probed time is
-    appended to `probes` when given.
+    It probes eft and every distinct boundary time above it: each applicable
+    job's release bounds and, under a budget, its latest start plus one,
+    `crit.latest_start(job) + 1`. It stops at the first probe with a certain
+    choice whose next boundary lies beyond lft, and closes every open run at
+    max(probe, lft). In `se` mode a job whose run has ended counts as gone
+    from the next probe on. Each probed time is appended to `probes` when
+    given.
     """
     if not apps.ranked:
         return []
-    times = [eft] + sorted({bound for entry in apps.ranked for bound in
-                            (entry[1], entry[2], entry[3] + 1) if eft < bound != math.inf})
+    jobs = [entry[5] for entry in apps.ranked]  # in rank order
+    times = [eft] + sorted({bound for job in jobs for bound in
+                            (job.r_min, job.r_max, latest_start(apps, job) + 1)
+                            if eft < bound != math.inf})
     gone, open_runs, out = set(), {}, []
     for i, t in enumerate(times):
         if probes is not None:
             probes.append(t)
-        live = [entry for entry in apps.ranked if entry[4] not in gone]
-        ce = next((entry for entry in live if entry[2] <= t <= entry[3]), None)
+        live = [job for job in jobs if job.pos not in gone]
+        ce = next((job for job in live if job.r_max <= t <= latest_start(apps, job)), None)
         above = live if ce is None else live[:live.index(ce)]
-        eligible = ([] if ce is None else [ce[5]]) + sorted(
-            (entry[5] for entry in above if entry[1] <= t < entry[2] and t <= entry[3]),
+        eligible = ([] if ce is None else [ce]) + sorted(
+            (job for job in above if job.r_min <= t < job.r_max and t <= latest_start(apps, job)),
             key=lambda job: job.pos)
         ended = [pos for pos in open_runs if pos not in {job.pos for job in eligible}]
         for pos in ended:
@@ -446,14 +454,11 @@ def reference_boundary_windows(apps, eft, lft, mode, probes=None):
     return out + [(job, est, bound) for job, est in open_runs.values()]
 
 
-def unpruned(apps, ranks):
-    """`apps` with an entry for every applicable job, the ones its budget can
-    never admit (`r_min > last`) included, rebuilt from the applicable jobs,
-    the critical context and the priority `ranks` alone."""
-    ranked = sorted((ranks[job.pos], job.r_min, job.r_max,
-                     math.inf if apps.crit is None else apps.crit.latest_start(job), job.pos, job)
-                    for job in apps.applicable)
-    return replace(apps, ranked=ranked)
+def pruned(apps):
+    """`apps` without the jobs its budget can never admit, those released
+    after their latest start (`r_min > crit.latest_start(job)`)."""
+    return replace(apps, ranked=[entry for entry in apps.ranked
+                                 if entry[5].r_min <= latest_start(apps, entry[5])])
 
 
 def merge(graph, candidates):

@@ -23,14 +23,14 @@ from schedgraph import (ME, SE, AnalysisStuck, ExecutionScenario, GenSpec, Insta
 from schedgraph.cli import main
 from schedgraph.graph import (ScheduleGraph, applicable_jobs, certainly_eligible, expand,
                               expansion_windows, make_context, merge_phase, possibly_eligible,
-                              priority_ranks)
+                              ranked_entries)
 from schedgraph.model import Job
 from schedgraph.policy import CriticalContext, critical_context
 from support import (ALL_POLICIES, ANOMALY, EDF_JITTER, MANY_TASKS, SE_STUCK_SCHEDULABLE,
-                     check_graph, exploration_bound, mask, merge, naive_windows_me,
-                     naive_windows_se, reference_certainly_eligible, reference_critical_context,
-                     reference_boundary_windows, reference_merge, reference_possibly_eligible,
-                     sample_crowded_instance, sample_instance, unpruned)
+                     check_graph, exploration_bound, latest_start, mask, merge, naive_windows_me,
+                     naive_windows_se, pruned, reference_certainly_eligible,
+                     reference_critical_context, reference_boundary_windows, reference_merge,
+                     reference_possibly_eligible, sample_crowded_instance, sample_instance)
 
 CROWDED_DRAWS = 300
 CROWDED_SEED_BASE = 90_000
@@ -228,11 +228,16 @@ class TestRanges:
         assert windows(ME) == [("J3,1", 1, 2), ("J4,1", 3, 6), ("J3,1", 7, 8)]
 
 
-def events(entry) -> tuple:
-    """An entry's event times: its release bounds and, under a budget, the
-    instant it stops being admitted (`last + 1`)."""
-    _, r_min, r_max, last, _, _ = entry
-    return (r_min, r_max) if last == inf else (r_min, r_max, last + 1)
+def events(apps, entry) -> tuple:
+    """An entry's event times under the budget of `apps`: its job's release
+    bounds and, under a budget, the instant it stops being admitted (`last +
+    1`, its latest start by `crit.latest_start(job)` plus one); none when it
+    is released after its latest start, so never eligible."""
+    job = entry[5]
+    last = latest_start(apps, job)
+    if job.r_min > last:
+        return ()
+    return (job.r_min, job.r_max) if last == inf else (job.r_min, job.r_max, last + 1)
 
 
 def recorded(run) -> list[list]:
@@ -275,11 +280,12 @@ def sweeps(instance, kind, mode) -> list[list]:
 
 def next_event(apps, t, ce) -> float:
     """The first event after t of a job at or above `ce` (of any job when it
-    is None) that is not past its latest start; inf if there is none."""
+    is None) that is not past its latest start nor released after it; inf if
+    there is none."""
     upto = len(apps.ranked) if ce is None else \
         next(i for i, entry in enumerate(apps.ranked) if entry[5] is ce) + 1
-    return min((e for entry in apps.ranked[:upto] if t <= entry[3]
-                for e in events(entry) if e > t), default=inf)
+    return min((e for entry in apps.ranked[:upto] if t <= latest_start(apps, entry[5])
+                for e in events(apps, entry) if e > t), default=inf)
 
 
 def assert_probe_rule(apps, eft, lft, calls) -> int:
@@ -923,7 +929,7 @@ class TestIncrementalState:
     @given(seed=st.integers(0, 10_000), crowded=st.booleans())
     def test_derived_state_matches_scratch(self, kind, mode, seed, crowded):
         instance = (sample_crowded_instance if crowded else sample_instance)(random.Random(seed))
-        ranks = priority_ranks(instance, kind)
+        ranks = [entry[0] for entry in ranked_entries(instance, kind)]
         assert sorted(range(len(instance.jobs)), key=ranks.__getitem__) == \
             sorted(range(len(instance.jobs)), key=lambda pos: kind.priority_key(instance.jobs[pos]))
 
@@ -960,41 +966,45 @@ class TestIncrementalState:
             schedgraph.graph.derive = original
         assert finished_of or stuck == 0  # only a stuck root derives no set
 
-    def test_derive_rebuilds_exactly_when_the_critical_context_changes(self, monkeypatch):
-        """`derive` rebuilds latest starts and entries (`_with_budget`) for a
-        child whose critical context differs from its parent's, and only then."""
-        rebuilds, calls, counts = [0], [], {}
+    def test_derive_swaps_the_dispatched_entry_for_the_followers(self, monkeypatch):
+        """A child's `ranked` is its parent's without the dispatched job's
+        entry and with its task's next job's, if any, and every entry is its
+        job's tuple of the `entries` table itself, also for a child whose
+        critical context differs from its parent's: no set rebuilds or copies
+        its entries."""
+        calls, counts = [], {}
 
         def context(apps):  # equal contexts have equal positions and times
             return reference_critical_context(apps.kind, apps.applicable)
 
-        def budgeting(*args, _original=schedgraph.graph._with_budget):
-            rebuilds[0] += 1
-            return _original(*args)
-
-        def deriving(instance, ranks, urgency, apps, job, _original=schedgraph.graph.derive):
-            before = rebuilds[0]
-            child = _original(instance, ranks, urgency, apps, job)
-            calls.append((context(apps) != context(child), rebuilds[0] - before))
+        def deriving(instance, entries, urgency, apps, job, _original=schedgraph.graph.derive):
+            child = _original(instance, entries, urgency, apps, job)
+            follower = instance.job_index.get((job.task_id, job.index + 1))
+            expected = sorted([entry for entry in apps.ranked if entry[5] is not job]
+                              + ([] if follower is None else [entries[follower]]))
+            assert len(child.ranked) == len(expected)
+            assert all(entry is kept for entry, kept in zip(child.ranked, expected))
+            assert all(entry is entries[entry[5].pos] for entry in apps.ranked + child.ranked)
+            calls.append(context(apps) != context(child))
             return child
 
-        monkeypatch.setattr(schedgraph.graph, "_with_budget", budgeting)
         monkeypatch.setattr(schedgraph.graph, "derive", deriving)
-        for kind in (PolicyKind.P_FP_EDF, PolicyKind.CP, PolicyKind.CW):
+        for kind in ALL_POLICIES:
             for path in sorted(SE_STUCK_SCHEDULABLE.parent.glob("*.txt")):
                 del calls[:]
                 generate(parse_instance(path.read_text(encoding="utf-8")), kind, ME,
                          exhaustive_misses=True)
-                assert [rebuilt for _, rebuilt in calls] == [int(changed) for changed, _ in calls]
-                counts[kind.value, path.stem] = (sum(changed for changed, _ in calls), len(calls))
-        # (sets whose critical context changed, sets derived) per run
-        assert counts == {
+                counts[kind.value, path.stem] = (sum(calls), len(calls))
+        # (sets whose critical context changed, sets derived) per run under an idling policy
+        assert {key: count for key, count in counts.items() if key[0] in ("p-fp-edf", "cp", "cw")} == {
             ("p-fp-edf", "anomaly"): (7, 8), ("p-fp-edf", "edf_jitter"): (3, 6),
             ("p-fp-edf", "precautious_idle"): (3, 7), ("p-fp-edf", "se_stuck_schedulable"): (12, 22),
             ("cp", "anomaly"): (6, 7), ("cp", "edf_jitter"): (3, 6),
             ("cp", "precautious_idle"): (4, 7), ("cp", "se_stuck_schedulable"): (11, 28),
             ("cw", "anomaly"): (7, 7), ("cw", "edf_jitter"): (4, 4),
             ("cw", "precautious_idle"): (6, 7), ("cw", "se_stuck_schedulable"): (16, 29)}
+        assert all(changed == 0 < derived for (name, _), (changed, derived) in counts.items()
+                   if name in ("edf", "fp-edf"))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), crowded=st.booleans(),
@@ -1008,7 +1018,7 @@ class TestIncrementalState:
             return
         for vertex in graph.vertices.values():
             apps = make_context(instance, kind, vertex.finished)
-            last_event = max([vertex.lft, *(e for entry in apps.ranked for e in events(entry))])
+            last_event = max([vertex.lft, *(e for entry in apps.ranked for e in events(apps, entry))])
             for t in range(vertex.eft, last_event + 1):
                 exclude = frozenset(j.pos for j in apps.applicable if rng.random() < 0.2)
                 for skip in (frozenset(), exclude):
@@ -1022,39 +1032,47 @@ class TestIncrementalState:
 
 @pytest.fixture
 def built_sets(monkeypatch):
-    """Every applicable set that `prepare` and `derive` build while in use."""
-    sets = []
-    for name in ("prepare", "derive"):
-        def recording(*args, _original=getattr(schedgraph.graph, name)):
-            sets.append(_original(*args))
-            return sets[-1]
-        monkeypatch.setattr(schedgraph.graph, name, recording)
+    """Every applicable set that `prepare` and `derive` build while `generate`
+    runs, as (finished set, applicable set): `prepare` builds the root's."""
+    sets, finished_of = [], {}  # id -> finished set; `sets` holds each set, so its id stays unused
+    prepare, derive = schedgraph.graph.prepare, schedgraph.graph.derive
+
+    def preparing(*args):
+        sets.append((0, prepare(*args)))
+        finished_of[id(sets[-1][1])] = 0
+        return sets[-1][1]
+
+    def deriving(instance, entries, urgency, apps, job):
+        sets.append((finished_of[id(apps)] | 1 << job.pos, derive(instance, entries, urgency, apps, job)))
+        finished_of[id(sets[-1][1])] = sets[-1][0]
+        return sets[-1][1]
+
+    monkeypatch.setattr(schedgraph.graph, "prepare", preparing)
+    monkeypatch.setattr(schedgraph.graph, "derive", deriving)
     return sets
 
 
-def check_ranked_entries(instance, kind, sets) -> tuple[int, int]:
-    """Assert that each set's `ranked` holds exactly the applicable jobs that
-    its budget can admit (`r_min <= latest start`), in rank order, each entry
-    copying its own job's fields; the number of entries with a budget's
-    latest start, and of applicable jobs left out."""
-    ranks, budgeted, dropped = priority_ranks(instance, kind), 0, 0
-    for apps in sets:
-        crit = reference_critical_context(kind, apps.applicable)
-        entries = [(ranks[job.pos], job.r_min, job.r_max,
-                    inf if crit is None or crit.pos == job.pos else crit.time - job.c_max, job.pos, job)
-                   for job in apps.applicable]
-        kept = sorted(entry for entry in entries if entry[1] <= entry[3])
-        assert apps.ranked == kept
-        budgeted += sum(entry[3] != inf for entry in kept)
-        dropped += len(entries) - len(kept)
-    return budgeted, dropped
+def check_ranked_entries(instance, kind, sets) -> int:
+    """Assert that each set's `ranked` holds exactly one entry per applicable
+    job of its finished set, in rank order, each holding its own job's
+    constants `(rank, r_min, r_max, c_max, pos, job)`; the number of entries
+    whose job is released after its latest start under its set's budget."""
+    ranks, dead = [entry[0] for entry in ranked_entries(instance, kind)], 0
+    for finished, apps in sets:
+        jobs = applicable_jobs(instance, finished)
+        assert apps.ranked == sorted((ranks[job.pos], job.r_min, job.r_max, job.c_max, job.pos, job)
+                                     for job in jobs)
+        assert {id(entry[5]) for entry in apps.ranked} == {id(job) for job in jobs}
+        crit = reference_critical_context(kind, jobs)
+        dead += sum(crit is not None and job.r_min > crit.latest_start(job) for job in jobs)
+    return dead
 
 
 class TestRankedEntries:
-    """Each `ranked` entry's copied fields match its job, and the entries are
-    exactly the jobs the budget can admit, on every set built along a graph;
-    comparing derived to scratch sets cannot catch a wrong copy or a wrong
-    pruning rule that both make."""
+    """Each set's `ranked` holds an entry for exactly its applicable jobs, in
+    rank order, each the constants of its own job, on every set built along a
+    graph; comparing derived to scratch sets cannot catch a wrong entry or a
+    wrong membership rule that both make."""
 
     @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
     def test_bundled_instances(self, built_sets, kind):
@@ -1067,42 +1085,43 @@ class TestRankedEntries:
                 except AnalysisStuck:
                     pass
                 assert len(built_sets) > 1
-                budgeted, dropped = check_ranked_entries(instance, kind, built_sets)
-                assert not kind.work_conserving or budgeted == dropped == 0
+                dead = check_ranked_entries(instance, kind, built_sets)
+                assert not kind.work_conserving or dead == 0
 
     @pytest.mark.parametrize("kind", ALL_POLICIES, ids=lambda kind: kind.value)
     def test_crowded_draws(self, built_sets, crowded_instances, kind):
-        budgeted = dropped = 0
+        dead = 0
         for instance in crowded_instances:
             del built_sets[:]
             generate(instance, kind, ME)
             assert len(built_sets) > 1
-            counts = check_ranked_entries(instance, kind, built_sets)
-            budgeted += counts[0]
-            dropped += counts[1]
-        assert (budgeted == 0) is (dropped == 0) is kind.work_conserving
+            dead += check_ranked_entries(instance, kind, built_sets)
+        assert (dead == 0) is kind.work_conserving
 
 
 class TestPruning:
-    """Under a budget a set keeps only the jobs it can admit: a job with
-    `r_min > last` is never certainly (`r_max <= t <= last`) nor possibly
-    (`r_min <= t <= last`) eligible, so leaving it and its events out
-    changes no window, stop bound or stuck verdict."""
+    """Under a budget a job with `r_min > last`, its latest start, is never
+    certainly (`r_max <= t <= last`) nor possibly (`r_min <= t <= last`)
+    eligible, and the scans take no event from it, so the sweep of a set
+    that holds it is the sweep of the set without it: the same windows, stop
+    bound, stuck verdict and probes."""
 
     @pytest.mark.parametrize("kind", [PolicyKind.CP, PolicyKind.CW], ids=lambda kind: kind.value)
-    def test_bundled_root_keeps_only_the_job_it_can_admit(self, idle4, kind):
+    def test_bundled_root_admits_only_its_critical_job(self, idle4, kind):
         # J2,1 is critical with budget 8 - 8 = 0; every other job is released after its
         # latest start 0 - c_max
         apps = make_context(idle4, kind, 0)
         assert (apps.crit.pos, apps.crit.time) == (idle4.job((2, 1)).pos, 0)
         assert [job.label for job in apps.applicable] == ["J1,1", "J2,1", "J3,1", "J4,1"]
-        assert [entry[5].label for entry in apps.ranked] == ["J2,1"]
-        assert [events(entry) for entry in apps.ranked] == [(0, 0)]
-        full = unpruned(apps, priority_ranks(idle4, kind))
-        assert len(full.ranked) == 4 and sum(len(events(entry)) for entry in full.ranked) == 11
+        assert len(apps.ranked) == 4
+        assert [entry[5].label for entry in pruned(apps).ranked] == ["J2,1"]
+        assert [events(apps, entry) for entry in apps.ranked if entry[5].label != "J2,1"] == [()] * 3
+        assert certainly_eligible(apps, 0) is idle4.job((2, 1))
+        assert possibly_eligible(apps, 0) == []
         for mode in (ME, SE):
-            assert expansion_windows(apps, 0, 0, mode) == expansion_windows(full, 0, 0, mode) \
-                == [(idle4.job((2, 1)), 0, 0)]
+            windows, calls = probed(apps, 0, 0, mode)
+            assert [t for t, _, _ in calls] == [0]
+            assert windows == probed(pruned(apps), 0, 0, mode)[0] == [(idle4.job((2, 1)), 0, 0)]
 
     @pytest.mark.parametrize("mode", [ME, SE])
     @settings(max_examples=15, deadline=None)
@@ -1114,25 +1133,31 @@ class TestPruning:
             graph, _ = generate(instance, kind, ME)
         except AnalysisStuck:
             return
-        ranks = priority_ranks(instance, kind)
 
-        def outcome(sweep, *args):
-            try:
-                return sweep(*args)
-            except AnalysisStuck:
-                return "stuck"
+        def outcome(apps, eft, lft):
+            """The sweep's windows, or "stuck", and the times it probed."""
+            windows, calls = probed(apps, eft, lft, mode)
+            return windows, [t for t, _, _ in calls]
 
         pruned_sets = 0
         for vertex in graph.vertices.values():
             apps = make_context(instance, kind, vertex.finished)
-            full = unpruned(apps, ranks)
-            if len(full.ranked) == len(apps.ranked):
-                continue  # nothing left out: the same set
+            kept = pruned(apps)
+            if len(kept.ranked) == len(apps.ranked):
+                continue  # no job released after its latest start: the same set
             pruned_sets += 1
             eft, lft = vertex.eft, vertex.lft
-            naive = outcome(naive_windows_me if mode == ME else naive_windows_se, full, eft, lft)
-            assert outcome(expansion_windows, apps, eft, lft, mode) == \
-                outcome(expansion_windows, full, eft, lft, mode) == naive, vertex
+            try:
+                naive = (naive_windows_me if mode == ME else naive_windows_se)(apps, eft, lft)
+            except AnalysisStuck:
+                naive = "stuck"
+            windows, times = outcome(apps, eft, lft)
+            assert (windows, times) == outcome(kept, eft, lft), vertex
+            assert windows == naive, vertex
+            dead = [entry[5] for entry in apps.ranked if entry not in kept.ranked]
+            for t in range(eft, max(times + [lft]) + 1):
+                assert certainly_eligible(apps, t) not in dead
+                assert not set(possibly_eligible(apps, t)) & set(dead)
         note(f"{pruned_sets} pruned sets")
 
 
@@ -1399,7 +1424,7 @@ CORRUPTED_CASES = textwrap.dedent("""
     import dataclasses
     import sys
     from schedgraph import ME, PolicyKind, Task, generate, make_instance, parse_instance
-    from schedgraph.graph import ScheduleGraph, expand, prepare, priority_ranks
+    from schedgraph.graph import ScheduleGraph, expand, prepare, ranked_entries
     from support import merge
     assert False, "assert statements must be stripped"
     instance = parse_instance(open(sys.argv[1]).read())
@@ -1410,7 +1435,7 @@ CORRUPTED_CASES = textwrap.dedent("""
     [done] = merge(graph, [first])
 
     def twice():  # one job twice in the applicable set
-        prepare(PolicyKind.EDF, priority_ranks(instance, PolicyKind.EDF), [], (job, job))
+        prepare(PolicyKind.EDF, ranked_entries(instance, PolicyKind.EDF), [], (job, job))
 
     def merged_after_expansion():  # a candidate of a level already recorded
         expand(graph, done, instance.job((1, 1)), 1, 1)
