@@ -189,7 +189,7 @@ def _parse_number(text: str, what: str) -> float:
 
 
 def _parse_bench_spec(text: str) -> list[dict]:
-    """Rows of a bench spec; an unknown, repeated, missing or bad field names its line."""
+    """Rows of a bench spec; an unknown, repeated, missing or bad field, policy or mode names its line."""
     rows = []
 
     def directive(lineno: int, words: list[str]) -> None:
@@ -216,11 +216,14 @@ def _parse_bench_spec(text: str) -> list[dict]:
             check_reachable(GenSpec(row["tasks"], row["util"], row["rj"], row["rc"], row["periods"]))
             if row["seeds"] < 1:
                 raise ValueError(f"seeds must be >= 1, got {row['seeds']}")
-            for policy in row["policies"]:
-                parse_policy(policy)
+            policies = [parse_policy(policy).value for policy in row["policies"]]
             for mode in row["modes"]:
                 if mode not in MODES:
                     raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
+            for name, named in (("policy", policies), ("mode", row["modes"])):
+                for k, value in enumerate(named):
+                    if value in named[:k]:  # each would be analysed and summarised twice
+                        raise ValueError(f"{name} {value!r} named twice")
         except (ValueError, GenerationError) as exc:
             raise InstanceError(str(exc)) from None
         rows.append(row)

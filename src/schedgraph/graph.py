@@ -27,8 +27,8 @@ policy's `urgency_key` too. It builds each job's entry `(rank, r_min, r_max,
 c_max, pos, job)` once, in a table by position, and an applicable set holds
 the entries of all its jobs in rank order, so a probe compares plain
 integers and loads no `Job` attribute. The critical start budget is not in
-the entries: the scans read `crit.pos` and `crit.time` once per call (`-1`
-and inf without a budget) and admit a job at t iff `t + c_max <= crit.time`
+the entries: the probe reads `crit.pos` and `crit.time` once per call (`-1`
+and inf without a budget) and admits a job at t iff `t + c_max <= crit.time`
 or it is the critical job, `CriticalContext.latest_start`'s rule. Only the
 root's applicable jobs are computed from its finished set. A successor's
 applicable set is derived from its parent's: the dispatched job's entry
@@ -36,29 +36,30 @@ and urgency slot go to its task's next job, or are dropped when the task
 is done, and the critical context, a job position and a time, is read off
 the new urgency order. Each set serves every vertex that has it, for one
 level only, and nothing changes it. `ApplicableSet`, the only eligibility
-state, is all that `certainly_eligible(apps, t)` and `possibly_eligible(apps,
-t)` read, and `expansion_windows(apps, eft, lft, mode)` adds the vertex's
-interval. `make_context` builds the same set from scratch for any finished
-set.
+state, is all that the probe `possibly_eligible(apps, t)` reads, and
+`expansion_windows(apps, eft, lft, mode)` adds the vertex's interval.
+`make_context` builds the same set from scratch for any finished set.
 
-One sweep serves both generation modes. It probes eft and then the next
-event that can change its choice: a release bound, or the instant a job
-stops respecting the budget (`last + 1`, where its latest start `last` is
-`crit.time - c_max`), of a job ranked above the certainly eligible one, or
-that job's own `last + 1`. A job ranked below the certain choice is not
-eligible while that choice stays admitted, a job past its latest start
-never is again, and one released after it never is at all, so their
-events are skipped and eligibility is constant from one probe to the next. At each probe the
-certainly eligible job, the first admitted one in rank order, is computed
-once, and only the jobs ranked above it are read. Each job's eligible
-times form maximal integer ranges; each range becomes one new vertex. The
-sweep stops at the first probe that has a certainly eligible job and whose
-next event lies beyond lft: by max(probe, lft) the processor has certainly
-started something, so later times cannot begin the next dispatch, and
-every open range closes there. Without a critical budget a job gets at most
-one range, from its release on; under a budget the check can cut a range
-and re-open it later, so one vertex may carry several arcs with the same
-job label.
+One sweep serves both generation modes. Each probe is one walk of the
+entries in rank order, `possibly_eligible(apps, t)`. It stops at the
+certainly eligible job, the first admitted one that is certainly released,
+and returns it, the possibly eligible jobs, the admitted ones ranked above
+it, and the next event that can change either: a release bound, or the
+instant a job stops respecting the budget (`last + 1`, where its latest
+start `last` is `crit.time - c_max`), of a job ranked above the certain
+choice, or that choice's own `last + 1`. A job ranked below the certain
+choice is not eligible while that choice stays admitted, a job past its
+latest start never is again, and one released after it never is at all, so
+the walk takes no event from them. Eligibility is constant from one probe
+to the next, every event lies after the probe, and the sweep probes eft and
+then each next event. Each job's eligible times form maximal integer
+ranges; each range becomes one new vertex. The sweep stops at the first
+probe that has a certainly eligible job and whose next event lies beyond
+lft: by max(probe, lft) the processor has certainly started something, so
+later times cannot begin the next dispatch, and every open range closes
+there. Without a critical budget a job gets at most one range, from its
+release on; under a budget the check can cut a range and re-open it later,
+so one vertex may carry several arcs with the same job label.
 
 The two generation modes differ only in what the sweep forgets. The
 default, multiple eligibility ("me"), expands every range. Single
@@ -307,52 +308,43 @@ def derive(instance: ProblemInstance, entries: Sequence[tuple], urgency: Sequenc
 
 # --- eligibility ----------------------------------------------------------------
 
-def certainly_eligible(apps: ApplicableSet, t: int) -> Job | None:
-    """The unique certainly released, budget-respecting job of top priority at t.
+def possibly_eligible(apps: ApplicableSet, t: int) -> tuple[Job | None, list[Job], float]:
+    """One probe at t, one walk of `apps.ranked` in rank order: the certainly
+    eligible job (None if none), the possibly eligible jobs in position
+    order, and the next event after t that can change either (inf if none).
 
-    That is the first job in rank order that is certainly released and
-    admitted: `t + c_max <= crit.time`, or it is the critical job.
+    A job is admitted at t iff `t + c_max <= crit.time` or it is the
+    critical job. The walk stops at the first admitted job with `r_max <=
+    t`, the certain choice, which adds its `last + 1`. Each admitted job
+    above it has `r_max > t` and adds its `r_max` or `last + 1`, whichever
+    comes first; an unreleased job adds its `r_min` unless it is released
+    after `last` (`crit.time - c_max`, inf for the critical job).
     """
     crit = apps.crit
     crit_pos, crit_time = _NO_BUDGET if crit is None else (crit.pos, crit.time)
-    for _, _, r_max, c_max, pos, job in apps.ranked:
-        if r_max <= t and (t + c_max <= crit_time or pos == crit_pos):
-            return job
-    return None
-
-
-def _outranking_possible(apps: ApplicableSet, t: int,
-                         ce: Job | None) -> tuple[list[Job], float]:
-    """The possibly eligible jobs among those ranked above `ce`, the certain
-    choice at t, in position order, and the next event after t that can
-    change the choice (inf if none): `ce`'s `last + 1`, or a job's above it,
-    its `r_min` before it may be released, then its `r_max` or `last + 1`,
-    none once past `last`, nor if released after it (`last` is `crit.time -
-    c_max`, inf for the critical job)."""
-    crit = apps.crit
-    crit_pos, crit_time = _NO_BUDGET if crit is None else (crit.pos, crit.time)
-    out, after = [], inf
+    ce, out, after = None, [], inf
     for _, r_min, r_max, c_max, pos, job in apps.ranked:
-        if job is ce:
-            if crit is not None and pos != crit_pos and crit_time - c_max + 1 < after:  # it expires
-                after = crit_time - c_max + 1
-            break
         if t < r_min:  # an event if it can be admitted once released
             if r_min < after and (r_min + c_max <= crit_time or pos == crit_pos):
                 after = r_min
-        elif t + c_max <= crit_time or pos == crit_pos:  # admitted, so `t < r_max`, or it is `ce`
+        elif t + c_max <= crit_time or pos == crit_pos:  # admitted
+            if r_max <= t:  # the certain choice: it hides every job ranked below
+                if pos != crit_pos and crit_time - c_max + 1 < after:  # it expires
+                    after = crit_time - c_max + 1
+                ce = job
+                break
             out.append(job)
             event = r_max if r_max + c_max <= crit_time or pos == crit_pos else crit_time - c_max + 1
             if event < after:
                 after = event
     if len(out) > 1:
         out.sort(key=_POSITION)
-    return out, after
+    return ce, out, after
 
 
-def possibly_eligible(apps: ApplicableSet, t: int) -> list[Job]:
-    """Possibly released, budget-respecting jobs outranking the certain choice at t."""
-    return _outranking_possible(apps, t, certainly_eligible(apps, t))[0]
+def certainly_eligible(apps: ApplicableSet, t: int) -> Job | None:
+    """The unique certainly released, budget-respecting job of top priority at t."""
+    return possibly_eligible(apps, t)[0]
 
 
 # --- expansion sweep ----------------------------------------------------------
@@ -361,14 +353,16 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
                       mode: str) -> list[tuple[Job, int, int]]:
     """Dispatch windows (job, est, lst) of a vertex with interval [eft, lft], in creation order.
 
-    Probes eft and then each next event that `_outranking_possible` names;
-    eligibility is constant in between, so the result matches a
-    per-integer-time sweep exactly. The sweep stops at the first probe with
-    a certain choice whose next event lies beyond lft, or with no next event,
-    and closes every open run at max(probe, lft). In `se` mode the jobs whose
-    runs have ended are dropped from the sweep's own copy of `apps` before
-    the next probe. Without a budget a job has one range, from its release
-    on, so a run that opens anywhere else raises RuntimeError.
+    Probes eft and then each next event, with one `possibly_eligible` walk
+    per probe, which names the certain choice, the possibly eligible jobs
+    and the next event, always after the probe; eligibility is constant in
+    between, so the result matches a per-integer-time sweep exactly. The
+    sweep stops at the first probe with a certain choice whose next event
+    lies beyond lft, or with no next event, and closes every open run at
+    max(probe, lft). In `se` mode the jobs whose runs have ended are dropped
+    from the sweep's own copy of `apps` before the next probe. Without a
+    budget a job has one range, from its release on, so a run that opens
+    anywhere else raises RuntimeError.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -379,8 +373,7 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
     free = apps.crit is None  # no budget, so each job's one range starts at its release
     t = eft
     while True:
-        ce = certainly_eligible(apps, t)
-        eligible, after = _outranking_possible(apps, t, ce)
+        ce, eligible, after = possibly_eligible(apps, t)
         if ce is not None:
             eligible.insert(0, ce)
         ended = ()

@@ -7,7 +7,7 @@ while something runnable is released. The remaining three may idle to
 protect a *critical job*: the applicable job whose deadline would be
 endangered if a long job started first. A released job is *viable* at time
 t if t <= `CriticalContext.latest_start(job)`, the budget rule that `pick`
-reads and the graph's scans apply as `t + c_max <= crit.time or pos ==
+reads and the graph's probe applies as `t + c_max <= crit.time or pos ==
 crit.pos`. The critical context depends on the applicable jobs alone, so
 a caller builds it once per applicable set, and keeps the released jobs
 ranked between decisions instead of searching them at each one.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -336,6 +337,64 @@ class TestCompare:
         assert "exactness violation" in captured.err
 
 
+S, N = "schedulable", "non-schedulable"
+COMPARED_POLICIES = ("edf", "fp-edf", "p-fp-edf", "cp", "cw")
+# (me, se, oracle) of `compare` under each of COMPARED_POLICIES, as the CI
+# step "every bundled instance is exact under every policy" pins them
+COMPARED = {
+    "anomaly": [(N, N, N)] * 3 + [(S, S, S), (N, N, N)],
+    "edf_jitter": [(S, S, S)] * 4 + [(N, N, N)],
+    # se refuses what me and the oracle schedule: by a miss here, stuck below
+    "precautious_idle": [(N, N, N)] * 2 + [(S, N, S)] * 2 + [(N, N, N)],
+    "se_stuck_schedulable": [(N, N, N)] * 3 + [(S, "stuck", S)] * 2,
+}
+
+
+@pytest.mark.parametrize("name, policy", [(name, policy) for name in COMPARED
+                                          for policy in COMPARED_POLICIES])
+def test_every_bundled_instance_is_exact_under_every_policy(capsys, name, policy):
+    code, out = run(capsys, "compare", str(INSTANCE_DIR / f"{name}.txt"),
+                    "--policy", policy, "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["exactness_ok"] is True, data
+    assert (data["me"], data["se"], data["oracle"]) == \
+        COMPARED[name][COMPARED_POLICIES.index(policy)]
+
+
+# `analyze`'s exit code and the sha256 of its JSON with `stats.wall_ms` deleted,
+# dumped with sorted keys, or of its stderr when stuck (exit 3), as the CI step
+# "analyze's JSON under the idling policies in both modes is pinned" pins them
+ANALYZED = {
+    ("precautious_idle", "p-fp-edf", "me"): (0, "147cb9878a486172b1fdb7746d5e149e3ea49f65d89a7fdcc8842b2331bca707"),
+    ("precautious_idle", "p-fp-edf", "se"): (1, "24eeea517be5a7ff36b5406abf72a2eae66a109f74d30e7d312a87c3f306d8c8"),
+    ("precautious_idle", "cp", "me"): (0, "147cb9878a486172b1fdb7746d5e149e3ea49f65d89a7fdcc8842b2331bca707"),
+    ("precautious_idle", "cp", "se"): (1, "537a706144b17039cb55ef321cd18e977b4c6d01d89c40e686701b72e7f0014f"),
+    ("precautious_idle", "cw", "me"): (1, "f0200dc9ab2d59645eb6bc57533268ee0a0a03704cbbcb7b92e5c89728136dd3"),
+    ("precautious_idle", "cw", "se"): (1, "bb54085fc340d3059d50fb16e9bba7d1c8e79b829228a6b3f11b283094819cda"),
+    ("se_stuck_schedulable", "p-fp-edf", "me"): (1, "6319863afffd796ce65dea98746761bca44f167ea90f1fff1d66d308156b14f2"),
+    ("se_stuck_schedulable", "p-fp-edf", "se"): (1, "6319863afffd796ce65dea98746761bca44f167ea90f1fff1d66d308156b14f2"),
+    ("se_stuck_schedulable", "cp", "me"): (0, "e7928db6e648c82fa1ed3b4118c47c0c22d26459f05c29bc805e1e0894f4cbb6"),
+    ("se_stuck_schedulable", "cp", "se"): (3, "259a86e0e1a3643be2471da9ef03d39c0232392a17c65ceeafeb745149b8f0d0"),
+    ("se_stuck_schedulable", "cw", "me"): (0, "eb83f406d7736adcc897cc8aa0c98dbf0686471035dfd4f9f7575af08d8dd6b4"),
+    ("se_stuck_schedulable", "cw", "se"): (3, "259a86e0e1a3643be2471da9ef03d39c0232392a17c65ceeafeb745149b8f0d0"),
+}
+
+
+@pytest.mark.parametrize("name, policy, mode", ANALYZED)
+def test_analyze_json_under_the_idling_policies_is_pinned(capsys, name, policy, mode):
+    code = main(["analyze", str(INSTANCE_DIR / f"{name}.txt"), "--policy", policy,
+                 "--mode", mode, "--format", "json"])
+    out, err = capsys.readouterr()
+    if code == 3:  # stuck: no JSON, the message is pinned
+        assert out == ""
+        pinned = err
+    else:
+        data = json.loads(out)
+        del data["stats"]["wall_ms"]
+        pinned = json.dumps(data, sort_keys=True) + "\n"
+    assert (code, hashlib.sha256(pinned.encode()).hexdigest()) == ANALYZED[name, policy, mode]
+
+
 class TestInstanceWithoutJobs:
     @pytest.mark.parametrize("command", ["analyze", "simulate", "brute-force", "compare",
                                          "export-dot"])
@@ -619,8 +678,12 @@ class TestBench:
         ("seeds=-2", "seeds must be >= 1, got -2"),
         ("seeds=0", "seeds must be >= 1, got 0"),
         ("seeds=1 periods=5", "utilization 0.3 is out of reach"),
+        ("seeds=1 policies=edf,cw,edf", "policy 'edf' named twice"),
+        ("seeds=1 policies=cw,CW", "policy 'cw' named twice"),
+        ("seeds=1 modes=me,se,me", "mode 'me' named twice"),
     ], ids=["unknown-field", "repeated-field", "unknown-policy", "unknown-mode",
-            "bad-value", "negative-seeds", "zero-seeds", "unreachable-utilization"])
+            "bad-value", "negative-seeds", "zero-seeds", "unreachable-utilization",
+            "repeated-policy", "repeated-policy-in-other-case", "repeated-mode"])
     def test_bad_field_exits_two_before_any_analysis(self, capsys, tmp_path, monkeypatch,
                                                      fields, message):
         self.exits_two_before_any_analysis(capsys, tmp_path, monkeypatch,

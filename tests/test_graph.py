@@ -156,7 +156,7 @@ class TestEligibility:
 
     def test_possible_jobs_must_outrank_certain_choice(self, jitter3):
         apps = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1)]))
-        assert possibly_eligible(apps, 1) == [jitter3.job((3, 1))]
+        assert possibly_eligible(apps, 1)[1] == [jitter3.job((3, 1))]
 
     def test_priority_table_pattern(self):
         # seven jobs, one per priority level; at t=5: priorities 3 and 4 are
@@ -167,11 +167,11 @@ class TestEligibility:
         instance = make_instance(tasks, horizon=40)
         apps = make_context(instance, PolicyKind.FP_EDF, 0)
         assert certainly_eligible(apps, 5).priority == 3
-        assert sorted(j.priority for j in possibly_eligible(apps, 5)) == [0, 2]
+        assert sorted(j.priority for j in possibly_eligible(apps, 5)[1]) == [0, 2]
 
     def test_nothing_possible_once_everything_certain(self, jitter3):
         apps = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1)]))
-        assert possibly_eligible(apps, 5) == []
+        assert possibly_eligible(apps, 5)[1] == []
 
     def test_equal_priority_keys_are_refused_before_generation(self, monkeypatch, jitter3):
         monkeypatch.setattr(PolicyKind.EDF, "priority_key", lambda job: (job.priority,))
@@ -245,7 +245,7 @@ def recorded(run) -> list[list]:
     lft, its windows or "stuck", its probes as (time, the set it read, its
     certain choice)]."""
     made, engine = [], schedgraph.graph
-    sweep, certain = engine.expansion_windows, engine.certainly_eligible
+    sweep, probe = engine.expansion_windows, engine.possibly_eligible
 
     def recording_sweep(apps, eft, lft, mode):
         made.append([apps, eft, lft, "stuck", []])
@@ -253,16 +253,17 @@ def recorded(run) -> list[list]:
         return made[-1][3]
 
     def recording_probe(apps, t):
-        made[-1][4].append((t, apps, certain(apps, t)))
-        return made[-1][4][-1][2]
+        found = probe(apps, t)
+        made[-1][4].append((t, apps, found[0]))
+        return found
 
-    engine.expansion_windows, engine.certainly_eligible = recording_sweep, recording_probe
+    engine.expansion_windows, engine.possibly_eligible = recording_sweep, recording_probe
     try:
         run()
     except AnalysisStuck:
         pass
     finally:
-        engine.expansion_windows, engine.certainly_eligible = sweep, certain
+        engine.expansion_windows, engine.possibly_eligible = sweep, probe
     return made
 
 
@@ -1024,10 +1025,11 @@ class TestIncrementalState:
                 for skip in (frozenset(), exclude):
                     narrowed = dataclasses.replace(
                         apps, ranked=[e for e in apps.ranked if e[4] not in skip])
-                    assert certainly_eligible(narrowed, t) is \
+                    ce, possible, after = possibly_eligible(narrowed, t)
+                    assert ce is certainly_eligible(narrowed, t) is \
                         reference_certainly_eligible(apps, t, skip)
-                    assert possibly_eligible(narrowed, t) == \
-                        reference_possibly_eligible(apps, t, skip)
+                    assert possible == reference_possibly_eligible(apps, t, skip)
+                    assert after == next_event(narrowed, t, ce) and after > t, (t, after)
 
 
 @pytest.fixture
@@ -1117,7 +1119,7 @@ class TestPruning:
         assert [entry[5].label for entry in pruned(apps).ranked] == ["J2,1"]
         assert [events(apps, entry) for entry in apps.ranked if entry[5].label != "J2,1"] == [()] * 3
         assert certainly_eligible(apps, 0) is idle4.job((2, 1))
-        assert possibly_eligible(apps, 0) == []
+        assert possibly_eligible(apps, 0)[1] == []
         for mode in (ME, SE):
             windows, calls = probed(apps, 0, 0, mode)
             assert [t for t, _, _ in calls] == [0]
@@ -1157,7 +1159,7 @@ class TestPruning:
             dead = [entry[5] for entry in apps.ranked if entry not in kept.ranked]
             for t in range(eft, max(times + [lft]) + 1):
                 assert certainly_eligible(apps, t) not in dead
-                assert not set(possibly_eligible(apps, t)) & set(dead)
+                assert not set(possibly_eligible(apps, t)[1]) & set(dead)
         note(f"{pruned_sets} pruned sets")
 
 
@@ -1449,9 +1451,13 @@ CORRUPTED_CASES = textwrap.dedent("""
 
     def eligible_before_release():  # the last case: the engine stays patched
         import schedgraph.graph as engine
-        possible = engine._outranking_possible
-        engine._outranking_possible = lambda apps, t, ce: (
-            [j for j in apps.applicable if j is not ce], possible(apps, t, ce)[1])
+        probe = engine.possibly_eligible
+
+        def everything_possible(apps, t):
+            ce, _, after = probe(apps, t)
+            return ce, [j for j in apps.applicable if j is not ce], after
+
+        engine.possibly_eligible = everything_possible
         generate(instance, PolicyKind.EDF, ME)
 
     cases = [
@@ -1495,14 +1501,14 @@ REELIGIBLE_CASE = textwrap.dedent("""
     import schedgraph.graph as engine
     from schedgraph import ME, PolicyKind, Task, generate, make_instance
     instance = make_instance([Task(1, 20, 0, 10, 1, 1, 12), Task(2, 20, 2, 4, 1, 1, 19)])
-    possible, probes = engine._outranking_possible, []
+    probe, probes = engine.possibly_eligible, []
 
-    def flicker(apps, t, ce):
+    def flicker(apps, t):
         probes.append(t)
-        found, after = possible(apps, t, ce)
-        return ([job for job in found if job.pos != 0] if len(probes) == 2 else found), after
+        ce, found, after = probe(apps, t)
+        return ce, ([job for job in found if job.pos != 0] if len(probes) == 2 else found), after
 
-    engine._outranking_possible = flicker
+    engine.possibly_eligible = flicker
     try:
         generate(instance, PolicyKind.EDF, ME)
     except RuntimeError as exc:
