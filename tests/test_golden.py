@@ -14,7 +14,12 @@ idling policy dispatches one job over two windows whose successors merge,
 so that their arcs fold into one. Each entry digests one draw's runs under
 every policy, mode and miss setting; a stuck run is recorded as stuck.
 
-When a change is meant to alter graphs, regenerate both tables with
+A third table pins one instance at benchmark scale: a 20-task, 37-job
+draw of the `idle` family (utilization 0.5, seed 75) under cw and cp in
+both modes, first miss only, where the critical budget binds and about
+4,000 vertices are created per run.
+
+When a change is meant to alter graphs, regenerate every table with
 `PYTHONPATH=src python tests/test_golden.py` and say why in the change.
 """
 
@@ -294,9 +299,39 @@ def test_merge_heavy_set_folds_arcs_and_merges_groups_of_three():
     assert max(widest for _, _, widest in draws) >= 3
 
 
+# GenSpec(20, 0.5, 0.6, 0.6, periods=(50, 100, 200), seed=75): 37 jobs
+BENCHMARK_SCALE_SPEC = GenSpec(20, 0.5, 0.6, 0.6, periods=(50, 100, 200), seed=75)
+GOLDEN_BENCHMARK_SCALE = {
+    ("cw", ME): "1a3579179247442468db926dcef011f73c4d95ab1560254d90f618c7df8ca7b1",
+    ("cw", SE): "ea8978ac019d495f1d02d8d180543d3c0f5becded9ff3c7f6be3d8a77592f03e",
+    ("cp", ME): "038908426a22ac0fefebaf82b2a1df534073427f3e90f872a1f5551519b177d4",
+    ("cp", SE): "b2d81d2101fd6284f1a60bcad729f76e105518bbdde3ec3ebd6194173ca2694a",
+}
+
+
+@functools.cache
+def benchmark_scale_instance():
+    return generate_instance(BENCHMARK_SCALE_SPEC)
+
+
+def benchmark_scale_digest(policy: str, mode: str) -> str:
+    graph, result = generate(benchmark_scale_instance(), PolicyKind(policy), mode)
+    return hashlib.sha256(repr(record(graph, result)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("policy, mode", GOLDEN_BENCHMARK_SCALE,
+                         ids=[f"{policy}-{mode}" for policy, mode in GOLDEN_BENCHMARK_SCALE])
+def test_benchmark_scale_graph_matches_golden_digest(policy, mode):
+    assert len(benchmark_scale_instance().jobs) == 37
+    assert benchmark_scale_digest(policy, mode) == GOLDEN_BENCHMARK_SCALE[policy, mode]
+
+
 if __name__ == "__main__":
     for run in RUNS:
         print(f'    "{run_id(*run)}":\n        "{graph_digest(*run)}",')
     print()
     for draw in MERGE_DRAWS:
         print(f'    "{merge_draw_id(*draw)}":\n        "{merge_draw(*draw)[0]}",')
+    print()
+    for policy, mode in GOLDEN_BENCHMARK_SCALE:
+        print(f'    ("{policy}", {mode.upper()}): "{benchmark_scale_digest(policy, mode)}",')
