@@ -23,22 +23,22 @@ could be the next job started:
 
 Priorities are integer ranks: `generate` ranks every job position by the
 policy's `priority_key` once, so outranking is `int <`, and by an idling
-policy's `urgency_key` too. It builds each job's entry `(rank, r_min, r_max,
-c_max, pos, job)` once, in a table by position, and an applicable set holds
-the entries of all its jobs in rank order, so a probe compares plain
-integers and loads no `Job` attribute. The critical start budget is not in
-the entries: the probe reads `crit.pos` and `crit.time` once per call (`-1`
-and inf without a budget) and admits a job at t iff `t + c_max <= crit.time`
-or it is the critical job, `CriticalContext.latest_start`'s rule. Only the
-root's applicable jobs are computed from its finished set. A successor's
-applicable set is derived from its parent's: the dispatched job's entry
-and urgency slot go to its task's next job, or are dropped when the task
-is done, and the critical context, a job position and a time, is read off
-the new urgency order. Each set serves every vertex that has it, for one
-level only, and nothing changes it. `ApplicableSet`, the only eligibility
-state, is all that the probe `possibly_eligible(apps, t)` reads, and
-`expansion_windows(apps, eft, lft, mode)` adds the vertex's interval.
-`make_context` builds the same set from scratch for any finished set.
+policy's `urgency_key` too. The graph keeps each job's entry `(rank, r_min,
+r_max, c_max, pos, c_min, deadline, job)` in a table by position; an
+applicable set holds its jobs' entries in rank order, so the probe,
+`expand` and `generate` read no `Job` attribute. The probe reads the
+critical start budget, `crit.pos` and `crit.time` (`-1` and inf without
+one), once per call and admits a job at t iff `t + c_max <= crit.time` or
+it is the critical job, `CriticalContext.latest_start`'s rule. Only the
+root's set is computed from its finished set. A successor's is derived
+from its parent's: the dispatched job's entry and urgency slot go to its
+task's next job, or are dropped when the task is done, and the critical
+context is read off the new urgency order, whose ranks `derive` bisects as
+plain integers, with no key function. `ApplicableSet`, the only eligibility
+state, serves every vertex that has it for one level, unchanged: the probe
+`possibly_eligible(apps, t)` reads it alone, and `expansion_windows(apps,
+eft, lft, mode)` adds the vertex's interval. `make_context` builds the same
+set from scratch for any finished set.
 
 One sweep serves both generation modes. Each probe is one walk of the
 entries in rank order, `possibly_eligible(apps, t)`. It stops at the
@@ -53,21 +53,22 @@ latest start never is again, and one released after it never is at all, so
 the walk takes no event from them. Eligibility is constant from one probe
 to the next, every event lies after the probe, and the sweep probes eft and
 then each next event. Each job's eligible times form maximal integer
-ranges; each range becomes one new vertex. The sweep stops at the first
-probe that has a certainly eligible job and whose next event lies beyond
-lft: by max(probe, lft) the processor has certainly started something, so
-later times cannot begin the next dispatch, and every open range closes
-there. Without a critical budget a job gets at most one range, from its
-release on; under a budget the check can cut a range and re-open it later,
-so one vertex may carry several arcs with the same job label.
+ranges; each range becomes one window `(pos, est, lst)` and one new vertex,
+`expand(graph, vertex, pos, est, lst)`. The sweep stops at the first probe
+that has a certainly eligible job and whose next event lies beyond lft: by
+max(probe, lft) the processor has certainly started something, so later
+times cannot begin the next dispatch, and every open range closes there.
+Without a critical budget a job gets at most one range, from its release
+on; under a budget the check can cut a range and re-open it later, so one
+vertex may carry several arcs with the same job label.
 
 The two generation modes differ only in what the sweep forgets. The
 default, multiple eligibility ("me"), expands every range. Single
 eligibility ("se") reproduces the older behaviour of letting each job
 become eligible at most once per vertex: when a job's range ends, the sweep
-drops the job from its own copy of the applicable set, so it no longer
-counts as eligible, certainly or possibly, at later probes; the shared set
-is never changed.
+deletes its entry, by rank, from the sweep's own copy of the applicable
+set, so it no longer counts as eligible, certainly or possibly, at later
+probes; the shared set is never changed.
 
 A level is merged before it is recorded: expansion yields plain successor
 candidates, each filed under its finished set as it is made, and the merge
@@ -99,7 +100,6 @@ from .policy import CriticalContext, PolicyKind, critical_context
 ME = "me"
 SE = "se"
 MODES = (ME, SE)
-_POSITION = attrgetter("pos")
 _ID = attrgetter("id")
 _EFT = itemgetter(1)  # a candidate's earliest finish time
 _VID = itemgetter(2)  # a frontier tuple's or a candidate's vertex id
@@ -123,10 +123,6 @@ class Vertex:
     level: int
     in_arcs: list[int] = field(default_factory=list)
     out_arcs: list[int] = field(default_factory=list)
-
-    @property
-    def interval(self) -> tuple[int, int]:
-        return (self.eft, self.lft)
 
 
 @dataclass(slots=True)
@@ -157,6 +153,7 @@ class ScheduleGraph:
         self.instance = instance
         self.kind = kind
         self.mode = mode
+        self.entries = ranked_entries(instance, kind)  # by job position, for `expand` and `generate`
         self.root = 0
         self.recorded: list[tuple[list[tuple], array]] = [([(0, 0, self.root, 0)], array("Q"))]
         self.vertices_created = 1  # ids handed out, merged-away ones included
@@ -212,8 +209,8 @@ def applicable_jobs(instance: ProblemInstance, finished: int) -> list[Job]:
 
 def ranked_entries(instance: ProblemInstance, kind: PolicyKind) -> list[tuple]:
     """Each job position's `ranked` entry `(rank, r_min, r_max, c_max, pos,
-    job)`: its rank in the policy's priority order, rank 0 winning, and its
-    job's constants, built once per `generate` call.
+    c_min, deadline, job)`: its rank in the policy's priority order, rank 0
+    winning, and its job's constants, built once per graph.
 
     Calls `kind.priority_key` once per job. Two equal keys would leave the
     certainly eligible job undefined and raise RuntimeError.
@@ -222,7 +219,8 @@ def ranked_entries(instance: ProblemInstance, kind: PolicyKind) -> list[tuple]:
     if len(set(keys)) != len(keys):
         raise RuntimeError("priority order is not strict")
     ranks = _ranks(keys)
-    return [(ranks[job.pos], job.r_min, job.r_max, job.c_max, job.pos, job) for job in instance.jobs]
+    return [(ranks[job.pos], job.r_min, job.r_max, job.c_max, job.pos, job.c_min, job.deadline, job)
+            for job in instance.jobs]
 
 
 def urgency_ranks(instance: ProblemInstance, kind: PolicyKind) -> list[int]:
@@ -241,24 +239,21 @@ class ApplicableSet:
     """The applicable jobs of one finished set under one policy, prepared once
     for every vertex that has it; all that eligibility at a time t reads.
 
-    `ranked` holds the entry `(rank, r_min, r_max, c_max, pos, job)` of every
-    applicable job in rank order, the very tuple of its position in
-    `ranked_entries`: the constants of its job, so a probe loads no `Job`
-    attribute, and no entry depends on the set. Ranks are distinct, so the
-    entries sort by rank alone. `crit` is the critical context, which the
-    sweep reads the budget off. `urgent` lists every job of an idling policy
-    by urgency. Nothing changes later.
+    `ranked` holds the entry of every applicable job in rank order, the very
+    tuple of its position in `entries`, the `ranked_entries` table that all
+    sets of one graph share, so no entry depends on the set. Ranks are
+    distinct, so the entries sort by rank alone. `crit` is the critical
+    context, which the sweep reads the budget off. `urgent` lists every job
+    of an idling policy by urgency, `urgent_ranks` their urgency ranks.
+    Nothing changes later.
     """
 
     kind: PolicyKind
     crit: CriticalContext | None
-    ranked: list[tuple[int, int, int, int, int, Job]]
+    ranked: list[tuple[int, int, int, int, int, int, int, Job]]
     urgent: list[Job]
-
-    @property
-    def applicable(self) -> list[Job]:
-        """Every applicable job in position order."""
-        return sorted([entry[5] for entry in self.ranked], key=_POSITION)
+    urgent_ranks: list[int]
+    entries: Sequence[tuple]
 
 
 def prepare(kind: PolicyKind, entries: Sequence[tuple], urgency: Sequence[int],
@@ -272,8 +267,8 @@ def prepare(kind: PolicyKind, entries: Sequence[tuple], urgency: Sequence[int],
     if len({job.pos for job in jobs}) != len(jobs):
         raise RuntimeError("priority order is not strict")
     urgent = sorted(jobs, key=lambda job: urgency[job.pos]) if urgency else []
-    return ApplicableSet(kind, critical_context(kind, urgent),
-                         sorted(entries[job.pos] for job in jobs), urgent)
+    return ApplicableSet(kind, critical_context(kind, urgent), sorted(entries[job.pos] for job in jobs),
+                         urgent, [urgency[job.pos] for job in urgent], entries)
 
 
 def make_context(instance: ProblemInstance, kind: PolicyKind, finished: int) -> ApplicableSet:
@@ -282,36 +277,37 @@ def make_context(instance: ProblemInstance, kind: PolicyKind, finished: int) -> 
                    applicable_jobs(instance, finished))
 
 
-def derive(instance: ProblemInstance, entries: Sequence[tuple], urgency: Sequence[int],
-           apps: ApplicableSet, job: Job) -> ApplicableSet:
-    """The applicable set once `job` finishes, derived from its parent's.
-
-    The task's next job, if any, takes its place in both orders: its entry
-    from the `entries` table replaces the dispatched job's. Under an idling
-    policy the critical context is read off the new urgency order.
-    """
-    jobs, after = instance.jobs, job.pos + 1
-    follow = jobs[after] if after < len(jobs) and jobs[after].task_id == job.task_id else None
-    urgent, crit = apps.urgent, None
+def derive(instance: ProblemInstance, urgency: Sequence[int], apps: ApplicableSet,
+           pos: int) -> ApplicableSet:
+    """The applicable set once the job at position `pos` finishes, derived from its parent's:
+    the task's next job, if any, takes its place in both orders, by its entry and by its
+    urgency rank, bisected with no key function. An idling policy reads the critical
+    context off the new urgency order."""
+    jobs, entries, after = instance.jobs, apps.entries, pos + 1
+    follows = after < len(jobs) and jobs[after].task_id == jobs[pos].task_id
+    urgent, ranks, crit = apps.urgent, apps.urgent_ranks, None
     if urgency:  # an idling policy
-        urgent, rank = urgent.copy(), lambda j: urgency[j.pos]
-        del urgent[bisect_left(urgent, urgency[job.pos], key=rank)]
-        if follow is not None:
-            insort(urgent, follow, key=rank)
+        urgent, ranks = urgent.copy(), ranks.copy()
+        i = bisect_left(ranks, urgency[pos])
+        del urgent[i], ranks[i]
+        if follows:
+            i = bisect_left(ranks, urgency[after])
+            urgent.insert(i, jobs[after])
+            ranks.insert(i, urgency[after])
         crit = critical_context(apps.kind, urgent)
     ranked = apps.ranked.copy()
-    del ranked[bisect_left(ranked, entries[job.pos])]
-    if follow is not None:
+    del ranked[bisect_left(ranked, entries[pos])]
+    if follows:
         insort(ranked, entries[after])
-    return ApplicableSet(apps.kind, crit, ranked, urgent)
+    return ApplicableSet(apps.kind, crit, ranked, urgent, ranks, entries)
 
 
 # --- eligibility ----------------------------------------------------------------
 
-def possibly_eligible(apps: ApplicableSet, t: int) -> tuple[Job | None, list[Job], float]:
+def possibly_eligible(apps: ApplicableSet, t: int) -> tuple[int | None, list[int], float]:
     """One probe at t, one walk of `apps.ranked` in rank order: the certainly
-    eligible job (None if none), the possibly eligible jobs in position
-    order, and the next event after t that can change either (inf if none).
+    eligible job (None if none) and the possibly eligible ones, ascending, by
+    position, and the next event after t that can change either (inf if none).
 
     A job is admitted at t iff `t + c_max <= crit.time` or it is the
     critical job. The walk stops at the first admitted job with `r_max <=
@@ -323,7 +319,7 @@ def possibly_eligible(apps: ApplicableSet, t: int) -> tuple[Job | None, list[Job
     crit = apps.crit
     crit_pos, crit_time = _NO_BUDGET if crit is None else (crit.pos, crit.time)
     ce, out, after = None, [], inf
-    for _, r_min, r_max, c_max, pos, job in apps.ranked:
+    for _, r_min, r_max, c_max, pos, _, _, _ in apps.ranked:
         if t < r_min:  # an event if it can be admitted once released
             if r_min < after and (r_min + c_max <= crit_time or pos == crit_pos):
                 after = r_min
@@ -331,27 +327,26 @@ def possibly_eligible(apps: ApplicableSet, t: int) -> tuple[Job | None, list[Job
             if r_max <= t:  # the certain choice: it hides every job ranked below
                 if pos != crit_pos and crit_time - c_max + 1 < after:  # it expires
                     after = crit_time - c_max + 1
-                ce = job
+                ce = pos
                 break
-            out.append(job)
+            out.append(pos)
             event = r_max if r_max + c_max <= crit_time or pos == crit_pos else crit_time - c_max + 1
             if event < after:
                 after = event
-    if len(out) > 1:
-        out.sort(key=_POSITION)
+    out.sort()
     return ce, out, after
 
 
-def certainly_eligible(apps: ApplicableSet, t: int) -> Job | None:
-    """The unique certainly released, budget-respecting job of top priority at t."""
+def certainly_eligible(apps: ApplicableSet, t: int) -> int | None:
+    """The unique certainly released, budget-respecting job of top priority at t, by position."""
     return possibly_eligible(apps, t)[0]
 
 
 # --- expansion sweep ----------------------------------------------------------
 
 def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
-                      mode: str) -> list[tuple[Job, int, int]]:
-    """Dispatch windows (job, est, lst) of a vertex with interval [eft, lft], in creation order.
+                      mode: str) -> list[tuple[int, int, int]]:
+    """Dispatch windows (pos, est, lst) of a vertex with interval [eft, lft], in creation order.
 
     Probes eft and then each next event, with one `possibly_eligible` walk
     per probe, which names the certain choice, the possibly eligible jobs
@@ -359,67 +354,72 @@ def expansion_windows(apps: ApplicableSet, eft: int, lft: int,
     between, so the result matches a per-integer-time sweep exactly. The
     sweep stops at the first probe with a certain choice whose next event
     lies beyond lft, or with no next event, and closes every open run at
-    max(probe, lft). In `se` mode the jobs whose runs have ended are dropped
-    from the sweep's own copy of `apps` before the next probe. Without a
-    budget a job has one range, from its release on, so a run that opens
-    anywhere else raises RuntimeError.
+    max(probe, lft). In `se` mode the jobs whose runs have ended are deleted
+    by rank from the sweep's own copy of `apps` before the next probe.
+    Without a budget a job has one range, from its release on, so a run that
+    opens anywhere but at max(r_min, eft) raises RuntimeError.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if not apps.ranked:
         return []
-    open_runs: dict[int, tuple[Job, int]] = {}  # position -> (job, est)
-    out: list[tuple[Job, int, int]] = []
+    entries = apps.entries
+    open_runs: dict[int, int] = {}  # position -> est
+    out: list[tuple[int, int, int]] = []
     free = apps.crit is None  # no budget, so each job's one range starts at its release
-    t = eft
+    t, own = eft, None
     while True:
         ce, eligible, after = possibly_eligible(apps, t)
         if ce is not None:
             eligible.insert(0, ce)
-        ended = ()
-        if open_runs:
-            live = {job.pos for job in eligible}
-            ended = [pos for pos in open_runs if pos not in live]
-            for pos in ended:
-                job, est = open_runs.pop(pos)
-                out.append((job, est, t - 1))
-        for job in eligible:
-            if job.pos not in open_runs:
-                if free and t != (job.r_min if job.r_min > eft else eft):
+        ended = []  # plain loops: before Python 3.12 a comprehension is a call of its own
+        for pos in open_runs:
+            if pos not in eligible:
+                ended.append(pos)
+        for pos in ended:
+            out.append((pos, open_runs.pop(pos), t - 1))
+        for pos in eligible:
+            if pos not in open_runs:
+                if free and t != (eft if (r_min := entries[pos][1]) <= eft else r_min):
                     raise RuntimeError("work conserving job re-eligibility"
-                                       if any(w[0].pos == job.pos for w in out) else
+                                       if any(w[0] == pos for w in out) else
                                        "work conserving range must start at release")
-                open_runs[job.pos] = (job, t)
+                open_runs[pos] = t
         if after == inf or ce is not None and after > lft:  # the last segment reached lft
             break
-        if ended and mode == SE:  # `apps` is shared by every vertex with this finished set
-            apps = ApplicableSet(apps.kind, apps.crit, [e for e in apps.ranked if e[4] not in ended],
-                                 apps.urgent)
+        if ended and mode == SE:
+            if own is None:  # a copy of its own: every vertex with this finished set reads `apps`
+                own = apps = ApplicableSet(apps.kind, apps.crit, apps.ranked.copy(), apps.urgent,
+                                           apps.urgent_ranks, entries)
+            for pos in ended:
+                del own.ranked[bisect_left(own.ranked, entries[pos])]
         t = after
     if ce is None:
         raise AnalysisStuck(f"no certainly eligible job exists at or after t={lft}")
-    bound = max(t, lft)
-    out += [(job, est, bound) for job, est in open_runs.values()]
+    bound = t if t > lft else lft
+    for pos, est in open_runs.items():
+        out.append((pos, est, bound))
     return out
 
 
 # --- graph construction -------------------------------------------------------
 
-def expand(graph: ScheduleGraph, vertex: tuple, job: Job, est: int, lst: int) -> tuple:
-    """The successor candidate for dispatching `job` from frontier tuple `vertex`
-    over [est, lst]: `(finished, eft, id, lft, source, job_pos, est, lst)`, with
-    the next vertex id. Its arc takes the id one less, so that each successor
+def expand(graph: ScheduleGraph, vertex: tuple, pos: int, est: int, lst: int) -> tuple:
+    """The successor candidate for dispatching job position `pos` from frontier tuple
+    `vertex` over [est, lst]: `(finished, eft, id, lft, source, job_pos, est, lst)`,
+    with the next vertex id. Its arc takes the id one less, so that each successor
     hands out one id. Nothing is recorded before the merge."""
     if est > lst:
         raise ValueError(f"empty dispatch window [{est}, {lst}]")
-    if vertex[0] >> job.pos & 1:
+    if vertex[0] >> pos & 1:
         raise RuntimeError("job already finished in source vertex")
-    eft, lft = est + job.c_min, lst + job.c_max
+    entry = graph.entries[pos]
+    eft, lft = est + entry[5], lst + entry[3]
     if eft > lft:
         raise RuntimeError(f"vertex interval [{eft}, {lft}] is empty")
     vid = graph.vertices_created
     graph.vertices_created = vid + 1
-    return (vertex[0] | 1 << job.pos, eft, vid, lft, vertex[2], job.pos, est, lst)
+    return (vertex[0] | 1 << pos, eft, vid, lft, vertex[2], pos, est, lst)
 
 
 def merge_phase(graph: ScheduleGraph, groups: dict[int, list[tuple]]) -> list[tuple]:
@@ -544,13 +544,13 @@ def generate(instance: ProblemInstance, kind: PolicyKind, mode: str = ME,
     Levels alternate expansion and merging, and a level is merged before it
     is recorded. A frontier vertex is expanded by one `expansion_windows`
     sweep, whose AnalysisStuck is re-raised with the vertex's id, and one
-    `expand` per window, in window order; the window's job is the
-    successor's. Each successor's interval is folded into its job's finish
-    bound and checked against its deadline as it is created; a level with a
-    miss is still expanded in full and recorded unmerged, then the first
-    miss aborts with a witness unless `exhaustive_misses` asks to keep going
-    and collect all of them. Pure function of its arguments: repeated runs
-    build identical graphs.
+    `expand` per window, in window order; the window's job position is the
+    successor's, and a `Job` is looked up only for a miss. Each successor's
+    interval is folded into its job's finish bound and checked against its
+    deadline as it is created; a level with a miss is still expanded in full
+    and recorded unmerged, then the first miss aborts with a witness unless
+    `exhaustive_misses` asks to keep going and collect all of them. Pure
+    function of its arguments: repeated runs build identical graphs.
 
     Only the root's applicable jobs are computed from its finished set. The
     first successor created with a finished set opens that set's group of
@@ -578,7 +578,7 @@ def _generate(instance: ProblemInstance, kind: PolicyKind, mode: str,
               exhaustive_misses: bool) -> tuple[ScheduleGraph, AnalysisResult]:
     start = time.perf_counter()
     graph = ScheduleGraph(instance, kind, mode)
-    entries, urgency = ranked_entries(instance, kind), urgency_ranks(instance, kind)
+    entries, urgency = graph.entries, urgency_ranks(instance, kind)
     # finished set -> applicable set, for the level being expanded
     applicable = {0: prepare(kind, entries, urgency, applicable_jobs(instance, 0))}
     misses: list[DeadlineMiss] = []
@@ -598,21 +598,21 @@ def _generate(instance: ProblemInstance, kind: PolicyKind, mode: str,
                 windows = expansion_windows(apps, vertex[1], vertex[3], mode)
             except AnalysisStuck as exc:
                 raise AnalysisStuck(str(exc), vertex=vertex[2]) from None
-            for job, est, lst in windows:
-                successor = expand(graph, vertex, job, est, lst)
+            for pos, est, lst in windows:
+                successor = expand(graph, vertex, pos, est, lst)
                 finished, eft, lft = successor[0], successor[1], successor[3]
                 group = groups.get(finished)
                 if group is None:
                     groups[finished] = group = []
-                    derived[finished] = derive(instance, entries, urgency, apps, job)
+                    derived[finished] = derive(instance, urgency, apps, pos)
                 group.append(successor)
-                bound = bounds.get(job.pos)
+                bound = bounds.get(pos)
                 if bound is None:
-                    bounds[job.pos] = (eft, lft)
+                    bounds[pos] = (eft, lft)
                 elif eft < bound[0] or lft > bound[1]:  # rewritten only when it widens
-                    bounds[job.pos] = (min(bound[0], eft), max(bound[1], lft))
-                if lft > job.deadline and (exhaustive_misses or not misses):
-                    misses.append(DeadlineMiss(successor[2], job, lft, job.deadline))
+                    bounds[pos] = (min(bound[0], eft), max(bound[1], lft))
+                if lft > entries[pos][6] and (exhaustive_misses or not misses):
+                    misses.append(DeadlineMiss(successor[2], instance.jobs[pos], lft, entries[pos][6]))
         applicable = derived
         created.append(graph.vertices_created - first_id)
         aborted = bool(misses) and not exhaustive_misses

@@ -320,6 +320,11 @@ def reference_critical_context(kind, applicable):
     return CriticalContext(crit.pos, budget)
 
 
+def applicable(apps):
+    """Every applicable job of `apps` in position order."""
+    return sorted([entry[-1] for entry in apps.ranked], key=lambda job: job.pos)
+
+
 def latest_start(apps, job):
     """The latest time the budget of `apps` admits `job`: `crit.latest_start(job)`, inf without one."""
     return math.inf if apps.crit is None else apps.crit.latest_start(job)
@@ -332,7 +337,7 @@ def _admitted(apps, job, t, exclude) -> bool:
 def reference_certainly_eligible(apps, t, exclude=frozenset()):
     """The job of smallest `priority_key` among those certainly released (r_max <= t)
     and admitted by the critical budget at t, or None."""
-    candidates = [j for j in apps.applicable if j.r_max <= t and _admitted(apps, j, t, exclude)]
+    candidates = [j for j in applicable(apps) if j.r_max <= t and _admitted(apps, j, t, exclude)]
     return min(candidates, key=apps.kind.priority_key, default=None)
 
 
@@ -340,7 +345,7 @@ def reference_possibly_eligible(apps, t, exclude=frozenset()):
     """Jobs possibly released at t (r_min <= t < r_max), admitted by the budget
     and of smaller `priority_key` than the certain choice, in position order."""
     ce = reference_certainly_eligible(apps, t, exclude)
-    return [j for j in apps.applicable
+    return [j for j in applicable(apps)
             if j.r_min <= t < j.r_max and _admitted(apps, j, t, exclude)
             and (ce is None or apps.kind.priority_key(j) < apps.kind.priority_key(ce))]
 
@@ -358,7 +363,7 @@ def exploration_bound(apps, lft) -> int:
     becomes certainly released, so it suffices to probe lft and the r_max
     values above it. If none of them works, no later time can either.
     """
-    candidates = sorted({lft} | {j.r_max for j in apps.applicable if j.r_max > lft})
+    candidates = sorted({lft} | {j.r_max for j in applicable(apps) if j.r_max > lft})
     for t in candidates:
         if reference_certainly_eligible(apps, t) is not None:
             return t
@@ -366,7 +371,8 @@ def exploration_bound(apps, lft) -> int:
 
 
 def naive_windows_me(apps, eft, lft):
-    """Per-integer-time sweep over the exploration interval of a vertex [eft, lft]."""
+    """Per-integer-time sweep over the exploration interval of a vertex [eft,
+    lft]; windows `(pos, est, lst)` by job position, as the engine's."""
     hi = exploration_bound(apps, lft)
     open_runs: dict = {}
     out = []
@@ -374,7 +380,7 @@ def naive_windows_me(apps, eft, lft):
         eligible = [] if t > hi else eligible_at(apps, t)
         live = set(eligible)
         for job in [j for j in open_runs if j not in live]:
-            out.append((job, open_runs.pop(job), t - 1))
+            out.append((job.pos, open_runs.pop(job), t - 1))
         for job in eligible:
             if job not in open_runs:
                 open_runs[job] = t
@@ -383,11 +389,12 @@ def naive_windows_me(apps, eft, lft):
 
 
 def naive_windows_se(apps, eft, lft):
-    """Per-integer-time sweep with single-eligibility consumption semantics."""
-    cap = max([lft] + [j.r_max for j in apps.applicable])
+    """Per-integer-time sweep with single-eligibility consumption semantics;
+    windows by job position."""
+    jobs = applicable(apps)
+    cap = max([lft] + [j.r_max for j in jobs])
     if apps.crit is not None:
-        cap = max([cap] + [apps.crit.time - j.c_max + 1 for j in apps.applicable
-                           if j.pos != apps.crit.pos])
+        cap = max([cap] + [apps.crit.time - j.c_max + 1 for j in jobs if j.pos != apps.crit.pos])
     consumed: set = set()  # positions
     open_runs: dict = {}
     out = []
@@ -396,7 +403,7 @@ def naive_windows_se(apps, eft, lft):
         eligible = eligible_at(apps, t, frozenset(consumed))
         live = set(eligible)
         for job in [j for j in open_runs if j not in live]:
-            out.append((job, open_runs.pop(job), t - 1))
+            out.append((job.pos, open_runs.pop(job), t - 1))
             consumed.add(job.pos)
         for job in eligible:
             if job not in open_runs and job.pos not in consumed:
@@ -407,12 +414,13 @@ def naive_windows_se(apps, eft, lft):
     if bound is None:
         raise AnalysisStuck("naive single-eligibility sweep found no dispatch time")
     for job, est in open_runs.items():
-        out.append((job, est, bound))
+        out.append((job.pos, est, bound))
     return out
 
 
 def reference_boundary_windows(apps, eft, lft, mode, probes=None):
-    """The windows of a vertex with interval [eft, lft] by the boundary sweep.
+    """The windows `(pos, est, lst)` of a vertex with interval [eft, lft] by
+    the boundary sweep.
 
     It probes eft and every distinct boundary time above it: each applicable
     job's release bounds and, under a budget, its latest start plus one,
@@ -424,7 +432,7 @@ def reference_boundary_windows(apps, eft, lft, mode, probes=None):
     """
     if not apps.ranked:
         return []
-    jobs = [entry[5] for entry in apps.ranked]  # in rank order
+    jobs = [entry[-1] for entry in apps.ranked]  # in rank order
     times = [eft] + sorted({bound for job in jobs for bound in
                             (job.r_min, job.r_max, latest_start(apps, job) + 1)
                             if eft < bound != math.inf})
@@ -440,25 +448,24 @@ def reference_boundary_windows(apps, eft, lft, mode, probes=None):
             key=lambda job: job.pos)
         ended = [pos for pos in open_runs if pos not in {job.pos for job in eligible}]
         for pos in ended:
-            job, est = open_runs.pop(pos)
-            out.append((job, est, t - 1))
+            out.append((pos, open_runs.pop(pos), t - 1))
         if mode == "se":
             gone.update(ended)
         for job in eligible:
-            open_runs.setdefault(job.pos, (job, t))
+            open_runs.setdefault(job.pos, t)
         if i + 1 == len(times) or ce is not None and times[i + 1] > lft:
             break
     if ce is None:
         raise AnalysisStuck(f"no certainly eligible job exists at or after t={lft}")
     bound = max(t, lft)
-    return out + [(job, est, bound) for job, est in open_runs.values()]
+    return out + [(pos, est, bound) for pos, est in open_runs.items()]
 
 
 def pruned(apps):
     """`apps` without the jobs its budget can never admit, those released
     after their latest start (`r_min > crit.latest_start(job)`)."""
     return replace(apps, ranked=[entry for entry in apps.ranked
-                                 if entry[5].r_min <= latest_start(apps, entry[5])])
+                                 if entry[-1].r_min <= latest_start(apps, entry[-1])])
 
 
 def merge(graph, candidates):
@@ -503,6 +510,11 @@ def reference_merge(candidates) -> tuple[list[tuple], list[tuple]]:
         survivors.append((finished, eft, keep[2], lft))
         i = j
     return sorted(survivors, key=lambda survivor: survivor[2]), arcs
+
+
+def interval(vertex) -> tuple[int, int]:
+    """A vertex's interval (eft, lft)."""
+    return vertex.eft, vertex.lft
 
 
 def finish_bounds(graph) -> dict[tuple[int, int], tuple[int, int]]:
@@ -559,7 +571,7 @@ def check_graph(graph, result=None) -> None:
             assert vertex.level == level
             assert bin(vertex.finished).count("1") == level
             assert vertex.eft <= vertex.lft
-            by_mask.setdefault(vertex.finished, []).append(vertex.interval)
+            by_mask.setdefault(vertex.finished, []).append(interval(vertex))
         if level < merged_levels:
             for intervals in by_mask.values():
                 intervals.sort()
@@ -568,7 +580,7 @@ def check_graph(graph, result=None) -> None:
     assert seen == set(vertices)
     assert graph.levels[0] == [graph.root]
     root = vertices[graph.root]
-    assert root.interval == (0, 0) and root.finished == 0
+    assert interval(root) == (0, 0) and root.finished == 0
 
     pairs = set()
     per_label = {}

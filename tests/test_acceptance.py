@@ -19,7 +19,7 @@ from schedgraph import (ME, SE, ExecutionScenario, GenSpec, PolicyKind,
                         enumerate_scenarios, generate, generate_instance, simulate)
 from schedgraph.cli import main
 from schedgraph.graph import expansion_windows, make_context
-from support import (ALL_POLICIES, check_graph, naive_windows_me,
+from support import (ALL_POLICIES, applicable, check_graph, interval, naive_windows_me,
                      naive_windows_se, sample_instance)
 
 FUZZ_INSTANCES = 500
@@ -38,7 +38,7 @@ def reported(name: str):
 
 
 def intervals(graph, level):
-    return sorted(graph.vertices[vid].interval for vid in graph.levels[level])
+    return sorted(interval(graph.vertices[vid]) for vid in graph.levels[level])
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,7 @@ def test_criterion_5_sweep_equivalence():
                 apps = make_context(instance, kind, vertex.finished)
                 if not apps.ranked:
                     continue
-                eft, lft = vertex.interval
+                eft, lft = interval(vertex)
                 assert expansion_windows(apps, eft, lft, ME) == naive_windows_me(apps, eft, lft)
                 assert expansion_windows(apps, eft, lft, SE) == naive_windows_se(apps, eft, lft)
                 checked += 1
@@ -164,7 +164,7 @@ def test_criterion_6_structural_invariants(fuzz_corpus):
                         continue
                     for t in (vertex.eft, vertex.lft, vertex.lft + 1):
                         viable = [
-                            j for j in apps.applicable
+                            j for j in applicable(apps)
                             if j.r_max <= t and (apps.crit is None
                                                  or t + j.c_max <= apps.crit.time
                                                  or j.pos == apps.crit.pos)

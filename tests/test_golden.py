@@ -48,7 +48,7 @@ def record(graph, result) -> tuple:
     misses = [(m.vertex, m.job.key, m.lft, m.deadline) for m in [result.witness, *result.misses]
               if m is not None]
     return (
-        [(v.id, v.interval, v.finished, v.level, v.in_arcs, v.out_arcs)
+        [(v.id, (v.eft, v.lft), v.finished, v.level, v.in_arcs, v.out_arcs)
          for v in graph.vertices.values()],
         [(a.id, a.src, a.dst, a.job_pos, a.est, a.lst) for a in graph.arcs.values()],
         graph.levels,

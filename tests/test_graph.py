@@ -27,8 +27,8 @@ from schedgraph.graph import (ScheduleGraph, applicable_jobs, certainly_eligible
 from schedgraph.model import Job
 from schedgraph.policy import CriticalContext, critical_context
 from support import (ALL_POLICIES, ANOMALY, EDF_JITTER, MANY_TASKS, SE_STUCK_SCHEDULABLE,
-                     check_graph, exploration_bound, latest_start, mask, merge, naive_windows_me,
-                     naive_windows_se, pruned, reference_certainly_eligible,
+                     applicable, check_graph, exploration_bound, interval, latest_start, mask,
+                     merge, naive_windows_me, naive_windows_se, pruned, reference_certainly_eligible,
                      reference_critical_context, reference_boundary_windows, reference_merge,
                      reference_possibly_eligible, sample_crowded_instance, sample_instance)
 
@@ -41,7 +41,7 @@ DIFFERENTIAL_MAX_SCENARIOS = 10**6
 
 
 def intervals(graph, level):
-    return sorted(graph.vertices[vid].interval for vid in graph.levels[level])
+    return sorted(interval(graph.vertices[vid]) for vid in graph.levels[level])
 
 
 def scratch(graph, vid):
@@ -63,7 +63,7 @@ def top(graph):
 def successors(graph, vertex, apps):
     """A frontier tuple's successor candidates, one per window, as `generate` makes them."""
     windows = expansion_windows(apps, vertex[1], vertex[3], graph.mode)
-    return [expand(graph, vertex, job, est, lst) for job, est, lst in windows]
+    return [expand(graph, vertex, pos, est, lst) for pos, est, lst in windows]
 
 
 def store(graph, candidate):
@@ -143,11 +143,11 @@ class TestJobIdentity:
 class TestEligibility:
     def test_certain_choice_at_root(self, jitter3):
         apps = make_context(jitter3, PolicyKind.EDF, 0)
-        assert certainly_eligible(apps, 0) == jitter3.job((2, 1))
+        assert certainly_eligible(apps, 0) == jitter3.job((2, 1)).pos
 
     def test_certain_choice_respects_budget(self, idle4):
         apps = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]))
-        assert certainly_eligible(apps, 7) == idle4.job((3, 1))
+        assert certainly_eligible(apps, 7) == idle4.job((3, 1)).pos
 
     def test_no_certain_choice_before_any_certain_release(self, jitter3):
         apps = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(1, 1), (2, 1)]))
@@ -156,7 +156,7 @@ class TestEligibility:
 
     def test_possible_jobs_must_outrank_certain_choice(self, jitter3):
         apps = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1)]))
-        assert possibly_eligible(apps, 1)[1] == [jitter3.job((3, 1))]
+        assert possibly_eligible(apps, 1)[1] == [jitter3.job((3, 1)).pos]
 
     def test_priority_table_pattern(self):
         # seven jobs, one per priority level; at t=5: priorities 3 and 4 are
@@ -166,8 +166,8 @@ class TestEligibility:
         tasks = [Task(p + 1, 40, lo, hi, 1, 1, 30 + p, p) for p, (lo, hi) in windows.items()]
         instance = make_instance(tasks, horizon=40)
         apps = make_context(instance, PolicyKind.FP_EDF, 0)
-        assert certainly_eligible(apps, 5).priority == 3
-        assert sorted(j.priority for j in possibly_eligible(apps, 5)[1]) == [0, 2]
+        assert instance.jobs[certainly_eligible(apps, 5)].priority == 3
+        assert sorted(instance.jobs[pos].priority for pos in possibly_eligible(apps, 5)[1]) == [0, 2]
 
     def test_nothing_possible_once_everything_certain(self, jitter3):
         apps = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1)]))
@@ -198,7 +198,7 @@ class TestExplorationBound:
 class TestRanges:
     @staticmethod
     def ranges(apps, eft, lft, job):
-        return [(est, lst) for j, est, lst in expansion_windows(apps, eft, lft, ME) if j == job]
+        return [(est, lst) for pos, est, lst in expansion_windows(apps, eft, lft, ME) if pos == job.pos]
 
     def test_split_eligibility_of_low_priority_job(self, idle4):
         apps = make_context(idle4, PolicyKind.P_FP_EDF, mask(idle4, [(2, 1)]))
@@ -210,7 +210,7 @@ class TestRanges:
 
     def test_work_conserving_range_starts_at_release(self, jitter3):
         apps = make_context(jitter3, PolicyKind.EDF, mask(jitter3, [(2, 1)]))
-        for job in apps.applicable:
+        for job in applicable(apps):
             ranges = self.ranges(apps, 1, 1, job)
             assert len(ranges) <= 1
             if ranges:
@@ -221,7 +221,8 @@ class TestRanges:
         before = dataclasses.replace(apps, ranked=apps.ranked.copy(), urgent=apps.urgent.copy())
 
         def windows(mode):
-            return [(j.label, est, lst) for j, est, lst in expansion_windows(apps, 1, 8, mode)]
+            return [(idle4.jobs[pos].label, est, lst)
+                    for pos, est, lst in expansion_windows(apps, 1, 8, mode)]
 
         assert windows(SE) == [("J3,1", 1, 2), ("J4,1", 3, 6), ("J1,1", 10, 10)]
         assert apps == before
@@ -233,7 +234,7 @@ def events(apps, entry) -> tuple:
     bounds and, under a budget, the instant it stops being admitted (`last +
     1`, its latest start by `crit.latest_start(job)` plus one); none when it
     is released after its latest start, so never eligible."""
-    job = entry[5]
+    job = entry[-1]
     last = latest_start(apps, job)
     if job.r_min > last:
         return ()
@@ -280,12 +281,12 @@ def sweeps(instance, kind, mode) -> list[list]:
 
 
 def next_event(apps, t, ce) -> float:
-    """The first event after t of a job at or above `ce` (of any job when it
-    is None) that is not past its latest start nor released after it; inf if
-    there is none."""
+    """The first event after t of a job at or above the one at position `ce`
+    (of any job when it is None) that is not past its latest start nor
+    released after it; inf if there is none."""
     upto = len(apps.ranked) if ce is None else \
-        next(i for i, entry in enumerate(apps.ranked) if entry[5] is ce) + 1
-    return min((e for entry in apps.ranked[:upto] if t <= latest_start(apps, entry[5])
+        next(i for i, entry in enumerate(apps.ranked) if entry[4] == ce) + 1
+    return min((e for entry in apps.ranked[:upto] if t <= latest_start(apps, entry[-1])
                 for e in events(apps, entry) if e > t), default=inf)
 
 
@@ -337,33 +338,33 @@ class TestProbeCount:
 class TestExpand:
     def test_expand_adds_execution_window(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
-        first = expand(graph, top(graph), jitter3.job((2, 1)), 0, 0)
+        first = expand(graph, top(graph), jitter3.job((2, 1)).pos, 0, 0)
         assert span(first) == (1, 1)
         assert (len(first), first[2]) == (8, 1)  # no arc id field; the next vertex id
         assert graph.vertices.keys() == {graph.root}  # nothing stored before the merge
         v1 = store(graph, first)
         assert graph.vertices[v1[2]].in_arcs == [0]  # its arc takes the id one less
-        assert span(expand(graph, v1, jitter3.job((3, 1)), 1, 1)) == (4, 5)
-        assert span(expand(graph, v1, jitter3.job((1, 1)), 1, 1)) == (2, 3)
+        assert span(expand(graph, v1, jitter3.job((3, 1)).pos, 1, 1)) == (4, 5)
+        assert span(expand(graph, v1, jitter3.job((1, 1)).pos, 1, 1)) == (2, 3)
         arc = graph.arcs[graph.vertices[v1[2]].in_arcs[0]]
         assert (arc.est, arc.lst) == (0, 0)
 
     def test_expand_window_spans_dispatch_times(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
-        v1 = store(graph, expand(graph, top(graph), jitter3.job((2, 1)), 0, 0))
-        v2 = store(graph, expand(graph, v1, jitter3.job((1, 1)), 1, 1))
-        assert span(expand(graph, v2, jitter3.job((3, 1)), 2, 3)) == (5, 7)
+        v1 = store(graph, expand(graph, top(graph), jitter3.job((2, 1)).pos, 0, 0))
+        v2 = store(graph, expand(graph, v1, jitter3.job((1, 1)).pos, 1, 1))
+        assert span(expand(graph, v2, jitter3.job((3, 1)).pos, 2, 3)) == (5, 7)
 
     def test_deterministic_job_gives_point_interval(self):
         instance = make_instance([Task(1, 10, 0, 0, 3, 3, 10)])
         graph = ScheduleGraph(instance, PolicyKind.EDF)
-        candidate = expand(graph, top(graph), instance.jobs[0], 4, 4)
+        candidate = expand(graph, top(graph), instance.jobs[0].pos, 4, 4)
         assert span(candidate) == (7, 7)
 
     def test_empty_window_rejected(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
         with pytest.raises(ValueError, match="empty dispatch window"):
-            expand(graph, top(graph), jitter3.job((2, 1)), 3, 2)
+            expand(graph, top(graph), jitter3.job((2, 1)).pos, 3, 2)
 
 
 class TestNextNodes:
@@ -374,14 +375,14 @@ class TestNextNodes:
 
     def test_vertex_with_certain_switchover_expands_twice(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
-        v1 = store(graph, expand(graph, top(graph), jitter3.job((2, 1)), 0, 0))
-        v3 = store(graph, expand(graph, v1, jitter3.job((3, 1)), 1, 1))
+        v1 = store(graph, expand(graph, top(graph), jitter3.job((2, 1)).pos, 0, 0))
+        v3 = store(graph, expand(graph, v1, jitter3.job((3, 1)).pos, 1, 1))
         new = successors(graph, v3, scratch(graph, v3[2]))
         assert [span(c) for c in new] == [(5, 6), (6, 6)]
 
     def test_idling_policy_reopens_eligibility(self, idle4):
         graph = ScheduleGraph(idle4, PolicyKind.P_FP_EDF)
-        v1 = store(graph, expand(graph, top(graph), idle4.job((2, 1)), 0, 0))
+        v1 = store(graph, expand(graph, top(graph), idle4.job((2, 1)).pos, 0, 0))
         new = successors(graph, v1, scratch(graph, v1[2]))
         labels = [(idle4.jobs[c[5]].label, span(c)) for c in new]
         assert labels == [("J3,1", (3, 4)), ("J4,1", (7, 10)), ("J3,1", (9, 10))]
@@ -398,16 +399,16 @@ class TestMergePhase:
 
     def test_disjoint_intervals_never_merge(self, jitter3):
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
-        a = expand(graph, top(graph), jitter3.job((2, 1)), 0, 0)
-        b = expand(graph, top(graph), jitter3.job((2, 1)), 3, 3)
+        a = expand(graph, top(graph), jitter3.job((2, 1)).pos, 0, 0)
+        b = expand(graph, top(graph), jitter3.job((2, 1)).pos, 3, 3)
         assert (span(a), span(b)) == ((1, 1), (4, 4))  # a gap between the two intervals
         assert merge(graph, [b, a]) == [a[:4], b[:4]]
-        assert [graph.vertices[c[2]].interval for c in (a, b)] == [(1, 1), (4, 4)]
+        assert [interval(graph.vertices[c[2]]) for c in (a, b)] == [(1, 1), (4, 4)]
 
     def test_merge_takes_interval_hull_and_redirects_arcs(self, jitter3):
         graph, _ = generate(jitter3, PolicyKind.EDF, ME)
         merged = [graph.vertices[vid] for vid in graph.levels[3]
-                  if graph.vertices[vid].interval == (5, 7)][0]
+                  if interval(graph.vertices[vid]) == (5, 7)][0]
         sources = {graph.arcs[a].src for a in merged.in_arcs}
         assert len(sources) == 2
 
@@ -417,13 +418,13 @@ class TestMergePhase:
         # finish bounds stay exact and the graph stays simple
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
         root = graph.vertices[graph.root]  # read before the merge, still current after it
-        a = expand(graph, top(graph), jitter3.job((1, 1)), 0, 1)  # interval [1, 3]
-        b = expand(graph, top(graph), jitter3.job((1, 1)), 2, 3)  # interval [3, 5]
+        a = expand(graph, top(graph), jitter3.job((1, 1)).pos, 0, 1)  # interval [1, 3]
+        b = expand(graph, top(graph), jitter3.job((1, 1)).pos, 2, 3)  # interval [3, 5]
         assert [vertex[2] for vertex in merge(graph, [a, b])] == [a[2]]
         assert b[2] not in graph.vertices  # merged away, counted, never stored
         assert graph.vertices_created == 3 and graph.arcs_created == 2
         survivor = graph.vertices[a[2]]
-        assert survivor.interval == (1, 5)
+        assert interval(survivor) == (1, 5)
         assert len(survivor.in_arcs) == 1
         assert len(root.out_arcs) == 1
         kept = graph.arcs[survivor.in_arcs[0]]
@@ -432,9 +433,9 @@ class TestMergePhase:
     def test_a_stale_candidate_first_in_its_set_is_refused(self, jitter3):
         # the guard reads each set's first id, which is its smallest
         graph = ScheduleGraph(jitter3, PolicyKind.EDF)
-        stale = expand(graph, top(graph), jitter3.job((2, 1)), 0, 0)
+        stale = expand(graph, top(graph), jitter3.job((2, 1)).pos, 0, 0)
         merge(graph, [stale])
-        fresh = expand(graph, top(graph), jitter3.job((2, 1)), 0, 0)
+        fresh = expand(graph, top(graph), jitter3.job((2, 1)).pos, 0, 0)
         assert stale[0] == fresh[0]
         with pytest.raises(RuntimeError, match="merge phase ran after expansion of the level"):
             merge(graph, [stale, fresh])
@@ -655,7 +656,7 @@ class TestGenerate:
         graph, result = generate(make_instance(self.edge_tasks(2**64 - 5)), kind, mode)
         check_graph(graph, result)
         assert result.schedulable
-        assert [v.interval for v in graph.vertices.values()] == \
+        assert [interval(v) for v in graph.vertices.values()] == \
             [(0, 0), (2**64 - 8, 2**64 - 8), (2**64 - 6, 2**64 - 6)]
         assert result.bounds == {(1, 1): (2**64 - 8, 2**64 - 8), (2, 1): (2**64 - 6, 2**64 - 6)}
         assert max(arc.lst for arc in graph.arcs.values()) == 2**64 - 8
@@ -667,8 +668,8 @@ class TestGenerate:
     def test_generate_is_deterministic(self, idle4):
         g1, r1 = generate(idle4, PolicyKind.P_FP_EDF, ME)
         g2, r2 = generate(idle4, PolicyKind.P_FP_EDF, ME)
-        assert [(v.id, v.interval, v.finished) for v in g1.vertices.values()] == \
-               [(v.id, v.interval, v.finished) for v in g2.vertices.values()]
+        assert [(v.id, interval(v), v.finished) for v in g1.vertices.values()] == \
+               [(v.id, interval(v), v.finished) for v in g2.vertices.values()]
         assert [(a.id, a.src, a.dst, a.job_pos, a.est, a.lst) for a in g1.arcs.values()] == \
                [(a.id, a.src, a.dst, a.job_pos, a.est, a.lst) for a in g2.arcs.values()]
         assert r1.bounds == r2.bounds
@@ -912,12 +913,12 @@ class TestEventSweep:
         # ranks below it; J1,1's release at 10 lies beyond lft
         graph, _ = generate(idle4, PolicyKind.EDF, ME)
         vertex = graph.vertices[1]
-        assert vertex.interval == (1, 8)
+        assert interval(vertex) == (1, 8)
         apps = make_context(idle4, PolicyKind.EDF, vertex.finished)
         times = []
         expected = reference_boundary_windows(apps, 1, 8, ME, times)
         windows, calls = probed(apps, 1, 8, ME)
-        assert windows == expected == [(idle4.job((3, 1)), 1, 8)]
+        assert windows == expected == [(idle4.job((3, 1)).pos, 1, 8)]
         assert times == [1, 3] and [t for t, _, _ in calls] == [1]
 
 
@@ -937,7 +938,7 @@ class TestIncrementalState:
         def matches_scratch(apps, finished):
             scratch = make_context(instance, kind, finished)
             assert apps.kind is scratch.kind is kind
-            assert apps.applicable == scratch.applicable
+            assert applicable(apps) == applicable(scratch)
             assert apps.crit == scratch.crit
             assert apps.ranked == scratch.ranked
             assert apps.urgent == scratch.urgent
@@ -946,13 +947,13 @@ class TestIncrementalState:
         finished_of = {}  # id -> (set, its finished set); holding the set keeps its id unused
         original = schedgraph.graph.derive
 
-        def checking(instance_, ranks_, urgency, apps, job):
+        def checking(instance_, urgency, apps, pos):
             if not finished_of:  # the root's set, prepared from scratch
                 matches_scratch(apps, 0)
                 finished_of[id(apps)] = (apps, 0)
             parent = finished_of[id(apps)][1]
-            assert not parent >> job.pos & 1
-            child, finished = original(instance_, ranks_, urgency, apps, job), parent | 1 << job.pos
+            assert not parent >> pos & 1
+            child, finished = original(instance_, urgency, apps, pos), parent | 1 << pos
             matches_scratch(child, finished)
             finished_of[id(child)] = (child, finished)
             return child
@@ -976,16 +977,16 @@ class TestIncrementalState:
         calls, counts = [], {}
 
         def context(apps):  # equal contexts have equal positions and times
-            return reference_critical_context(apps.kind, apps.applicable)
+            return reference_critical_context(apps.kind, applicable(apps))
 
-        def deriving(instance, entries, urgency, apps, job, _original=schedgraph.graph.derive):
-            child = _original(instance, entries, urgency, apps, job)
+        def deriving(instance, urgency, apps, pos, _original=schedgraph.graph.derive):
+            child, entries, job = _original(instance, urgency, apps, pos), apps.entries, instance.jobs[pos]
             follower = instance.job_index.get((job.task_id, job.index + 1))
-            expected = sorted([entry for entry in apps.ranked if entry[5] is not job]
+            expected = sorted([entry for entry in apps.ranked if entry[-1] is not job]
                               + ([] if follower is None else [entries[follower]]))
             assert len(child.ranked) == len(expected)
             assert all(entry is kept for entry, kept in zip(child.ranked, expected))
-            assert all(entry is entries[entry[5].pos] for entry in apps.ranked + child.ranked)
+            assert all(entry is entries[entry[-1].pos] for entry in apps.ranked + child.ranked)
             calls.append(context(apps) != context(child))
             return child
 
@@ -1021,14 +1022,15 @@ class TestIncrementalState:
             apps = make_context(instance, kind, vertex.finished)
             last_event = max([vertex.lft, *(e for entry in apps.ranked for e in events(apps, entry))])
             for t in range(vertex.eft, last_event + 1):
-                exclude = frozenset(j.pos for j in apps.applicable if rng.random() < 0.2)
+                exclude = frozenset(j.pos for j in applicable(apps) if rng.random() < 0.2)
                 for skip in (frozenset(), exclude):
                     narrowed = dataclasses.replace(
                         apps, ranked=[e for e in apps.ranked if e[4] not in skip])
                     ce, possible, after = possibly_eligible(narrowed, t)
-                    assert ce is certainly_eligible(narrowed, t) is \
-                        reference_certainly_eligible(apps, t, skip)
-                    assert possible == reference_possibly_eligible(apps, t, skip)
+                    reference = reference_certainly_eligible(apps, t, skip)
+                    assert ce == certainly_eligible(narrowed, t) == \
+                        (None if reference is None else reference.pos)
+                    assert possible == [job.pos for job in reference_possibly_eligible(apps, t, skip)]
                     assert after == next_event(narrowed, t, ce) and after > t, (t, after)
 
 
@@ -1044,8 +1046,8 @@ def built_sets(monkeypatch):
         finished_of[id(sets[-1][1])] = 0
         return sets[-1][1]
 
-    def deriving(instance, entries, urgency, apps, job):
-        sets.append((finished_of[id(apps)] | 1 << job.pos, derive(instance, entries, urgency, apps, job)))
+    def deriving(instance, urgency, apps, pos):
+        sets.append((finished_of[id(apps)] | 1 << pos, derive(instance, urgency, apps, pos)))
         finished_of[id(sets[-1][1])] = sets[-1][0]
         return sets[-1][1]
 
@@ -1057,14 +1059,14 @@ def built_sets(monkeypatch):
 def check_ranked_entries(instance, kind, sets) -> int:
     """Assert that each set's `ranked` holds exactly one entry per applicable
     job of its finished set, in rank order, each holding its own job's
-    constants `(rank, r_min, r_max, c_max, pos, job)`; the number of entries
+    constants `(rank, r_min, r_max, c_max, pos, c_min, deadline, job)`; the number of entries
     whose job is released after its latest start under its set's budget."""
     ranks, dead = [entry[0] for entry in ranked_entries(instance, kind)], 0
     for finished, apps in sets:
         jobs = applicable_jobs(instance, finished)
-        assert apps.ranked == sorted((ranks[job.pos], job.r_min, job.r_max, job.c_max, job.pos, job)
-                                     for job in jobs)
-        assert {id(entry[5]) for entry in apps.ranked} == {id(job) for job in jobs}
+        assert apps.ranked == sorted((ranks[job.pos], job.r_min, job.r_max, job.c_max, job.pos,
+                                      job.c_min, job.deadline, job) for job in jobs)
+        assert {id(entry[-1]) for entry in apps.ranked} == {id(job) for job in jobs}
         crit = reference_critical_context(kind, jobs)
         dead += sum(crit is not None and job.r_min > crit.latest_start(job) for job in jobs)
     return dead
@@ -1114,16 +1116,16 @@ class TestPruning:
         # latest start 0 - c_max
         apps = make_context(idle4, kind, 0)
         assert (apps.crit.pos, apps.crit.time) == (idle4.job((2, 1)).pos, 0)
-        assert [job.label for job in apps.applicable] == ["J1,1", "J2,1", "J3,1", "J4,1"]
+        assert [job.label for job in applicable(apps)] == ["J1,1", "J2,1", "J3,1", "J4,1"]
         assert len(apps.ranked) == 4
-        assert [entry[5].label for entry in pruned(apps).ranked] == ["J2,1"]
-        assert [events(apps, entry) for entry in apps.ranked if entry[5].label != "J2,1"] == [()] * 3
-        assert certainly_eligible(apps, 0) is idle4.job((2, 1))
+        assert [entry[-1].label for entry in pruned(apps).ranked] == ["J2,1"]
+        assert [events(apps, entry) for entry in apps.ranked if entry[-1].label != "J2,1"] == [()] * 3
+        assert certainly_eligible(apps, 0) == idle4.job((2, 1)).pos
         assert possibly_eligible(apps, 0)[1] == []
         for mode in (ME, SE):
             windows, calls = probed(apps, 0, 0, mode)
             assert [t for t, _, _ in calls] == [0]
-            assert windows == probed(pruned(apps), 0, 0, mode)[0] == [(idle4.job((2, 1)), 0, 0)]
+            assert windows == probed(pruned(apps), 0, 0, mode)[0] == [(idle4.job((2, 1)).pos, 0, 0)]
 
     @pytest.mark.parametrize("mode", [ME, SE])
     @settings(max_examples=15, deadline=None)
@@ -1156,7 +1158,7 @@ class TestPruning:
             windows, times = outcome(apps, eft, lft)
             assert (windows, times) == outcome(kept, eft, lft), vertex
             assert windows == naive, vertex
-            dead = [entry[5] for entry in apps.ranked if entry not in kept.ranked]
+            dead = [entry[4] for entry in apps.ranked if entry not in kept.ranked]
             for t in range(eft, max(times + [lft]) + 1):
                 assert certainly_eligible(apps, t) not in dead
                 assert not set(possibly_eligible(apps, t)[1]) & set(dead)
@@ -1423,24 +1425,29 @@ def script_env() -> dict:
 # Each case corrupts the engine's state in one way; the check must still fire
 # when assert statements are stripped.
 CORRUPTED_CASES = textwrap.dedent("""
-    import dataclasses
     import sys
     from schedgraph import ME, PolicyKind, Task, generate, make_instance, parse_instance
     from schedgraph.graph import ScheduleGraph, expand, prepare, ranked_entries
-    from support import merge
+    from support import applicable, merge
     assert False, "assert statements must be stripped"
     instance = parse_instance(open(sys.argv[1]).read())
     graph = ScheduleGraph(instance, PolicyKind.EDF)
     [root] = graph.recorded[0][0]
     job = instance.job((2, 1))
-    first = expand(graph, root, job, 0, 0)
+    first = expand(graph, root, job.pos, 0, 0)
     [done] = merge(graph, [first])
+
+    def empty_interval():  # a job whose c_min exceeds its c_max
+        broken = ScheduleGraph(instance, PolicyKind.EDF)
+        rank, r_min, r_max, _, pos, _, deadline, _ = broken.entries[job.pos]
+        broken.entries[job.pos] = (rank, r_min, r_max, 2, pos, 3, deadline, job)
+        expand(broken, root, job.pos, 0, 0)
 
     def twice():  # one job twice in the applicable set
         prepare(PolicyKind.EDF, ranked_entries(instance, PolicyKind.EDF), [], (job, job))
 
     def merged_after_expansion():  # a candidate of a level already recorded
-        expand(graph, done, instance.job((1, 1)), 1, 1)
+        expand(graph, done, instance.job((1, 1)).pos, 1, 1)
         merge(graph, [first])
 
     def generator_breaks_its_deadline_rule():
@@ -1455,14 +1462,14 @@ CORRUPTED_CASES = textwrap.dedent("""
 
         def everything_possible(apps, t):
             ce, _, after = probe(apps, t)
-            return ce, [j for j in apps.applicable if j is not ce], after
+            return ce, [j.pos for j in applicable(apps) if j.pos != ce], after
 
         engine.possibly_eligible = everything_possible
         generate(instance, PolicyKind.EDF, ME)
 
     cases = [
-        lambda: expand(graph, root, dataclasses.replace(job, c_min=3, c_max=2), 0, 0),
-        lambda: expand(graph, done, job, 1, 1),
+        empty_interval,
+        lambda: expand(graph, done, job.pos, 1, 1),
         twice,
         merged_after_expansion,
         generator_breaks_its_deadline_rule,
@@ -1506,7 +1513,7 @@ REELIGIBLE_CASE = textwrap.dedent("""
     def flicker(apps, t):
         probes.append(t)
         ce, found, after = probe(apps, t)
-        return ce, ([job for job in found if job.pos != 0] if len(probes) == 2 else found), after
+        return ce, ([pos for pos in found if pos != 0] if len(probes) == 2 else found), after
 
     engine.possibly_eligible = flicker
     try:
