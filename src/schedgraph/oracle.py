@@ -69,10 +69,6 @@ class SimulationTrace:
     idle: list[tuple[int, int]]
     misses: list[tuple[Job, int, int]]  # (job, finish, deadline)
 
-    @property
-    def miss(self) -> tuple[Job, int, int] | None:
-        return self.misses[0] if self.misses else None
-
 
 def simulate(instance: ProblemInstance, kind: PolicyKind,
              scenario: ExecutionScenario) -> SimulationTrace:

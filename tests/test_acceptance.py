@@ -100,12 +100,12 @@ def test_criterion_3_anomaly_detection(anomaly):
         assert not report.schedulable
 
         worst = ExecutionScenario.worst_case(anomaly)
-        assert simulate(anomaly, PolicyKind.EDF, worst).miss is None
+        assert simulate(anomaly, PolicyKind.EDF, worst).misses == []
 
         tweaked = ExecutionScenario({**worst.release, (1, 1): 2},
                                     {**worst.execution, (2, 1): 2})
         trace = simulate(anomaly, PolicyKind.EDF, tweaked)
-        job, finish, deadline = trace.miss
+        job, finish, deadline = trace.misses[0]
         assert (job.key, finish, deadline) == ((3, 2), 11, 10)
         assert time.perf_counter() - t0 < 1.0
 

@@ -218,12 +218,30 @@ class TestBruteForce:
         assert data["schedulable"] is True
         assert data["scenarios_total"] == 8
 
-    def test_failing_instance_exits_one(self, capsys):
+    def test_failing_instance_exits_one(self, capsys, tmp_path):
         code, out = run(capsys, "brute-force", str(ANOMALY))
         assert code == 1
         data = json.loads(out)
         assert data["schedulable"] is False
         assert data["first_failure"]
+        assert data["scenarios_checked"] < data["scenarios_total"]  # stopped at the miss
+        # the first failure, written as a scenario file, replays as a miss
+        scenario = tmp_path / "first.scenario"
+        scenario.write_text("".join("J {task} {job} r={r} c={c}\n".format(**j)
+                                    for j in data["first_failure"]))
+        code, out = run(capsys, "simulate", str(ANOMALY), "--scenario", str(scenario),
+                        "--format", "json")
+        assert code == 1 and json.loads(out)["misses"]
+
+    @pytest.mark.parametrize("path, extra, want", [(EDF_JITTER, (), 0),
+                                                   (ANOMALY, ("--exhaustive",), 1)],
+                             ids=["edf_jitter", "anomaly-exhaustive"])
+    def test_schedulable_or_exhaustive_run_checks_every_scenario(self, capsys, path, extra,
+                                                                 want):
+        code, out = run(capsys, "brute-force", str(path), *extra)
+        data = json.loads(out)
+        assert code == want
+        assert data["scenarios_checked"] == data["scenarios_total"]
 
     def test_cap_refusal_exits_two(self, capsys):
         code = main(["brute-force", str(ANOMALY), "--max-scenarios", "10"])
@@ -339,8 +357,8 @@ class TestCompare:
 
 S, N = "schedulable", "non-schedulable"
 COMPARED_POLICIES = ("edf", "fp-edf", "p-fp-edf", "cp", "cw")
-# (me, se, oracle) of `compare` under each of COMPARED_POLICIES, as the CI
-# step "every bundled instance is exact under every policy" pins them
+# (me, se, oracle) of `compare` under each of COMPARED_POLICIES; this table is
+# the only pin of these verdicts
 COMPARED = {
     "anomaly": [(N, N, N)] * 3 + [(S, S, S), (N, N, N)],
     "edf_jitter": [(S, S, S)] * 4 + [(N, N, N)],
@@ -362,8 +380,8 @@ def test_every_bundled_instance_is_exact_under_every_policy(capsys, name, policy
 
 
 # `analyze`'s exit code and the sha256 of its JSON with `stats.wall_ms` deleted,
-# dumped with sorted keys, or of its stderr when stuck (exit 3), as the CI step
-# "analyze's JSON under the idling policies in both modes is pinned" pins them
+# dumped with sorted keys, or of its stderr when stuck (exit 3); this table is
+# the only pin of these outputs
 ANALYZED = {
     ("precautious_idle", "p-fp-edf", "me"): (0, "147cb9878a486172b1fdb7746d5e149e3ea49f65d89a7fdcc8842b2331bca707"),
     ("precautious_idle", "p-fp-edf", "se"): (1, "24eeea517be5a7ff36b5406abf72a2eae66a109f74d30e7d312a87c3f306d8c8"),
@@ -393,6 +411,22 @@ def test_analyze_json_under_the_idling_policies_is_pinned(capsys, name, policy, 
         del data["stats"]["wall_ms"]
         pinned = json.dumps(data, sort_keys=True) + "\n"
     assert (code, hashlib.sha256(pinned.encode()).hexdigest()) == ANALYZED[name, policy, mode]
+
+
+def test_workflow_smoke_table_exits_as_stated(capsys, monkeypatch):
+    """Each `<exit code> <argv>` line of the workflow's SMOKE table, run in-process.
+
+    The workflow runs the same lines through the installed console script.
+    """
+    root = INSTANCE_DIR.parent  # the table's paths are relative to the repository
+    text = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    table = re.search(r"<<'SMOKE'\n(.*?)^ *SMOKE$", text, re.DOTALL | re.MULTILINE)[1]
+    rows = [line.split() for line in table.splitlines()]
+    assert rows
+    monkeypatch.chdir(root)
+    codes = [(" ".join(argv), main(argv)) for _, *argv in rows]
+    capsys.readouterr()
+    assert codes == [(" ".join(argv), int(want)) for want, *argv in rows]
 
 
 class TestInstanceWithoutJobs:

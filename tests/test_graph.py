@@ -1391,16 +1391,22 @@ class TestDotExport:
         second = export_dot(*generate(anomaly, PolicyKind.EDF, ME))
         assert first == second
 
-    def test_output_is_pinned_byte_for_byte(self, monkeypatch, idle4):
-        # cw misses on this instance, so the witness is highlighted too
-        graph, result = generate(idle4, PolicyKind.CW, ME)
+    def test_output_is_pinned_byte_for_byte(self, monkeypatch, jitter3, idle4):
         builds = []
         build = ScheduleGraph._build
         monkeypatch.setattr(ScheduleGraph, "_build", lambda self: builds.append(1) or build(self))
-        dot = export_dot(graph, result)
-        assert len(builds) == 2  # one read of `vertices` and one of `arcs`
-        assert hashlib.sha256(dot.encode()).hexdigest() == \
-            "d9c138c314ebc5cafe239df56b5ba2819ac97976f396c22cbef48e16b1209463"
+        for instance, kind, digest in [
+            (jitter3, PolicyKind.EDF,
+             "679af2748a0b2451fd8480588f7ff8355d235cbfd6d4ca41e6ba74915ded78f7"),
+            # cw misses on this instance, so the witness is highlighted too
+            (idle4, PolicyKind.CW,
+             "d9c138c314ebc5cafe239df56b5ba2819ac97976f396c22cbef48e16b1209463"),
+        ]:
+            graph, result = generate(instance, kind, ME)
+            builds.clear()
+            dot = export_dot(graph, result)
+            assert len(builds) == 2  # one read of `vertices` and one of `arcs`
+            assert (kind, hashlib.sha256(dot.encode()).hexdigest()) == (kind, digest)
 
 
 class TestStuckGuard:

@@ -41,14 +41,14 @@ def anomaly_scenario(instance):
 class TestSimulate:
     def test_worst_case_scenario_meets_all_deadlines(self, anomaly):
         trace = simulate(anomaly, PolicyKind.EDF, fig_worst_case(anomaly))
-        assert trace.miss is None
+        assert trace.misses == []
         runs = {job.key: (start, finish) for job, start, finish in trace.dispatches}
         assert runs[(1, 1)] == (6, 13)
         assert runs[(2, 2)] == (14, 18)
 
     def test_early_release_short_execution_misses(self, anomaly):
         trace = simulate(anomaly, PolicyKind.EDF, anomaly_scenario(anomaly))
-        job, finish, deadline = trace.miss
+        job, finish, deadline = trace.misses[0]
         assert (job.key, finish, deadline) == ((3, 2), 11, 10)
         runs = {job.key: (start, finish) for job, start, finish in trace.dispatches}
         assert runs[(1, 1)] == (3, 10)
@@ -63,7 +63,7 @@ class TestSimulate:
         scenario = ExecutionScenario({(1, 1): 0}, {(1, 1): 1})
         trace = simulate(instance, PolicyKind.EDF, scenario)
         assert trace.dispatches == [(instance.jobs[0], 0, 1)]
-        assert trace.miss is None
+        assert trace.misses == []
 
     def test_scheduler_waits_for_late_release(self, jitter3):
         scenario = ExecutionScenario.worst_case(jitter3)
@@ -81,7 +81,7 @@ class TestSimulate:
         assert runs[(3, 1)] == (7, 9)
         assert (9, 10) in trace.idle  # task 4 is released but would be harmful
         assert runs[(1, 1)] == (10, 12)
-        assert trace.miss is None
+        assert trace.misses == []
 
     def test_incomplete_scenario_rejected(self, anomaly):
         scenario = fig_worst_case(anomaly)
@@ -292,7 +292,7 @@ class TestEnumerate:
         failure = report.first_failure
         assert failure.release[(1, 1)] in (2, 3)
         trace = simulate(anomaly, PolicyKind.EDF, failure)
-        assert trace.miss is not None
+        assert trace.misses != []
 
     def test_deterministic_instance_has_one_scenario(self):
         tasks = [Task(1, 10, 2, 2, 3, 3, 10), Task(2, 5, 0, 0, 1, 1, 4)]
@@ -300,7 +300,7 @@ class TestEnumerate:
         report = enumerate_scenarios(instance, PolicyKind.EDF)
         assert report.scenarios_total == 1
         assert report.schedulable == (simulate(
-            instance, PolicyKind.EDF, ExecutionScenario.worst_case(instance)).miss is None)
+            instance, PolicyKind.EDF, ExecutionScenario.worst_case(instance)).misses == [])
 
     def test_cap_refusal_reports_the_count(self, anomaly):
         with pytest.raises(ScenarioCapExceeded, match="108 scenarios"):
@@ -326,7 +326,7 @@ class TestEnumerate:
         report = enumerate_scenarios(instance, kind)
         assert not report.schedulable
         assert (report.scenarios_checked, report.scenarios_total) == (checked, total)
-        assert simulate(instance, kind, report.first_failure).miss is not None
+        assert simulate(instance, kind, report.first_failure).misses != []
 
     def test_exhaustive_mode_checks_everything(self, anomaly):
         report = enumerate_scenarios(anomaly, PolicyKind.EDF, exhaustive=True)
@@ -372,7 +372,7 @@ class TestPrefixSearch:
                 assert report == reference
             else:
                 trace = simulate(instance, kind, report.first_failure)
-                assert trace.miss is not None
+                assert trace.misses != []
 
     def test_schedulable_run_checks_every_scenario(self, reference_runs):
         schedulable = [report for _, _, _, report, _ in reference_runs if report.schedulable]
@@ -388,7 +388,7 @@ class TestPrefixSearch:
         report = enumerate_scenarios(instance, PolicyKind.EDF, exhaustive=True)
         assert report.scenarios_checked == report.scenarios_total == 1
         trace = simulate(instance, PolicyKind.EDF, ExecutionScenario.worst_case(instance))
-        assert report.schedulable == (trace.miss is None)
+        assert report.schedulable == (trace.misses == [])
         finishes = {job.key: finish for job, _, finish in trace.dispatches}
         assert report.finish_min == report.finish_max == finishes
 
