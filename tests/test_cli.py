@@ -179,6 +179,21 @@ class TestSimulate:
         data = json.loads(out)
         assert data["misses"] == [{"task": 3, "job": 2, "finish": 11, "deadline": 10}]
 
+    # the shipped scenario files, read where they ship
+    @pytest.mark.parametrize("path, policy, scenario, code, idle, misses", [
+        (ANOMALY, "edf", "anomaly_miss", 1, [],
+         [{"task": 3, "job": 2, "finish": 11, "deadline": 10}]),
+        (PRECAUTIOUS_IDLE, "cw", "precautious_idle_worst", 1, [[8, 10]],
+         [{"task": 4, "job": 1, "finish": 18, "deadline": 16}]),
+        (PRECAUTIOUS_IDLE, "cp", "precautious_idle_worst", 0, [], []),
+    ], ids=["anomaly-edf", "precautious_idle-cw", "precautious_idle-cp"])
+    def test_shipped_scenario_idles_and_misses(self, capsys, path, policy, scenario, code,
+                                               idle, misses):
+        got, out = run(capsys, "simulate", str(path), "--policy", policy, "--scenario",
+                       str(INSTANCE_DIR / f"{scenario}.scenario"), "--format", "json")
+        data = json.loads(out)
+        assert (got, data["idle"], data["misses"]) == (code, idle, misses)
+
     @pytest.mark.parametrize("text, code, lines", [
         (NO_MISS, 0, ["J3,1: runs [0, 1)", "J2,1: runs [1, 5)", "J3,2: runs [5, 6)",
                       "J1,1: runs [6, 13)", "J3,3: runs [13, 14)", "J2,2: runs [14, 18)",
